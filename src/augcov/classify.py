@@ -308,6 +308,30 @@ def _score_fold_view(kind, view, c, kernel):
     return accuracy(preds, y_test)
 
 
+def _score_cell(kind, covs, labels, folds, param_grid):
+    """Inner-CV fold scores of one (order, lag) cell, one list per (C, kernel)."""
+    uses_svm = kind.endswith("SVM")
+    # the tangent map depends on (order, lag, fold) only, so build the
+    # per-fold feature matrices once and reuse them for every (C, kernel)
+    fold_views = []
+    for train_idx, test_idx in folds:
+        covs_train = [covs[i] for i in train_idx]
+        covs_test = [covs[i] for i in test_idx]
+        if uses_svm:
+            tmap = tangent_fit(covs_train)
+            fold_views.append((
+                tangent_transform_many(tmap, covs_train), labels[train_idx],
+                tangent_transform_many(tmap, covs_test), labels[test_idx],
+            ))
+        else:
+            fold_views.append((covs_train, labels[train_idx],
+                               covs_test, labels[test_idx]))
+    return [
+        [_score_fold_view(kind, view, c, kernel) for view in fold_views]
+        for c, kernel in param_grid
+    ]
+
+
 def grid_search(
     epochs,
     labels,
@@ -347,34 +371,23 @@ def grid_search(
     cells = []
     best = None  # (score, cell)
     ties = []
+    order1_scores = None  # embed_epoch ignores the lag at order 1: score it once
     for order, lag in itertools.product(orders, lags):
-        try:
-            params = AugmentedParams(order, lag)
-            params.check_length(epochs[0].n_samples)
-            covs = [augmented_covariance(e, params, shrink) for e in epochs]
-        except LagTooLarge:
-            for c, kernel in param_grid:
-                cells.append(GridCell(order, lag, c, kernel, None, 0, False))
-            continue
-        # the tangent map depends on (order, lag, fold) only, so build the
-        # per-fold feature matrices once and reuse them for every (C, kernel)
-        fold_views = []
-        for train_idx, test_idx in folds:
-            covs_train = [covs[i] for i in train_idx]
-            covs_test = [covs[i] for i in test_idx]
-            if uses_svm:
-                tmap = tangent_fit(covs_train)
-                fold_views.append((
-                    tangent_transform_many(tmap, covs_train), labels[train_idx],
-                    tangent_transform_many(tmap, covs_test), labels[test_idx],
-                ))
-            else:
-                fold_views.append((covs_train, labels[train_idx],
-                                   covs_test, labels[test_idx]))
-        for c, kernel in param_grid:
-            fold_scores = [
-                _score_fold_view(kind, view, c, kernel) for view in fold_views
-            ]
+        if order == 1 and order1_scores is not None:
+            param_scores = order1_scores
+        else:
+            try:
+                params = AugmentedParams(order, lag)
+                params.check_length(epochs[0].n_samples)
+                covs = [augmented_covariance(e, params, shrink) for e in epochs]
+            except LagTooLarge:
+                for c, kernel in param_grid:
+                    cells.append(GridCell(order, lag, c, kernel, None, 0, False))
+                continue
+            param_scores = _score_cell(kind, covs, labels, folds, param_grid)
+            if order == 1:
+                order1_scores = param_scores
+        for (c, kernel), fold_scores in zip(param_grid, param_scores):
             score = float(np.mean(fold_scores))
             cell = GridCell(order, lag, c, kernel, score, len(fold_scores), True)
             cells.append(cell)

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .covariance import Epoch
 from .errors import (
@@ -98,6 +97,8 @@ def bandpass(epoch: Epoch, low_hz: float, high_hz: float) -> Epoch:
     0 Hz, squarely in the stopband, so this only sharpens the ideal
     response. T is preserved.
     """
+    import scipy.signal  # costs most of `import augcov`; only this filter needs it
+
     nyquist = epoch.sample_rate / 2.0
     if not 0.0 < low_hz < high_hz < nyquist:
         raise InvalidBand(

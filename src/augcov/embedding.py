@@ -20,6 +20,7 @@ AMI_DEFAULT_BINS = 16
 CAO_DEFAULT_THRESHOLD = 0.05
 MDOP_DEFAULT_MAX_LAG = 10
 FNN_RATIO = 10.0  # Kennel false-neighbor distance ratio
+NN_BLOCK = 64  # rows per neighbour-search block: 64 x n float64, 0.4 MB at n = 768
 
 
 @dataclass(frozen=True)
@@ -103,60 +104,98 @@ def select_tau_ami(
     return TauSelection(int(np.argmin(aggregate)) + 1, aggregate, True)
 
 
-def _delay_matrix(series: np.ndarray, dim: int, tau: int, count: int) -> np.ndarray:
-    """First `count` delay vectors [s(i), s(i+tau), ..., s(i+(dim-1)tau)]."""
-    return np.stack([series[k * tau:k * tau + count] for k in range(dim)], axis=1)
+def _prefix_neighbours(points: np.ndarray, counts, wanted) -> dict:
+    """Nearest strictly-distinct neighbour of each row, under the max metric,
+    in every wanted prefix embedding of `points`.
 
+    Prefix m (1-based) is points[:counts[m-1], :m]: the first m coordinates,
+    over the rows where they exist. counts must not increase with m, and
+    rows past a prefix's count may hold anything. Returns {m: (indices,
+    distances)} for each m in `wanted`, both of length counts[m-1]; index -1
+    marks rows with no distinct neighbour at all. Cao's method wants every
+    prefix, MDOP only its full embedding.
 
-def _chebyshev_nn(points: np.ndarray, block: int = 256):
-    """Nearest strictly-distinct neighbor of each row under the max metric.
+    Distances at or below 1e-9 * ptp of the prefix are treated as duplicates
+    (a periodic signal sampled at an integer period revisits the same state
+    up to rounding), and ties resolve to the lowest index.
 
-    Distances below float-level resolution of the data scale are treated as
-    duplicates (a periodic signal sampled at an integer period revisits the
-    same state up to rounding). Returns (indices, distances); index -1 marks
-    rows with no distinct neighbor at all. Computed in row blocks so memory
-    stays O(block * n); ties resolve to the lowest index.
+    The search walks blocks of NN_BLOCK rows. Each block's distance matrix
+    grows one coordinate at a time, D_m = max(D_{m-1}, |coordinate m
+    difference|), over the rows and columns where prefix m exists. max is
+    exact, so every prefix gets the distances, indices and ties of a search
+    from scratch. That costs O(n^2) per prefix dimension, where a fresh
+    search costs O(n^2 * m), and memory stays O(NN_BLOCK * n).
     """
-    n, m = points.shape
-    scale = float(np.ptp(points)) or 1.0
-    tol = 1e-9 * scale
-    idx = np.full(n, -1, dtype=int)
-    best = np.full(n, np.inf)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dists = np.abs(points[start:stop, None, 0] - points[None, :, 0])
-        for c in range(1, m):
-            np.maximum(dists, np.abs(points[start:stop, None, c] - points[None, :, c]),
-                       out=dists)
-        rows = np.arange(start, stop)
-        dists[rows - start, rows] = np.inf
-        dists[dists <= tol] = np.inf
-        local = np.argmin(dists, axis=1)
-        idx[rows] = local
-        best[rows] = dists[rows - start, local]
-    idx[~np.isfinite(best)] = -1
-    return idx, best
+    last = max(wanted)
+    tols = {
+        m: 1e-9 * (float(np.ptp(points[:counts[m - 1], :m])) or 1.0) for m in wanted
+    }
+    found = {
+        m: (np.empty(counts[m - 1], dtype=int), np.empty(counts[m - 1])) for m in wanted
+    }
+    for start in range(0, counts[0], NN_BLOCK):
+        dists = None
+        for m in range(1, last + 1):
+            count = counts[m - 1]
+            stop = min(start + NN_BLOCK, count)
+            if stop <= start:
+                break
+            rows = np.arange(stop - start)
+            coord = points[:count, m - 1]
+            step = np.abs(coord[start:stop, None] - coord[None, :])
+            if dists is None:
+                step[rows, rows + start] = np.inf  # no row is its own neighbour
+            else:
+                np.maximum(dists[:stop - start, :count], step, out=step)
+            dists = step
+            if m not in found:
+                continue
+            local = np.argmin(dists, axis=1)
+            nearest = dists[rows, local]
+            # rows whose nearest point is a duplicate search again without them
+            dup = np.nonzero(nearest <= tols[m])[0]
+            if dup.size:
+                masked = dists[dup]
+                masked[masked <= tols[m]] = np.inf
+                local[dup] = np.argmin(masked, axis=1)
+                nearest[dup] = masked[np.arange(dup.size), local[dup]]
+            idx, best = found[m]
+            idx[start:stop] = local
+            best[start:stop] = nearest
+    for idx, best in found.values():
+        idx[~np.isfinite(best)] = -1
+    return found
 
 
 def _cao_e_curve(series: np.ndarray, tau: int, max_e_dim: int) -> np.ndarray:
-    """Cao's E(m) for m = 1..max_e_dim on one series."""
+    """Cao's E(m) for m = 1..max_e_dim on one series.
+
+    E(m) averages d_{m+1}(i, j) / d_m(i, j) over the rows i where the
+    (m+1)-dimensional delay vector exists, j being i's nearest distinct
+    neighbour in m dimensions. All dimensions come from one incremental
+    neighbour search; d_{m+1} is d_m grown by coordinate m.
+    """
     n = series.size
-    out = np.full(max_e_dim, np.nan)
-    for m in range(1, max_e_dim + 1):
-        count = n - m * tau  # indices where both the m and m+1 vectors exist
+    counts = [n - m * tau for m in range(1, max_e_dim + 1)]
+    for m, count in enumerate(counts, start=1):
         if count < 2:
             raise TooShort(
                 f"series of length {n} cannot support dimension {m + 1} at lag {tau}"
             )
-        y_m = _delay_matrix(series, m, tau, count)
-        y_m1 = _delay_matrix(series, m + 1, tau, count)
-        nn_idx, nn_dist = _chebyshev_nn(y_m)
-        valid = nn_idx >= 0
-        if not np.any(valid):
+    # column k holds s(i + k*tau); rows past counts[k-1] run off the series
+    # and are zero-filled, never read
+    padded = np.concatenate([series, np.zeros(max_e_dim * tau)])
+    points = np.stack(
+        [padded[k * tau:k * tau + counts[0]] for k in range(max_e_dim + 1)], axis=1
+    )
+    found = _prefix_neighbours(points, counts, range(1, max_e_dim + 1))
+    out = np.full(max_e_dim, np.nan)
+    for m, (nn_idx, nn_dist) in found.items():
+        i = np.nonzero(nn_idx >= 0)[0]
+        if i.size == 0:
             continue
-        i = np.nonzero(valid)[0]
         j = nn_idx[i]
-        d_up = np.max(np.abs(y_m1[i] - y_m1[j]), axis=1)
+        d_up = np.maximum(nn_dist[i], np.abs(points[i, m] - points[j, m]))
         out[m - 1] = np.mean(d_up / nn_dist[i])
     return out
 
@@ -172,7 +211,8 @@ def cao_embedding_dimension(
     E1(m) = E(m+1)/E(m) is averaged over all channels and epochs; the result
     is the smallest D with both |E1(D) - 1| and |E1(D+1) - 1| below the
     threshold, or max_dim with saturation_failure set when the curve never
-    settles.
+    settles. Each series takes one incremental neighbour search for all
+    max_dim + 1 dimensions (see _prefix_neighbours): O(n^2 * max_dim) time.
     """
     if max_dim < 2:
         raise ValueError(f"max_dim must be >= 2, got {max_dim}")
@@ -209,7 +249,8 @@ def _mdop_cycle_stats(series, delays, candidates):
     if t.size < 2:
         raise TooShort(f"series of length {n} too short for delay horizon {horizon}")
     current = np.stack([series[t - d] for d in delays], axis=1)
-    nn_idx, nn_dist = _chebyshev_nn(current)
+    dim = len(delays)
+    nn_idx, nn_dist = _prefix_neighbours(current, [t.size] * dim, [dim])[dim]
     valid = nn_idx >= 0
     i = np.nonzero(valid)[0]
     j = nn_idx[i]

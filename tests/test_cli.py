@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import augcov
 from augcov.cli import main
 
 
@@ -29,6 +34,18 @@ def ar_spec_json(tmp_path, seed=0, epochs_per_class=12, t=96, n_sessions=1, sepa
     path = tmp_path / f"spec{seed}_{n_sessions}.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(augcov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "augcov", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "estimate-params" in proc.stdout
 
 
 class TestSimulate:

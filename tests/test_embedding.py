@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from augcov.covariance import Epoch
 from augcov.data import EpochSet, Session
 from augcov.embedding import (
+    _cao_e_curve,
+    _prefix_neighbours,
     average_mutual_information,
     cao_embedding_dimension,
     estimate_traditional,
@@ -134,6 +138,93 @@ class TestSelectTau:
             base.class_names,
         )
         assert select_tau_ami(base, 24).tau == select_tau_ami(scaled, 24).tau
+
+
+def brute_force_nn(points):
+    """Nearest distinct neighbour from the full n x n Chebyshev matrix."""
+    tol = 1e-9 * (float(np.ptp(points)) or 1.0)
+    d = np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
+    np.fill_diagonal(d, np.inf)
+    d[d <= tol] = np.inf
+    idx = np.argmin(d, axis=1)  # first minimum: ties go to the lowest index
+    dist = d[np.arange(len(points)), idx]
+    idx[~np.isfinite(dist)] = -1
+    return idx, dist
+
+
+def per_dimension_cao_e_curve(series, tau, max_e_dim):
+    """Cao's E(m) with a fresh delay matrix and search for every m."""
+    n = series.size
+    out = np.full(max_e_dim, np.nan)
+    for m in range(1, max_e_dim + 1):
+        count = n - m * tau
+        y_up = np.stack([series[k * tau:k * tau + count] for k in range(m + 1)], axis=1)
+        idx, dist = brute_force_nn(y_up[:, :m])
+        i = np.nonzero(idx >= 0)[0]
+        if i.size == 0:
+            continue
+        d_up = np.max(np.abs(y_up[i] - y_up[idx[i]]), axis=1)
+        out[m - 1] = np.mean(d_up / dist[i])
+    return out
+
+
+@st.composite
+def embedding_series(draw):
+    """Series whose delay vectors tie, repeat or coincide."""
+    n = draw(st.integers(6, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "sine", "stretches"]))
+    if kind == "normal":
+        x = rng.standard_normal(n)
+    elif kind == "integer":  # few values: exact distance ties everywhere
+        x = rng.integers(0, draw(st.integers(1, 4)), n).astype(float)
+    elif kind == "sine":  # integer period: states revisited up to rounding
+        period = draw(st.integers(2, 12))
+        x = rng.uniform(0.5, 2.0) * np.sin(2 * np.pi * np.arange(n) / period + rng.uniform(0, 7))
+    else:  # constant stretches: runs of identical delay vectors
+        x = np.repeat(rng.standard_normal(n), rng.integers(1, 6, n))[:n]
+    return x * draw(st.sampled_from([1.0, 1e-6, 3e4]))
+
+
+class TestPrefixNeighbours:
+    @settings(max_examples=150, deadline=None)
+    @given(embedding_series(), st.integers(1, 4), st.integers(1, 6))
+    def test_every_prefix_matches_brute_force(self, series, tau, max_e_dim):
+        counts = [series.size - m * tau for m in range(1, max_e_dim + 1)]
+        assume(counts[-1] >= 2)
+        # rows past a prefix's count are NaN: they must never be read
+        padded = np.concatenate([series, np.full(max_e_dim * tau, np.nan)])
+        points = np.stack(
+            [padded[k * tau:k * tau + counts[0]] for k in range(max_e_dim)], axis=1
+        )
+        every = _prefix_neighbours(points, counts, range(1, max_e_dim + 1))
+        last = _prefix_neighbours(points, counts, [max_e_dim])
+        assert sorted(every) == list(range(1, max_e_dim + 1))
+        assert list(last) == [max_e_dim]
+        for m, (idx, dist) in every.items():
+            ref_idx, ref_dist = brute_force_nn(points[:counts[m - 1], :m])
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(last[max_e_dim][0], every[max_e_dim][0])
+        assert np.array_equal(last[max_e_dim][1], every[max_e_dim][1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(embedding_series(), st.integers(1, 4), st.integers(1, 6))
+    def test_cao_curve_equals_per_dimension_search(self, series, tau, max_e_dim):
+        assume(series.size - max_e_dim * tau >= 2)
+        assert np.array_equal(
+            _cao_e_curve(series, tau, max_e_dim),
+            per_dimension_cao_e_curve(series, tau, max_e_dim),
+            equal_nan=True,
+        )
+
+    def test_rows_beyond_the_block_size(self):
+        rng = np.random.default_rng(11)
+        series = rng.integers(0, 5, 300).astype(float)
+        assert np.array_equal(
+            _cao_e_curve(series, 2, 5), per_dimension_cao_e_curve(series, 2, 5),
+            equal_nan=True,
+        )
 
 
 class TestCao:

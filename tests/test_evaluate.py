@@ -234,14 +234,17 @@ class TestTimingOrderSweep:
         from augcov.classify import fit_pipeline
         epoch_set = separable_set(seed=8, epochs_per_class=20, t=256)
         epochs, labels = epoch_set.all_epochs()
-        totals = []
-        for order in range(1, 7):
-            spec = PipelineSpec(kind="ACM+MDM", param_source="fixed",
-                                order=order, lag=1)
-            start = perf_counter()
-            fitted = fit_pipeline(spec, epochs, labels, seed=0)
-            fitted.predict(epochs)
-            totals.append(perf_counter() - start)
+        # minimum of 3 sweeps: host speed drifts between seconds, and the
+        # fastest repeat is the one least slowed by it
+        totals = [np.inf] * 6
+        for _ in range(3):
+            for i, order in enumerate(range(1, 7)):
+                spec = PipelineSpec(kind="ACM+MDM", param_source="fixed",
+                                    order=order, lag=1)
+                start = perf_counter()
+                fitted = fit_pipeline(spec, epochs, labels, seed=0)
+                fitted.predict(epochs)
+                totals[i] = min(totals[i], perf_counter() - start)
         increases = sum(b >= a for a, b in zip(totals, totals[1:]))
         assert increases >= 4
 
