@@ -23,6 +23,7 @@ from .errors import (
     AllCellsInvalid,
     DimensionMismatch,
     EmptyClass,
+    InvalidSetting,
     LagTooLarge,
     TooFewSamples,
 )
@@ -100,13 +101,6 @@ def mdm_predict(model: MdmModel, cov: SpdMatrix):
     return model.class_labels[int(np.argmin(dists))], dists
 
 
-def mdm_binary_score(model: MdmModel, cov: SpdMatrix) -> float:
-    """Ranking score for AUC: distance to class 0 minus distance to class 1,
-    so larger means more confidently the second class."""
-    _, dists = mdm_predict(model, cov)
-    return float(dists[0] - dists[1])
-
-
 # -- tangent-space features ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -147,6 +141,33 @@ def tangent_transform_many(tmap: TangentMap, covs) -> np.ndarray:
     return np.stack([tangent_transform(tmap, c) for c in covs])
 
 
+# -- the scoring rule -----------------------------------------------------
+
+def _head_decision(model, x) -> np.ndarray:
+    """Binary ranking scores of a trained SVM (on tangent features) or MDM
+    (on covariances, distance to class 0 minus distance to class 1); larger
+    means the second class."""
+    if isinstance(model, SvmModel):
+        return np.asarray(svm_decision(model, x), dtype=float)
+    return np.array([d[0] - d[1] for _, d in (mdm_predict(model, c) for c in x)])
+
+
+def _head_predict(model, x) -> np.ndarray:
+    if isinstance(model, SvmModel):
+        return svm_predict(model, x)
+    return np.array([mdm_predict(model, c)[0] for c in x])
+
+
+def score_split(model, x_test, y_test, classes) -> tuple:
+    """Score a test split: AUC of the decision against y == classes[1] when
+    training saw two classes, else accuracy of the predicted labels. Returns
+    (value, metric); the inner CV and the outer splits both score here."""
+    if len(classes) == 2:
+        positive = np.asarray(y_test) == classes[1]
+        return auc_roc(_head_decision(model, x_test), positive), "auc"
+    return accuracy(_head_predict(model, x_test), y_test), "accuracy"
+
+
 # -- pipeline configuration ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -174,14 +195,21 @@ class PipelineSpec:
 
     def __post_init__(self):
         if self.kind not in PIPELINE_KINDS:
-            raise ValueError(f"unknown pipeline kind {self.kind!r}")
+            raise InvalidSetting(f"unknown pipeline kind {self.kind!r}")
         if self.param_source not in PARAM_SOURCES:
-            raise ValueError(f"unknown param source {self.param_source!r}")
+            raise InvalidSetting(f"unknown param source {self.param_source!r}")
         if not self.is_augmented and self.param_source in ("ami_cao", "mdop"):
-            raise ValueError(
+            raise InvalidSetting(
                 f"{self.kind} has no stacking parameters to estimate with "
                 f"{self.param_source}"
             )
+        if self.inner_folds < 2:
+            raise InvalidSetting(f"inner CV needs >= 2 folds, got {self.inner_folds}")
+        for c in (self.svm_c, *self.grid_c):
+            if not (np.isfinite(c) and c > 0):
+                raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
+        if not all((self.grid_orders, self.grid_lags, self.grid_c, self.grid_kernels)):
+            raise InvalidSetting("the order, lag, C and kernel grids must not be empty")
 
     @property
     def is_augmented(self) -> bool:
@@ -214,28 +242,29 @@ class FittedPipeline:
     grid_result: "GridSearchResult | None" = None
     embedding_estimate: emb.EmbeddingEstimate | None = None
 
-    def _covariances(self, epochs, timer=None):
+    def _apply(self, fn, epochs, timer, *args):
+        """fn(head, head inputs, *args) on the epochs' covariances, or on
+        their tangent features for SVM kinds."""
         with _stage(timer, "covariance"):
-            return [augmented_covariance(e, self.params, self.shrink) for e in epochs]
-
-    def predict(self, epochs, timer=None) -> np.ndarray:
-        covs = self._covariances(epochs, timer)
+            covs = [augmented_covariance(e, self.params, self.shrink) for e in epochs]
         with _stage(timer, "predict"):
             if self.spec.uses_svm:
-                feats = tangent_transform_many(self.tangent_map, covs)
-                return svm_predict(self.svm_model, feats)
-            return np.array([mdm_predict(self.mdm_model, c)[0] for c in covs])
+                return fn(self.svm_model, tangent_transform_many(self.tangent_map, covs),
+                          *args)
+            return fn(self.mdm_model, covs, *args)
+
+    def predict(self, epochs, timer=None) -> np.ndarray:
+        return self._apply(_head_predict, epochs, timer)
 
     def decision_scores(self, epochs, timer=None) -> np.ndarray:
         """Binary ranking scores (larger = second class); binary models only."""
         if len(self.class_labels) != 2:
             raise ValueError("decision scores are defined for binary problems")
-        covs = self._covariances(epochs, timer)
-        with _stage(timer, "predict"):
-            if self.spec.uses_svm:
-                feats = tangent_transform_many(self.tangent_map, covs)
-                return np.asarray(svm_decision(self.svm_model, feats), dtype=float)
-            return np.array([mdm_binary_score(self.mdm_model, c) for c in covs])
+        return self._apply(_head_decision, epochs, timer)
+
+    def score(self, epochs, labels, timer=None) -> tuple:
+        """(value, metric) of the epochs under score_split."""
+        return self._apply(score_split, epochs, timer, labels, self.class_labels)
 
 
 # -- grid search ----------------------------------------------------------
@@ -293,19 +322,11 @@ def _score_fold_view(kind, view, c, kernel):
     view; for SVM kinds the views are tangent feature matrices, for MDM they
     are covariance lists."""
     train, y_train, test, y_test = view
-    classes = sorted(set(np.asarray(y_train).tolist()))
-    binary = len(classes) == 2
     if kind.endswith("SVM"):
         model = svm_fit(train, y_train, c=c, kernel=kernel)
-        if binary:
-            return auc_roc(svm_decision(model, test), np.asarray(y_test) == classes[1])
-        return accuracy(svm_predict(model, test), y_test)
-    model = mdm_fit(train, y_train)
-    if binary:
-        scores = [mdm_binary_score(model, cov) for cov in test]
-        return auc_roc(scores, np.asarray(y_test) == classes[1])
-    preds = [mdm_predict(model, cov)[0] for cov in test]
-    return accuracy(preds, y_test)
+    else:
+        model = mdm_fit(train, y_train)
+    return score_split(model, test, y_test, sorted(set(np.asarray(y_train).tolist())))[0]
 
 
 def _score_cell(kind, covs, labels, folds, param_grid):
@@ -346,7 +367,7 @@ def grid_search(
 ) -> GridSearchResult:
     """Stratified inner-CV score over the (order, lag[, C, kernel]) grid.
 
-    Cells that violate (order-1)*lag < T are recorded invalid and skipped.
+    Cells that violate (order-1)*lag < T - 1 are recorded invalid and skipped.
     The best cell wins by mean score with deterministic tie-breaking:
     smaller order, then smaller lag, then the listed order of the classifier
     parameter grids.
@@ -399,7 +420,7 @@ def grid_search(
 
     if best is None:
         raise AllCellsInvalid(
-            "no grid cell satisfies (order-1)*lag < T for these epochs"
+            "no grid cell satisfies (order-1)*lag < T - 1 for these epochs"
         )
     top = best[1]
     return GridSearchResult(
@@ -427,65 +448,48 @@ def _training_epochset(epochs, labels) -> EpochSet:
 
 def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
     """Pick (order, lag, C, kernel) per the configured source; returns
-    (params, c, kernel, grid_result, embedding_estimate)."""
-    grid_result = None
+    (params, c, kernel, grid_result, embedding_estimate). The inner-CV grid
+    search runs only when the source leaves more than one candidate."""
     estimate = None
-    if not spec.is_augmented:
-        order, lag = 1, 1
-        if spec.uses_svm and spec.param_source == "grid":
-            grid_result = grid_search(
-                epochs, labels, spec.kind,
-                orders=(1,), lags=(1,),
-                c_grid=spec.grid_c, kernel_grid=spec.grid_kernels,
-                inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
-            )
-            return (AugmentedParams(1, 1), grid_result.best_c,
-                    grid_result.best_kernel, grid_result, None)
-        return AugmentedParams(order, lag), spec.svm_c, spec.svm_kernel, None, None
-
-    if spec.param_source == "fixed":
-        return (AugmentedParams(spec.order, spec.lag), spec.svm_c, spec.svm_kernel,
-                None, None)
-
-    if spec.param_source == "grid":
-        grid_result = grid_search(
-            epochs, labels, spec.kind,
-            orders=spec.grid_orders, lags=spec.grid_lags,
-            c_grid=spec.grid_c, kernel_grid=spec.grid_kernels,
-            inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
-        )
-        c = grid_result.best_c if spec.uses_svm else spec.svm_c
-        kernel = grid_result.best_kernel if spec.uses_svm else spec.svm_kernel
-        return (AugmentedParams(grid_result.best_order, grid_result.best_lag),
-                c, kernel, grid_result, None)
-
-    train_set = _training_epochset(epochs, labels)
     if spec.param_source == "ami_cao":
         estimate = emb.estimate_traditional(
-            train_set,
+            _training_epochset(epochs, labels),
             max_lag=spec.estimator_max_lag,
             bins=spec.ami_bins,
             max_dim=spec.cao_max_dim,
             threshold=spec.cao_threshold,
         )
-    else:
+    elif spec.param_source == "mdop":
         estimate = emb.mdop_unified(
-            train_set,
+            _training_epochset(epochs, labels),
             max_cycles=spec.mdop_max_cycles,
             fnn_threshold=spec.fnn_threshold,
             max_lag=spec.estimator_max_lag,
         )
-    params = AugmentedParams(estimate.dim, estimate.tau)
-    c, kernel = spec.svm_c, spec.svm_kernel
-    if spec.uses_svm:
-        grid_result = grid_search(
-            epochs, labels, spec.kind,
-            orders=(params.order,), lags=(params.lag,),
-            c_grid=spec.grid_c, kernel_grid=spec.grid_kernels,
-            inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
-        )
-        c, kernel = grid_result.best_c, grid_result.best_kernel
-    return params, c, kernel, grid_result, estimate
+
+    if estimate is not None:
+        orders, lags = (estimate.dim,), (estimate.tau,)
+    elif spec.is_augmented and spec.param_source == "grid":
+        orders, lags = spec.grid_orders, spec.grid_lags
+    elif spec.is_augmented:
+        orders, lags = (spec.order,), (spec.lag,)
+    else:
+        orders, lags = (1,), (1,)
+    if spec.uses_svm and spec.param_source != "fixed":
+        c_grid, kernels = spec.grid_c, spec.grid_kernels
+    else:
+        c_grid, kernels = (spec.svm_c,), (spec.svm_kernel,)
+
+    if len(orders) * len(lags) * len(c_grid) * len(kernels) == 1:
+        return (AugmentedParams(orders[0], lags[0]), c_grid[0], kernels[0],
+                None, estimate)
+    grid = grid_search(
+        epochs, labels, spec.kind, orders=orders, lags=lags,
+        c_grid=c_grid, kernel_grid=kernels,
+        inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
+    )
+    return (AugmentedParams(grid.best_order, grid.best_lag), grid.best_c,
+            grid.best_kernel, grid, estimate)
 
 
 def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0,

@@ -13,7 +13,6 @@ import json
 import os
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +27,14 @@ from .data import (
     write_epochset,
 )
 from .embedding import curve_to_csv, estimate_traditional, mdop_unified
-from .errors import AugcovError, ConfigError, SingleSession
+from .errors import AugcovError, ConfigError
 from .evaluate import (
     EvalReport,
-    eval_holdout_cs,
-    eval_session_ws,
+    cross_session_eval,
     grid_map_csv_rows,
-    merge_reports,
     meta_analysis,
     timing_summary,
+    within_session_eval,
     write_csv,
 )
 
@@ -156,7 +154,8 @@ def _cmd_estimate_params(args) -> int:
         "flags": list(est.flags),
         "diagnostics": diagnostics,
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
     (out_dir / "params.json").write_text(text)
     sys.stdout.write(text)
     _write_manifest(out_dir, "estimate-params", {
@@ -164,16 +163,6 @@ def _cmd_estimate_params(args) -> int:
         "bins": args.bins, "max_dim": args.max_dim, "max_cycles": args.max_cycles,
     })
     return 0
-
-
-def _ws_task(payload):
-    epoch_set, s_idx, spec, folds, seed, dataset = payload
-    return eval_session_ws(epoch_set, s_idx, spec, folds, seed, dataset)
-
-
-def _cs_task(payload):
-    epoch_set, s_idx, spec, seed, dataset = payload
-    return eval_holdout_cs(epoch_set, s_idx, spec, seed, dataset)
 
 
 def _resolve_workers(args) -> int:
@@ -187,8 +176,6 @@ def _resolve_workers(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     epoch_set = read_epochset(args.input)
-    if args.eval_mode == "cs" and len(epoch_set.sessions) < 2:
-        raise SingleSession("cross-session evaluation needs at least 2 sessions")
     spec = PipelineSpec(
         kind=args.pipeline,
         param_source=args.param_source,
@@ -202,25 +189,11 @@ def _cmd_evaluate(args) -> int:
         inner_folds=args.folds,
     )
     workers = _resolve_workers(args)
-    n_sessions = len(epoch_set.sessions)
     if args.eval_mode == "ws":
-        payloads = [
-            (epoch_set, s, spec, args.folds, args.seed, args.dataset_id)
-            for s in range(n_sessions)
-        ]
-        task = _ws_task
+        report = within_session_eval(epoch_set, spec, args.folds, args.seed,
+                                     args.dataset_id, workers)
     else:
-        payloads = [
-            (epoch_set, s, spec, args.seed, args.dataset_id)
-            for s in range(n_sessions)
-        ]
-        task = _cs_task
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(task, payloads))
-    else:
-        partials = [task(p) for p in payloads]
-    report = merge_reports(partials)
+        report = cross_session_eval(epoch_set, spec, args.seed, args.dataset_id, workers)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -71,10 +71,11 @@ class AugmentedParams:
             raise ValueError(f"lag must be >= 1, got {self.lag}")
 
     def check_length(self, n_samples: int) -> None:
-        if (self.order - 1) * self.lag >= n_samples:
+        """The embedded epoch must keep T - (order-1)*lag >= 2 samples."""
+        if (self.order - 1) * self.lag >= n_samples - 1:
             raise LagTooLarge(
                 f"(order-1)*lag = {(self.order - 1) * self.lag} must be < "
-                f"T = {n_samples} (order={self.order}, lag={self.lag})"
+                f"T - 1 = {n_samples - 1} (order={self.order}, lag={self.lag})"
             )
 
 
@@ -155,8 +156,8 @@ def augmented_covariance(
     if not shrink:
         return sample_covariance(embedded)
     y = embedded.data
-    raw = sym(y @ y.T / (y.shape[1] - 1))
-    shrunk, _ = ledoit_wolf(raw, y)
+    gram = y @ y.T
+    shrunk, _ = _shrink(sym(gram / (y.shape[1] - 1)), y, gram)
     return shrunk
 
 
@@ -187,35 +188,35 @@ def ledoit_wolf(c_input: np.ndarray, y: np.ndarray) -> tuple[SpdMatrix, float]:
         )
     if m < 2:
         raise InconsistentInput("need at least two samples")
-    expected = y @ y.T / (m - 1)
+    gram = y @ y.T
+    expected = gram / (m - 1)
     scale = max(np.linalg.norm(expected), 1e-300)
     if np.linalg.norm(c_input - expected) > 1e-8 * scale:
         raise InconsistentInput("c_input is not y @ y.T / (m - 1) for the given y")
-
-    lam = _ledoit_wolf_lambda(y)
-    mu = np.trace(c_input) / n
-    shrunk = (1.0 - lam) * c_input + lam * mu * np.eye(n)
-    return SpdMatrix(shrunk), lam
+    return _shrink(c_input, y, gram)
 
 
-def _ledoit_wolf_lambda(y: np.ndarray) -> float:
-    """Analytic shrinkage intensity, uncentered convention.
+def _shrink(c_input: np.ndarray, y: np.ndarray, gram: np.ndarray):
+    """Ledoit-Wolf shrinkage of the symmetric c_input = gram / (m - 1), with
+    gram = y y^T computed once by the caller.
 
-    Internally uses the 1/m sample covariance S = y y^T / m:
+    The analytic intensity takes the uncentered 1/m covariance S = gram / m:
       mu    = tr(S) / n
       d2    = |S - mu I|_F^2 / n
       bbar2 = (1 / m^2) sum_t |y_t y_t^T - S|_F^2 / n
       lam   = min(bbar2, d2) / d2
     """
     n, m = y.shape
-    s = y @ y.T / m
-    mu = np.trace(s) / n
-    d2 = np.sum((s - mu * np.eye(n)) ** 2) / n
-    if d2 <= 0.0:
-        return 0.0
-    y2 = y ** 2
-    bbar2 = (np.sum(y2 @ y2.T / m - s ** 2)) / (n * m)
-    return float(min(bbar2, d2) / d2)
+    s = gram / m
+    d2 = np.sum((s - np.trace(s) / n * np.eye(n)) ** 2) / n
+    lam = 0.0
+    if d2 > 0.0:
+        y2 = y ** 2
+        bbar2 = (np.sum(y2 @ y2.T / m - s ** 2)) / (n * m)
+        lam = float(min(bbar2, d2) / d2)
+    mu = np.trace(c_input) / n
+    shrunk = (1.0 - lam) * c_input + lam * mu * np.eye(n)
+    return SpdMatrix(shrunk), lam
 
 
 def lagged_blocks(data: np.ndarray, max_lag: int) -> list[np.ndarray]:

@@ -98,6 +98,10 @@ class AllCellsInvalid(ConfigError):
     pass
 
 
+class InvalidSetting(ConfigError, ValueError):
+    """A pipeline or evaluation setting out of its valid range."""
+
+
 # -- eval / stats ------------------------------------------------------
 
 class TooFewSamples(ConfigError):

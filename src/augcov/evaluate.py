@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,13 +24,12 @@ from .data import EpochSet
 from .errors import (
     AllZeroDiffs,
     DegenerateVariance,
+    InvalidSetting,
     PairingViolation,
     SingleSession,
     TooFewSamples,
 )
 from .stats import (
-    accuracy,
-    auc_roc,
     bonferroni,
     cohens_d,
     permutation_paired_t,
@@ -98,7 +99,8 @@ class EvalReport:
             "scores": [s.to_dict() for s in self.scores],
             "aggregate": {"mean": self.mean, "std": self.std},
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -137,16 +139,7 @@ def _score_one_split(spec, train_epochs, train_labels, test_epochs, test_labels,
                      seed, session_id, split_id, report):
     timer = StageTimer()
     fitted = fit_pipeline(spec, train_epochs, train_labels, seed=seed, timer=timer)
-    binary = len(set(np.asarray(train_labels).tolist())) == 2
-    if binary:
-        positive = sorted(set(np.asarray(train_labels).tolist()))[1]
-        scores = fitted.decision_scores(test_epochs, timer=timer)
-        value = auc_roc(scores, np.asarray(test_labels) == positive)
-        metric = "auc"
-    else:
-        preds = fitted.predict(test_epochs, timer=timer)
-        value = accuracy(preds, test_labels)
-        metric = "accuracy"
+    value, metric = fitted.score(test_epochs, test_labels, timer=timer)
     report.scores.append(SplitScore(
         session=session_id,
         split=split_id,
@@ -240,18 +233,29 @@ def merge_reports(partials) -> EvalReport:
     return merged
 
 
+def _map_sessions(unit, n_sessions: int, workers: int) -> EvalReport:
+    """unit(s_idx) for every session, merged in session order. A process
+    pool runs them when workers > 1 and there is more than one session."""
+    if workers > 1 and n_sessions > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return merge_reports(pool.map(unit, range(n_sessions)))
+    return merge_reports(unit(s_idx) for s_idx in range(n_sessions))
+
+
 def within_session_eval(
     epoch_set: EpochSet,
     spec: PipelineSpec,
     folds: int = 5,
     seed: int = 0,
     dataset: str = "default",
+    workers: int = 1,
 ) -> EvalReport:
     """Stratified seeded k-fold CV inside every session."""
-    return merge_reports(
-        eval_session_ws(epoch_set, s_idx, spec, folds, seed, dataset)
-        for s_idx in range(len(epoch_set.sessions))
-    )
+    if folds < 2:
+        raise InvalidSetting(f"within-session CV needs >= 2 folds, got {folds}")
+    unit = partial(eval_session_ws, epoch_set, spec=spec, folds=folds, seed=seed,
+                   dataset=dataset)
+    return _map_sessions(unit, len(epoch_set.sessions), workers)
 
 
 def cross_session_eval(
@@ -259,15 +263,14 @@ def cross_session_eval(
     spec: PipelineSpec,
     seed: int = 0,
     dataset: str = "default",
+    workers: int = 1,
 ) -> EvalReport:
     """Leave-one-session-out: train on the other sessions, test the held-out
     one, rotating over sessions."""
     if len(epoch_set.sessions) < 2:
         raise SingleSession("cross-session evaluation needs at least 2 sessions")
-    return merge_reports(
-        eval_holdout_cs(epoch_set, s_idx, spec, seed, dataset)
-        for s_idx in range(len(epoch_set.sessions))
-    )
+    unit = partial(eval_holdout_cs, epoch_set, spec=spec, seed=seed, dataset=dataset)
+    return _map_sessions(unit, len(epoch_set.sessions), workers)
 
 
 def _derive_seed(seed: int, *key: int) -> int:
@@ -333,7 +336,8 @@ class MetaAnalysis:
             "hypotheses": [h.to_dict() for h in self.hypotheses],
             "smd_kind": "cohens_d",
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
 
 
 def _subject_means(reports):

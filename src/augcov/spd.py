@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -147,6 +146,8 @@ def affine_invariant_distance(p1: SpdMatrix, p2: SpdMatrix) -> float:
     Solved as the generalized symmetric eigenproblem p2 v = lambda p1 v,
     which has the same spectrum.
     """
+    import scipy.linalg  # most of `import augcov`; only this solve needs it
+
     _check_dims(p1, p2)
     w = scipy.linalg.eigh(p2.values, p1.values, eigvals_only=True)
     return float(np.sqrt(np.sum(np.log(w) ** 2)))

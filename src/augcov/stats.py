@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     AllZeroDiffs,
@@ -74,6 +73,8 @@ def wilcoxon_signed_rank(diffs, alternative: str = "greater") -> float:
     normal approximation with tie correction and continuity correction is
     used.
     """
+    from scipy.special import ndtr  # imported on use: it slows every CLI start
+
     if alternative != "greater":
         raise ValueError("only the one-tailed 'greater' alternative is supported")
     diffs = np.asarray(diffs, dtype=float)
@@ -149,6 +150,8 @@ def stouffer_combine(p_values, weights=None) -> float:
     quantile of p_i; the combined one-tailed p of z is returned. Unit
     weights by default.
     """
+    from scipy.special import ndtr, ndtri
+
     p_values = np.asarray(p_values, dtype=float)
     if p_values.size == 0:
         raise DegeneratePValue("no p-values to combine")

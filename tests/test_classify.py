@@ -343,3 +343,56 @@ def test_mdm_predict_dimension_mismatch(rng):
     model = mdm_fit([random_spd(rng, 3), random_spd(rng, 3)], [0, 1])
     with pytest.raises(DimensionMismatch):
         mdm_predict(model, random_spd(rng, 4))
+
+
+class TestGridSearchOnlyWhenThereIsAChoice:
+    """_resolve_params runs the inner-CV search exactly when its source
+    leaves more than one (order, lag, C, kernel) candidate."""
+
+    CASES = [
+        (kind, source, grid)
+        for kind in ("MDM", "ACM+MDM", "TANG+SVM", "ACM+TANG+SVM")
+        for source in ("fixed", "grid", "ami_cao", "mdop")
+        if kind.startswith("ACM") or source in ("fixed", "grid")
+        for grid in ((((1, 2), (1,)), ((1,), (1,))) if source == "grid" else (None,))
+    ]
+
+    @pytest.mark.parametrize("kind,source,grid", CASES)
+    def test_search_iff_more_than_one_candidate(self, kind, source, grid, monkeypatch):
+        import augcov.classify as classify
+        from augcov.embedding import EmbeddingEstimate
+
+        calls = []
+        original = classify.grid_search
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        def estimate(*args, **kwargs):
+            return EmbeddingEstimate(tau=2, dim=2, method=source)
+
+        monkeypatch.setattr(classify, "grid_search", counting)
+        monkeypatch.setattr(classify.emb, "estimate_traditional", estimate)
+        monkeypatch.setattr(classify.emb, "mdop_unified", estimate)
+        orders, lags = grid or ((1,), (1,))
+        spec = PipelineSpec(kind=kind, param_source=source, order=2, lag=3,
+                            grid_orders=orders, grid_lags=lags,
+                            grid_c=(0.5, 1.0), grid_kernels=("linear",), inner_folds=3)
+        epochs, labels = ar_two_class_set(seed=50, epochs_per_class=6, t=64).all_epochs()
+        fitted = fit_pipeline(spec, epochs, labels, seed=1)
+
+        if source == "grid" and kind.startswith("ACM"):
+            n_cells = len(orders) * len(lags)
+        else:
+            n_cells = 1
+        n_svm = 2 if kind.endswith("SVM") and source != "fixed" else 1
+        searched = n_cells * n_svm > 1
+        assert len(calls) == (1 if searched else 0)
+        assert (fitted.grid_result is not None) == searched
+        expected = {"fixed": (2, 3) if kind.startswith("ACM") else (1, 1),
+                    "ami_cao": (2, 2), "mdop": (2, 2)}.get(source)
+        if expected is not None:
+            assert (fitted.params.order, fitted.params.lag) == expected
+        if kind.endswith("SVM") and not searched:
+            assert (fitted.chosen_c, fitted.chosen_kernel) == (1.0, "linear")

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import augcov
 from augcov.cli import main
@@ -34,6 +35,18 @@ def ar_spec_json(tmp_path, seed=0, epochs_per_class=12, t=96, n_sessions=1, sepa
     path = tmp_path / f"spec{seed}_{n_sessions}.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    src = str(Path(augcov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, augcov.cli; print(sorted(m for m in "
+            "('scipy.linalg', 'scipy.special', 'scipy.signal') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli():
@@ -189,6 +202,57 @@ class TestEvaluate:
         self.evaluate(capsys, container, tmp_path / "w4", "--workers", "4")
         assert (tmp_path / "w1" / "report.json").read_bytes() == \
             (tmp_path / "w4" / "report.json").read_bytes()
+        for workers in ("1", "2"):
+            code, _, _ = self.evaluate(capsys, container, tmp_path / f"cs{workers}",
+                                       "--eval", "cs", "--workers", workers)
+            assert code == 0
+        assert (tmp_path / "cs1" / "report.json").read_bytes() == \
+            (tmp_path / "cs2" / "report.json").read_bytes()
+
+    def test_report_is_the_library_report(self, tmp_path, capsys):
+        from augcov.classify import PipelineSpec
+        from augcov.data import read_epochset
+        from augcov.evaluate import cross_session_eval, within_session_eval
+
+        spec_path = ar_spec_json(tmp_path, seed=8, epochs_per_class=8, t=64, n_sessions=2)
+        container = tmp_path / "lib.acm"
+        run_cli(capsys, "simulate", "--spec-json", f"@{spec_path}", "--out", str(container))
+        epoch_set = read_epochset(container)
+        spec = PipelineSpec(kind="ACM+TANG+SVM", param_source="grid",
+                            grid_orders=(1, 2), grid_lags=(1,), inner_folds=3)
+        for mode, run in (
+            ("ws", lambda: within_session_eval(epoch_set, spec, folds=3, seed=5,
+                                               dataset="lib", workers=2)),
+            ("cs", lambda: cross_session_eval(epoch_set, spec, seed=5, dataset="lib")),
+        ):
+            out = tmp_path / f"lib_{mode}"
+            code, _, _ = run_cli(
+                capsys, "evaluate", "--input", str(container),
+                "--pipeline", "ACM+TANG+SVM", "--param-source", "grid",
+                "--grid-max-order", "2", "--grid-max-lag", "1", "--eval", mode,
+                "--folds", "3", "--seed", "5", "--dataset-id", "lib",
+                "--workers", "1", "--out", str(out),
+            )
+            assert code == 0
+            assert (out / "report.json").read_text() == run().to_json()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--folds", "0"), ("--folds", "1"), ("--svm-c", "-1"), ("--svm-c", "0"),
+        ("--svm-c", "nan"), ("--svm-c", "inf"), ("--grid-max-order", "0"),
+        ("--grid-max-lag", "0"),
+    ])
+    def test_bad_setting_exit_2(self, tmp_path, capsys, flag, value):
+        spec = ar_spec_json(tmp_path, seed=9)
+        container = tmp_path / "bad.acm"
+        run_cli(capsys, "simulate", "--spec-json", f"@{spec}", "--out", str(container))
+        argv = ["evaluate", "--input", str(container), "--pipeline", "TANG+SVM",
+                "--eval", "ws", "--folds", "3", "--seed", "1",
+                "--out", str(tmp_path / "bad"), flag, value]
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        error = json.loads(stderr)
+        assert error["error"] == "InvalidSetting"
+        assert not (tmp_path / "bad" / "report.json").exists()
 
     def test_grid_pipeline_emits_score_maps(self, tmp_path, capsys):
         spec = ar_spec_json(tmp_path, seed=5, epochs_per_class=10, t=64)

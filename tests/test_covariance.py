@@ -40,6 +40,8 @@ class TestEpoch:
         with pytest.raises(LagTooLarge):
             AugmentedParams(3, 5).check_length(10)
         AugmentedParams(3, 4).check_length(10)
+        with pytest.raises(LagTooLarge):  # a one-sample embedding is no epoch
+            AugmentedParams(4, 4).check_length(13)
 
 
 class TestSampleCovariance:
@@ -252,6 +254,36 @@ class TestLedoitWolf:
         assert 0.0 <= lam <= 1.0
 
 
+def three_gram_augmented_covariance(epoch, params):
+    """The shrunk augmented covariance with y y^T formed three times: once
+    for the raw covariance, once for ledoit_wolf's consistency check and once
+    for the 1/m covariance of the intensity."""
+    y = embed_epoch(epoch, params).data
+    n, m = y.shape
+    raw = y @ y.T / (m - 1)
+    raw = 0.5 * (raw + raw.T)
+    expected = y @ y.T / (m - 1)
+    assert np.linalg.norm(raw - expected) <= 1e-8 * max(np.linalg.norm(expected), 1e-300)
+    s = y @ y.T / m
+    d2 = np.sum((s - np.trace(s) / n * np.eye(n)) ** 2) / n
+    lam = 0.0
+    if d2 > 0.0:
+        y2 = y ** 2
+        lam = float(min(np.sum(y2 @ y2.T / m - s ** 2) / (n * m), d2) / d2)
+    return (1.0 - lam) * raw + lam * (np.trace(raw) / n) * np.eye(n)
+
+
+@pytest.mark.parametrize("d,t,order,lag", [(2, 64, 2, 1), (3, 100, 4, 2),
+                                           (22, 512, 10, 1), (1, 40, 3, 5)])
+def test_one_gram_augmented_covariance_is_bit_identical(d, t, order, lag):
+    rng = np.random.default_rng(d * 1000 + t)
+    for scale in (1.0, 1e-6):
+        epoch = make_epoch(scale * rng.standard_normal((d, t)))
+        params = AugmentedParams(order, lag)
+        got = augmented_covariance(epoch, params, shrink=True).values
+        assert np.array_equal(got, three_gram_augmented_covariance(epoch, params))
+
+
 def simulate_var(coeffs, innovation_chol, t, rng, lag=1, burn_in=500):
     d = innovation_chol.shape[0]
     p = len(coeffs)
@@ -335,7 +367,7 @@ class TestYuleWalker:
 )
 @settings(max_examples=60, deadline=None)
 def test_embed_layout_property(d, t, order, lag, seed):
-    if (order - 1) * lag >= t:
+    if (order - 1) * lag >= t - 1:
         return
     x = np.random.default_rng(seed).standard_normal((d, t))
     out = embed_epoch(make_epoch(x), AugmentedParams(order, lag)).data

@@ -4,7 +4,7 @@ import pytest
 from augcov.classify import PipelineSpec
 from augcov.covariance import Epoch
 from augcov.data import ArSpec, EpochSet, Session, generate_ar_dataset
-from augcov.errors import PairingViolation, SingleSession, TooFewSamples
+from augcov.errors import InvalidSetting, PairingViolation, SingleSession, TooFewSamples
 from augcov.evaluate import (
     EvalReport,
     cross_session_eval,
@@ -225,6 +225,42 @@ class TestMetaAnalysis:
         report = report_from_scores("P1", "alice", [0.7, 0.8])
         clone = EvalReport.from_json(report.to_json())
         assert clone.to_json() == report.to_json()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # mean and std of no splits
+    def test_nan_is_never_serialised(self):
+        with pytest.raises(ValueError):
+            report_from_scores("P1", "alice", [0.7, float("nan")]).to_json()
+        with pytest.raises(ValueError):
+            EvalReport("ds", "alice", "P1", "ws", 0).to_json()  # mean of no splits
+        meta = meta_analysis([report_from_scores(p, s, [0.5 + 0.1 * i])
+                              for i, s in enumerate("abc") for p in ("P1", "P2")])
+        hyp = meta.hypotheses[0]
+        broken = type(meta)((type(hyp)(hyp.better, hyp.worse, hyp.p_per_dataset,
+                                       float("nan"), hyp.p_corrected, hyp.smd),),
+                            meta.n_hypotheses, meta.test_rule)
+        with pytest.raises(ValueError):
+            broken.to_json()
+
+
+class TestSettingsBoundary:
+    @pytest.mark.parametrize("bad", [
+        {"inner_folds": 1}, {"svm_c": 0.0}, {"svm_c": -1.0}, {"svm_c": float("nan")},
+        {"svm_c": float("inf")}, {"grid_c": (1.0, -0.5)}, {"grid_orders": ()},
+        {"grid_lags": ()}, {"grid_kernels": ()}, {"kind": "LDA"},
+    ])
+    def test_spec_rejects(self, bad):
+        with pytest.raises(InvalidSetting):
+            PipelineSpec(**{"kind": "TANG+SVM", **bad})
+
+    @pytest.mark.parametrize("folds", [-1, 0, 1])
+    def test_within_session_rejects_too_few_folds(self, folds):
+        with pytest.raises(InvalidSetting):
+            within_session_eval(separable_set(), MDM, folds=folds, seed=0)
+
+    def test_two_folds_are_valid(self):
+        report = within_session_eval(separable_set(), PipelineSpec(kind="MDM", inner_folds=2),
+                                     folds=2, seed=0)
+        assert len(report.scores) == 2
 
 
 class TestTimingOrderSweep:
