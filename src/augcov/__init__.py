@@ -20,13 +20,14 @@ from .classify import (
     mdm_fit,
     mdm_predict,
     tangent_fit,
-    tangent_transform,
+    tangent_transform_many,
 )
 from .covariance import (
     AugmentedParams,
     Epoch,
     YuleWalkerSolution,
     augmented_covariance,
+    covariance_stack,
     embed_epoch,
     ledoit_wolf,
     sample_covariance,
@@ -59,8 +60,10 @@ from .evaluate import (
 )
 from .spd import (
     SpdMatrix,
+    SpdStack,
     TangentSymm,
     affine_invariant_distance,
+    distances_from,
     exp_map,
     frechet_mean,
     log_map,

@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from . import embedding as emb
-from .covariance import AugmentedParams, augmented_covariance
+from .covariance import AugmentedParams, covariance_stack
 from .data import EpochSet, Session
 from .errors import (
     AllCellsInvalid,
@@ -27,7 +27,7 @@ from .errors import (
     LagTooLarge,
     TooFewSamples,
 )
-from .spd import SpdMatrix, affine_invariant_distance, frechet_mean, symm_fn
+from .spd import SpdMatrix, _spectral, as_stack, distances_from, frechet_mean, symm_fn
 from .stats import accuracy, auc_roc
 from .svm import SvmModel, svm_decision, svm_fit, svm_predict
 
@@ -54,9 +54,6 @@ class StageTimer:
         finally:
             self.seconds[stage] = self.seconds.get(stage, 0.0) + (perf_counter() - start)
 
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
 
 def _stage(timer, name):
     return timer.time(name) if timer is not None else nullcontext()
@@ -78,27 +75,25 @@ class MdmModel:
 
 
 def mdm_fit(covs, labels) -> MdmModel:
-    """Per-class Frechet means of the training covariances."""
+    """Per-class Frechet means of the training covariances (an SpdStack or a
+    sequence of SpdMatrix)."""
     labels = np.asarray(labels)
     classes = tuple(sorted(set(labels.tolist())))
     if not classes:
         raise EmptyClass("no training samples")
-    means = []
-    for cls in classes:
-        members = [c for c, y in zip(covs, labels) if y == cls]
-        if not members:
-            raise EmptyClass(f"class {cls!r} has no samples")
-        means.append(frechet_mean(members))
-    return MdmModel(classes, tuple(means))
+    covs = as_stack(covs)
+    if len(covs) != labels.size:
+        raise EmptyClass(f"{len(covs)} covariances for {labels.size} labels")
+    return MdmModel(classes, tuple(frechet_mean(covs[labels == cls]) for cls in classes))
 
 
-def mdm_predict(model: MdmModel, cov: SpdMatrix):
-    """Nearest class mean; returns (label, per-class distances). Ties go to
-    the earliest label in order."""
-    dists = np.array(
-        [affine_invariant_distance(cov, mean) for mean in model.class_means]
-    )
-    return model.class_labels[int(np.argmin(dists))], dists
+def mdm_predict(model: MdmModel, covs):
+    """Nearest class mean of each covariance; returns (labels, distances),
+    with distances of shape (n, n_classes). Ties go to the earliest label
+    in order."""
+    covs = as_stack(covs)
+    dists = np.stack([distances_from(mean, covs) for mean in model.class_means], axis=1)
+    return np.asarray(model.class_labels)[np.argmin(dists, axis=1)], dists
 
 
 # -- tangent-space features ---------------------------------------------
@@ -124,21 +119,20 @@ def tangent_fit(covs) -> TangentMap:
     return TangentMap(reference, symm_fn(reference.values, "inv_sqrt"))
 
 
-def tangent_transform(tmap: TangentMap, cov: SpdMatrix) -> np.ndarray:
-    """Upper-triangle flattening of Log(ref^{-1/2} cov ref^{-1/2}) with
-    off-diagonal entries scaled by sqrt(2), so the Euclidean feature norm
-    equals the Riemannian distance to the reference.
-    """
-    if cov.dim != tmap.dim:
-        raise DimensionMismatch(f"covariance dim {cov.dim} vs map dim {tmap.dim}")
-    logm = symm_fn(tmap.ref_inv_sqrt @ cov.values @ tmap.ref_inv_sqrt, "log")
-    iu = np.triu_indices(tmap.dim)
-    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return logm[iu] * weights
-
-
 def tangent_transform_many(tmap: TangentMap, covs) -> np.ndarray:
-    return np.stack([tangent_transform(tmap, c) for c in covs])
+    """One row per covariance: the upper-triangle flattening of
+    Log(ref^{-1/2} cov ref^{-1/2}) with off-diagonal entries scaled by
+    sqrt(2), so the Euclidean feature norm equals the Riemannian distance to
+    the reference. The rows are C-contiguous: the SVM kernel sums in memory
+    order, and a Fortran-ordered matrix would shift its scores.
+    """
+    covs = as_stack(covs)
+    if covs.dim != tmap.dim:
+        raise DimensionMismatch(f"covariance dim {covs.dim} vs map dim {tmap.dim}")
+    logs = _spectral(covs.values, "log", tmap.ref_inv_sqrt)
+    rows, cols = np.triu_indices(tmap.dim)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    return np.ascontiguousarray(logs[:, rows, cols] * weights)
 
 
 # -- the scoring rule -----------------------------------------------------
@@ -149,13 +143,14 @@ def _head_decision(model, x) -> np.ndarray:
     means the second class."""
     if isinstance(model, SvmModel):
         return np.asarray(svm_decision(model, x), dtype=float)
-    return np.array([d[0] - d[1] for _, d in (mdm_predict(model, c) for c in x)])
+    dists = mdm_predict(model, x)[1]
+    return dists[:, 0] - dists[:, 1]
 
 
 def _head_predict(model, x) -> np.ndarray:
     if isinstance(model, SvmModel):
         return svm_predict(model, x)
-    return np.array([mdm_predict(model, c)[0] for c in x])
+    return mdm_predict(model, x)[0]
 
 
 def score_split(model, x_test, y_test, classes) -> tuple:
@@ -210,6 +205,8 @@ class PipelineSpec:
                 raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
         if not all((self.grid_orders, self.grid_lags, self.grid_c, self.grid_kernels)):
             raise InvalidSetting("the order, lag, C and kernel grids must not be empty")
+        emb.check_settings(max_lag=self.estimator_max_lag, bins=self.ami_bins,
+                           max_dim=self.cao_max_dim, max_cycles=self.mdop_max_cycles)
 
     @property
     def is_augmented(self) -> bool:
@@ -246,7 +243,7 @@ class FittedPipeline:
         """fn(head, head inputs, *args) on the epochs' covariances, or on
         their tangent features for SVM kinds."""
         with _stage(timer, "covariance"):
-            covs = [augmented_covariance(e, self.params, self.shrink) for e in epochs]
+            covs = covariance_stack(epochs, self.params, self.shrink)
         with _stage(timer, "predict"):
             if self.spec.uses_svm:
                 return fn(self.svm_model, tangent_transform_many(self.tangent_map, covs),
@@ -280,9 +277,7 @@ class GridCell:
     valid: bool
 
     def param_id(self) -> str:
-        if self.c is None:
-            return "-"
-        return f"C={self.c:g},kernel={self.kernel}"
+        return "-" if self.c is None else f"C={self.c:g},kernel={self.kernel}"
 
 
 @dataclass(frozen=True)
@@ -308,19 +303,14 @@ def stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator)
         idx = np.nonzero(labels == cls)[0]
         perm = rng.permutation(idx.size)
         fold_of[idx[perm]] = np.arange(idx.size) % n_folds
-    out = []
     everything = np.arange(labels.size)
-    for f in range(n_folds):
-        test = everything[fold_of == f]
-        train = everything[fold_of != f]
-        out.append((train, test))
-    return out
+    return [(everything[fold_of != f], everything[fold_of == f]) for f in range(n_folds)]
 
 
 def _score_fold_view(kind, view, c, kernel):
     """Fit one classifier head on a prepared train view and score its test
     view; for SVM kinds the views are tangent feature matrices, for MDM they
-    are covariance lists."""
+    are covariance stacks."""
     train, y_train, test, y_test = view
     if kind.endswith("SVM"):
         model = svm_fit(train, y_train, c=c, kernel=kernel)
@@ -331,22 +321,15 @@ def _score_fold_view(kind, view, c, kernel):
 
 def _score_cell(kind, covs, labels, folds, param_grid):
     """Inner-CV fold scores of one (order, lag) cell, one list per (C, kernel)."""
-    uses_svm = kind.endswith("SVM")
     # the tangent map depends on (order, lag, fold) only, so build the
     # per-fold feature matrices once and reuse them for every (C, kernel)
     fold_views = []
     for train_idx, test_idx in folds:
-        covs_train = [covs[i] for i in train_idx]
-        covs_test = [covs[i] for i in test_idx]
-        if uses_svm:
-            tmap = tangent_fit(covs_train)
-            fold_views.append((
-                tangent_transform_many(tmap, covs_train), labels[train_idx],
-                tangent_transform_many(tmap, covs_test), labels[test_idx],
-            ))
-        else:
-            fold_views.append((covs_train, labels[train_idx],
-                               covs_test, labels[test_idx]))
+        train, test = covs[train_idx], covs[test_idx]
+        if kind.endswith("SVM"):
+            tmap = tangent_fit(train)
+            train, test = tangent_transform_many(tmap, train), tangent_transform_many(tmap, test)
+        fold_views.append((train, labels[train_idx], test, labels[test_idx]))
     return [
         [_score_fold_view(kind, view, c, kernel) for view in fold_views]
         for c, kernel in param_grid
@@ -398,9 +381,7 @@ def grid_search(
             param_scores = order1_scores
         else:
             try:
-                params = AugmentedParams(order, lag)
-                params.check_length(epochs[0].n_samples)
-                covs = [augmented_covariance(e, params, shrink) for e in epochs]
+                covs = covariance_stack(epochs, AugmentedParams(order, lag), shrink)
             except LagTooLarge:
                 for c, kernel in param_grid:
                     cells.append(GridCell(order, lag, c, kernel, None, 0, False))
@@ -422,28 +403,17 @@ def grid_search(
         raise AllCellsInvalid(
             "no grid cell satisfies (order-1)*lag < T - 1 for these epochs"
         )
-    top = best[1]
-    return GridSearchResult(
-        best_order=top.order,
-        best_lag=top.lag,
-        best_c=top.c,
-        best_kernel=top.kernel,
-        best_score=best[0],
-        cells=tuple(cells),
-        ties=tuple(ties),
-    )
+    score, top = best
+    return GridSearchResult(top.order, top.lag, top.c, top.kernel, score,
+                            tuple(cells), tuple(ties))
 
 
 # -- pipeline fitting -----------------------------------------------------
 
 def _training_epochset(epochs, labels) -> EpochSet:
     labels = [int(v) for v in labels]
-    n_classes = max(labels) + 1
-    return EpochSet(
-        "train",
-        [Session("train", list(epochs), labels)],
-        [f"class{i}" for i in range(n_classes)],
-    )
+    return EpochSet("train", [Session("train", list(epochs), labels)],
+                    [f"class{i}" for i in range(max(labels) + 1)])
 
 
 def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
@@ -453,19 +423,12 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
     estimate = None
     if spec.param_source == "ami_cao":
         estimate = emb.estimate_traditional(
-            _training_epochset(epochs, labels),
-            max_lag=spec.estimator_max_lag,
-            bins=spec.ami_bins,
-            max_dim=spec.cao_max_dim,
-            threshold=spec.cao_threshold,
-        )
+            _training_epochset(epochs, labels), max_lag=spec.estimator_max_lag,
+            bins=spec.ami_bins, max_dim=spec.cao_max_dim, threshold=spec.cao_threshold)
     elif spec.param_source == "mdop":
         estimate = emb.mdop_unified(
-            _training_epochset(epochs, labels),
-            max_cycles=spec.mdop_max_cycles,
-            fnn_threshold=spec.fnn_threshold,
-            max_lag=spec.estimator_max_lag,
-        )
+            _training_epochset(epochs, labels), max_cycles=spec.mdop_max_cycles,
+            fnn_threshold=spec.fnn_threshold, max_lag=spec.estimator_max_lag)
 
     if estimate is not None:
         orders, lags = (estimate.dim,), (estimate.tau,)
@@ -504,20 +467,19 @@ def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0,
     shrink = spec.shrink if spec.shrink is not None else params.order > 1
 
     with _stage(timer, "covariance"):
-        covs = [augmented_covariance(e, params, shrink) for e in epochs]
+        covs = covariance_stack(epochs, params, shrink)
     classes = tuple(sorted(set(labels.tolist())))
     with _stage(timer, "fit"):
-        if spec.uses_svm:
-            tmap = tangent_fit(covs)
-            feats = tangent_transform_many(tmap, covs)
-            model = svm_fit(feats, labels, c=c, kernel=kernel)
+        if not spec.uses_svm:
             return FittedPipeline(
                 spec=spec, class_labels=classes, params=params, shrink=shrink,
-                tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel,
-                grid_result=grid_result, embedding_estimate=estimate,
+                mdm_model=mdm_fit(covs, labels), grid_result=grid_result,
+                embedding_estimate=estimate,
             )
-        mdm = mdm_fit(covs, labels)
+        tmap = tangent_fit(covs)
+        model = svm_fit(tangent_transform_many(tmap, covs), labels, c=c, kernel=kernel)
         return FittedPipeline(
             spec=spec, class_labels=classes, params=params, shrink=shrink,
-            mdm_model=mdm, grid_result=grid_result, embedding_estimate=estimate,
+            tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel,
+            grid_result=grid_result, embedding_estimate=estimate,
         )

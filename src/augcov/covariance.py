@@ -18,10 +18,9 @@ from .errors import (
     InconsistentInput,
     InvalidEpoch,
     LagTooLarge,
-    NotSPD,
     SingularSystem,
 )
-from .spd import SpdMatrix, sym
+from .spd import SpdMatrix, SpdStack, sym
 
 
 @dataclass(frozen=True)
@@ -102,21 +101,7 @@ def sample_covariance(epoch: Epoch) -> SpdMatrix:
     Warns when T <= d (the estimate is then rank-deficient or barely
     determined) and raises NotSPD if the result fails the SPD gate.
     """
-    d, t = epoch.data.shape
-    if t <= d:
-        warnings.warn(
-            f"epoch has T={t} samples for d={d} channels; covariance may be "
-            f"rank-deficient, consider shrinkage",
-            stacklevel=2,
-        )
-    cov = sym(epoch.data @ epoch.data.T / (t - 1))
-    try:
-        return SpdMatrix(cov)
-    except NotSPD as exc:
-        raise NotSPD(
-            f"sample covariance is not positive definite ({exc}); "
-            f"apply shrinkage or drop redundant channels"
-        ) from exc
+    return covariance_stack([epoch], AugmentedParams(1, 1), shrink=False)[0]
 
 
 def embed_epoch(epoch: Epoch, params: AugmentedParams) -> Epoch:
@@ -150,15 +135,30 @@ def augmented_covariance(
     regime), off for order 1, where the result equals sample_covariance
     exactly.
     """
+    return covariance_stack([epoch], params, shrink)[0]
+
+
+def covariance_stack(epochs, params: AugmentedParams, shrink: bool | None = None) -> SpdStack:
+    """The augmented covariances of a non-empty sequence of same-shape
+    epochs as one SpdStack, checked once; augmented_covariance is the
+    one-epoch case. Unshrunk, it warns when the embedded epoch has no more
+    samples than rows."""
     if shrink is None:
         shrink = params.order > 1
-    embedded = embed_epoch(epoch, params)
-    if not shrink:
-        return sample_covariance(embedded)
-    y = embedded.data
-    gram = y @ y.T
-    shrunk, _ = _shrink(sym(gram / (y.shape[1] - 1)), y, gram)
-    return shrunk
+    d, t = epochs[0].data.shape
+    params.check_length(t)
+    k, width = d * params.order, t - (params.order - 1) * params.lag
+    if not shrink and width <= k:
+        warnings.warn(f"epoch has T={width} samples for d={k} channels; covariance "
+                      f"may be rank-deficient, consider shrinkage", stacklevel=2)
+    out = np.empty((len(epochs), k, k))
+    for i, epoch in enumerate(epochs):
+        y = embed_epoch(epoch, params).data
+        gram = y @ y.T
+        out[i] = sym(gram / (width - 1))
+        if shrink:
+            out[i] = _shrink(out[i], y, gram)[0]
+    return SpdStack(out)
 
 
 def ledoit_wolf(c_input: np.ndarray, y: np.ndarray) -> tuple[SpdMatrix, float]:
@@ -193,12 +193,13 @@ def ledoit_wolf(c_input: np.ndarray, y: np.ndarray) -> tuple[SpdMatrix, float]:
     scale = max(np.linalg.norm(expected), 1e-300)
     if np.linalg.norm(c_input - expected) > 1e-8 * scale:
         raise InconsistentInput("c_input is not y @ y.T / (m - 1) for the given y")
-    return _shrink(c_input, y, gram)
+    shrunk, lam = _shrink(c_input, y, gram)
+    return SpdMatrix(shrunk), lam
 
 
 def _shrink(c_input: np.ndarray, y: np.ndarray, gram: np.ndarray):
     """Ledoit-Wolf shrinkage of the symmetric c_input = gram / (m - 1), with
-    gram = y y^T computed once by the caller.
+    gram = y y^T computed once by the caller; returns (unchecked array, lam).
 
     The analytic intensity takes the uncentered 1/m covariance S = gram / m:
       mu    = tr(S) / n
@@ -216,7 +217,7 @@ def _shrink(c_input: np.ndarray, y: np.ndarray, gram: np.ndarray):
         lam = float(min(bbar2, d2) / d2)
     mu = np.trace(c_input) / n
     shrunk = (1.0 - lam) * c_input + lam * mu * np.eye(n)
-    return SpdMatrix(shrunk), lam
+    return shrunk, lam
 
 
 def lagged_blocks(data: np.ndarray, max_lag: int) -> list[np.ndarray]:

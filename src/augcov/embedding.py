@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeries, LagTooLarge, TooShort
+from .errors import ConstantSeries, InvalidSetting, LagTooLarge, TooShort
 
 AMI_DEFAULT_BINS = 16
 CAO_DEFAULT_THRESHOLD = 0.05
@@ -48,6 +48,16 @@ class CaoResult:
     dim: int
     e1_curve: np.ndarray
     saturation_failure: bool
+
+
+def check_settings(**settings) -> None:
+    """InvalidSetting unless each of bins and max_dim is an integer >= 2 and
+    each of max_lag, tau and max_cycles one >= 1; the one check of the
+    estimator entry points and of PipelineSpec."""
+    for name, value in settings.items():
+        low = 2 if name in ("bins", "max_dim") else 1
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise InvalidSetting(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def average_mutual_information(
@@ -95,6 +105,7 @@ def select_tau_ami(
     When no interior local minimum exists in range the argmin is returned
     with no_local_minimum set.
     """
+    check_settings(max_lag=max_lag, bins=bins)
     aggregate = np.zeros(max_lag)
     for channel in _iter_series(epoch_set):
         aggregate += average_mutual_information(channel, max_lag, bins)
@@ -214,8 +225,7 @@ def cao_embedding_dimension(
     settles. Each series takes one incremental neighbour search for all
     max_dim + 1 dimensions (see _prefix_neighbours): O(n^2 * max_dim) time.
     """
-    if max_dim < 2:
-        raise ValueError(f"max_dim must be >= 2, got {max_dim}")
+    check_settings(tau=tau, max_dim=max_dim)
     max_e_dim = max_dim + 1
     total = np.zeros(max_e_dim)
     count = 0
@@ -292,6 +302,7 @@ def mdop_unified(
     dim is the final coordinate count (base coordinate included); tau is the
     half-up-rounded mean of the added lags.
     """
+    check_settings(max_cycles=max_cycles, max_lag=max_lag)
     delays = [0]
     chosen = []
     flags = []
@@ -341,6 +352,7 @@ def estimate_traditional(
     threshold: float = CAO_DEFAULT_THRESHOLD,
 ) -> EmbeddingEstimate:
     """AMI delay followed by Cao dimension (the two-step route)."""
+    check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim)
     tau_sel = select_tau_ami(epoch_set, max_lag, bins)
     cao = cao_embedding_dimension(epoch_set, tau_sel.tau, max_dim, threshold)
     flags = []

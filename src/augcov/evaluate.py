@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -54,16 +54,7 @@ class SplitScore:
     svm_kernel: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "session": self.session,
-            "split": self.split,
-            "score": self.score,
-            "metric": self.metric,
-            "order": self.order,
-            "lag": self.lag,
-            "svm_c": self.svm_c,
-            "svm_kernel": self.svm_kernel,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -114,12 +105,7 @@ class EvalReport:
             eval_mode=raw["eval_mode"],
             seed=raw["seed"],
         )
-        for s in raw["scores"]:
-            report.scores.append(SplitScore(
-                session=s["session"], split=s["split"], score=s["score"],
-                metric=s["metric"], order=s["order"], lag=s["lag"],
-                svm_c=s["svm_c"], svm_kernel=s["svm_kernel"],
-            ))
+        report.scores.extend(SplitScore(**s) for s in raw["scores"])
         return report
 
     def scores_csv_rows(self):

@@ -9,13 +9,12 @@ from augcov.classify import (
     mdm_predict,
     stratified_folds,
     tangent_fit,
-    tangent_transform,
     tangent_transform_many,
 )
 from augcov.covariance import Epoch
 from augcov.data import ArSpec, generate_ar_dataset
-from augcov.errors import AllCellsInvalid, EmptyClass, TooFewSamples
-from augcov.spd import SpdMatrix, affine_invariant_distance, exp_map
+from augcov.errors import AllCellsInvalid, EmptyClass, InvalidSetting, TooFewSamples
+from augcov.spd import SpdMatrix, affine_invariant_distance, exp_map, symm_fn
 
 from conftest import random_spd, random_symmetric
 
@@ -56,15 +55,15 @@ class TestMdm:
     def test_predict_class_mean_is_its_class(self, rng):
         covs = [random_spd(rng, 3) for _ in range(6)]
         model = mdm_fit(covs, [0, 0, 0, 1, 1, 1])
-        label, dists = mdm_predict(model, model.class_means[0])
-        assert label == 0
-        assert dists[0] == pytest.approx(0.0, abs=1e-7)
+        labels, dists = mdm_predict(model, [model.class_means[0]])
+        assert labels[0] == 0
+        assert dists[0, 0] == pytest.approx(0.0, abs=1e-7)
 
     def test_equidistant_tie_goes_to_first_label(self):
         eye = SpdMatrix(np.eye(2))
         model = mdm_fit([eye, eye], [0, 1])
-        label, _ = mdm_predict(model, SpdMatrix(np.diag([2.0, 0.9])))
-        assert label == 0
+        labels, _ = mdm_predict(model, [SpdMatrix(np.diag([2.0, 0.9]))])
+        assert labels[0] == 0
 
     def test_agrees_with_brute_force(self, rng):
         c0, c1, c2 = (random_spd(rng, 3) for _ in range(3))
@@ -74,12 +73,12 @@ class TestMdm:
             + perturbed_class(rng, c2, 10)
         )
         model = mdm_fit(covs, [0] * 10 + [1] * 10 + [2] * 10)
-        for _ in range(50):
-            q = random_spd(rng, 3)
-            label, dists = mdm_predict(model, q)
+        queries = [random_spd(rng, 3) for _ in range(50)]
+        labels, dists = mdm_predict(model, queries)
+        for q, label, row in zip(queries, labels, dists):
             brute = [affine_invariant_distance(q, m) for m in model.class_means]
             assert label == int(np.argmin(brute))
-            assert dists == pytest.approx(brute)
+            assert row == pytest.approx(brute)
 
     def test_congruence_invariance_of_predictions(self, rng):
         c0 = random_spd(rng, 3)
@@ -90,10 +89,10 @@ class TestMdm:
         w = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
 
         model = mdm_fit(train, labels)
-        base = [mdm_predict(model, q)[0] for q in test]
+        base = mdm_predict(model, test)[0]
         model_t = mdm_fit([SpdMatrix(w @ p.values @ w.T) for p in train], labels)
-        moved = [mdm_predict(model_t, SpdMatrix(w @ q.values @ w.T))[0] for q in test]
-        assert base == moved
+        moved = mdm_predict(model_t, [SpdMatrix(w @ q.values @ w.T) for q in test])[0]
+        assert np.array_equal(base, moved)
 
     def test_empty_class(self):
         with pytest.raises(EmptyClass):
@@ -104,7 +103,7 @@ class TestTangent:
     def test_reference_maps_to_zero(self, rng):
         covs = [random_spd(rng, 4) for _ in range(8)]
         tmap = tangent_fit(covs)
-        feat = tangent_transform(tmap, tmap.reference)
+        feat = tangent_transform_many(tmap, [tmap.reference])[0]
         assert np.allclose(feat, 0.0, atol=1e-10)
 
     def test_norm_matches_riemannian_distance(self, rng):
@@ -112,21 +111,33 @@ class TestTangent:
         tmap = tangent_fit(covs)
         for _ in range(20):
             q = random_spd(rng, 4)
-            feat = tangent_transform(tmap, q)
+            feat = tangent_transform_many(tmap, [q])[0]
             assert np.linalg.norm(feat) == pytest.approx(
                 affine_invariant_distance(tmap.reference, q), abs=1e-8
             )
 
     def test_identity_reference_scaled_upper_triangle(self, rng):
-        from augcov.spd import symm_fn
-
         tmap = tangent_fit([SpdMatrix(np.eye(3))] * 2)
         q = random_spd(rng, 3)
-        feat = tangent_transform(tmap, q)
+        feat = tangent_transform_many(tmap, [q])[0]
         logm = symm_fn(q.values, "log")
         iu = np.triu_indices(3)
         expected = logm[iu] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
         assert feat == pytest.approx(expected, abs=1e-10)
+
+    def test_features_are_c_contiguous_reference_rows(self, rng):
+        """Fancy-indexing the upper triangle out of a stacked log yields a
+        Fortran-ordered matrix; the SVM kernel then sums in another order
+        and grid scores shift. The rows must come back C-contiguous."""
+        covs = [random_spd(rng, 6) for _ in range(9)]
+        tmap = tangent_fit(covs)
+        feats = tangent_transform_many(tmap, covs)
+        assert feats.flags.c_contiguous
+        iu = np.triu_indices(6)
+        weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+        rows = [symm_fn(tmap.ref_inv_sqrt @ c.values @ tmap.ref_inv_sqrt, "log")[iu] * weights
+                for c in covs]
+        assert np.array_equal(feats, np.stack(rows))
 
     def test_output_length(self, rng):
         covs = [random_spd(rng, 5) for _ in range(4)]
@@ -288,6 +299,14 @@ class TestFitPipeline:
         with pytest.raises(ValueError):
             PipelineSpec(kind="MDM", param_source="ami_cao")
 
+    @pytest.mark.parametrize("setting,value", [
+        ("ami_bins", 0), ("ami_bins", 1), ("estimator_max_lag", 0),
+        ("cao_max_dim", 1), ("mdop_max_cycles", 0), ("ami_bins", 16.0),
+    ])
+    def test_bad_estimator_settings_rejected(self, setting, value):
+        with pytest.raises(InvalidSetting):
+            PipelineSpec(kind="ACM+MDM", param_source="ami_cao", **{setting: value})
+
 
 class TestGridSearchInvariants:
     def test_best_score_is_map_maximum(self):
@@ -342,7 +361,7 @@ def test_mdm_predict_dimension_mismatch(rng):
 
     model = mdm_fit([random_spd(rng, 3), random_spd(rng, 3)], [0, 1])
     with pytest.raises(DimensionMismatch):
-        mdm_predict(model, random_spd(rng, 4))
+        mdm_predict(model, [random_spd(rng, 4)])
 
 
 class TestGridSearchOnlyWhenThereIsAChoice:

@@ -153,6 +153,24 @@ class TestEstimateParams:
         assert code == 2
         assert json.loads(stderr)["error"] == "ConstantSeries"
 
+    @pytest.mark.parametrize("argv,setting", [
+        (["--bins", "0"], "bins"),
+        (["--bins", "-3"], "bins"),
+        (["--max-lag", "0"], "max_lag"),
+        (["--method", "mdop", "--max-cycles", "0"], "max_cycles"),
+    ])
+    def test_bad_estimator_setting_exit_2(self, tmp_path, capsys, argv, setting):
+        container = make_sine_container(tmp_path, capsys, noise=0.15, t=256)
+        code, stdout, stderr = run_cli(
+            capsys, "estimate-params", "--input", str(container), *argv,
+            "--out", str(tmp_path / "e"),
+        )
+        assert code == 2
+        assert stdout == ""
+        error = json.loads(stderr)
+        assert error["error"] == "InvalidSetting"
+        assert error["message"].startswith(f"{setting} must be an integer >= ")
+
 
 class TestEvaluate:
     def evaluate(self, capsys, container, out_dir, *extra):

@@ -7,6 +7,7 @@ from augcov.covariance import (
     AugmentedParams,
     Epoch,
     augmented_covariance,
+    covariance_stack,
     embed_epoch,
     lagged_blocks,
     ledoit_wolf,
@@ -277,11 +278,13 @@ def three_gram_augmented_covariance(epoch, params):
                                            (22, 512, 10, 1), (1, 40, 3, 5)])
 def test_one_gram_augmented_covariance_is_bit_identical(d, t, order, lag):
     rng = np.random.default_rng(d * 1000 + t)
-    for scale in (1.0, 1e-6):
-        epoch = make_epoch(scale * rng.standard_normal((d, t)))
-        params = AugmentedParams(order, lag)
-        got = augmented_covariance(epoch, params, shrink=True).values
-        assert np.array_equal(got, three_gram_augmented_covariance(epoch, params))
+    epochs = [make_epoch(scale * rng.standard_normal((d, t))) for scale in (1.0, 1e-6, 1.0)]
+    params = AugmentedParams(order, lag)
+    stack = covariance_stack(epochs, params, shrink=True)
+    for i, epoch in enumerate(epochs):
+        want = three_gram_augmented_covariance(epoch, params)
+        assert np.array_equal(stack[i].values, want)
+        assert np.array_equal(augmented_covariance(epoch, params, shrink=True).values, want)
 
 
 def simulate_var(coeffs, innovation_chol, t, rng, lag=1, burn_in=500):

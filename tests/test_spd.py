@@ -11,10 +11,15 @@ from augcov.errors import (
     NotSPD,
     NotSymmetric,
 )
+from augcov.classify import tangent_fit, tangent_transform_many
 from augcov.spd import (
+    EPS_SPD,
+    SYM_RTOL,
     SpdMatrix,
+    SpdStack,
     TangentSymm,
     affine_invariant_distance,
+    distances_from,
     exp_map,
     frechet_mean,
     log_map,
@@ -46,6 +51,117 @@ class TestSpdMatrix:
         spd = SpdMatrix(np.eye(3))
         with pytest.raises(ValueError):
             spd.values[0, 0] = 5.0
+
+
+def stack_of(rng, n, dim, scale=1.0):
+    return np.stack([random_spd(rng, dim, scale).values for _ in range(n)])
+
+
+class TestSpdStackValidation:
+    def test_asymmetric_member_named(self, rng):
+        values = stack_of(rng, 6, 3)
+        values[3, 0, 2] += 1e-3
+        with pytest.raises(NotSymmetric, match=r"matrix 3 of the stack"):
+            SpdStack(values)
+
+    def test_rank_deficient_member_named(self, rng):
+        values = stack_of(rng, 6, 3)
+        row = rng.standard_normal((1, 3))
+        values[5] = row.T @ row
+        with pytest.raises(NotSPD, match=r"matrix 5 of the stack"):
+            SpdStack(values)
+
+    @pytest.mark.parametrize("asym,lowest,error", [
+        (0.5, 0.5, None), (2.0, 0.5, NotSymmetric),
+        (0.0, 0.5 * EPS_SPD, NotSPD), (0.0, 2.0 * EPS_SPD, None), (0.0, -1.0, NotSPD),
+    ])
+    def test_spd_matrix_is_the_one_matrix_stack(self, asym, lowest, error):
+        """Asymmetry at half and twice SYM_RTOL, smallest eigenvalue at half
+        and twice EPS_SPD: both types take the same gates."""
+        m = np.diag([1.0, 1.0, lowest])
+        m[0, 1] += asym * SYM_RTOL * np.linalg.norm(m)
+        if error is None:
+            assert np.array_equal(SpdMatrix(m).values, SpdStack(m[None]).values[0])
+        else:
+            for build in (lambda: SpdMatrix(m), lambda: SpdStack(m[None])):
+                with pytest.raises(error):
+                    build()
+
+    def test_indexing(self, rng):
+        values = stack_of(rng, 5, 3)
+        stack = SpdStack(values)
+        assert stack.values is values  # held, not copied
+        assert isinstance(stack[2], SpdMatrix)
+        assert np.array_equal(stack[2].values, values[2])
+        sub = stack[np.array([4, 0])]
+        assert isinstance(sub, SpdStack) and len(sub) == 2
+        assert np.array_equal(sub.values, values[[4, 0]])
+        assert [m.dim for m in stack] == [3] * 5
+        with pytest.raises(ValueError):
+            stack.values[0, 0, 0] = 1.0
+
+
+def _ref_fn(m, f):
+    """The per-matrix spectral function: eigh of the symmetric part, then
+    the symmetric part of U f(w) U^T."""
+    w, u = np.linalg.eigh(0.5 * (m + m.T))
+    out = (u * f(w)) @ u.T
+    return 0.5 * (out + out.T)
+
+
+def _ref_frechet_mean(mats, tol=1e-8, max_iter=50):
+    """Fixed-point Frechet mean, one Log per matrix."""
+    current = mats.mean(axis=0)
+    current = 0.5 * (current + current.T)
+    for _ in range(max_iter + 1):
+        w, u = np.linalg.eigh(current)
+        sq = np.sqrt(w)
+        p_sqrt = (u * sq) @ u.T
+        p_sqrt = 0.5 * (p_sqrt + p_sqrt.T)
+        p_isqrt = (u / sq) @ u.T
+        p_isqrt = 0.5 * (p_isqrt + p_isqrt.T)
+        logs = [_ref_fn(p_isqrt @ v @ p_isqrt, np.log) for v in mats]
+        whitened_mean = np.mean(logs, axis=0)
+        whitened_mean = 0.5 * (whitened_mean + whitened_mean.T)
+        if np.linalg.norm(p_sqrt @ whitened_mean @ p_sqrt) < tol:
+            return current
+        step = p_sqrt @ _ref_fn(whitened_mean, np.exp) @ p_sqrt
+        current = 0.5 * (step + step.T)
+    raise AssertionError("reference Frechet mean did not converge")
+
+
+class TestStackEqualsLoop:
+    """The batched kernel against per-matrix formulations."""
+
+    @given(n=st.integers(1, 40), dim=st.integers(2, 12),
+           log_scale=st.floats(-6.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_mean_features_and_distances(self, n, dim, log_scale, seed):
+        import scipy.linalg
+
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        values = stack_of(rng, n, dim, scale)
+        stack = SpdStack(values)
+
+        mean = frechet_mean(stack)
+        want = values[0] if n == 1 else _ref_frechet_mean(values)
+        assert np.array_equal(mean.values, want)
+
+        tmap = tangent_fit(stack)
+        iu = np.triu_indices(dim)
+        weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+        isqrt = tmap.ref_inv_sqrt
+        rows = np.stack([_ref_fn(isqrt @ v @ isqrt, np.log)[iu] * weights for v in values])
+        assert np.array_equal(tangent_transform_many(tmap, stack), rows)
+
+        reference = random_spd(rng, dim, scale)
+        got = distances_from(reference, stack)
+        want = [np.sqrt(np.sum(np.log(scipy.linalg.eigh(v, reference.values,
+                                                        eigvals_only=True)) ** 2))
+                for v in values]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert affine_invariant_distance(reference, stack[0]) == got[0]
 
 
 class TestSymmFn:
@@ -194,7 +310,7 @@ def two_matrix_geometric_mean(p1, p2):
 class TestFrechetMean:
     def test_single_element(self, rng):
         p = random_spd(rng, 4)
-        assert frechet_mean([p]) is p
+        assert np.array_equal(frechet_mean([p]).values, p.values)
 
     def test_all_identical(self):
         eye = SpdMatrix(np.eye(3))
