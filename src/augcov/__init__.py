@@ -25,7 +25,9 @@ from .classify import (
 from .covariance import (
     AugmentedParams,
     Epoch,
+    EpochStack,
     YuleWalkerSolution,
+    as_epochs,
     augmented_covariance,
     covariance_stack,
     embed_epoch,
@@ -55,7 +57,6 @@ from .evaluate import (
     MetaAnalysis,
     cross_session_eval,
     meta_analysis,
-    timing_profile,
     within_session_eval,
 )
 from .spd import (

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 import numpy as np
 
 from . import embedding as emb
-from .covariance import AugmentedParams, covariance_stack
-from .data import EpochSet, Session
+from .covariance import AugmentedParams, as_epochs, covariance_stack
 from .errors import (
     AllCellsInvalid,
     DimensionMismatch,
@@ -360,6 +360,7 @@ def grid_search(
     labels = np.asarray(labels)
     if len(epochs) == 0 or labels.size != len(epochs):
         raise TooFewSamples("grid search needs one label per epoch")
+    epochs = as_epochs(epochs)
     counts = {cls: int(np.sum(labels == cls)) for cls in sorted(set(labels.tolist()))}
     if min(counts.values()) < inner_folds:
         raise TooFewSamples(
@@ -410,12 +411,6 @@ def grid_search(
 
 # -- pipeline fitting -----------------------------------------------------
 
-def _training_epochset(epochs, labels) -> EpochSet:
-    labels = [int(v) for v in labels]
-    return EpochSet("train", [Session("train", list(epochs), labels)],
-                    [f"class{i}" for i in range(max(labels) + 1)])
-
-
 def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
     """Pick (order, lag, C, kernel) per the configured source; returns
     (params, c, kernel, grid_result, embedding_estimate). The inner-CV grid
@@ -423,11 +418,11 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
     estimate = None
     if spec.param_source == "ami_cao":
         estimate = emb.estimate_traditional(
-            _training_epochset(epochs, labels), max_lag=spec.estimator_max_lag,
+            epochs, max_lag=spec.estimator_max_lag,
             bins=spec.ami_bins, max_dim=spec.cao_max_dim, threshold=spec.cao_threshold)
     elif spec.param_source == "mdop":
         estimate = emb.mdop_unified(
-            _training_epochset(epochs, labels), max_cycles=spec.mdop_max_cycles,
+            epochs, max_cycles=spec.mdop_max_cycles,
             fnn_threshold=spec.fnn_threshold, max_lag=spec.estimator_max_lag)
 
     if estimate is not None:
@@ -457,10 +452,12 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
 
 def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0,
                  timer: StageTimer | None = None) -> FittedPipeline:
-    """Train one pipeline on a flat list of epochs with integer labels."""
+    """Train one pipeline on an EpochStack (or a list of Epoch) with integer
+    labels."""
     labels = np.asarray(labels)
     if len(epochs) != labels.size or len(epochs) == 0:
         raise EmptyClass("need one label per training epoch")
+    epochs = as_epochs(epochs)
     params, c, kernel, grid_result, estimate = _resolve_params(
         spec, epochs, labels, seed
     )
@@ -469,17 +466,11 @@ def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0,
     with _stage(timer, "covariance"):
         covs = covariance_stack(epochs, params, shrink)
     classes = tuple(sorted(set(labels.tolist())))
+    fitted = partial(FittedPipeline, spec=spec, class_labels=classes, params=params,
+                     shrink=shrink, grid_result=grid_result, embedding_estimate=estimate)
     with _stage(timer, "fit"):
         if not spec.uses_svm:
-            return FittedPipeline(
-                spec=spec, class_labels=classes, params=params, shrink=shrink,
-                mdm_model=mdm_fit(covs, labels), grid_result=grid_result,
-                embedding_estimate=estimate,
-            )
+            return fitted(mdm_model=mdm_fit(covs, labels))
         tmap = tangent_fit(covs)
         model = svm_fit(tangent_transform_many(tmap, covs), labels, c=c, kernel=kernel)
-        return FittedPipeline(
-            spec=spec, class_labels=classes, params=params, shrink=shrink,
-            tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel,
-            grid_result=grid_result, embedding_estimate=estimate,
-        )
+        return fitted(tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel)

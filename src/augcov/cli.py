@@ -113,34 +113,31 @@ def _cmd_simulate(args) -> int:
     spec = ar_spec_from_dict(json.loads(raw))
     epoch_set = generate_ar_dataset(spec)
     write_epochset(epoch_set, args.out)
-    total = sum(len(s.epochs) for s in epoch_set.sessions)
-    print(
-        f"wrote {args.out}: subject={epoch_set.subject} "
-        f"sessions={len(epoch_set.sessions)} epochs={total} "
-        f"d={epoch_set.n_channels} T={epoch_set.n_samples} "
-        f"classes={epoch_set.class_names}"
-    )
+    n, d, t = epoch_set.epochs.values.shape
+    print(f"wrote {args.out}: subject={epoch_set.subject} "
+          f"sessions={len(epoch_set.sessions)} epochs={n} d={d} T={t} "
+          f"classes={epoch_set.class_names}")
     return 0
 
 
 def _cmd_estimate_params(args) -> int:
-    epoch_set = read_epochset(args.input)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    diagnostics = {}
+    epochs = read_epochset(args.input).all_epochs()[0]
     if args.method == "ami_cao":
         est = estimate_traditional(
-            epoch_set, max_lag=args.max_lag, bins=args.bins, max_dim=args.max_dim
+            epochs, max_lag=args.max_lag, bins=args.bins, max_dim=args.max_dim
         )
+    else:
+        est = mdop_unified(epochs, max_cycles=args.max_cycles, max_lag=args.max_lag)
+    # made only once there is an estimate, so a rejected run leaves nothing
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.method == "ami_cao":
         ami_path = out_dir / "ami_curve.csv"
         e1_path = out_dir / "cao_e1_curve.csv"
         curve_to_csv(est.ami_curve, ami_path)
         curve_to_csv(est.e1_curve, e1_path)
         diagnostics = {"ami_curve": str(ami_path), "cao_e1_curve": str(e1_path)}
     else:
-        est = mdop_unified(
-            epoch_set, max_cycles=args.max_cycles, max_lag=args.max_lag
-        )
         lag_path = out_dir / "mdop_cycle_lags.csv"
         write_csv(
             [["cycle", "lag"]] + [[i + 1, lag] for i, lag in enumerate(est.cycle_lags)],
@@ -167,10 +164,10 @@ def _cmd_estimate_params(args) -> int:
 
 def _resolve_workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
+        return args.workers
     env = os.environ.get("ACM_WORKERS")
     if env:
-        return max(1, int(env))
+        return int(env)
     return os.cpu_count() or 1
 
 

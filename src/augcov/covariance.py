@@ -25,10 +25,9 @@ from .spd import SpdMatrix, SpdStack, sym
 
 @dataclass(frozen=True)
 class Epoch:
-    """One fixed-length multichannel window of signal.
-
-    data is a channels x samples (d x T) float matrix; sample_rate in Hz.
-    """
+    """One fixed-length multichannel window of signal: a d x T float matrix
+    and its sample rate in Hz. The one-epoch case of EpochStack, with the
+    same check."""
 
     data: np.ndarray
     sample_rate: float
@@ -37,23 +36,70 @@ class Epoch:
         data = np.array(self.data, dtype=float)
         if data.ndim != 2:
             raise InvalidEpoch(f"epoch data must be 2-D, got shape {data.shape}")
-        d, t = data.shape
-        if d < 1 or t < 2:
-            raise InvalidEpoch(f"epoch needs d >= 1 channels and T >= 2 samples, got {d}x{t}")
-        if not np.all(np.isfinite(data)):
-            raise InvalidEpoch("epoch data contains NaN or Inf")
-        if self.sample_rate <= 0:
+        object.__setattr__(self, "data", EpochStack(data[None], self.sample_rate).values[0])
+
+
+@dataclass(frozen=True)
+class EpochStack:
+    """n epochs of one shape and sample rate as one read-only (n, d, T)
+    float64 array, checked once; a float64 array is held without a copy.
+    An integer index gives an Epoch view, a slice, index array or mask a
+    sub-stack, without a second check; iterating yields Epoch items."""
+
+    values: np.ndarray
+    sample_rate: float
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 3 or values.shape[1] < 1 or values.shape[2] < 2:
+            raise InvalidEpoch(f"epochs need d >= 1 channels and T >= 2 samples: epoch 0 "
+                               f"of the (n, d, T) stack has shape {values.shape[1:]}")
+        for i in np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))[:1]:
+            raise InvalidEpoch(f"epoch {i} contains NaN or Inf")
+        if not self.sample_rate > 0:
             raise InvalidEpoch(f"sample_rate must be positive, got {self.sample_rate}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        _view(self, values, self.sample_rate)
 
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
+    def __getitem__(self, index):
+        cls = Epoch if isinstance(index, (int, np.integer)) else EpochStack
+        return _view(object.__new__(cls), self.values[index], self.sample_rate)
+
+
+def _view(obj, values: np.ndarray, sample_rate):
+    """obj, an Epoch or EpochStack, around checked values made read-only."""
+    values.setflags(write=False)
+    object.__setattr__(obj, "data" if isinstance(obj, Epoch) else "values", values)
+    object.__setattr__(obj, "sample_rate", sample_rate)
+    return obj
+
+
+def as_epochs(epochs) -> EpochStack:
+    """An EpochStack as is, or a non-empty sequence of Epoch and EpochStack
+    items of one shape and rate joined into one stack without a second
+    check. Items that are consecutive slices of one array, as the sessions
+    of read_epochset and generate_ar_dataset are, join as a view of it
+    (their span lies inside that array); anything else is copied once."""
+    if isinstance(epochs, EpochStack):
+        return epochs
+    epochs = list(epochs)
+    parts = [e.values if isinstance(e, EpochStack) else e.data[None] for e in epochs]
+    shapes, rates = {p.shape[1:] for p in parts}, {e.sample_rate for e in epochs}
+    if len(shapes) != 1 or len(rates) != 1:
+        raise InvalidEpoch(f"all epochs must share shape and sample rate, got shapes "
+                           f"{sorted(shapes)} and rates {sorted(rates)}")
+    first, starts = parts[0], [p.__array_interface__["data"][0] for p in parts]
+    if len(parts) == 1 or (
+            first.base is not None
+            and all(p.base is first.base and p.flags.c_contiguous for p in parts)
+            and all(a + p.nbytes == b for a, p, b in zip(starts, parts, starts[1:]))):
+        values = np.lib.stride_tricks.as_strided(
+            first, (sum(len(p) for p in parts),) + first.shape[1:])
+    else:
+        values = np.concatenate(parts)
+    return _view(object.__new__(EpochStack), values, rates.pop())
 
 
 @dataclass(frozen=True)
@@ -104,24 +150,24 @@ def sample_covariance(epoch: Epoch) -> SpdMatrix:
     return covariance_stack([epoch], AugmentedParams(1, 1), shrink=False)[0]
 
 
-def embed_epoch(epoch: Epoch, params: AugmentedParams) -> Epoch:
-    """Stack delayed copies of an epoch into a (d*order) x (T-(order-1)*lag)
-    epoch.
+def embed_epoch(data: np.ndarray, params: AugmentedParams) -> np.ndarray:
+    """Stack delayed copies of a d x T epoch array into a C-contiguous
+    (d*order) x (T-(order-1)*lag) array; order 1 returns data itself.
 
     Row-block k holds X[:, j + k*lag] at output column j, so block 0 is the
     most-delayed copy and block order-1 the most advanced; all blocks share
     the truncated support of length T - (order-1)*lag.
     """
-    params.check_length(epoch.n_samples)
+    d, t = data.shape
+    params.check_length(t)
     p, tau = params.order, params.lag
     if p == 1:
-        return epoch
-    d, t = epoch.data.shape
+        return data
     width = t - (p - 1) * tau
     out = np.empty((d * p, width))
     for k in range(p):
-        out[k * d:(k + 1) * d, :] = epoch.data[:, k * tau:k * tau + width]
-    return Epoch(out, epoch.sample_rate)
+        out[k * d:(k + 1) * d, :] = data[:, k * tau:k * tau + width]
+    return out
 
 
 def augmented_covariance(
@@ -139,21 +185,22 @@ def augmented_covariance(
 
 
 def covariance_stack(epochs, params: AugmentedParams, shrink: bool | None = None) -> SpdStack:
-    """The augmented covariances of a non-empty sequence of same-shape
-    epochs as one SpdStack, checked once; augmented_covariance is the
-    one-epoch case. Unshrunk, it warns when the embedded epoch has no more
-    samples than rows."""
+    """The augmented covariances of an EpochStack (or a non-empty sequence
+    of same-shape Epoch) as one SpdStack, checked once;
+    augmented_covariance is the one-epoch case. Unshrunk, it warns when the
+    embedded epoch has no more samples than rows."""
     if shrink is None:
         shrink = params.order > 1
-    d, t = epochs[0].data.shape
+    values = as_epochs(epochs).values
+    _, d, t = values.shape
     params.check_length(t)
     k, width = d * params.order, t - (params.order - 1) * params.lag
     if not shrink and width <= k:
         warnings.warn(f"epoch has T={width} samples for d={k} channels; covariance "
                       f"may be rank-deficient, consider shrinkage", stacklevel=2)
-    out = np.empty((len(epochs), k, k))
-    for i, epoch in enumerate(epochs):
-        y = embed_epoch(epoch, params).data
+    out = np.empty((len(values), k, k))
+    for i, x in enumerate(values):
+        y = embed_epoch(x, params)
         gram = y @ y.T
         out[i] = sym(gram / (width - 1))
         if shrink:

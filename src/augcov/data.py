@@ -8,12 +8,13 @@ concatenated in manifest order. It round-trips bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import Epoch
+from .covariance import Epoch, EpochStack, as_epochs
 from .errors import (
     FormatError,
     InvalidBand,
@@ -28,61 +29,70 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class Session:
-    """One recording session: epochs plus integer class labels."""
+    """One recording session: an EpochStack (or a non-empty list of Epoch,
+    stacked once) plus integer class labels."""
 
     session_id: str
-    epochs: list
+    epochs: EpochStack
     labels: list
 
     def __post_init__(self):
+        object.__setattr__(self, "epochs", as_epochs(self.epochs))
         if len(self.epochs) != len(self.labels):
-            raise InvalidEpoch(
-                f"session {self.session_id!r}: {len(self.epochs)} epochs but "
-                f"{len(self.labels)} labels"
-            )
+            raise InvalidEpoch(f"session {self.session_id!r}: {len(self.epochs)} epochs "
+                               f"but {len(self.labels)} labels")
         object.__setattr__(self, "labels", [int(v) for v in self.labels])
 
 
 @dataclass(frozen=True)
 class EpochSet:
-    """Labeled epochs for one subject, grouped by session."""
+    """Labeled epochs for one subject, grouped by session. All epochs form
+    one stack, `epochs`, in session order, and each session's stack is a
+    slice of it (see as_epochs: consecutive slices join without a copy)."""
 
     subject: str
     sessions: list
     class_names: list
     sample_rate: float = field(init=False)
+    epochs: EpochStack = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.sessions:
             raise InvalidEpoch("EpochSet needs at least one session")
-        shapes = {e.data.shape for s in self.sessions for e in s.epochs}
-        rates = {e.sample_rate for s in self.sessions for e in s.epochs}
-        if len(shapes) != 1 or len(rates) != 1:
-            raise InvalidEpoch(
-                f"all epochs must share shape and sample rate, got shapes "
-                f"{sorted(shapes)} and rates {sorted(rates)}"
-            )
+        whole = as_epochs([s.epochs for s in self.sessions])
+        if not len(whole):
+            raise InvalidEpoch("EpochSet needs at least one epoch")
         n_classes = len(self.class_names)
         for s in self.sessions:
             bad = [v for v in s.labels if not 0 <= v < n_classes]
             if bad:
                 raise InvalidEpoch(f"session {s.session_id!r} has labels {bad} outside "
                                    f"[0, {n_classes})")
-        object.__setattr__(self, "sample_rate", rates.pop())
+        bounds = np.cumsum([0] + [len(s.epochs) for s in self.sessions])
+        sessions = [replace(s, epochs=whole[a:b])
+                    for s, a, b in zip(self.sessions, bounds, bounds[1:])]
+        object.__setattr__(self, "sessions", sessions)
+        object.__setattr__(self, "sample_rate", whole.sample_rate)
+        object.__setattr__(self, "epochs", whole)
 
-    @property
-    def n_channels(self) -> int:
-        return self.sessions[0].epochs[0].n_channels
+    def __reduce__(self):  # one payload; the sessions come back as views of it
+        return _split, (self.subject, self.epochs,
+                        [(s.session_id, s.labels) for s in self.sessions], self.class_names)
 
-    @property
-    def n_samples(self) -> int:
-        return self.sessions[0].epochs[0].n_samples
-
-    def all_epochs(self) -> tuple[list, np.ndarray]:
-        """Flatten every session into (epochs, labels)."""
-        epochs = [e for s in self.sessions for e in s.epochs]
+    def all_epochs(self) -> tuple[EpochStack, np.ndarray]:
+        """Every epoch in session order, as (stack, labels)."""
         labels = np.array([v for s in self.sessions for v in s.labels], dtype=int)
-        return epochs, labels
+        return self.epochs, labels
+
+
+def _split(subject, stack: EpochStack, sessions, class_names) -> EpochSet:
+    """An EpochSet whose sessions, given as (id, labels) pairs, are
+    consecutive slices of one stack."""
+    parts, start = [], 0
+    for session_id, labels in sessions:
+        parts.append(Session(session_id, stack[start:start + len(labels)], labels))
+        start += len(labels)
+    return EpochSet(subject, parts, class_names)
 
 
 # -- band-pass preprocessing -------------------------------------------
@@ -208,23 +218,17 @@ def generate_ar_dataset(spec: ArSpec) -> EpochSet:
     Each epoch is simulated from zero initial history with a burn-in of
     10 * order * lag samples discarded. Epoch substreams are derived from
     (seed, session, class, epoch) counters, so output is identical however
-    the work is distributed.
+    the work is distributed. All sessions fill one (n, d, T) array.
     """
-    sessions = []
-    for s_idx in range(spec.n_sessions):
-        epochs, labels = [], []
-        for c_idx in range(spec.n_classes):
-            for e_idx in range(spec.epochs_per_class):
-                ss = np.random.SeedSequence(
-                    entropy=spec.seed, spawn_key=(s_idx, c_idx, e_idx)
-                )
-                rng = np.random.Generator(np.random.PCG64(ss))
-                data = _simulate_epoch(spec, c_idx, rng)
-                epochs.append(Epoch(data, spec.sample_rate))
-                labels.append(c_idx)
-        sessions.append(Session(f"session{s_idx}", epochs, labels))
+    labels = [c for c in range(spec.n_classes) for _ in range(spec.epochs_per_class)]
+    values = np.empty((spec.n_sessions * len(labels), spec.n_channels, spec.n_samples))
+    for i, (s_idx, c_idx, e_idx) in enumerate(itertools.product(
+            range(spec.n_sessions), range(spec.n_classes), range(spec.epochs_per_class))):
+        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(s_idx, c_idx, e_idx))
+        values[i] = _simulate_epoch(spec, c_idx, np.random.Generator(np.random.PCG64(ss)))
+    sessions = [(f"session{s_idx}", labels) for s_idx in range(spec.n_sessions)]
     class_names = [f"class{c}" for c in range(spec.n_classes)]
-    return EpochSet(spec.subject, sessions, class_names)
+    return _split(spec.subject, EpochStack(values, spec.sample_rate), sessions, class_names)
 
 
 def ar_spec_from_dict(raw: dict) -> ArSpec:
@@ -249,6 +253,7 @@ def ar_spec_from_dict(raw: dict) -> ArSpec:
 
 def write_epochset(epoch_set: EpochSet, path) -> None:
     """Write the single-line JSON manifest plus raw float64 payload."""
+    _, d, t = epoch_set.epochs.values.shape
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -259,17 +264,15 @@ def write_epochset(epoch_set: EpochSet, path) -> None:
             {"id": s.session_id, "n_epochs": len(s.epochs), "labels": list(s.labels)}
             for s in epoch_set.sessions
         ],
-        "d": epoch_set.n_channels,
-        "T": epoch_set.n_samples,
+        "d": d,
+        "T": t,
         "dtype": "f64le",
         "order": "epoch-major row-major",
     }
     header = json.dumps(manifest, separators=(",", ":")) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
-        for session in epoch_set.sessions:
-            for epoch in session.epochs:
-                fh.write(np.ascontiguousarray(epoch.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(epoch_set.epochs.values, dtype="<f8").data)
 
 
 def read_epochset(path) -> EpochSet:
@@ -305,10 +308,7 @@ def read_epochset(path) -> EpochSet:
             f"payload section truncated or inconsistent",
             offset=len(header) + min(len(payload), expected_bytes),
         )
-    flat = np.frombuffer(payload, dtype="<f8")
-
     sessions = []
-    cursor = 0
     rate = float(manifest["sample_rate"])
     for s in manifest["sessions"]:
         n = int(s["n_epochs"])
@@ -318,15 +318,7 @@ def read_epochset(path) -> EpochSet:
                 f"session {s['id']!r} declares {n} epochs but {len(labels)} labels",
                 offset=0,
             )
-        epochs = []
-        for _ in range(n):
-            block = flat[cursor:cursor + d * t].reshape(d, t)
-            epochs.append(Epoch(block, rate))
-            cursor += d * t
-        sessions.append(Session(str(s["id"]), epochs, labels))
-    return EpochSet(str(manifest["subject"]), sessions, [str(c) for c in manifest["classes"]])
-
-
-def epoch_to_csv(epoch: Epoch, path) -> None:
-    """Dump one epoch for inspection: channel rows, sample columns."""
-    np.savetxt(path, epoch.data, delimiter=",")
+        sessions.append((str(s["id"]), labels))
+    stack = EpochStack(np.frombuffer(payload, dtype="<f8").reshape(total_epochs, d, t), rate)
+    return _split(str(manifest["subject"]), stack, sessions,
+                  [str(c) for c in manifest["classes"]])

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeries, InvalidSetting, LagTooLarge, TooShort
+from .covariance import AugmentedParams
+from .errors import ConstantSeries, InvalidSetting, TooShort
 
 AMI_DEFAULT_BINS = 16
 CAO_DEFAULT_THRESHOLD = 0.05
@@ -89,16 +90,13 @@ def average_mutual_information(
     return np.maximum(curve, 0.0)
 
 
-def _iter_series(epoch_set):
-    for session in epoch_set.sessions:
-        for epoch in session.epochs:
-            for channel in epoch.data:
-                yield channel
+def _series(epochs) -> np.ndarray:
+    """Every channel of every epoch of an EpochStack as the rows of one
+    (n * d, T) array, epoch by epoch."""
+    return epochs.values.reshape(-1, epochs.values.shape[2])
 
 
-def select_tau_ami(
-    epoch_set, max_lag: int, bins: int = AMI_DEFAULT_BINS
-) -> TauSelection:
+def select_tau_ami(epochs, max_lag: int, bins: int = AMI_DEFAULT_BINS) -> TauSelection:
     """Accumulate AMI curves over every channel of every epoch and return the
     lag of the first strict local minimum of the aggregate.
 
@@ -107,7 +105,7 @@ def select_tau_ami(
     """
     check_settings(max_lag=max_lag, bins=bins)
     aggregate = np.zeros(max_lag)
-    for channel in _iter_series(epoch_set):
+    for channel in _series(epochs):
         aggregate += average_mutual_information(channel, max_lag, bins)
     for i in range(1, max_lag - 1):
         if aggregate[i] < aggregate[i - 1] and aggregate[i] < aggregate[i + 1]:
@@ -211,12 +209,8 @@ def _cao_e_curve(series: np.ndarray, tau: int, max_e_dim: int) -> np.ndarray:
     return out
 
 
-def cao_embedding_dimension(
-    epoch_set,
-    tau: int,
-    max_dim: int,
-    threshold: float = CAO_DEFAULT_THRESHOLD,
-) -> CaoResult:
+def cao_embedding_dimension(epochs, tau: int, max_dim: int,
+                            threshold: float = CAO_DEFAULT_THRESHOLD) -> CaoResult:
     """Embedding dimension by Cao's neighbor-distance-ratio statistic.
 
     E1(m) = E(m+1)/E(m) is averaged over all channels and epochs; the result
@@ -229,7 +223,7 @@ def cao_embedding_dimension(
     max_e_dim = max_dim + 1
     total = np.zeros(max_e_dim)
     count = 0
-    for channel in _iter_series(epoch_set):
+    for channel in _series(epochs):
         e_curve = _cao_e_curve(channel, tau, max_e_dim)
         if np.any(np.isnan(e_curve)) or np.any(e_curve == 0.0):
             continue
@@ -281,12 +275,8 @@ def _mdop_cycle_stats(series, delays, candidates):
     return sums, counts, false_counts, i.size
 
 
-def mdop_unified(
-    epoch_set,
-    max_cycles: int = 8,
-    fnn_threshold: float = 0.05,
-    max_lag: int = MDOP_DEFAULT_MAX_LAG,
-) -> EmbeddingEstimate:
+def mdop_unified(epochs, max_cycles: int = 8, fnn_threshold: float = 0.05,
+                 max_lag: int = MDOP_DEFAULT_MAX_LAG) -> EmbeddingEstimate:
     """Joint (tau, dim) estimate by iterative embedding.
 
     Starting from the bare series, each cycle picks the delayed coordinate
@@ -303,6 +293,7 @@ def mdop_unified(
     half-up-rounded mean of the added lags.
     """
     check_settings(max_cycles=max_cycles, max_lag=max_lag)
+    series = _series(epochs)
     delays = [0]
     chosen = []
     flags = []
@@ -315,7 +306,7 @@ def mdop_unified(
         counts = np.zeros(len(candidates), dtype=int)
         false_counts = np.zeros(len(candidates), dtype=int)
         totals = 0
-        for channel in _iter_series(epoch_set):
+        for channel in series:
             s, c, f, tot = _mdop_cycle_stats(channel, delays, candidates)
             sums += s
             counts += c
@@ -340,21 +331,17 @@ def mdop_unified(
         cycle_lags=tuple(chosen),
         flags=tuple(flags),
     )
-    _check_fits(est, epoch_set.n_samples)
+    _check_fits(est, series.shape[1])
     return est
 
 
-def estimate_traditional(
-    epoch_set,
-    max_lag: int = MDOP_DEFAULT_MAX_LAG,
-    bins: int = AMI_DEFAULT_BINS,
-    max_dim: int = 8,
-    threshold: float = CAO_DEFAULT_THRESHOLD,
-) -> EmbeddingEstimate:
+def estimate_traditional(epochs, max_lag: int = MDOP_DEFAULT_MAX_LAG,
+                         bins: int = AMI_DEFAULT_BINS, max_dim: int = 8,
+                         threshold: float = CAO_DEFAULT_THRESHOLD) -> EmbeddingEstimate:
     """AMI delay followed by Cao dimension (the two-step route)."""
     check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim)
-    tau_sel = select_tau_ami(epoch_set, max_lag, bins)
-    cao = cao_embedding_dimension(epoch_set, tau_sel.tau, max_dim, threshold)
+    tau_sel = select_tau_ami(epochs, max_lag, bins)
+    cao = cao_embedding_dimension(epochs, tau_sel.tau, max_dim, threshold)
     flags = []
     if tau_sel.no_local_minimum:
         flags.append("no_local_minimum")
@@ -368,17 +355,14 @@ def estimate_traditional(
         e1_curve=cao.e1_curve,
         flags=tuple(flags),
     )
-    _check_fits(est, epoch_set.n_samples)
+    _check_fits(est, epochs.values.shape[2])
     return est
 
 
 def _check_fits(est: EmbeddingEstimate, n_samples: int) -> None:
-    if (est.dim - 1) * est.tau >= n_samples:
-        raise LagTooLarge(
-            f"estimated (dim={est.dim}, tau={est.tau}) needs "
-            f"(dim-1)*tau < T = {n_samples}; epochs are too short for the "
-            f"estimated embedding"
-        )
+    """An estimate must be an (order, lag) that evaluate accepts for these
+    epochs: LagTooLarge unless (dim-1)*tau < T - 1."""
+    AugmentedParams(est.dim, est.tau).check_length(n_samples)
 
 
 def curve_to_csv(curve: np.ndarray, path, start: int = 1) -> None:

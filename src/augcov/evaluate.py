@@ -20,6 +20,7 @@ from functools import partial
 import numpy as np
 
 from .classify import PipelineSpec, StageTimer, fit_pipeline, stratified_folds
+from .covariance import as_epochs
 from .data import EpochSet
 from .errors import (
     AllZeroDiffs,
@@ -142,14 +143,8 @@ def _score_one_split(spec, train_epochs, train_labels, test_epochs, test_labels,
         report.grid_maps.append((session_id, split_id, fitted.grid_result))
 
 
-def eval_session_ws(
-    epoch_set: EpochSet,
-    s_idx: int,
-    spec: PipelineSpec,
-    folds: int,
-    seed: int,
-    dataset: str,
-) -> EvalReport:
+def eval_session_ws(epoch_set: EpochSet, s_idx: int, spec: PipelineSpec, folds: int,
+                    seed: int, dataset: str) -> EvalReport:
     """Stratified seeded k-fold CV on session s_idx alone; a partial report.
 
     Fold assignment and all inner seeds derive from (seed, s_idx, fold), so
@@ -167,42 +162,27 @@ def eval_session_ws(
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(s_idx,))
     ))
-    for f_idx, (train_idx, test_idx) in enumerate(
-        stratified_folds(labels, folds, rng)
-    ):
+    for f_idx, (train_idx, test_idx) in enumerate(stratified_folds(labels, folds, rng)):
         inner_seed = _derive_seed(seed, s_idx, f_idx)
-        _score_one_split(
-            spec,
-            [session.epochs[i] for i in train_idx], labels[train_idx],
-            [session.epochs[i] for i in test_idx], labels[test_idx],
-            inner_seed, session.session_id, f"fold{f_idx}", report,
-        )
+        _score_one_split(spec, session.epochs[train_idx], labels[train_idx],
+                         session.epochs[test_idx], labels[test_idx], inner_seed,
+                         session.session_id, f"fold{f_idx}", report)
     return report
 
 
-def eval_holdout_cs(
-    epoch_set: EpochSet,
-    s_idx: int,
-    spec: PipelineSpec,
-    seed: int,
-    dataset: str,
-) -> EvalReport:
+def eval_holdout_cs(epoch_set: EpochSet, s_idx: int, spec: PipelineSpec, seed: int,
+                    dataset: str) -> EvalReport:
     """Train on every session except s_idx, test on s_idx; a partial report."""
     held_out = epoch_set.sessions[s_idx]
     report = EvalReport(dataset, epoch_set.subject, spec.name, "cs", seed)
-    train_epochs, train_labels = [], []
-    for other in epoch_set.sessions:
-        if other is held_out:
-            continue
-        train_epochs.extend(other.epochs)
-        train_labels.extend(other.labels)
+    # the training epochs join as a view of the set's one stack when the
+    # held-out session is the first or the last, and are copied otherwise
+    others = [s for s in epoch_set.sessions if s is not held_out]
+    train_labels = np.array([v for s in others for v in s.labels])
     inner_seed = _derive_seed(seed, s_idx, 0)
-    _score_one_split(
-        spec,
-        train_epochs, np.asarray(train_labels),
-        held_out.epochs, np.asarray(held_out.labels),
-        inner_seed, held_out.session_id, f"holdout:{held_out.session_id}", report,
-    )
+    _score_one_split(spec, as_epochs([s.epochs for s in others]), train_labels,
+                     held_out.epochs, np.asarray(held_out.labels), inner_seed,
+                     held_out.session_id, f"holdout:{held_out.session_id}", report)
     return report
 
 
@@ -217,6 +197,11 @@ def merge_reports(partials) -> EvalReport:
         merged.timings.extend(part.timings)
         merged.grid_maps.extend(part.grid_maps)
     return merged
+
+
+def _check_workers(workers) -> None:
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise InvalidSetting(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _map_sessions(unit, n_sessions: int, workers: int) -> EvalReport:
@@ -239,6 +224,7 @@ def within_session_eval(
     """Stratified seeded k-fold CV inside every session."""
     if folds < 2:
         raise InvalidSetting(f"within-session CV needs >= 2 folds, got {folds}")
+    _check_workers(workers)
     unit = partial(eval_session_ws, epoch_set, spec=spec, folds=folds, seed=seed,
                    dataset=dataset)
     return _map_sessions(unit, len(epoch_set.sessions), workers)
@@ -255,6 +241,7 @@ def cross_session_eval(
     one, rotating over sessions."""
     if len(epoch_set.sessions) < 2:
         raise SingleSession("cross-session evaluation needs at least 2 sessions")
+    _check_workers(workers)
     unit = partial(eval_holdout_cs, epoch_set, spec=spec, seed=seed, dataset=dataset)
     return _map_sessions(unit, len(epoch_set.sessions), workers)
 
@@ -262,14 +249,6 @@ def cross_session_eval(
 def _derive_seed(seed: int, *key: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2 ** 31))
-
-
-def timing_profile(run):
-    """Run an evaluation callable with a fresh StageTimer and return
-    (result, per-stage seconds)."""
-    timer = StageTimer()
-    result = run(timer)
-    return result, dict(timer.seconds)
 
 
 def timing_summary(report: EvalReport):

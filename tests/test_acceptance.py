@@ -97,7 +97,7 @@ def test_criterion_2_equivalence_identity():
         params = AugmentedParams(p, tau)
         aug = augmented_covariance(epoch, params, shrink=False)
 
-        via_embed = sample_covariance(embed_epoch(epoch, params))
+        via_embed = sample_covariance(Epoch(embed_epoch(x, params), 250.0))
         assert np.array_equal(aug.values, via_embed.values)
 
         width = t - (p - 1) * tau
@@ -235,7 +235,7 @@ def test_criterion_6_embedding_estimators():
                 for _ in range(2)
             ]
             epochs.append(Epoch(np.stack(rows), 250.0))
-        return EpochSet("sine", [Session("s0", epochs, [0] * 4)], ["c0"])
+        return EpochSet("sine", [Session("s0", epochs, [0] * 4)], ["c0"]).all_epochs()[0]
 
     noisy = sine_epochs(0.15)
     clean = sine_epochs(0.0)

@@ -170,6 +170,7 @@ class TestEstimateParams:
         error = json.loads(stderr)
         assert error["error"] == "InvalidSetting"
         assert error["message"].startswith(f"{setting} must be an integer >= ")
+        assert not (tmp_path / "e").exists()  # a rejected run leaves no directory
 
 
 class TestEvaluate:
@@ -362,6 +363,28 @@ class TestErrorPathsAndWorkers:
         )
         assert code == 3
         assert json.loads(stderr)["error"] == "NotSPD"
+
+    @pytest.mark.parametrize("argv,env", [
+        (["--workers", "0"], None), (["--workers", "-3"], None), ([], "0"), ([], "-2"),
+    ])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, monkeypatch, argv, env):
+        spec = ar_spec_json(tmp_path, seed=42)
+        container = tmp_path / "w.acm"
+        run_cli(capsys, "simulate", "--spec-json", f"@{spec}", "--out", str(container))
+        if env is None:
+            monkeypatch.delenv("ACM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("ACM_WORKERS", env)
+        code, _, stderr = run_cli(
+            capsys, "evaluate", "--input", str(container), "--pipeline", "MDM",
+            "--eval", "ws", "--folds", "3", "--seed", "2", *argv,
+            "--out", str(tmp_path / "w"),
+        )
+        assert code == 2
+        error = json.loads(stderr)
+        assert error["error"] == "InvalidSetting"
+        assert error["message"].startswith("workers must be an integer >= 1")
+        assert not (tmp_path / "w").exists()
 
     def test_acm_workers_env_fallback(self, tmp_path, capsys, monkeypatch):
         spec = ar_spec_json(tmp_path, seed=40, n_sessions=2)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from augcov.covariance import (
     AugmentedParams,
     Epoch,
+    EpochStack,
+    as_epochs,
     augmented_covariance,
     covariance_stack,
     embed_epoch,
@@ -45,6 +47,82 @@ class TestEpoch:
             AugmentedParams(4, 4).check_length(13)
 
 
+class TestEpochStack:
+    def test_nan_names_the_epoch(self):
+        values = np.random.default_rng(30).standard_normal((5, 2, 10))
+        values[3, 1, 4] = np.nan
+        with pytest.raises(InvalidEpoch, match=r"^epoch 3 contains NaN or Inf"):
+            EpochStack(values, 250.0)
+
+    def test_short_epochs_name_the_index(self):
+        with pytest.raises(InvalidEpoch, match=r"epoch 0 .* has shape \(2, 1\)"):
+            EpochStack(np.zeros((3, 2, 1)), 250.0)
+
+    @pytest.mark.parametrize("values,rate", [
+        (np.zeros((2, 10)), 250.0),  # one epoch is no stack
+        (np.ones((2, 1, 10)), 0.0),
+        (np.ones((2, 1, 10)), -250.0),
+    ])
+    def test_rejects_shape_and_rate(self, values, rate):
+        with pytest.raises(InvalidEpoch):
+            EpochStack(values, rate)
+
+    def test_epoch_is_the_one_epoch_case(self):
+        with pytest.raises(InvalidEpoch, match=r"^epoch 0 contains NaN or Inf"):
+            make_epoch([[1.0, np.inf, 0.0]])
+        with pytest.raises(InvalidEpoch, match=r"epoch 0 .* has shape \(1, 1\)"):
+            make_epoch([[1.0]])
+        with pytest.raises(InvalidEpoch, match="2-D"):
+            make_epoch([1.0, 2.0])
+
+    def test_views_without_copy_and_read_only(self):
+        values = np.random.default_rng(31).standard_normal((4, 2, 8))
+        stack = EpochStack(values, 250.0)
+        assert stack.values is values
+        assert not values.flags.writeable
+        epoch = stack[2]
+        assert type(epoch) is Epoch and epoch.sample_rate == 250.0
+        assert np.shares_memory(epoch.data, values)
+        assert np.array_equal(epoch.data, values[2])
+        with pytest.raises(ValueError):
+            epoch.data[0, 0] = 1.0
+        assert [e.data.tobytes() for e in stack] == [x.tobytes() for x in values]
+
+    @pytest.mark.parametrize("index", [[3, 0], np.array([True, False, True, True]),
+                                       slice(1, 3)])
+    def test_index_gives_a_sub_stack(self, index):
+        values = np.random.default_rng(32).standard_normal((4, 2, 8))
+        sub = EpochStack(values, 100.0)[index]
+        assert type(sub) is EpochStack and sub.sample_rate == 100.0
+        assert np.array_equal(sub.values, values[index])
+        assert not sub.values.flags.writeable
+
+    def test_as_epochs_joins_consecutive_views_without_copy(self):
+        values = np.random.default_rng(33).standard_normal((5, 2, 8))
+        stack = EpochStack(values, 250.0)
+        assert as_epochs(stack) is stack
+        joined = as_epochs([stack[0:2], stack[2:5]])
+        assert np.shares_memory(joined.values, values)
+        assert np.array_equal(joined.values, values)
+        assert np.shares_memory(as_epochs(list(stack)).values, values)
+        # out of order, repeated or separately owned items are copied once
+        for parts in ([stack[2:5], stack[0:2]], [stack[0:2], stack[0:2]],
+                      [Epoch(x, 250.0) for x in values]):
+            copied = as_epochs(parts)
+            assert not np.shares_memory(copied.values, values)
+            want = [p.values if isinstance(p, EpochStack) else p.data[None] for p in parts]
+            assert np.array_equal(copied.values, np.concatenate(want))
+            assert not copied.values.flags.writeable
+
+    def test_as_epochs_rejects_mixed_items(self):
+        with pytest.raises(InvalidEpoch, match="share shape"):
+            as_epochs([make_epoch(np.ones((2, 8))), make_epoch(np.ones((2, 9)))])
+        with pytest.raises(InvalidEpoch, match="share shape"):
+            as_epochs([make_epoch(np.ones((2, 8))), make_epoch(np.ones((2, 8)), 100.0)])
+        with pytest.raises(InvalidEpoch):
+            as_epochs([])
+
+
 class TestSampleCovariance:
     def test_single_channel_arithmetic(self):
         # sum of squares 4 over T-1 = 3
@@ -74,17 +152,17 @@ class TestSampleCovariance:
 class TestEmbedEpoch:
     def test_order_one_is_identity(self):
         epoch = make_epoch([[1.0, 2.0, 3.0]])
-        assert embed_epoch(epoch, AugmentedParams(1, 3)) is epoch
+        assert embed_epoch(epoch.data, AugmentedParams(1, 3)) is epoch.data
 
     def test_hand_unrolled(self):
         a, b, c, d = 1.0, 2.0, 3.0, 4.0
-        out = embed_epoch(make_epoch([[a, b, c, d]]), AugmentedParams(2, 1))
-        assert np.array_equal(out.data, [[a, b, c], [b, c, d]])
+        out = embed_epoch(np.array([[a, b, c, d]]), AugmentedParams(2, 1))
+        assert np.array_equal(out, [[a, b, c], [b, c, d]])
 
     def test_index_arithmetic_oracle(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 100))
-        out = embed_epoch(make_epoch(x), AugmentedParams(3, 2)).data
+        out = embed_epoch(x, AugmentedParams(3, 2))
         assert out.shape == (6, 96)
         for j in range(96):
             for k in range(3):
@@ -93,7 +171,7 @@ class TestEmbedEpoch:
 
     def test_lag_too_large(self):
         with pytest.raises(LagTooLarge):
-            embed_epoch(make_epoch(np.zeros((1, 10)) + np.arange(10)), AugmentedParams(4, 4))
+            embed_epoch(np.zeros((1, 10)) + np.arange(10), AugmentedParams(4, 4))
 
 
 def block_assembly_oracle(x, order, lag):
@@ -138,7 +216,7 @@ class TestAugmentedCovariance:
         epoch = make_epoch(rng.standard_normal((2, 150)))
         params = AugmentedParams(3, 2)
         aug = augmented_covariance(epoch, params, shrink=False)
-        via_embed = sample_covariance(embed_epoch(epoch, params))
+        via_embed = sample_covariance(Epoch(embed_epoch(epoch.data, params), 250.0))
         assert np.array_equal(aug.values, via_embed.values)
 
     def test_symmetric_by_construction(self):
@@ -259,7 +337,7 @@ def three_gram_augmented_covariance(epoch, params):
     """The shrunk augmented covariance with y y^T formed three times: once
     for the raw covariance, once for ledoit_wolf's consistency check and once
     for the 1/m covariance of the intensity."""
-    y = embed_epoch(epoch, params).data
+    y = embed_epoch(epoch.data, params)
     n, m = y.shape
     raw = y @ y.T / (m - 1)
     raw = 0.5 * (raw + raw.T)
@@ -373,8 +451,30 @@ def test_embed_layout_property(d, t, order, lag, seed):
     if (order - 1) * lag >= t - 1:
         return
     x = np.random.default_rng(seed).standard_normal((d, t))
-    out = embed_epoch(make_epoch(x), AugmentedParams(order, lag)).data
+    out = embed_epoch(x, AugmentedParams(order, lag))
     width = t - (order - 1) * lag
     assert out.shape == (d * order, width)
     for k in range(order):
         assert np.array_equal(out[k * d:(k + 1) * d], x[:, k * lag:k * lag + width])
+
+
+@given(
+    n=st.integers(1, 6),
+    d=st.integers(1, 4),
+    order=st.integers(1, 4),
+    lag=st.integers(1, 3),
+    extra=st.integers(0, 30),
+    shrink=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_covariance_stack_equals_per_epoch_reference(n, d, order, lag, extra, shrink, seed):
+    """Reference: augmented_covariance of each epoch, built as its own Epoch."""
+    t = (order - 1) * lag + d * order + 2 + extra  # width > rows: SPD unshrunk too
+    x = np.random.default_rng(seed).standard_normal((n, d, t))
+    params = AugmentedParams(order, lag)
+    stack = covariance_stack(EpochStack(x.copy(), 250.0), params, shrink)
+    assert len(stack) == n
+    for i in range(n):
+        want = augmented_covariance(Epoch(x[i], 250.0), params, shrink)
+        assert np.array_equal(stack[i].values, want.values)

@@ -1,10 +1,17 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from augcov.covariance import AugmentedParams, Epoch, augmented_covariance, sample_covariance
+from augcov.covariance import (
+    AugmentedParams,
+    Epoch,
+    EpochStack,
+    augmented_covariance,
+    sample_covariance,
+)
 from augcov.data import (
     ArSpec,
     EpochSet,
@@ -15,7 +22,13 @@ from augcov.data import (
     read_epochset,
     write_epochset,
 )
-from augcov.errors import FormatError, InvalidBand, UnstableSpec, VersionUnsupported
+from augcov.errors import (
+    FormatError,
+    InvalidBand,
+    InvalidEpoch,
+    UnstableSpec,
+    VersionUnsupported,
+)
 from augcov.spd import affine_invariant_distance, frechet_mean
 
 
@@ -71,7 +84,7 @@ class TestBandpass:
 
     def test_preserves_length(self):
         out = bandpass(sine_epoch(15.0, t=777), 8.0, 35.0)
-        assert out.n_samples == 777
+        assert out.data.shape == (1, 777)
 
     def test_removes_dc(self):
         out = bandpass(sine_epoch(20.0, offset=5.0), 8.0, 35.0)
@@ -258,13 +271,89 @@ class TestContainer:
             read_epochset(path)
 
 
-def test_epoch_csv_export(tmp_path):
-    from augcov.data import epoch_to_csv
+class TestSessionStacks:
+    def values(self, seed=0, n=6, d=3, t=40):
+        return np.random.default_rng(seed).standard_normal((n, d, t))
 
-    rng = np.random.default_rng(60)
-    epoch = Epoch(rng.standard_normal((3, 5)), 250.0)
-    path = tmp_path / "epoch.csv"
-    epoch_to_csv(epoch, path)
-    loaded = np.loadtxt(path, delimiter=",")
-    assert loaded.shape == (3, 5)
-    assert np.allclose(loaded, epoch.data)
+    @pytest.mark.parametrize("shape_b,rate_b", [((2, 3, 41), 250.0), ((2, 2, 40), 250.0),
+                                                ((2, 3, 40), 500.0)])
+    def test_mixed_shapes_or_rates_across_sessions_raise(self, shape_b, rate_b):
+        a = Session("a", EpochStack(np.ones((2, 3, 40)), 250.0), [0, 1])
+        b = Session("b", EpochStack(np.ones(shape_b), rate_b), [0, 1])
+        with pytest.raises(InvalidEpoch, match="share shape and sample rate"):
+            EpochSet("s", [a, b], ["x", "y"])
+
+    def test_mixed_epochs_within_a_session_raise(self):
+        epochs = [Epoch(np.ones((3, 40)), 250.0), Epoch(np.ones((3, 41)), 250.0)]
+        with pytest.raises(InvalidEpoch, match="share shape and sample rate"):
+            Session("a", epochs, [0, 1])
+
+    def test_sessions_are_slices_of_one_stack(self):
+        values = self.values()
+        epoch_set = EpochSet("s", [
+            Session("a", [Epoch(x, 250.0) for x in values[:4]], [0, 1, 0, 1]),
+            Session("b", EpochStack(values[4:].copy(), 250.0), [1, 0]),
+        ], ["x", "y"])
+        whole, labels = epoch_set.all_epochs()
+        assert np.array_equal(whole.values, values)
+        assert labels.tolist() == [0, 1, 0, 1, 1, 0]
+        for session in epoch_set.sessions:
+            assert np.shares_memory(session.epochs.values, whole.values)
+        assert np.array_equal(epoch_set.sessions[1].epochs.values, values[4:])
+
+    @pytest.mark.parametrize("source", ["read", "generate", "pickle"])
+    def test_library_sets_join_without_copy(self, tmp_path, source):
+        epoch_set = generate_ar_dataset(matched_dynamics_spec(seed=4, epochs_per_class=3,
+                                                              t=32, n_sessions=3))
+        if source == "read":
+            write_epochset(epoch_set, tmp_path / "set.acm")
+            loaded = read_epochset(tmp_path / "set.acm")
+        elif source == "pickle":
+            loaded = pickle.loads(pickle.dumps(epoch_set))
+        else:
+            loaded = epoch_set
+        whole = loaded.epochs.values
+        assert np.array_equal(whole, epoch_set.epochs.values)
+        assert not whole.flags.writeable
+        for session in loaded.sessions:
+            assert np.shares_memory(session.epochs.values, whole)
+            assert session.labels == [0, 0, 0, 1, 1, 1]
+        if source != "generate":
+            # a second join of the same views needs no copy either
+            assert np.shares_memory(EpochSet("s", loaded.sessions, ["a", "b"]).epochs.values,
+                                    whole)
+
+    def test_container_bytes_do_not_depend_on_the_epoch_form(self, tmp_path):
+        """Reference: the manifest line, then every value as <f8, epoch-major."""
+        values = self.values(seed=5)
+        as_list = EpochSet("s", [
+            Session("s0", [Epoch(x, 250.0) for x in values[:4]], [0, 1, 0, 1]),
+            Session("s1", [Epoch(x, 250.0) for x in values[4:]], [1, 1]),
+        ], ["a", "b"])
+        as_stack = EpochSet("s", [
+            Session("s0", EpochStack(values[:4].copy(), 250.0), [0, 1, 0, 1]),
+            Session("s1", EpochStack(values[4:].copy(), 250.0), [1, 1]),
+        ], ["a", "b"])
+        write_epochset(as_list, tmp_path / "list.acm")
+        write_epochset(as_stack, tmp_path / "stack.acm")
+        blob = (tmp_path / "list.acm").read_bytes()
+        assert blob == (tmp_path / "stack.acm").read_bytes()
+        header, payload = blob.split(b"\n", 1)
+        assert json.loads(header)["sessions"] == [
+            {"id": "s0", "n_epochs": 4, "labels": [0, 1, 0, 1]},
+            {"id": "s1", "n_epochs": 2, "labels": [1, 1]},
+        ]
+        assert payload == values.astype("<f8").tobytes()
+
+    def test_nan_in_payload_names_the_epoch(self, tmp_path):
+        values = self.values(seed=6)
+        path = tmp_path / "set.acm"
+        write_epochset(EpochSet("s", [Session("a", EpochStack(values, 250.0), [0] * 6)],
+                                ["a"]), path)
+        blob = bytearray(path.read_bytes())
+        header_len = blob.index(b"\n") + 1
+        offset = header_len + 8 * (4 * 3 * 40 + 17)  # epoch 4, sample 17
+        blob[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvalidEpoch, match=r"^epoch 4 contains NaN"):
+            read_epochset(path)

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from augcov.covariance import Epoch
-from augcov.data import EpochSet, Session
+from augcov.covariance import EpochStack
+from augcov.data import ArSpec, generate_ar_dataset
 from augcov.embedding import (
+    EmbeddingEstimate,
     _cao_e_curve,
+    _check_fits,
+    _mdop_cycle_stats,
     _prefix_neighbours,
     average_mutual_information,
     cao_embedding_dimension,
@@ -14,12 +17,11 @@ from augcov.embedding import (
     mdop_unified,
     select_tau_ami,
 )
-from augcov.errors import ConstantSeries, TooShort
+from augcov.errors import ConstantSeries, LagTooLarge, TooShort
 
 
 def make_set(series_list, rate=250.0):
-    epochs = [Epoch(np.atleast_2d(s), rate) for s in series_list]
-    return EpochSet("t", [Session("a", epochs, [0] * len(epochs))], ["c0"])
+    return EpochStack(np.stack([np.atleast_2d(s) for s in series_list]), rate)
 
 
 def clean_sine_set(period=64.0, t=640, n_epochs=3, channels=2, seed=0):
@@ -31,8 +33,8 @@ def clean_sine_set(period=64.0, t=640, n_epochs=3, channels=2, seed=0):
             np.sin(2 * np.pi * np.arange(t) / period + rng.uniform(0, 2 * np.pi))
             for _ in range(channels)
         ]
-        epochs.append(Epoch(np.stack(rows), 250.0))
-    return EpochSet("s", [Session("a", epochs, [0] * n_epochs)], ["c0"])
+        epochs.append(np.stack(rows))
+    return EpochStack(np.stack(epochs), 250.0)
 
 
 def noisy_sine_set(period=64.0, t=2000, n_epochs=4, channels=2, noise=0.15, seed=0):
@@ -46,14 +48,13 @@ def noisy_sine_set(period=64.0, t=2000, n_epochs=4, channels=2, noise=0.15, seed
             + noise * rng.standard_normal(t)
             for _ in range(channels)
         ]
-        epochs.append(Epoch(np.stack(rows), 250.0))
-    return EpochSet("s", [Session("a", epochs, [0] * n_epochs)], ["c0"])
+        epochs.append(np.stack(rows))
+    return EpochStack(np.stack(epochs), 250.0)
 
 
 def noise_set(t=800, n_epochs=3, channels=2, seed=1):
     rng = np.random.default_rng(seed)
-    epochs = [Epoch(rng.standard_normal((channels, t)), 250.0) for _ in range(n_epochs)]
-    return EpochSet("n", [Session("a", epochs, [0] * n_epochs)], ["c0"])
+    return EpochStack(rng.standard_normal((n_epochs, channels, t)), 250.0)
 
 
 def ar3_chaotic_series(t, seed, burn=300):
@@ -129,14 +130,7 @@ class TestSelectTau:
 
     def test_scale_invariance(self):
         base = noisy_sine_set(seed=7)
-        scaled = EpochSet(
-            base.subject,
-            [
-                Session(s.session_id, [Epoch(e.data * 37.5, e.sample_rate) for e in s.epochs], s.labels)
-                for s in base.sessions
-            ],
-            base.class_names,
-        )
+        scaled = EpochStack(base.values * 37.5, base.sample_rate)
         assert select_tau_ami(base, 24).tau == select_tau_ami(scaled, 24).tau
 
 
@@ -247,14 +241,7 @@ class TestCao:
 
     def test_scale_invariance(self):
         base = clean_sine_set(seed=8)
-        scaled = EpochSet(
-            base.subject,
-            [
-                Session(s.session_id, [Epoch(e.data * 0.004, e.sample_rate) for e in s.epochs], s.labels)
-                for s in base.sessions
-            ],
-            base.class_names,
-        )
+        scaled = EpochStack(base.values * 0.004, base.sample_rate)
         a = cao_embedding_dimension(base, tau=16, max_dim=5)
         b = cao_embedding_dimension(scaled, tau=16, max_dim=5)
         assert a.dim == b.dim
@@ -264,9 +251,9 @@ class TestCao:
             cao_embedding_dimension(make_set([np.arange(30.0)]), tau=10, max_dim=5)
 
 
-def reference_mdop(epoch_set, max_cycles, fnn_threshold, max_lag):
+def reference_mdop(epochs, max_cycles, fnn_threshold, max_lag):
     """Unvectorized re-derivation of the cycle logic, used as an oracle."""
-    series_list = [ch for s in epoch_set.sessions for e in s.epochs for ch in e.data]
+    series_list = [ch for e in epochs for ch in e.data]
     delays = [0]
     chosen = []
     for _ in range(max_cycles):
@@ -352,3 +339,63 @@ def test_select_tau_flags_monotone_curve():
     sel = select_tau_ami(make_set([x[500:]]), max_lag=10)
     assert sel.no_local_minimum
     assert sel.tau == 10  # argmin of a decreasing curve is the last lag
+
+
+class TestStackSeries:
+    """The estimators read a stack's series as values.reshape(-1, T). The
+    references here walk sessions, then epochs, then channels, one series
+    at a time, and accumulate in that order."""
+
+    def epoch_set(self):
+        return generate_ar_dataset(ArSpec(
+            coefficients=[[np.array([[0.6, 0.2], [-0.2, 0.5]])], []],
+            innovations=[np.eye(2), np.eye(2)],
+            lag=2, n_samples=160, epochs_per_class=2, seed=12, n_sessions=2,
+        ))
+
+    def series(self, epoch_set):
+        return [ch for s in epoch_set.sessions for e in s.epochs for ch in e.data]
+
+    def test_ami_curve(self):
+        epoch_set = self.epoch_set()
+        want = np.zeros(12)
+        for x in self.series(epoch_set):
+            want += average_mutual_information(x, 12, 8)
+        got = select_tau_ami(epoch_set.all_epochs()[0], max_lag=12, bins=8).curve
+        assert np.array_equal(got, want)
+
+    def test_cao_curve(self):
+        epoch_set = self.epoch_set()
+        curves = [_cao_e_curve(x, 2, 6) for x in self.series(epoch_set)]
+        total = np.zeros(6)
+        for curve in curves:
+            total += curve
+        e_mean = total / len(curves)
+        got = cao_embedding_dimension(epoch_set.all_epochs()[0], tau=2, max_dim=5)
+        assert np.array_equal(got.e1_curve, e_mean[1:] / e_mean[:-1])
+
+    def test_mdop_cycles(self):
+        epoch_set = self.epoch_set()
+        series = self.series(epoch_set)
+        delays, chosen = [0], []
+        for _ in range(3):
+            candidates = [lag for lag in range(1, 9) if lag not in delays]
+            sums, counts, falses, totals = 0.0, 0, 0, 0
+            for x in series:
+                s, c, f, tot = _mdop_cycle_stats(x, delays, candidates)
+                sums, counts, falses, totals = sums + s, counts + c, falses + f, totals + tot
+            beta = np.where(counts > 0, sums / np.maximum(counts, 1), -np.inf)
+            best = int(np.argmax(beta))
+            if chosen and falses[best] / totals < 0.05:
+                break
+            chosen.append(candidates[best])
+            delays.append(candidates[best])
+        got = mdop_unified(epoch_set.all_epochs()[0], max_cycles=3, max_lag=8)
+        assert list(got.cycle_lags) == chosen
+
+
+def test_estimates_obey_the_evaluate_length_rule():
+    # evaluate needs (order-1)*lag < T - 1; an estimate at the edge is refused
+    _check_fits(EmbeddingEstimate(tau=3, dim=4, method="mdop"), n_samples=11)
+    with pytest.raises(LagTooLarge):
+        _check_fits(EmbeddingEstimate(tau=3, dim=4, method="mdop"), n_samples=10)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from augcov.classify import PipelineSpec
+from augcov.classify import PipelineSpec, StageTimer, fit_pipeline
 from augcov.covariance import Epoch
 from augcov.data import ArSpec, EpochSet, Session, generate_ar_dataset
 from augcov.errors import InvalidSetting, PairingViolation, SingleSession, TooFewSamples
+from augcov import evaluate
 from augcov.evaluate import (
     EvalReport,
     cross_session_eval,
+    eval_holdout_cs,
     meta_analysis,
-    timing_profile,
     within_session_eval,
 )
 
@@ -129,21 +130,35 @@ class TestCrossSession:
         assert wins >= 11  # constructed shift hurts CS for the seed majority
 
 
+class TestCrossSessionTraining:
+    def test_training_epochs_are_a_view_unless_the_middle_is_held_out(self, monkeypatch):
+        epoch_set = separable_set(n_sessions=3, epochs_per_class=4)
+        seen = []
+        monkeypatch.setattr(evaluate, "_score_one_split",
+                            lambda spec, train, y, test, y_test, *rest:
+                            seen.append((train, y, test, y_test)))
+        for s_idx in range(3):
+            eval_holdout_cs(epoch_set, s_idx, MDM, seed=0, dataset="d")
+        whole, labels = epoch_set.all_epochs()
+        for s_idx, (train, y, test, y_test) in enumerate(seen):
+            keep = [i for i in range(24) if not 8 * s_idx <= i < 8 * (s_idx + 1)]
+            assert np.array_equal(train.values, whole.values[keep])
+            assert y.tolist() == labels[keep].tolist()
+            assert test is epoch_set.sessions[s_idx].epochs
+            assert y_test.tolist() == epoch_set.sessions[s_idx].labels
+        shared = [np.shares_memory(train.values, whole.values) for train, *_ in seen]
+        assert shared == [True, False, True]
+
+
 class TestTimingProfile:
     def test_stages_recorded(self):
         epoch_set = separable_set()
         epochs, labels = epoch_set.all_epochs()
-
-        def run(timer):
-            from augcov.classify import fit_pipeline
-
-            fitted = fit_pipeline(MDM, epochs, labels, seed=0, timer=timer)
-            fitted.predict(epochs, timer=timer)
-            return fitted
-
-        _, seconds = timing_profile(run)
-        assert set(seconds) == {"covariance", "fit", "predict"}
-        assert all(v >= 0.0 for v in seconds.values())
+        timer = StageTimer()
+        fitted = fit_pipeline(MDM, epochs, labels, seed=0, timer=timer)
+        fitted.predict(epochs, timer=timer)
+        assert set(timer.seconds) == {"covariance", "fit", "predict"}
+        assert all(v >= 0.0 for v in timer.seconds.values())
 
 
 def report_from_scores(pipeline, subject, values, dataset="ds"):
@@ -256,6 +271,13 @@ class TestSettingsBoundary:
     def test_within_session_rejects_too_few_folds(self, folds):
         with pytest.raises(InvalidSetting):
             within_session_eval(separable_set(), MDM, folds=folds, seed=0)
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(InvalidSetting, match="workers must be an integer >= 1"):
+            within_session_eval(separable_set(), MDM, seed=0, workers=workers)
+        with pytest.raises(InvalidSetting, match="workers must be an integer >= 1"):
+            cross_session_eval(separable_set(n_sessions=2), MDM, seed=0, workers=workers)
 
     def test_two_folds_are_valid(self):
         report = within_session_eval(separable_set(), PipelineSpec(kind="MDM", inner_folds=2),
