@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -466,11 +465,17 @@ def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0,
     with _stage(timer, "covariance"):
         covs = covariance_stack(epochs, params, shrink)
     classes = tuple(sorted(set(labels.tolist())))
-    fitted = partial(FittedPipeline, spec=spec, class_labels=classes, params=params,
-                     shrink=shrink, grid_result=grid_result, embedding_estimate=estimate)
     with _stage(timer, "fit"):
         if not spec.uses_svm:
-            return fitted(mdm_model=mdm_fit(covs, labels))
+            return FittedPipeline(
+                spec=spec, class_labels=classes, params=params, shrink=shrink,
+                mdm_model=mdm_fit(covs, labels), grid_result=grid_result,
+                embedding_estimate=estimate,
+            )
         tmap = tangent_fit(covs)
         model = svm_fit(tangent_transform_many(tmap, covs), labels, c=c, kernel=kernel)
-        return fitted(tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel)
+        return FittedPipeline(
+            spec=spec, class_labels=classes, params=params, shrink=shrink,
+            tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel,
+            grid_result=grid_result, embedding_estimate=estimate,
+        )

@@ -113,10 +113,13 @@ def _cmd_simulate(args) -> int:
     spec = ar_spec_from_dict(json.loads(raw))
     epoch_set = generate_ar_dataset(spec)
     write_epochset(epoch_set, args.out)
-    n, d, t = epoch_set.epochs.values.shape
-    print(f"wrote {args.out}: subject={epoch_set.subject} "
-          f"sessions={len(epoch_set.sessions)} epochs={n} d={d} T={t} "
-          f"classes={epoch_set.class_names}")
+    total, d, t = epoch_set.epochs.values.shape
+    print(
+        f"wrote {args.out}: subject={epoch_set.subject} "
+        f"sessions={len(epoch_set.sessions)} epochs={total} "
+        f"d={d} T={t} "
+        f"classes={epoch_set.class_names}"
+    )
     return 0
 
 

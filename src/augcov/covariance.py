@@ -51,17 +51,25 @@ class EpochStack:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 3 or values.shape[1] < 1 or values.shape[2] < 2:
-            raise InvalidEpoch(f"epochs need d >= 1 channels and T >= 2 samples: epoch 0 "
-                               f"of the (n, d, T) stack has shape {values.shape[1:]}")
-        for i in np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))[:1]:
-            raise InvalidEpoch(f"epoch {i} contains NaN or Inf")
+        if values.ndim != 3:
+            raise InvalidEpoch(f"an epoch stack must be a 3-D (n, d, T) array, "
+                               f"got shape {values.shape}")
+        if values.shape[1] < 1 or values.shape[2] < 2:
+            where = "epoch 0 has" if len(values) else "the empty stack has epochs of"
+            raise InvalidEpoch(f"epochs need d >= 1 channels and T >= 2 samples: "
+                               f"{where} shape {values.shape[1:]}")
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
+        if bad.size:
+            raise InvalidEpoch(f"epoch {bad[0]} contains NaN or Inf")
         if not self.sample_rate > 0:
             raise InvalidEpoch(f"sample_rate must be positive, got {self.sample_rate}")
         _view(self, values, self.sample_rate)
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    def __reduce__(self):  # unpickled values are checked again, so read-only
+        return EpochStack, (self.values, self.sample_rate)
 
     def __getitem__(self, index):
         cls = Epoch if isinstance(index, (int, np.integer)) else EpochStack
@@ -78,10 +86,8 @@ def _view(obj, values: np.ndarray, sample_rate):
 
 def as_epochs(epochs) -> EpochStack:
     """An EpochStack as is, or a non-empty sequence of Epoch and EpochStack
-    items of one shape and rate joined into one stack without a second
-    check. Items that are consecutive slices of one array, as the sessions
-    of read_epochset and generate_ar_dataset are, join as a view of it
-    (their span lies inside that array); anything else is copied once."""
+    items of one shape and rate copied once into one stack, without a
+    second check."""
     if isinstance(epochs, EpochStack):
         return epochs
     epochs = list(epochs)
@@ -90,16 +96,7 @@ def as_epochs(epochs) -> EpochStack:
     if len(shapes) != 1 or len(rates) != 1:
         raise InvalidEpoch(f"all epochs must share shape and sample rate, got shapes "
                            f"{sorted(shapes)} and rates {sorted(rates)}")
-    first, starts = parts[0], [p.__array_interface__["data"][0] for p in parts]
-    if len(parts) == 1 or (
-            first.base is not None
-            and all(p.base is first.base and p.flags.c_contiguous for p in parts)
-            and all(a + p.nbytes == b for a, p, b in zip(starts, parts, starts[1:]))):
-        values = np.lib.stride_tricks.as_strided(
-            first, (sum(len(p) for p in parts),) + first.shape[1:])
-    else:
-        values = np.concatenate(parts)
-    return _view(object.__new__(EpochStack), values, rates.pop())
+    return _view(object.__new__(EpochStack), np.concatenate(parts), rates.pop())
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +39,10 @@ class Session:
     def __post_init__(self):
         object.__setattr__(self, "epochs", as_epochs(self.epochs))
         if len(self.epochs) != len(self.labels):
-            raise InvalidEpoch(f"session {self.session_id!r}: {len(self.epochs)} epochs "
-                               f"but {len(self.labels)} labels")
+            raise InvalidEpoch(
+                f"session {self.session_id!r}: {len(self.epochs)} epochs but "
+                f"{len(self.labels)} labels"
+            )
         object.__setattr__(self, "labels", [int(v) for v in self.labels])
 
 
@@ -48,7 +50,9 @@ class Session:
 class EpochSet:
     """Labeled epochs for one subject, grouped by session. All epochs form
     one stack, `epochs`, in session order, and each session's stack is a
-    slice of it (see as_epochs: consecutive slices join without a copy)."""
+    slice of it. The given sessions are copied once into that stack;
+    read_epochset and generate_ar_dataset build the stack first and make
+    no copy."""
 
     subject: str
     sessions: list
@@ -59,21 +63,8 @@ class EpochSet:
     def __post_init__(self):
         if not self.sessions:
             raise InvalidEpoch("EpochSet needs at least one session")
-        whole = as_epochs([s.epochs for s in self.sessions])
-        if not len(whole):
-            raise InvalidEpoch("EpochSet needs at least one epoch")
-        n_classes = len(self.class_names)
-        for s in self.sessions:
-            bad = [v for v in s.labels if not 0 <= v < n_classes]
-            if bad:
-                raise InvalidEpoch(f"session {s.session_id!r} has labels {bad} outside "
-                                   f"[0, {n_classes})")
-        bounds = np.cumsum([0] + [len(s.epochs) for s in self.sessions])
-        sessions = [replace(s, epochs=whole[a:b])
-                    for s, a, b in zip(self.sessions, bounds, bounds[1:])]
-        object.__setattr__(self, "sessions", sessions)
-        object.__setattr__(self, "sample_rate", whole.sample_rate)
-        object.__setattr__(self, "epochs", whole)
+        _hold(self, as_epochs([s.epochs for s in self.sessions]),
+              [(s.session_id, s.labels) for s in self.sessions])
 
     def __reduce__(self):  # one payload; the sessions come back as views of it
         return _split, (self.subject, self.epochs,
@@ -86,13 +77,32 @@ class EpochSet:
 
 
 def _split(subject, stack: EpochStack, sessions, class_names) -> EpochSet:
-    """An EpochSet whose sessions, given as (id, labels) pairs, are
-    consecutive slices of one stack."""
+    """An EpochSet that holds stack itself, without a copy; sessions are
+    (id, labels) pairs whose epochs are consecutive slices of stack."""
+    epoch_set = object.__new__(EpochSet)
+    object.__setattr__(epoch_set, "subject", subject)
+    object.__setattr__(epoch_set, "class_names", class_names)
+    return _hold(epoch_set, stack, sessions)
+
+
+def _hold(epoch_set: EpochSet, whole: EpochStack, sessions) -> EpochSet:
+    """Check the labels and make epoch_set hold whole, each session of
+    (id, labels) pairs a slice of it in order."""
+    if not len(whole):
+        raise InvalidEpoch("EpochSet needs at least one epoch")
+    n_classes = len(epoch_set.class_names)
     parts, start = [], 0
     for session_id, labels in sessions:
-        parts.append(Session(session_id, stack[start:start + len(labels)], labels))
+        bad = [v for v in labels if not 0 <= v < n_classes]
+        if bad:
+            raise InvalidEpoch(f"session {session_id!r} has labels {bad} outside "
+                               f"[0, {n_classes})")
+        parts.append(Session(session_id, whole[start:start + len(labels)], labels))
         start += len(labels)
-    return EpochSet(subject, parts, class_names)
+    object.__setattr__(epoch_set, "sessions", parts)
+    object.__setattr__(epoch_set, "sample_rate", whole.sample_rate)
+    object.__setattr__(epoch_set, "epochs", whole)
+    return epoch_set
 
 
 # -- band-pass preprocessing -------------------------------------------

@@ -96,7 +96,9 @@ def _series(epochs) -> np.ndarray:
     return epochs.values.reshape(-1, epochs.values.shape[2])
 
 
-def select_tau_ami(epochs, max_lag: int, bins: int = AMI_DEFAULT_BINS) -> TauSelection:
+def select_tau_ami(
+    epochs, max_lag: int, bins: int = AMI_DEFAULT_BINS
+) -> TauSelection:
     """Accumulate AMI curves over every channel of every epoch and return the
     lag of the first strict local minimum of the aggregate.
 
@@ -209,8 +211,12 @@ def _cao_e_curve(series: np.ndarray, tau: int, max_e_dim: int) -> np.ndarray:
     return out
 
 
-def cao_embedding_dimension(epochs, tau: int, max_dim: int,
-                            threshold: float = CAO_DEFAULT_THRESHOLD) -> CaoResult:
+def cao_embedding_dimension(
+    epochs,
+    tau: int,
+    max_dim: int,
+    threshold: float = CAO_DEFAULT_THRESHOLD,
+) -> CaoResult:
     """Embedding dimension by Cao's neighbor-distance-ratio statistic.
 
     E1(m) = E(m+1)/E(m) is averaged over all channels and epochs; the result
@@ -275,8 +281,12 @@ def _mdop_cycle_stats(series, delays, candidates):
     return sums, counts, false_counts, i.size
 
 
-def mdop_unified(epochs, max_cycles: int = 8, fnn_threshold: float = 0.05,
-                 max_lag: int = MDOP_DEFAULT_MAX_LAG) -> EmbeddingEstimate:
+def mdop_unified(
+    epochs,
+    max_cycles: int = 8,
+    fnn_threshold: float = 0.05,
+    max_lag: int = MDOP_DEFAULT_MAX_LAG,
+) -> EmbeddingEstimate:
     """Joint (tau, dim) estimate by iterative embedding.
 
     Starting from the bare series, each cycle picks the delayed coordinate
@@ -335,9 +345,13 @@ def mdop_unified(epochs, max_cycles: int = 8, fnn_threshold: float = 0.05,
     return est
 
 
-def estimate_traditional(epochs, max_lag: int = MDOP_DEFAULT_MAX_LAG,
-                         bins: int = AMI_DEFAULT_BINS, max_dim: int = 8,
-                         threshold: float = CAO_DEFAULT_THRESHOLD) -> EmbeddingEstimate:
+def estimate_traditional(
+    epochs,
+    max_lag: int = MDOP_DEFAULT_MAX_LAG,
+    bins: int = AMI_DEFAULT_BINS,
+    max_dim: int = 8,
+    threshold: float = CAO_DEFAULT_THRESHOLD,
+) -> EmbeddingEstimate:
     """AMI delay followed by Cao dimension (the two-step route)."""
     check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim)
     tau_sel = select_tau_ami(epochs, max_lag, bins)

@@ -20,7 +20,6 @@ from functools import partial
 import numpy as np
 
 from .classify import PipelineSpec, StageTimer, fit_pipeline, stratified_folds
-from .covariance import as_epochs
 from .data import EpochSet
 from .errors import (
     AllZeroDiffs,
@@ -143,8 +142,14 @@ def _score_one_split(spec, train_epochs, train_labels, test_epochs, test_labels,
         report.grid_maps.append((session_id, split_id, fitted.grid_result))
 
 
-def eval_session_ws(epoch_set: EpochSet, s_idx: int, spec: PipelineSpec, folds: int,
-                    seed: int, dataset: str) -> EvalReport:
+def eval_session_ws(
+    epoch_set: EpochSet,
+    s_idx: int,
+    spec: PipelineSpec,
+    folds: int,
+    seed: int,
+    dataset: str,
+) -> EvalReport:
     """Stratified seeded k-fold CV on session s_idx alone; a partial report.
 
     Fold assignment and all inner seeds derive from (seed, s_idx, fold), so
@@ -162,27 +167,44 @@ def eval_session_ws(epoch_set: EpochSet, s_idx: int, spec: PipelineSpec, folds: 
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(s_idx,))
     ))
-    for f_idx, (train_idx, test_idx) in enumerate(stratified_folds(labels, folds, rng)):
+    for f_idx, (train_idx, test_idx) in enumerate(
+        stratified_folds(labels, folds, rng)
+    ):
         inner_seed = _derive_seed(seed, s_idx, f_idx)
-        _score_one_split(spec, session.epochs[train_idx], labels[train_idx],
-                         session.epochs[test_idx], labels[test_idx], inner_seed,
-                         session.session_id, f"fold{f_idx}", report)
+        _score_one_split(
+            spec,
+            session.epochs[train_idx], labels[train_idx],
+            session.epochs[test_idx], labels[test_idx],
+            inner_seed, session.session_id, f"fold{f_idx}", report,
+        )
     return report
 
 
-def eval_holdout_cs(epoch_set: EpochSet, s_idx: int, spec: PipelineSpec, seed: int,
-                    dataset: str) -> EvalReport:
+def eval_holdout_cs(
+    epoch_set: EpochSet,
+    s_idx: int,
+    spec: PipelineSpec,
+    seed: int,
+    dataset: str,
+) -> EvalReport:
     """Train on every session except s_idx, test on s_idx; a partial report."""
     held_out = epoch_set.sessions[s_idx]
     report = EvalReport(dataset, epoch_set.subject, spec.name, "cs", seed)
-    # the training epochs join as a view of the set's one stack when the
-    # held-out session is the first or the last, and are copied otherwise
-    others = [s for s in epoch_set.sessions if s is not held_out]
-    train_labels = np.array([v for s in others for v in s.labels])
+    epochs, labels = epoch_set.all_epochs()
+    start = sum(len(s.epochs) for s in epoch_set.sessions[:s_idx])
+    stop, n = start + len(held_out.epochs), len(epochs)
+    # holding out the first or last session trains on a view of the set's
+    # one stack; otherwise the sessions on both sides are copied once
+    train = slice(stop, n) if start == 0 else slice(0, start)
+    if 0 < start and stop < n:
+        train = np.r_[0:start, stop:n]
     inner_seed = _derive_seed(seed, s_idx, 0)
-    _score_one_split(spec, as_epochs([s.epochs for s in others]), train_labels,
-                     held_out.epochs, np.asarray(held_out.labels), inner_seed,
-                     held_out.session_id, f"holdout:{held_out.session_id}", report)
+    _score_one_split(
+        spec,
+        epochs[train], labels[train],
+        held_out.epochs, np.asarray(held_out.labels),
+        inner_seed, held_out.session_id, f"holdout:{held_out.session_id}", report,
+    )
     return report
 
 

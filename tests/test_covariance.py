@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,8 +57,14 @@ class TestEpochStack:
             EpochStack(values, 250.0)
 
     def test_short_epochs_name_the_index(self):
-        with pytest.raises(InvalidEpoch, match=r"epoch 0 .* has shape \(2, 1\)"):
+        with pytest.raises(InvalidEpoch, match=r"epoch 0 has shape \(2, 1\)"):
             EpochStack(np.zeros((3, 2, 1)), 250.0)
+        with pytest.raises(InvalidEpoch, match=r"empty stack has epochs of shape \(0, 8\)"):
+            EpochStack(np.zeros((0, 0, 8)), 250.0)
+
+    def test_wrong_rank_reports_the_array_shape(self):
+        with pytest.raises(InvalidEpoch, match=r"3-D .* got shape \(2, 10\)$"):
+            EpochStack(np.zeros((2, 10)), 250.0)
 
     @pytest.mark.parametrize("values,rate", [
         (np.zeros((2, 10)), 250.0),  # one epoch is no stack
@@ -70,7 +78,7 @@ class TestEpochStack:
     def test_epoch_is_the_one_epoch_case(self):
         with pytest.raises(InvalidEpoch, match=r"^epoch 0 contains NaN or Inf"):
             make_epoch([[1.0, np.inf, 0.0]])
-        with pytest.raises(InvalidEpoch, match=r"epoch 0 .* has shape \(1, 1\)"):
+        with pytest.raises(InvalidEpoch, match=r"epoch 0 has shape \(1, 1\)"):
             make_epoch([[1.0]])
         with pytest.raises(InvalidEpoch, match="2-D"):
             make_epoch([1.0, 2.0])
@@ -88,6 +96,13 @@ class TestEpochStack:
             epoch.data[0, 0] = 1.0
         assert [e.data.tobytes() for e in stack] == [x.tobytes() for x in values]
 
+    def test_pickle_round_trip_stays_read_only(self):
+        stack = EpochStack(np.random.default_rng(34).standard_normal((3, 2, 8)), 100.0)
+        loaded = pickle.loads(pickle.dumps(stack))
+        assert np.array_equal(loaded.values, stack.values)
+        assert loaded.sample_rate == 100.0
+        assert not loaded.values.flags.writeable
+
     @pytest.mark.parametrize("index", [[3, 0], np.array([True, False, True, True]),
                                        slice(1, 3)])
     def test_index_gives_a_sub_stack(self, index):
@@ -97,22 +112,21 @@ class TestEpochStack:
         assert np.array_equal(sub.values, values[index])
         assert not sub.values.flags.writeable
 
-    def test_as_epochs_joins_consecutive_views_without_copy(self):
+    def test_as_epochs_copies_items_once_in_order(self):
         values = np.random.default_rng(33).standard_normal((5, 2, 8))
         stack = EpochStack(values, 250.0)
         assert as_epochs(stack) is stack
-        joined = as_epochs([stack[0:2], stack[2:5]])
-        assert np.shares_memory(joined.values, values)
-        assert np.array_equal(joined.values, values)
-        assert np.shares_memory(as_epochs(list(stack)).values, values)
-        # out of order, repeated or separately owned items are copied once
-        for parts in ([stack[2:5], stack[0:2]], [stack[0:2], stack[0:2]],
-                      [Epoch(x, 250.0) for x in values]):
-            copied = as_epochs(parts)
-            assert not np.shares_memory(copied.values, values)
-            want = [p.values if isinstance(p, EpochStack) else p.data[None] for p in parts]
-            assert np.array_equal(copied.values, np.concatenate(want))
-            assert not copied.values.flags.writeable
+        # Reference: the items' epochs, one after another.
+        for parts in (list(stack), [stack[i] for i in range(5)], [stack[0], stack[1:5]],
+                      [stack[0:2], stack[2:5]], [stack[2:5], stack[0:2]],
+                      [stack[0:2], stack[0:2]], [Epoch(x, 250.0) for x in values]):
+            joined = as_epochs(parts)
+            want = np.concatenate([p.values if isinstance(p, EpochStack) else p.data[None]
+                                   for p in parts])
+            assert np.array_equal(joined.values, want)
+            assert joined.sample_rate == 250.0
+            assert not np.shares_memory(joined.values, values)
+            assert not joined.values.flags.writeable
 
     def test_as_epochs_rejects_mixed_items(self):
         with pytest.raises(InvalidEpoch, match="share shape"):

@@ -302,7 +302,7 @@ class TestSessionStacks:
         assert np.array_equal(epoch_set.sessions[1].epochs.values, values[4:])
 
     @pytest.mark.parametrize("source", ["read", "generate", "pickle"])
-    def test_library_sets_join_without_copy(self, tmp_path, source):
+    def test_library_sets_hold_one_stack(self, tmp_path, source):
         epoch_set = generate_ar_dataset(matched_dynamics_spec(seed=4, epochs_per_class=3,
                                                               t=32, n_sessions=3))
         if source == "read":
@@ -318,10 +318,10 @@ class TestSessionStacks:
         for session in loaded.sessions:
             assert np.shares_memory(session.epochs.values, whole)
             assert session.labels == [0, 0, 0, 1, 1, 1]
-        if source != "generate":
-            # a second join of the same views needs no copy either
-            assert np.shares_memory(EpochSet("s", loaded.sessions, ["a", "b"]).epochs.values,
-                                    whole)
+        # sessions handed to the constructor are copied once, in order
+        rebuilt = EpochSet("s", loaded.sessions, ["a", "b"]).epochs.values
+        assert np.array_equal(rebuilt, whole)
+        assert not np.shares_memory(rebuilt, whole)
 
     def test_container_bytes_do_not_depend_on_the_epoch_form(self, tmp_path):
         """Reference: the manifest line, then every value as <f8, epoch-major."""
