@@ -10,9 +10,7 @@ alone.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -37,25 +35,6 @@ TABLE_C_GRID = (0.5, 1.0, 1.5)
 TABLE_KERNEL_GRID = ("linear", "rbf")
 TABLE_ORDER_GRID = tuple(range(1, 11))
 TABLE_LAG_GRID = tuple(range(1, 11))
-
-
-class StageTimer:
-    """Accumulates wall time per pipeline stage (covariance, fit, predict)."""
-
-    def __init__(self):
-        self.seconds = {}
-
-    @contextmanager
-    def time(self, stage: str):
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + (perf_counter() - start)
-
-
-def _stage(timer, name):
-    return timer.time(name) if timer is not None else nullcontext()
 
 
 # -- minimum distance to the mean ---------------------------------------
@@ -238,29 +217,26 @@ class FittedPipeline:
     grid_result: "GridSearchResult | None" = None
     embedding_estimate: emb.EmbeddingEstimate | None = None
 
-    def _apply(self, fn, epochs, timer, *args):
+    def _apply(self, fn, epochs, *args):
         """fn(head, head inputs, *args) on the epochs' covariances, or on
         their tangent features for SVM kinds."""
-        with _stage(timer, "covariance"):
-            covs = covariance_stack(epochs, self.params, self.shrink)
-        with _stage(timer, "predict"):
-            if self.spec.uses_svm:
-                return fn(self.svm_model, tangent_transform_many(self.tangent_map, covs),
-                          *args)
-            return fn(self.mdm_model, covs, *args)
+        covs = covariance_stack(epochs, self.params, self.shrink)
+        if self.spec.uses_svm:
+            return fn(self.svm_model, tangent_transform_many(self.tangent_map, covs), *args)
+        return fn(self.mdm_model, covs, *args)
 
-    def predict(self, epochs, timer=None) -> np.ndarray:
-        return self._apply(_head_predict, epochs, timer)
+    def predict(self, epochs) -> np.ndarray:
+        return self._apply(_head_predict, epochs)
 
-    def decision_scores(self, epochs, timer=None) -> np.ndarray:
+    def decision_scores(self, epochs) -> np.ndarray:
         """Binary ranking scores (larger = second class); binary models only."""
         if len(self.class_labels) != 2:
             raise ValueError("decision scores are defined for binary problems")
-        return self._apply(_head_decision, epochs, timer)
+        return self._apply(_head_decision, epochs)
 
-    def score(self, epochs, labels, timer=None) -> tuple:
+    def score(self, epochs, labels) -> tuple:
         """(value, metric) of the epochs under score_split."""
-        return self._apply(score_split, epochs, timer, labels, self.class_labels)
+        return self._apply(score_split, epochs, labels, self.class_labels)
 
 
 # -- grid search ----------------------------------------------------------
@@ -449,8 +425,7 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
             grid.best_kernel, grid, estimate)
 
 
-def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0,
-                 timer: StageTimer | None = None) -> FittedPipeline:
+def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0) -> FittedPipeline:
     """Train one pipeline on an EpochStack (or a list of Epoch) with integer
     labels."""
     labels = np.asarray(labels)
@@ -462,20 +437,18 @@ def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0,
     )
     shrink = spec.shrink if spec.shrink is not None else params.order > 1
 
-    with _stage(timer, "covariance"):
-        covs = covariance_stack(epochs, params, shrink)
+    covs = covariance_stack(epochs, params, shrink)
     classes = tuple(sorted(set(labels.tolist())))
-    with _stage(timer, "fit"):
-        if not spec.uses_svm:
-            return FittedPipeline(
-                spec=spec, class_labels=classes, params=params, shrink=shrink,
-                mdm_model=mdm_fit(covs, labels), grid_result=grid_result,
-                embedding_estimate=estimate,
-            )
-        tmap = tangent_fit(covs)
-        model = svm_fit(tangent_transform_many(tmap, covs), labels, c=c, kernel=kernel)
+    if not spec.uses_svm:
         return FittedPipeline(
             spec=spec, class_labels=classes, params=params, shrink=shrink,
-            tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel,
-            grid_result=grid_result, embedding_estimate=estimate,
+            mdm_model=mdm_fit(covs, labels), grid_result=grid_result,
+            embedding_estimate=estimate,
         )
+    tmap = tangent_fit(covs)
+    model = svm_fit(tangent_transform_many(tmap, covs), labels, c=c, kernel=kernel)
+    return FittedPipeline(
+        spec=spec, class_labels=classes, params=params, shrink=shrink,
+        tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel,
+        grid_result=grid_result, embedding_estimate=estimate,
+    )

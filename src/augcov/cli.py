@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .classify import PARAM_SOURCES, PIPELINE_KINDS, PipelineSpec
@@ -91,6 +90,8 @@ def _error_json(exc: BaseException) -> str:
 
 
 def _versions() -> dict:
+    import scipy  # only for its version: importing it slows every CLI start
+
     return {
         "augcov": __version__,
         "numpy": np.__version__,

@@ -243,6 +243,8 @@ def generate_ar_dataset(spec: ArSpec) -> EpochSet:
 
 def ar_spec_from_dict(raw: dict) -> ArSpec:
     """Build an ArSpec from parsed JSON (the CLI's inline/file input)."""
+    if not isinstance(raw, dict):
+        raise UnstableSpec(f"generator spec must be a JSON object, got {type(raw).__name__}")
     try:
         return ArSpec(
             coefficients=raw["coefficients"],
@@ -257,6 +259,8 @@ def ar_spec_from_dict(raw: dict) -> ArSpec:
         )
     except KeyError as exc:
         raise UnstableSpec(f"generator spec is missing field {exc}") from exc
+    except TypeError as exc:
+        raise UnstableSpec(f"generator spec has a field of the wrong type: {exc}") from exc
 
 
 # -- container format --------------------------------------------------
@@ -297,7 +301,7 @@ def read_epochset(path) -> EpochSet:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"manifest is not valid JSON: {exc}", offset=0) from exc
 
-    if manifest.get("format") != FORMAT_NAME:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise FormatError(f"not an {FORMAT_NAME} container", offset=0)
     if manifest.get("version") != FORMAT_VERSION:
         raise VersionUnsupported(
@@ -308,8 +312,16 @@ def read_epochset(path) -> EpochSet:
         if key not in manifest:
             raise FormatError(f"manifest is missing the {key!r} section", offset=0)
 
-    d, t = int(manifest["d"]), int(manifest["T"])
-    total_epochs = sum(int(s["n_epochs"]) for s in manifest["sessions"])
+    try:
+        d, t = int(manifest["d"]), int(manifest["T"])
+        rate = float(manifest["sample_rate"])
+        classes = [str(c) for c in manifest["classes"]]
+        sessions = [(str(s["id"]), int(s["n_epochs"]), [int(v) for v in s["labels"]])
+                    for s in manifest["sessions"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"manifest has a missing or malformed field "
+                          f"({type(exc).__name__}: {exc})", offset=0) from exc
+    total_epochs = sum(n for _, n, _ in sessions)
     expected_bytes = total_epochs * d * t * 8
     if len(payload) != expected_bytes:
         raise FormatError(
@@ -318,17 +330,12 @@ def read_epochset(path) -> EpochSet:
             f"payload section truncated or inconsistent",
             offset=len(header) + min(len(payload), expected_bytes),
         )
-    sessions = []
-    rate = float(manifest["sample_rate"])
-    for s in manifest["sessions"]:
-        n = int(s["n_epochs"])
-        labels = [int(v) for v in s["labels"]]
+    for session_id, n, labels in sessions:
         if len(labels) != n:
             raise FormatError(
-                f"session {s['id']!r} declares {n} epochs but {len(labels)} labels",
+                f"session {session_id!r} declares {n} epochs but {len(labels)} labels",
                 offset=0,
             )
-        sessions.append((str(s["id"]), labels))
     stack = EpochStack(np.frombuffer(payload, dtype="<f8").reshape(total_epochs, d, t), rate)
-    return _split(str(manifest["subject"]), stack, sessions,
-                  [str(c) for c in manifest["classes"]])
+    return _split(str(manifest["subject"]), stack,
+                  [(session_id, labels) for session_id, _, labels in sessions], classes)

@@ -6,7 +6,21 @@ configuration, exit 2) and NumericalError (a computation failed, exit 3).
 
 
 class AugcovError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package. An error pickles
+    as its class and the arguments it was built with, so it comes back
+    unchanged from a pool worker."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args)
+        self._built_with = (args, kwargs)
+        return self
+
+    def __reduce__(self):
+        return _rebuild, (type(self), *self._built_with)
+
+
+def _rebuild(cls, args, kwargs):
+    return cls(*args, **kwargs)
 
 
 class ConfigError(AugcovError):

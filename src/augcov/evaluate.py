@@ -1,9 +1,10 @@
 """Evaluation protocols and the statistical meta-analysis layer.
 
 Within-session evaluation is a seeded stratified 5-fold CV per session;
-cross-session evaluation rotates a held-out session. Any grid search or
-parameter estimation a pipeline performs is confined to the training split
-of the fold at hand.
+cross-session evaluation rotates a held-out session. Both cut a subject's
+stack into splits of (train rows, test rows), and one runner scores every
+split, in a process pool when asked. Any grid search or parameter
+estimation a pipeline performs is confined to the training split at hand.
 
 Report JSON is canonical and free of wall-times so reruns are byte
 identical; timings travel separately and serialize to their own CSV.
@@ -13,17 +14,17 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from time import perf_counter
 
 import numpy as np
 
-from .classify import PipelineSpec, StageTimer, fit_pipeline, stratified_folds
+from .classify import PipelineSpec, fit_pipeline, stratified_folds
 from .data import EpochSet
 from .errors import (
     AllZeroDiffs,
     DegenerateVariance,
+    FormatError,
     InvalidSetting,
     PairingViolation,
     SingleSession,
@@ -96,16 +97,20 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         raw = json.loads(text)
-        if raw.get("format") != "acm-eval-report":
+        if not isinstance(raw, dict) or raw.get("format") != "acm-eval-report":
             raise PairingViolation("not an evaluation report")
-        report = cls(
-            dataset=raw["dataset"],
-            subject=raw["subject"],
-            pipeline=raw["pipeline"],
-            eval_mode=raw["eval_mode"],
-            seed=raw["seed"],
-        )
-        report.scores.extend(SplitScore(**s) for s in raw["scores"])
+        try:
+            report = cls(
+                dataset=raw["dataset"],
+                subject=raw["subject"],
+                pipeline=raw["pipeline"],
+                eval_mode=raw["eval_mode"],
+                seed=raw["seed"],
+            )
+            report.scores.extend(SplitScore(**s) for s in raw["scores"])
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"evaluation report has a missing or malformed field "
+                              f"({type(exc).__name__}: {exc})") from exc
         return report
 
     def scores_csv_rows(self):
@@ -121,12 +126,55 @@ class EvalReport:
             yield [session, split, stage, repr(seconds)]
 
 
-def _score_one_split(spec, train_epochs, train_labels, test_epochs, test_labels,
-                     seed, session_id, split_id, report):
-    timer = StageTimer()
-    fitted = fit_pipeline(spec, train_epochs, train_labels, seed=seed, timer=timer)
-    value, metric = fitted.score(test_epochs, test_labels, timer=timer)
-    report.scores.append(SplitScore(
+def _ws_splits(epoch_set: EpochSet, folds: int, seed: int):
+    """One split per (session, fold), in that order. Fold assignment and the
+    inner seeds derive from (seed, session, fold) alone."""
+    splits, start = [], 0
+    for s_idx, session in enumerate(epoch_set.sessions):
+        labels = np.asarray(session.labels)
+        counts = {c: int(np.sum(labels == c)) for c in sorted(set(labels.tolist()))}
+        if min(counts.values()) < folds:
+            raise TooFewSamples(
+                f"session {session.session_id!r} needs >= {folds} samples per "
+                f"class for {folds}-fold CV, got {counts}"
+            )
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(s_idx,))
+        ))
+        for f_idx, (train_idx, test_idx) in enumerate(
+            stratified_folds(labels, folds, rng)
+        ):
+            splits.append((session.session_id, f"fold{f_idx}", start + train_idx,
+                           start + test_idx, _derive_seed(seed, s_idx, f_idx)))
+        start += len(labels)
+    return splits
+
+
+def _cs_splits(epoch_set: EpochSet, seed: int):
+    """One split per held-out session: train on every other session."""
+    splits, start, n = [], 0, len(epoch_set.epochs)
+    for s_idx, held_out in enumerate(epoch_set.sessions):
+        stop = start + len(held_out.epochs)
+        # holding out the first or last session trains on a view of the set's
+        # one stack; otherwise the sessions on both sides are copied once
+        train = slice(stop, n) if start == 0 else slice(0, start)
+        if 0 < start and stop < n:
+            train = np.r_[0:start, stop:n]
+        splits.append((held_out.session_id, f"holdout:{held_out.session_id}", train,
+                       slice(start, stop), _derive_seed(seed, s_idx, 0)))
+        start = stop
+    return splits
+
+
+def _score_split(epochs, labels, spec: PipelineSpec, split):
+    """Fit on the split's train rows, score its test rows; returns
+    (SplitScore, timing rows, grid search result or None)."""
+    session_id, split_id, train, test, seed = split
+    start = perf_counter()
+    fitted = fit_pipeline(spec, epochs[train], labels[train], seed=seed)
+    fitted_at = perf_counter()
+    value, metric = fitted.score(epochs[test], labels[test])
+    score = SplitScore(
         session=session_id,
         split=split_id,
         score=value,
@@ -135,104 +183,51 @@ def _score_one_split(spec, train_epochs, train_labels, test_epochs, test_labels,
         lag=fitted.params.lag,
         svm_c=fitted.chosen_c if spec.uses_svm else None,
         svm_kernel=fitted.chosen_kernel if spec.uses_svm else None,
-    ))
-    for stage, seconds in sorted(timer.seconds.items()):
-        report.timings.append((session_id, split_id, stage, seconds))
-    if fitted.grid_result is not None:
-        report.grid_maps.append((session_id, split_id, fitted.grid_result))
-
-
-def eval_session_ws(
-    epoch_set: EpochSet,
-    s_idx: int,
-    spec: PipelineSpec,
-    folds: int,
-    seed: int,
-    dataset: str,
-) -> EvalReport:
-    """Stratified seeded k-fold CV on session s_idx alone; a partial report.
-
-    Fold assignment and all inner seeds derive from (seed, s_idx, fold), so
-    the result is independent of how sessions are distributed over workers.
-    """
-    session = epoch_set.sessions[s_idx]
-    report = EvalReport(dataset, epoch_set.subject, spec.name, "ws", seed)
-    labels = np.asarray(session.labels)
-    counts = {c: int(np.sum(labels == c)) for c in sorted(set(labels.tolist()))}
-    if min(counts.values()) < folds:
-        raise TooFewSamples(
-            f"session {session.session_id!r} needs >= {folds} samples per "
-            f"class for {folds}-fold CV, got {counts}"
-        )
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(s_idx,))
-    ))
-    for f_idx, (train_idx, test_idx) in enumerate(
-        stratified_folds(labels, folds, rng)
-    ):
-        inner_seed = _derive_seed(seed, s_idx, f_idx)
-        _score_one_split(
-            spec,
-            session.epochs[train_idx], labels[train_idx],
-            session.epochs[test_idx], labels[test_idx],
-            inner_seed, session.session_id, f"fold{f_idx}", report,
-        )
-    return report
-
-
-def eval_holdout_cs(
-    epoch_set: EpochSet,
-    s_idx: int,
-    spec: PipelineSpec,
-    seed: int,
-    dataset: str,
-) -> EvalReport:
-    """Train on every session except s_idx, test on s_idx; a partial report."""
-    held_out = epoch_set.sessions[s_idx]
-    report = EvalReport(dataset, epoch_set.subject, spec.name, "cs", seed)
-    epochs, labels = epoch_set.all_epochs()
-    start = sum(len(s.epochs) for s in epoch_set.sessions[:s_idx])
-    stop, n = start + len(held_out.epochs), len(epochs)
-    # holding out the first or last session trains on a view of the set's
-    # one stack; otherwise the sessions on both sides are copied once
-    train = slice(stop, n) if start == 0 else slice(0, start)
-    if 0 < start and stop < n:
-        train = np.r_[0:start, stop:n]
-    inner_seed = _derive_seed(seed, s_idx, 0)
-    _score_one_split(
-        spec,
-        epochs[train], labels[train],
-        held_out.epochs, np.asarray(held_out.labels),
-        inner_seed, held_out.session_id, f"holdout:{held_out.session_id}", report,
     )
+    timings = [(session_id, split_id, "fit", fitted_at - start),
+               (session_id, split_id, "predict", perf_counter() - fitted_at)]
+    return score, timings, fitted.grid_result
+
+
+_worker_args = None  # (epochs, labels, spec) of the evaluation a pool worker serves
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _score_in_worker(split):
+    return _score_split(*_worker_args, split)
+
+
+def _run_splits(epoch_set: EpochSet, spec: PipelineSpec, splits, eval_mode: str,
+                seed: int, dataset: str, workers: int) -> EvalReport:
+    """Score every split into one report, in split order. A process pool
+    runs them when workers > 1 and there is more than one split; each worker
+    gets the subject's stack and the spec once, when it starts."""
+    args = (*epoch_set.all_epochs(), spec)
+    if workers > 1 and len(splits) > 1:
+        # imported on use: the pool's modules cost every serial run about 2 MB
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(splits)),
+                                 initializer=_init_worker, initargs=args) as pool:
+            results = list(pool.map(_score_in_worker, splits))
+    else:
+        results = [_score_split(*args, split) for split in splits]
+    report = EvalReport(dataset, epoch_set.subject, spec.name, eval_mode, seed)
+    for (session_id, split_id, *_), (score, timings, grid) in zip(splits, results):
+        report.scores.append(score)
+        report.timings.extend(timings)
+        if grid is not None:
+            report.grid_maps.append((session_id, split_id, grid))
     return report
-
-
-def merge_reports(partials) -> EvalReport:
-    """Concatenate partial reports from one evaluation, in the given order."""
-    partials = list(partials)
-    first = partials[0]
-    merged = EvalReport(first.dataset, first.subject, first.pipeline,
-                        first.eval_mode, first.seed)
-    for part in partials:
-        merged.scores.extend(part.scores)
-        merged.timings.extend(part.timings)
-        merged.grid_maps.extend(part.grid_maps)
-    return merged
 
 
 def _check_workers(workers) -> None:
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise InvalidSetting(f"workers must be an integer >= 1, got {workers!r}")
-
-
-def _map_sessions(unit, n_sessions: int, workers: int) -> EvalReport:
-    """unit(s_idx) for every session, merged in session order. A process
-    pool runs them when workers > 1 and there is more than one session."""
-    if workers > 1 and n_sessions > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return merge_reports(pool.map(unit, range(n_sessions)))
-    return merge_reports(unit(s_idx) for s_idx in range(n_sessions))
 
 
 def within_session_eval(
@@ -247,9 +242,8 @@ def within_session_eval(
     if folds < 2:
         raise InvalidSetting(f"within-session CV needs >= 2 folds, got {folds}")
     _check_workers(workers)
-    unit = partial(eval_session_ws, epoch_set, spec=spec, folds=folds, seed=seed,
-                   dataset=dataset)
-    return _map_sessions(unit, len(epoch_set.sessions), workers)
+    return _run_splits(epoch_set, spec, _ws_splits(epoch_set, folds, seed), "ws",
+                       seed, dataset, workers)
 
 
 def cross_session_eval(
@@ -264,8 +258,8 @@ def cross_session_eval(
     if len(epoch_set.sessions) < 2:
         raise SingleSession("cross-session evaluation needs at least 2 sessions")
     _check_workers(workers)
-    unit = partial(eval_holdout_cs, epoch_set, spec=spec, seed=seed, dataset=dataset)
-    return _map_sessions(unit, len(epoch_set.sessions), workers)
+    return _run_splits(epoch_set, spec, _cs_splits(epoch_set, seed), "cs",
+                       seed, dataset, workers)
 
 
 def _derive_seed(seed: int, *key: int) -> int:

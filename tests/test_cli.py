@@ -41,8 +41,10 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     src = str(Path(augcov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # scipy and the process pool load on use; a serial evaluation needs neither
     code = ("import sys, augcov.cli; print(sorted(m for m in "
-            "('scipy.linalg', 'scipy.special', 'scipy.signal') if m in sys.modules))")
+            "('scipy', 'scipy.linalg', 'scipy.special', 'scipy.signal', "
+            "'concurrent.futures.process') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -227,6 +229,16 @@ class TestEvaluate:
             assert code == 0
         assert (tmp_path / "cs1" / "report.json").read_bytes() == \
             (tmp_path / "cs2" / "report.json").read_bytes()
+        # one session: its folds are the splits the pool runs
+        spec = ar_spec_json(tmp_path, seed=4, n_sessions=1)
+        container = tmp_path / "d1.acm"
+        run_cli(capsys, "simulate", "--spec-json", f"@{spec}", "--out", str(container))
+        for workers in ("1", "2"):
+            code, _, _ = self.evaluate(capsys, container, tmp_path / f"one{workers}",
+                                       "--workers", workers)
+            assert code == 0
+        assert (tmp_path / "one1" / "report.json").read_bytes() == \
+            (tmp_path / "one2" / "report.json").read_bytes()
 
     def test_report_is_the_library_report(self, tmp_path, capsys):
         from augcov.classify import PipelineSpec
@@ -364,6 +376,25 @@ class TestErrorPathsAndWorkers:
         assert code == 3
         assert json.loads(stderr)["error"] == "NotSPD"
 
+    def test_numerical_failure_in_a_worker_exit_3(self, tmp_path, capsys, monkeypatch):
+        from augcov import classify
+        from augcov.errors import NoConvergence
+
+        def no_convergence(covs, *args, **kwargs):
+            raise NoConvergence(None, 1.5)
+
+        spec = ar_spec_json(tmp_path, seed=43)
+        container = tmp_path / "nc.acm"
+        run_cli(capsys, "simulate", "--spec-json", f"@{spec}", "--out", str(container))
+        monkeypatch.setattr(classify, "frechet_mean", no_convergence)  # workers fork
+        code, _, stderr = run_cli(
+            capsys, "evaluate", "--input", str(container), "--pipeline", "MDM",
+            "--eval", "ws", "--folds", "3", "--seed", "1", "--workers", "2",
+            "--out", str(tmp_path / "nc"),
+        )
+        assert code == 3
+        assert json.loads(stderr)["error"] == "NoConvergence"
+
     @pytest.mark.parametrize("argv,env", [
         (["--workers", "0"], None), (["--workers", "-3"], None), ([], "0"), ([], "-2"),
     ])
@@ -426,3 +457,73 @@ class TestCrossSessionGrid:
         for s in report["scores"]:
             assert s["svm_kernel"] in ("linear", "rbf")
         assert len(list(out_dir.glob("gridmap_*.csv"))) == 2
+
+
+def _container_with(tmp_path, capsys, edit):
+    """A simulated container whose manifest goes through edit."""
+    path = tmp_path / "edited.acm"
+    run_cli(capsys, "simulate", "--spec-json", f"@{ar_spec_json(tmp_path, n_sessions=2)}",
+            "--out", str(path))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + payload)
+    return path
+
+
+def _report_with(tmp_path, name, edit):
+    """A valid report.json whose parsed JSON goes through edit."""
+    from augcov.evaluate import EvalReport, SplitScore
+
+    report = EvalReport("ds", "alice", "MDM", "ws", 0)
+    report.scores.append(SplitScore("s0", "fold0", 0.75, "auc", 1, 1, None, None))
+    path = tmp_path / name
+    path.write_text(json.dumps(edit(json.loads(report.to_json()))))
+    return path
+
+
+def _drop(raw, *keys):
+    """raw without the item at the path keys."""
+    inner = raw
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return raw
+
+
+def _set(raw, value, *keys):
+    inner = raw
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("kind,edit,error", [
+    ("container", lambda m: _drop(m, "sessions", 0, "labels"), "FormatError"),
+    ("container", lambda m: _set(m, None, "sessions", 1, "labels", 0), "FormatError"),
+    ("container", lambda m: _set(m, 3, "sessions"), "FormatError"),
+    ("report", lambda r: _drop(r, "subject"), "FormatError"),
+    ("report", lambda r: _drop(r, "scores", 0, "lag"), "FormatError"),
+    ("report", lambda r: [r], "PairingViolation"),
+    ("spec", "[1]", "UnstableSpec"),
+    ("spec", '{"coefficients": [[]], "innovations": [[[1.0]]], "n_samples": null, '
+             '"epochs_per_class": 2, "seed": 0}', "UnstableSpec"),
+    ("spec", '{"coefficients": 5, "innovations": [[[1.0]]], "n_samples": 64, '
+             '"epochs_per_class": 2, "seed": 0}', "UnstableSpec"),
+], ids=["container-without-labels", "container-null-label", "container-sessions-not-list",
+        "report-without-subject", "report-score-without-lag", "report-json-list",
+        "spec-json-list", "spec-null-field", "spec-coefficients-not-a-list"])
+def test_malformed_input_file_exit_2(tmp_path, capsys, kind, edit, error):
+    if kind == "container":
+        argv = ["evaluate", "--input", str(_container_with(tmp_path, capsys, edit)),
+                "--pipeline", "MDM", "--eval", "ws", "--folds", "3", "--seed", "1",
+                "--out", str(tmp_path / "run")]
+    elif kind == "report":
+        argv = ["stats", str(_report_with(tmp_path, "bad.json", edit)),
+                str(_report_with(tmp_path, "good.json", lambda raw: raw))]
+    else:
+        argv = ["simulate", "--spec-json", edit, "--out", str(tmp_path / "x.acm")]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error

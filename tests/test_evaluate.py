@@ -1,15 +1,22 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from augcov.classify import PipelineSpec, StageTimer, fit_pipeline
+from augcov import classify, covariance, data, evaluate
+from augcov.classify import PipelineSpec
 from augcov.covariance import Epoch
 from augcov.data import ArSpec, EpochSet, Session, generate_ar_dataset
-from augcov.errors import InvalidSetting, PairingViolation, SingleSession, TooFewSamples
-from augcov import evaluate
+from augcov.errors import (
+    InvalidSetting,
+    NoConvergence,
+    PairingViolation,
+    SingleSession,
+    TooFewSamples,
+)
 from augcov.evaluate import (
     EvalReport,
     cross_session_eval,
-    eval_holdout_cs,
     meta_analysis,
     within_session_eval,
 )
@@ -131,34 +138,70 @@ class TestCrossSession:
 
 
 class TestCrossSessionTraining:
-    def test_training_epochs_are_a_view_unless_the_middle_is_held_out(self, monkeypatch):
+    def test_training_rows_are_a_view_unless_the_middle_is_held_out(self):
         epoch_set = separable_set(n_sessions=3, epochs_per_class=4)
-        seen = []
-        monkeypatch.setattr(evaluate, "_score_one_split",
-                            lambda spec, train, y, test, y_test, *rest:
-                            seen.append((train, y, test, y_test)))
-        for s_idx in range(3):
-            eval_holdout_cs(epoch_set, s_idx, MDM, seed=0, dataset="d")
         whole, labels = epoch_set.all_epochs()
-        for s_idx, (train, y, test, y_test) in enumerate(seen):
+        splits = evaluate._cs_splits(epoch_set, seed=0)
+        assert [s[:2] for s in splits] == [(f"session{i}", f"holdout:session{i}")
+                                           for i in range(3)]
+        for s_idx, (_, _, train, test, _) in enumerate(splits):
             keep = [i for i in range(24) if not 8 * s_idx <= i < 8 * (s_idx + 1)]
-            assert np.array_equal(train.values, whole.values[keep])
-            assert y.tolist() == labels[keep].tolist()
-            assert test is epoch_set.sessions[s_idx].epochs
-            assert y_test.tolist() == epoch_set.sessions[s_idx].labels
-        shared = [np.shares_memory(train.values, whole.values) for train, *_ in seen]
+            assert np.array_equal(whole[train].values, whole.values[keep])
+            assert labels[train].tolist() == labels[keep].tolist()
+            held_out = epoch_set.sessions[s_idx]
+            assert np.array_equal(whole[test].values, held_out.epochs.values)
+            assert labels[test].tolist() == held_out.labels
+        assert [type(s[2]) for s in splits] == [slice, np.ndarray, slice]
+        shared = [np.shares_memory(whole[train].values, whole.values)
+                  for _, _, train, _, _ in splits]
         assert shared == [True, False, True]
 
 
+class TestSplitRunner:
+    def test_stack_is_not_pickled_per_task(self, monkeypatch):
+        epoch_set = separable_set(n_sessions=3, epochs_per_class=6)
+        calls = []
+        for cls in (data.EpochSet, covariance.EpochStack):
+            reduce = cls.__reduce__
+            monkeypatch.setattr(cls, "__reduce__",
+                                lambda self, reduce=reduce: calls.append(1) or reduce(self))
+        pooled = within_session_eval(epoch_set, MDM, folds=3, seed=2, workers=2)
+        assert len(calls) <= 2  # at most once per worker; none when workers fork
+        if multiprocessing.get_start_method() == "fork":
+            assert calls == []
+        assert pooled.to_json() == within_session_eval(epoch_set, MDM, folds=3,
+                                                       seed=2).to_json()
+
+    def test_numerical_failure_crosses_the_pool(self, monkeypatch):
+        def no_convergence(covs, *args, **kwargs):
+            raise NoConvergence(None, 1.5)
+
+        monkeypatch.setattr(classify, "frechet_mean", no_convergence)
+        with pytest.raises(NoConvergence, match="residual 1.500e"):
+            within_session_eval(separable_set(), MDM, folds=3, seed=0, workers=2)
+
+    def test_too_few_samples_is_found_before_fitting(self, monkeypatch):
+        big, small = (separable_set(epochs_per_class=n).sessions[0] for n in (6, 2))
+        epoch_set = EpochSet("subj", [Session("big", big.epochs, big.labels),
+                                      Session("small", small.epochs, small.labels)],
+                             ["a", "b"])
+
+        def fit_pipeline(*args, **kwargs):
+            raise AssertionError("a split was fitted before every session was checked")
+
+        monkeypatch.setattr(evaluate, "fit_pipeline", fit_pipeline)
+        with pytest.raises(TooFewSamples, match="'small'"):
+            within_session_eval(epoch_set, MDM, folds=3, seed=0)
+
+
 class TestTimingProfile:
-    def test_stages_recorded(self):
-        epoch_set = separable_set()
-        epochs, labels = epoch_set.all_epochs()
-        timer = StageTimer()
-        fitted = fit_pipeline(MDM, epochs, labels, seed=0, timer=timer)
-        fitted.predict(epochs, timer=timer)
-        assert set(timer.seconds) == {"covariance", "fit", "predict"}
-        assert all(v >= 0.0 for v in timer.seconds.values())
+    def test_one_fit_and_one_predict_row_per_split(self):
+        report = within_session_eval(separable_set(n_sessions=2), MDM, folds=3, seed=0)
+        splits = [(s.session, s.split) for s in report.scores]
+        assert len(splits) == 6
+        assert [row[:3] for row in report.timings] == [
+            (*split, stage) for split in splits for stage in ("fit", "predict")]
+        assert all(row[3] >= 0.0 for row in report.timings)
 
 
 def report_from_scores(pipeline, subject, values, dataset="ds"):
@@ -340,7 +383,6 @@ def test_timing_summary_rows():
     report = within_session_eval(epoch_set, MDM, folds=5, seed=0)
     rows = list(timing_summary(report))
     assert rows[0] == ["stage", "n", "mean_s", "std_s", "min_s", "max_s"]
-    stages = {r[0] for r in rows[1:]}
-    assert stages == {"covariance", "fit", "predict"}
+    assert [r[0] for r in rows[1:]] == ["fit", "predict"]
     for row in rows[1:]:
         assert row[1] == 5  # one measurement per fold
