@@ -2,8 +2,13 @@
 
 The working set is the maximal-violating pair (first-order selection, ties
 to the lowest index), so training is fully deterministic for a given input
-order. Multi-class problems are handled one-vs-rest with argmax of the
-decision values.
+order. The solver keeps its working-set bookkeeping in place: the violation
+yg restricted to the up set and to the low set (+-inf outside) gets one
+rank-2 update per step, only the two working-pair entries are reset when
+they change sets, and the set sizes are counts, so a step costs a few numpy
+calls on rows of one C-contiguous copy of the kernel matrix. Multi-class
+problems are handled one-vs-rest with argmax of the decision values; the
+machines share one kernel matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, SolverStall
+from .errors import EmptyClass, InvalidSetting, SolverStall
 
 KKT_TOL = 1e-3
 MAX_SMO_ITER = 100_000
@@ -49,6 +54,7 @@ class BinarySvm:
     dual_coef: np.ndarray  # alpha_i * y_i for the support vectors
     bias: float
     kkt_residual: float
+    iterations: int  # SMO working-pair steps
 
     def decision(self, features: np.ndarray) -> np.ndarray:
         k = _kernel_matrix(self.kernel, self.gamma, np.atleast_2d(features),
@@ -71,71 +77,79 @@ class SvmModel:
         return len(self.class_labels) == 2
 
 
-def _violating_sets(alpha: np.ndarray, y: np.ndarray, c: float):
-    up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
-    return up, low
-
-
 def _smo(kernel_mat: np.ndarray, y: np.ndarray, c: float, tol: float = KKT_TOL,
          max_iter: int = MAX_SMO_ITER):
-    """Maximal-violating-pair SMO on the dual; returns (alpha, bias, residual).
+    """Maximal-violating-pair SMO on the dual.
 
     Minimizes 0.5 a'Qa - e'a with Q_ij = y_i y_j K_ij subject to y'a = 0 and
-    0 <= a <= C. grad tracks Qa - e; the violation yg = -y * grad drives
-    both pair selection and the stopping rule m(a) - M(a) < tol.
+    0 <= a <= C, for labels y in {-1, +1}. The violation yg = -y * (Qa - e)
+    drives both pair selection and the stopping rule m(a) - M(a) < tol.
+    Returns (alpha, bias, residual, iterations), iterations being the number
+    of working-pair steps taken.
     """
-    n = y.size
-    alpha = np.zeros(n)
-    grad = -np.ones(n)
-    residual = np.inf
+    c = float(c)  # the set tests below then give Python bools, which count
+    cols = np.ascontiguousarray(kernel_mat.T)  # cols[k] is column k of K
+    diag = kernel_mat.diagonal().tolist()
+    ys = y.tolist()
+    alpha = [0.0] * y.size
+    # yg starts at y (a = 0). up_yg is yg on the up set and -inf elsewhere,
+    # low_yg is yg on the low set and +inf elsewhere; every index is in one
+    # of the two sets, so between them they hold all of yg.
+    in_up = [yk > 0 for yk in ys]
+    in_low = [yk < 0 for yk in ys]
+    up_yg = np.where(in_up, y, -np.inf)
+    low_yg = np.where(in_low, y, np.inf)
+    n_up, n_low = sum(in_up), sum(in_low)
 
-    for _ in range(max_iter):
-        yg = -y * grad
-        up, low = _violating_sets(alpha, y, c)
-        if not up.any() or not low.any():
+    for iterations in range(max_iter):
+        if not n_up or not n_low:
             residual = 0.0
             break
-        i = int(np.argmax(np.where(up, yg, -np.inf)))
-        j = int(np.argmin(np.where(low, yg, np.inf)))
-        residual = float(yg[i] - yg[j])
+        i = int(up_yg.argmax())
+        j = int(low_yg.argmin())
+        residual = float(up_yg[i] - low_yg[j])
         if residual < tol:
             break
 
-        curvature = max(kernel_mat[i, i] + kernel_mat[j, j] - 2.0 * kernel_mat[i, j],
-                        1e-12)
+        curvature = max(diag[i] + diag[j] - 2.0 * cols.item(j, i), 1e-12)
         # step t moves alpha_i by +y_i t and alpha_j by -y_j t, preserving y'a
-        t_hi = min(
-            c - alpha[i] if y[i] > 0 else alpha[i],
-            alpha[j] if y[j] > 0 else c - alpha[j],
-        )
+        ai, aj, yi, yj = alpha[i], alpha[j], ys[i], ys[j]
+        t_hi = min(c - ai if yi > 0 else ai, aj if yj > 0 else c - aj)
         step = min(residual / curvature, t_hi)
         if step <= 0.0:
             break
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        grad += y * step * (kernel_mat[:, i] - kernel_mat[:, j])
+        alpha[i] = ai + yi * step
+        alpha[j] = aj - yj * step
+        delta = step * (cols[i] - cols[j])
+        up_yg -= delta
+        low_yg -= delta
+        # only the working pair can change sets: reset its two entries from
+        # yg, read from a set it was in before the step
+        for k in (i, j):
+            ak = alpha[k]
+            up, low = (ak < c, ak > 0) if ys[k] > 0 else (ak > 0, ak < c)
+            yg_k = up_yg[k] if in_up[k] else low_yg[k]
+            up_yg[k] = yg_k if up else -np.inf
+            low_yg[k] = yg_k if low else np.inf
+            n_up += up - in_up[k]
+            n_low += low - in_low[k]
+            in_up[k], in_low[k] = up, low
     else:
-        yg = -y * grad
-        up, low = _violating_sets(alpha, y, c)
-        raise SolverStall(float(np.max(np.where(up, yg, -np.inf))
-                                - np.min(np.where(low, yg, np.inf))))
+        raise SolverStall(float(up_yg.max() - low_yg.min()))
 
-    yg = -y * grad
+    alpha = np.array(alpha)
     free = (alpha > 1e-12) & (alpha < c - 1e-12)
     if free.any():
-        bias = float(np.mean(yg[free]))
+        bias = float(np.mean(up_yg[free]))
     else:
-        up, low = _violating_sets(alpha, y, c)
-        hi = np.max(np.where(up, yg, -np.inf)) if up.any() else 0.0
-        lo = np.min(np.where(low, yg, np.inf)) if low.any() else 0.0
+        hi = up_yg.max() if n_up else 0.0
+        lo = low_yg.min() if n_low else 0.0
         bias = float(0.5 * (hi + lo))
-    return alpha, bias, max(residual, 0.0)
+    return alpha, bias, max(residual, 0.0), iterations
 
 
-def _fit_binary(features, y_signed, c, kernel, gamma) -> BinarySvm:
-    kernel_mat = _kernel_matrix(kernel, gamma, features, features)
-    alpha, bias, residual = _smo(kernel_mat, y_signed, c)
+def _fit_binary(kernel_mat, features, y_signed, c, kernel, gamma) -> BinarySvm:
+    alpha, bias, residual, iterations = _smo(kernel_mat, y_signed, c)
     sv = alpha > 1e-12
     if not sv.any():
         # degenerate but legal: the decision is the constant bias
@@ -148,6 +162,7 @@ def _fit_binary(features, y_signed, c, kernel, gamma) -> BinarySvm:
         dual_coef=(alpha * y_signed)[sv],
         bias=bias,
         kkt_residual=residual,
+        iterations=iterations,
     )
 
 
@@ -173,19 +188,23 @@ def svm_fit(
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise EmptyClass("need at least two classes")
+    if not (np.isfinite(c) and c > 0):
+        raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
     if kernel == "rbf" and gamma is None:
         gamma = default_gamma(features)
+    elif kernel == "rbf" and not (np.isfinite(gamma) and gamma > 0):
+        raise InvalidSetting(f"rbf gamma must be finite and > 0, got {gamma!r}")
     if kernel == "linear":
         gamma = None
 
-    if len(classes) == 2:
-        y_signed = np.where(labels == classes[1], 1.0, -1.0)
-        machines = (_fit_binary(features, y_signed, c, kernel, gamma),)
-    else:
-        machines = tuple(
-            _fit_binary(features, np.where(labels == cls, 1.0, -1.0), c, kernel, gamma)
-            for cls in classes
-        )
+    # one kernel matrix serves every one-vs-rest machine
+    kernel_mat = _kernel_matrix(kernel, gamma, features, features)
+    positives = classes[1:] if len(classes) == 2 else classes
+    machines = tuple(
+        _fit_binary(kernel_mat, features, np.where(labels == cls, 1.0, -1.0), c,
+                    kernel, gamma)
+        for cls in positives
+    )
     return SvmModel(classes, machines, c, kernel, gamma)
 
 

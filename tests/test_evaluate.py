@@ -91,6 +91,23 @@ class TestWithinSession:
         b = within_session_eval(separable_set(seed=4), MDM, folds=5, seed=9)
         assert a.to_json() == b.to_json()
 
+    def test_pinned_svm_grid(self):
+        """A fixed-seed ACM+TANG+SVM grid run: any change to the SMO iterates
+        that moves a chosen cell or a fold's score shows here."""
+        epoch_set = generate_ar_dataset(ArSpec(
+            coefficients=[[], [[[0.0, -0.2], [0.2, 0.0]]]],
+            innovations=[np.eye(2), 0.96 * np.eye(2)],
+            lag=1, n_samples=64, epochs_per_class=15, seed=11,
+        ))
+        spec = PipelineSpec(kind="ACM+TANG+SVM", param_source="grid",
+                            grid_orders=(1, 2), grid_lags=(1, 2), inner_folds=3)
+        report = within_session_eval(epoch_set, spec, folds=3, seed=5)
+        assert [(s.score, s.order, s.lag, s.svm_c, s.svm_kernel) for s in report.scores] == [
+            (0.56, 2, 2, 0.5, "rbf"),
+            (0.8, 2, 1, 1.5, "rbf"),
+            (0.44, 1, 1, 0.5, "linear"),
+        ]
+
 
 class TestCrossSession:
     def test_requires_two_sessions(self):
