@@ -24,7 +24,7 @@ from .errors import (
     LagTooLarge,
     TooFewSamples,
 )
-from .spd import SpdMatrix, _spectral, as_stack, distances_from, frechet_mean, symm_fn
+from .spd import SpdMatrix, _blocks, _spectral, as_stack, distances_from, frechet_mean, symm_fn
 from .stats import accuracy, auc_roc
 from .svm import SvmModel, svm_decision, svm_fit, svm_predict
 
@@ -54,7 +54,7 @@ class MdmModel:
 
 def mdm_fit(covs, labels) -> MdmModel:
     """Per-class Frechet means of the training covariances (an SpdStack or a
-    sequence of SpdMatrix)."""
+    sequence of SpdMatrix), each over its class's rows of the stack."""
     labels = np.asarray(labels)
     classes = tuple(sorted(set(labels.tolist())))
     if not classes:
@@ -62,7 +62,8 @@ def mdm_fit(covs, labels) -> MdmModel:
     covs = as_stack(covs)
     if len(covs) != labels.size:
         raise EmptyClass(f"{len(covs)} covariances for {labels.size} labels")
-    return MdmModel(classes, tuple(frechet_mean(covs[labels == cls]) for cls in classes))
+    return MdmModel(classes, tuple(frechet_mean(covs, rows=np.flatnonzero(labels == cls))
+                                   for cls in classes))
 
 
 def mdm_predict(model: MdmModel, covs):
@@ -107,10 +108,15 @@ def tangent_transform_many(tmap: TangentMap, covs) -> np.ndarray:
     covs = as_stack(covs)
     if covs.dim != tmap.dim:
         raise DimensionMismatch(f"covariance dim {covs.dim} vs map dim {tmap.dim}")
-    logs = _spectral(covs.values, "log", tmap.ref_inv_sqrt)
     rows, cols = np.triu_indices(tmap.dim)
     weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    return np.ascontiguousarray(logs[:, rows, cols] * weights)
+    out = np.empty((len(covs), tmap.output_len))
+    start = 0
+    for block in _blocks(covs.values):
+        stop = start + len(block)
+        out[start:stop] = _spectral(block, "log", tmap.ref_inv_sqrt)[:, rows, cols] * weights
+        start = stop
+    return out
 
 
 # -- the scoring rule -----------------------------------------------------

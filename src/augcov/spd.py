@@ -7,6 +7,14 @@ construction; SpdMatrix is the one-matrix case. The hot paths share one
 batched step, _spectral: whiten a stack by a reference's inverse square
 root, take one stacked eigendecomposition and apply f to the eigenvalues.
 Outputs are symmetrized, which damps the eigensolver's asymmetry drift.
+
+Memory model: the Frechet mean, the distances and the tangent features walk
+a stack in consecutive blocks of at most SPD_BLOCK_BYTES of matrices, so
+their peak memory is the live stack plus one block's working set (about
+four block-sized arrays) and small per-call matrices, whatever n is. A
+class mean reads its rows block by block instead of copying them out. The
+walk changes no result: per-matrix steps do not depend on the block, and
+sums add one matrix at a time in stack order, as numpy's axis-0 sum does.
 """
 
 from __future__ import annotations
@@ -30,6 +38,10 @@ EPS_SPD = 1e-10
 
 # Relative Frobenius asymmetry accepted before construction fails.
 SYM_RTOL = 1e-10
+
+# Bytes of matrices per block of the stack walks below (at least one
+# matrix): one matrix of size 91 or more, up to 455 matrices of size 6.
+SPD_BLOCK_BYTES = 1 << 17
 
 DEFAULT_MEAN_TOL = 1e-8
 DEFAULT_MEAN_MAX_ITER = 50
@@ -147,24 +159,57 @@ _SCALAR_FNS = {
     "inv_sqrt": lambda w: 1.0 / np.sqrt(w),
 }
 
-_NEEDS_POSITIVE = {"log", "sqrt", "inv_sqrt"}
+# fn None stands for the eigenvalues themselves, whose logs give a distance.
+_NEEDS_POSITIVE = {None, "log", "sqrt", "inv_sqrt"}
 
 
 def _spectral(stack: np.ndarray, fn: str | None, isqrt: np.ndarray | None = None):
     """U f(Lambda) U^T of every matrix of an (n, k, k) stack, whitened first
     as isqrt @ P @ isqrt when isqrt is given, from one stacked eigh and
-    symmetrized. fn=None returns the (n, k) eigenvalues instead."""
+    symmetrized. fn=None returns the (n, k) eigenvalues instead. For every
+    fn but "exp", an eigenvalue at or below zero raises NonPositiveEigenvalue."""
     whitened = sym(stack if isqrt is None else isqrt @ stack @ isqrt)
     if fn is None:
-        return np.linalg.eigvalsh(whitened)
-    w, u = np.linalg.eigh(whitened)
-    del whitened  # at SPD dimension 220 every (n, k, k) temporary counts
+        w = np.linalg.eigvalsh(whitened)
+    else:
+        w, u = np.linalg.eigh(whitened)
+    del whitened  # one block fewer under the reconstruction's temporaries
     lo = w[:, 0].min(initial=np.inf)
     if fn in _NEEDS_POSITIVE and lo <= 0.0:
+        what = "the affine-invariant distance" if fn is None else f"matrix {fn}"
         raise NonPositiveEigenvalue(
-            lo, f"matrix {fn} requires positive eigenvalues, smallest is {lo:.6e}"
+            lo, f"{what} requires positive eigenvalues, smallest is {lo:.6e}"
         )
+    if fn is None:
+        return w
     return sym((u * _SCALAR_FNS[fn](w)[:, None, :]) @ np.swapaxes(u, 1, 2))
+
+
+def _blocks(values: np.ndarray, rows=None):
+    """The matrices values[rows] (all of them when rows is None), in order,
+    as consecutive (m, k, k) blocks of at most SPD_BLOCK_BYTES and at least
+    one matrix; an empty stack is one empty block. Blocks of the whole stack
+    are views, blocks of rows are copies of one block each."""
+    step = max(1, SPD_BLOCK_BYTES // (values.itemsize * values.shape[-1] ** 2))
+    count = len(values) if rows is None else len(rows)
+    for start in range(0, max(count, 1), step):
+        part = slice(start, start + step)
+        yield values[part] if rows is None else values[rows[part]]
+
+
+def _mean(values: np.ndarray, rows=None, fn: str | None = None, isqrt=None) -> np.ndarray:
+    """Mean over the matrices P of values[rows] of _spectral(P, fn, isqrt),
+    or of P itself when fn is None, one block at a time. The sum adds one
+    matrix at a time in order, as numpy's axis-0 sum does, so it equals the
+    mean of the whole stack bit for bit."""
+    total = None
+    for block in _blocks(values, rows):
+        if fn is not None:
+            block = _spectral(block, fn, isqrt)
+        if total is not None:
+            block = np.concatenate([total[None], block])
+        total = block.sum(axis=0)
+    return total / (len(values) if rows is None else len(rows))
 
 
 def symm_fn(m: np.ndarray, fn: str) -> np.ndarray:
@@ -185,7 +230,8 @@ def distances_from(reference: SpdMatrix, stack: SpdStack) -> np.ndarray:
     sqrt(sum_i log^2 lambda_i) over the eigenvalues of
     reference^{-1/2} P reference^{-1/2}."""
     _check_dims(reference, stack)
-    w = _spectral(stack.values, None, symm_fn(reference.values, "inv_sqrt"))
+    isqrt = symm_fn(reference.values, "inv_sqrt")
+    w = np.concatenate([_spectral(block, None, isqrt) for block in _blocks(stack.values)])
     return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
 
 
@@ -223,9 +269,12 @@ def frechet_mean(
     mats,
     tol: float = DEFAULT_MEAN_TOL,
     max_iter: int = DEFAULT_MEAN_MAX_ITER,
+    rows=None,
 ) -> SpdMatrix:
-    """Geometric mean of an SpdStack (or a sequence of SpdMatrix) by
-    fixed-point iteration P <- Exp_P(mean_i Log_P(P_i)).
+    """Geometric mean of an SpdStack (or a sequence of SpdMatrix), or of the
+    stack's matrices at the indices rows, by fixed-point iteration
+    P <- Exp_P(mean_i Log_P(P_i)). Rows are read in place, never copied out
+    as a sub-stack.
 
     Initialized at the arithmetic mean (always SPD). Stops when the Frobenius
     norm of the tangent mean drops below tol, so the gradient condition
@@ -235,13 +284,16 @@ def frechet_mean(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     stack = as_stack(mats)
-    if len(stack) == 1:
-        return stack[0]
+    count = len(stack) if rows is None else len(rows)
+    if count == 0:
+        raise EmptyInput("need at least one matrix")
+    if count == 1:
+        return stack[0 if rows is None else rows[0]]
 
-    current = SpdMatrix(stack.values.mean(axis=0))
+    current = SpdMatrix(_mean(stack.values, rows))
     for iteration in range(max_iter + 1):
         p_sqrt, p_isqrt = _whitening_pair(current)
-        whitened_mean = sym(_spectral(stack.values, "log", p_isqrt).mean(axis=0))
+        whitened_mean = sym(_mean(stack.values, rows, "log", p_isqrt))
         tangent_mean = p_sqrt @ whitened_mean @ p_sqrt
         residual = float(np.linalg.norm(tangent_mean))
         if residual < tol:

@@ -3,7 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from augcov import classify, covariance, data, evaluate
+from augcov import classify, covariance, data, evaluate, spd
 from augcov.classify import PipelineSpec
 from augcov.covariance import Epoch
 from augcov.data import ArSpec, EpochSet, Session, generate_ar_dataset
@@ -107,6 +107,32 @@ class TestWithinSession:
             (0.8, 2, 1, 1.5, "rbf"),
             (0.44, 1, 1, 0.5, "linear"),
         ]
+
+
+def test_block_size_never_reaches_reports(monkeypatch):
+    """The SPD kernel's block budget changes memory, never results: a
+    cross-session ACM+MDM run and a within-session ACM+TANG+SVM grid give
+    the same report text and grid maps with one matrix per block as with
+    the default budget."""
+    epoch_set = generate_ar_dataset(ArSpec(
+        coefficients=[[], [[[0.0, -0.3], [0.3, 0.0]]]],
+        innovations=[np.eye(2), 0.91 * np.eye(2)],
+        lag=1, n_samples=96, epochs_per_class=12, seed=4, n_sessions=2,
+    ))
+    mdm = PipelineSpec(kind="ACM+MDM", order=4, lag=2)
+    grid = PipelineSpec(kind="ACM+TANG+SVM", param_source="grid",
+                        grid_orders=(1, 3), grid_lags=(1, 2), inner_folds=3)
+
+    def outputs():
+        cs = cross_session_eval(epoch_set, mdm, seed=1)
+        ws = within_session_eval(epoch_set, grid, folds=3, seed=2)
+        maps = [list(evaluate.grid_map_csv_rows(result)) for *_, result in ws.grid_maps]
+        return cs.to_json(), ws.to_json(), maps
+
+    default = outputs()
+    assert default[2]  # the grid wrote its maps
+    monkeypatch.setattr(spd, "SPD_BLOCK_BYTES", 1)
+    assert outputs() == default
 
 
 class TestCrossSession:

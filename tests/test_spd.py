@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from augcov import spd
 from augcov.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -10,8 +13,9 @@ from augcov.errors import (
     NonPositiveEigenvalue,
     NotSPD,
     NotSymmetric,
+    NumericalError,
 )
-from augcov.classify import tangent_fit, tangent_transform_many
+from augcov.classify import mdm_fit, tangent_fit, tangent_transform_many
 from augcov.spd import (
     EPS_SPD,
     SYM_RTOL,
@@ -163,6 +167,75 @@ class TestStackEqualsLoop:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert affine_invariant_distance(reference, stack[0]) == got[0]
 
+    @given(per_block=st.integers(1, 3), n=st.integers(2, 25), dim=st.integers(2, 8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_walk_across_block_boundaries(self, per_block, n, dim, seed):
+        """With a budget of 1-3 matrices per block, and n not a multiple of
+        it, every blocked result equals its per-matrix reference exactly."""
+        if per_block > 1 and n % per_block == 0:
+            n += 1
+        rng = np.random.default_rng(seed)
+        values = stack_of(rng, n, dim)
+        stack = SpdStack(values)
+        labels = rng.permutation(np.arange(n) % 2)
+        reference = random_spd(rng, dim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spd, "SPD_BLOCK_BYTES", per_block * values[0].nbytes)
+            mean = frechet_mean(stack)
+            model = mdm_fit(stack, labels)
+            tmap = tangent_fit(stack)
+            rows = tangent_transform_many(tmap, stack)
+            dists = distances_from(reference, stack)
+
+        assert np.array_equal(mean.values, _ref_frechet_mean(values))
+        for cls, class_mean in zip(model.class_labels, model.class_means):
+            members = values[labels == cls]
+            want = members[0] if len(members) == 1 else _ref_frechet_mean(members)
+            assert np.array_equal(class_mean.values, want)
+
+        iu = np.triu_indices(dim)
+        weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+        isqrt = tmap.ref_inv_sqrt
+        want = np.stack([_ref_fn(isqrt @ v @ isqrt, np.log)[iu] * weights for v in values])
+        assert np.array_equal(rows, want)
+
+        isqrt = _ref_fn(reference.values, lambda w: 1.0 / np.sqrt(w))
+        whitened = [isqrt @ v @ isqrt for v in values]
+        want = [np.sqrt(np.sum(np.log(np.linalg.eigvalsh(0.5 * (m + m.T))) ** 2)) for m in whitened]
+        assert np.array_equal(dists, want)
+
+
+class TestBlockedMemory:
+    """The stack walks hold one block's temporaries, not copies of the stack:
+    32 matrices of size 96 span several blocks, and each call's traced peak
+    beyond its live inputs (and the feature rows it returns) stays under half
+    the stack's bytes."""
+
+    @staticmethod
+    def _peak_beyond(result_of):
+        tracemalloc.start()
+        try:
+            result = result_of()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - (result.nbytes if isinstance(result, np.ndarray) else 0)
+
+    def test_peak_under_half_the_stack(self):
+        rng = np.random.default_rng(7)
+        n, dim = 32, 96
+        a = rng.standard_normal((n, dim, 2 * dim))
+        stack = SpdStack(a @ np.swapaxes(a, 1, 2) / (2 * dim) + 0.1 * np.eye(dim))
+        assert len(stack) > 2 * max(1, spd.SPD_BLOCK_BYTES // stack.values[0].nbytes)
+        labels = np.arange(n) % 2
+        tmap = tangent_fit(stack)
+        reference = stack[3]
+        budget = stack.values.nbytes / 2
+        assert self._peak_beyond(lambda: mdm_fit(stack, labels)) < budget
+        assert self._peak_beyond(lambda: distances_from(reference, stack)) < budget
+        assert self._peak_beyond(lambda: tangent_transform_many(tmap, stack)) < budget
+
 
 class TestSymmFn:
     def test_log_of_identity_is_zero(self):
@@ -253,6 +326,19 @@ class TestDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             affine_invariant_distance(SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3)))
+
+    def test_rounded_away_eigenvalue_raises(self):
+        """Two matrices of condition 10^9.5 pass the SPD check, but whitening
+        one by the other rounds an eigenvalue to zero or below: the distance
+        raises instead of returning NaN."""
+        rng = np.random.default_rng(0)
+        mats = []
+        for _ in range(2):
+            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            mats.append(q @ np.diag(np.logspace(0.0, -9.5, 6)) @ q.T)
+        with pytest.raises(NonPositiveEigenvalue, match="distance requires positive") as err:
+            distances_from(SpdMatrix(mats[1]), SpdStack(np.stack(mats)))
+        assert isinstance(err.value, NumericalError) and err.value.eigenvalue <= 0.0
 
     @given(dim=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
