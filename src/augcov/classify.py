@@ -119,7 +119,27 @@ def tangent_transform_many(tmap: TangentMap, covs) -> np.ndarray:
     return out
 
 
-# -- the scoring rule -----------------------------------------------------
+# -- the classifier head -------------------------------------------------
+
+def _head_inputs(kind, train, *others):
+    """(tangent map, head inputs of train and of each other stack). SVM kinds
+    fit the map on the training stack and feed the SVM each stack's tangent
+    features; MDM kinds have no map and feed MDM the stacks themselves."""
+    tmap = tangent_fit(train) if kind.endswith("SVM") else None
+    return tmap, [_map_to_head(tmap, covs) for covs in (train, *others)]
+
+
+def _map_to_head(tmap, covs):
+    return covs if tmap is None else tangent_transform_many(tmap, covs)
+
+
+def _fit_head(kind, x, y, c, kernel):
+    """Train a kind's head on its inputs: an SVM on tangent features, or MDM
+    on covariances."""
+    if kind.endswith("SVM"):
+        return svm_fit(x, y, c=c, kernel=kernel)
+    return mdm_fit(x, y)
+
 
 def _head_decision(model, x) -> np.ndarray:
     """Binary ranking scores of a trained SVM (on tangent features) or MDM
@@ -137,10 +157,12 @@ def _head_predict(model, x) -> np.ndarray:
     return mdm_predict(model, x)[0]
 
 
-def score_split(model, x_test, y_test, classes) -> tuple:
-    """Score a test split: AUC of the decision against y == classes[1] when
-    training saw two classes, else accuracy of the predicted labels. Returns
-    (value, metric); the inner CV and the outer splits both score here."""
+def score_split(model, x_test, y_test) -> tuple:
+    """Score a test split: AUC of the decision against y == the model's
+    second class when training saw two classes, else accuracy of the
+    predicted labels. Returns (value, metric); the inner CV and the outer
+    splits both score here."""
+    classes = model.class_labels
     if len(classes) == 2:
         positive = np.asarray(y_test) == classes[1]
         return auc_roc(_head_decision(model, x_test), positive), "auc"
@@ -168,9 +190,7 @@ class PipelineSpec:
     estimator_max_lag: int = emb.MDOP_DEFAULT_MAX_LAG
     ami_bins: int = emb.AMI_DEFAULT_BINS
     cao_max_dim: int = 8
-    cao_threshold: float = emb.CAO_DEFAULT_THRESHOLD
     mdop_max_cycles: int = 8
-    fnn_threshold: float = 0.05
 
     def __post_init__(self):
         if self.kind not in PIPELINE_KINDS:
@@ -189,8 +209,11 @@ class PipelineSpec:
                 raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
         if not all((self.grid_orders, self.grid_lags, self.grid_c, self.grid_kernels)):
             raise InvalidSetting("the order, lag, C and kernel grids must not be empty")
-        emb.check_settings(max_lag=self.estimator_max_lag, bins=self.ami_bins,
-                           max_dim=self.cao_max_dim, max_cycles=self.mdop_max_cycles)
+        emb.check_settings(order=self.order, lag=self.lag, max_lag=self.estimator_max_lag,
+                           bins=self.ami_bins, max_dim=self.cao_max_dim,
+                           max_cycles=self.mdop_max_cycles)
+        for order, lag in itertools.product(self.grid_orders, self.grid_lags):
+            emb.check_settings(order=order, lag=lag)
 
     @property
     def is_augmented(self) -> bool:
@@ -209,40 +232,44 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class FittedPipeline:
-    """Immutable trained pipeline state."""
+    """Immutable trained pipeline state: the head's model, and the tangent
+    map that feeds it (None for MDM kinds)."""
 
     spec: PipelineSpec
-    class_labels: tuple
     params: AugmentedParams
     shrink: bool
-    mdm_model: MdmModel | None = None
+    model: MdmModel | SvmModel
     tangent_map: TangentMap | None = None
-    svm_model: SvmModel | None = None
-    chosen_c: float | None = None
-    chosen_kernel: str | None = None
     grid_result: "GridSearchResult | None" = None
     embedding_estimate: emb.EmbeddingEstimate | None = None
 
-    def _apply(self, fn, epochs, *args):
-        """fn(head, head inputs, *args) on the epochs' covariances, or on
-        their tangent features for SVM kinds."""
-        covs = covariance_stack(epochs, self.params, self.shrink)
-        if self.spec.uses_svm:
-            return fn(self.svm_model, tangent_transform_many(self.tangent_map, covs), *args)
-        return fn(self.mdm_model, covs, *args)
+    @property
+    def class_labels(self) -> tuple:
+        return self.model.class_labels
+
+    @property
+    def chosen_c(self) -> float | None:
+        return getattr(self.model, "C", None)
+
+    @property
+    def chosen_kernel(self) -> str | None:
+        return getattr(self.model, "kernel", None)
+
+    def _inputs(self, epochs):
+        return _map_to_head(self.tangent_map, covariance_stack(epochs, self.params, self.shrink))
 
     def predict(self, epochs) -> np.ndarray:
-        return self._apply(_head_predict, epochs)
+        return _head_predict(self.model, self._inputs(epochs))
 
     def decision_scores(self, epochs) -> np.ndarray:
         """Binary ranking scores (larger = second class); binary models only."""
         if len(self.class_labels) != 2:
             raise ValueError("decision scores are defined for binary problems")
-        return self._apply(_head_decision, epochs)
+        return _head_decision(self.model, self._inputs(epochs))
 
     def score(self, epochs, labels) -> tuple:
         """(value, metric) of the epochs under score_split."""
-        return self._apply(score_split, epochs, labels, self.class_labels)
+        return score_split(self.model, self._inputs(epochs), labels)
 
 
 # -- grid search ----------------------------------------------------------
@@ -288,31 +315,15 @@ def stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator)
     return [(everything[fold_of != f], everything[fold_of == f]) for f in range(n_folds)]
 
 
-def _score_fold_view(kind, view, c, kernel):
-    """Fit one classifier head on a prepared train view and score its test
-    view; for SVM kinds the views are tangent feature matrices, for MDM they
-    are covariance stacks."""
-    train, y_train, test, y_test = view
-    if kind.endswith("SVM"):
-        model = svm_fit(train, y_train, c=c, kernel=kernel)
-    else:
-        model = mdm_fit(train, y_train)
-    return score_split(model, test, y_test, sorted(set(np.asarray(y_train).tolist())))[0]
-
-
 def _score_cell(kind, covs, labels, folds, param_grid):
     """Inner-CV fold scores of one (order, lag) cell, one list per (C, kernel)."""
-    # the tangent map depends on (order, lag, fold) only, so build the
-    # per-fold feature matrices once and reuse them for every (C, kernel)
-    fold_views = []
-    for train_idx, test_idx in folds:
-        train, test = covs[train_idx], covs[test_idx]
-        if kind.endswith("SVM"):
-            tmap = tangent_fit(train)
-            train, test = tangent_transform_many(tmap, train), tangent_transform_many(tmap, test)
-        fold_views.append((train, labels[train_idx], test, labels[test_idx]))
+    # the tangent map depends on (order, lag, fold) only, so each fold's head
+    # inputs are built once and reused for every (C, kernel)
+    fold_inputs = [(_head_inputs(kind, covs[train], covs[test])[1], labels[train], labels[test])
+                   for train, test in folds]
     return [
-        [_score_fold_view(kind, view, c, kernel) for view in fold_views]
+        [score_split(_fit_head(kind, x_train, y_train, c, kernel), x_test, y_test)[0]
+         for (x_train, x_test), y_train, y_test in fold_inputs]
         for c, kernel in param_grid
     ]
 
@@ -398,13 +409,11 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
     search runs only when the source leaves more than one candidate."""
     estimate = None
     if spec.param_source == "ami_cao":
-        estimate = emb.estimate_traditional(
-            epochs, max_lag=spec.estimator_max_lag,
-            bins=spec.ami_bins, max_dim=spec.cao_max_dim, threshold=spec.cao_threshold)
+        estimate = emb.estimate_traditional(epochs, max_lag=spec.estimator_max_lag,
+                                            bins=spec.ami_bins, max_dim=spec.cao_max_dim)
     elif spec.param_source == "mdop":
-        estimate = emb.mdop_unified(
-            epochs, max_cycles=spec.mdop_max_cycles,
-            fnn_threshold=spec.fnn_threshold, max_lag=spec.estimator_max_lag)
+        estimate = emb.mdop_unified(epochs, max_cycles=spec.mdop_max_cycles,
+                                    max_lag=spec.estimator_max_lag)
 
     if estimate is not None:
         orders, lags = (estimate.dim,), (estimate.tau,)
@@ -443,18 +452,7 @@ def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0) -> FittedPip
     )
     shrink = spec.shrink if spec.shrink is not None else params.order > 1
 
-    covs = covariance_stack(epochs, params, shrink)
-    classes = tuple(sorted(set(labels.tolist())))
-    if not spec.uses_svm:
-        return FittedPipeline(
-            spec=spec, class_labels=classes, params=params, shrink=shrink,
-            mdm_model=mdm_fit(covs, labels), grid_result=grid_result,
-            embedding_estimate=estimate,
-        )
-    tmap = tangent_fit(covs)
-    model = svm_fit(tangent_transform_many(tmap, covs), labels, c=c, kernel=kernel)
-    return FittedPipeline(
-        spec=spec, class_labels=classes, params=params, shrink=shrink,
-        tangent_map=tmap, svm_model=model, chosen_c=c, chosen_kernel=kernel,
-        grid_result=grid_result, embedding_estimate=estimate,
-    )
+    tmap, (x,) = _head_inputs(spec.kind, covariance_stack(epochs, params, shrink))
+    return FittedPipeline(spec=spec, params=params, shrink=shrink,
+                          model=_fit_head(spec.kind, x, labels, c, kernel), tangent_map=tmap,
+                          grid_result=grid_result, embedding_estimate=estimate)

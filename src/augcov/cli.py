@@ -65,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--param-source", choices=PARAM_SOURCES, default="fixed")
     ev.add_argument("--order", type=int, default=1)
     ev.add_argument("--lag", type=int, default=1)
-    ev.add_argument("--eval", dest="eval_mode", choices=("ws", "cs"), default="ws")
+    ev.add_argument("--eval", choices=("ws", "cs"), default="ws")
     ev.add_argument("--folds", type=int, default=5)
     ev.add_argument("--seed", type=int, required=True)
     ev.add_argument("--grid-max-order", type=int, default=10)
@@ -100,8 +100,13 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
-    manifest = {"command": command, "config": config, "versions": _versions()}
+def _write_manifest(out_dir: Path, args) -> None:
+    """manifest.json: the command, every parsed setting but the output
+    directory and the worker count (neither changes a result), and the
+    versions."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "out", "workers")}
+    manifest = {"command": args.command, "config": config, "versions": _versions()}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
@@ -159,10 +164,7 @@ def _cmd_estimate_params(args) -> int:
                       allow_nan=False) + "\n"
     (out_dir / "params.json").write_text(text)
     sys.stdout.write(text)
-    _write_manifest(out_dir, "estimate-params", {
-        "input": args.input, "method": args.method, "max_lag": args.max_lag,
-        "bins": args.bins, "max_dim": args.max_dim, "max_cycles": args.max_cycles,
-    })
+    _write_manifest(out_dir, args)
     return 0
 
 
@@ -176,7 +178,6 @@ def _resolve_workers(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    epoch_set = read_epochset(args.input)
     spec = PipelineSpec(
         kind=args.pipeline,
         param_source=args.param_source,
@@ -189,8 +190,9 @@ def _cmd_evaluate(args) -> int:
         grid_lags=tuple(range(1, args.grid_max_lag + 1)),
         inner_folds=args.folds,
     )
+    epoch_set = read_epochset(args.input)
     workers = _resolve_workers(args)
-    if args.eval_mode == "ws":
+    if args.eval == "ws":
         report = within_session_eval(epoch_set, spec, args.folds, args.seed,
                                      args.dataset_id, workers)
     else:
@@ -206,14 +208,7 @@ def _cmd_evaluate(args) -> int:
         stem = f"gridmap_{session}_{split}".replace(":", "_")
         write_csv(grid_map_csv_rows(grid), out_dir / f"{stem}.csv")
         (out_dir / f"{stem}.svg").write_text(_grid_svg(grid))
-    _write_manifest(out_dir, "evaluate", {
-        "input": args.input, "pipeline": args.pipeline,
-        "param_source": args.param_source, "order": args.order, "lag": args.lag,
-        "eval": args.eval_mode, "folds": args.folds, "seed": args.seed,
-        "grid_max_order": args.grid_max_order, "grid_max_lag": args.grid_max_lag,
-        "shrink": args.shrink, "svm_c": args.svm_c, "svm_kernel": args.svm_kernel,
-        "dataset_id": args.dataset_id,
-    })
+    _write_manifest(out_dir, args)
     print(
         f"{report.pipeline} [{report.eval_mode}] on {args.input}: "
         f"{report.mean:.4f} +/- {report.std:.4f} over {len(report.scores)} splits"
@@ -279,9 +274,7 @@ def _cmd_stats(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "meta.json").write_text(text)
-        _write_manifest(out_dir, "stats", {
-            "reports": list(args.reports), "seed": args.seed,
-        })
+        _write_manifest(out_dir, args)
     sys.stdout.write(text)
     return 0
 

@@ -53,8 +53,8 @@ class CaoResult:
 
 def check_settings(**settings) -> None:
     """InvalidSetting unless each of bins and max_dim is an integer >= 2 and
-    each of max_lag, tau and max_cycles one >= 1; the one check of the
-    estimator entry points and of PipelineSpec."""
+    each other setting (max_lag, tau, max_cycles, order, lag) one >= 1; the
+    one check of the estimator entry points and of PipelineSpec."""
     for name, value in settings.items():
         low = 2 if name in ("bins", "max_dim") else 1
         if not isinstance(value, (int, np.integer)) or value < low:

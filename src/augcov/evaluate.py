@@ -181,8 +181,8 @@ def _score_split(epochs, labels, spec: PipelineSpec, split):
         metric=metric,
         order=fitted.params.order,
         lag=fitted.params.lag,
-        svm_c=fitted.chosen_c if spec.uses_svm else None,
-        svm_kernel=fitted.chosen_kernel if spec.uses_svm else None,
+        svm_c=fitted.chosen_c,
+        svm_kernel=fitted.chosen_kernel,
     )
     timings = [(session_id, split_id, "fit", fitted_at - start),
                (session_id, split_id, "predict", perf_counter() - fitted_at)]

@@ -302,10 +302,41 @@ class TestFitPipeline:
     @pytest.mark.parametrize("setting,value", [
         ("ami_bins", 0), ("ami_bins", 1), ("estimator_max_lag", 0),
         ("cao_max_dim", 1), ("mdop_max_cycles", 0), ("ami_bins", 16.0),
+        ("order", 0), ("lag", 0), ("order", 2.0), ("grid_orders", (1, 0)),
+        ("grid_lags", (2, 0)),
     ])
     def test_bad_estimator_settings_rejected(self, setting, value):
         with pytest.raises(InvalidSetting):
             PipelineSpec(kind="ACM+MDM", param_source="ami_cao", **{setting: value})
+
+
+@pytest.mark.parametrize("kind,grid", [
+    ("MDM", dict(orders=(1,), lags=(1, 2))),
+    ("ACM+MDM", dict(orders=(1, 3), lags=(2,))),
+    ("TANG+SVM", dict(orders=(1,), lags=(1,), c_grid=(0.5, 1.5), kernel_grid=("rbf",))),
+    ("ACM+TANG+SVM", dict(orders=(1, 2), lags=(1,), c_grid=(1.5,),
+                          kernel_grid=("linear",))),
+])
+def test_inner_cv_cell_is_the_fitted_pipeline_score(kind, grid):
+    """A grid cell's inner-CV score is, exactly, the mean over the search's
+    folds of what fit_pipeline with that cell as fixed settings scores on
+    the held-out fold: the two paths train and score one head alike."""
+    epoch_set = generate_ar_dataset(ArSpec(
+        coefficients=[[], [[[0.0, -0.2], [0.2, 0.0]]]],
+        innovations=[np.eye(2), 0.96 * np.eye(2)],
+        lag=1, n_samples=64, epochs_per_class=15, seed=3,
+    ))
+    epochs, labels = epoch_set.all_epochs()
+    result = grid_search(epochs, labels, kind, inner_folds=3, seed=4, **grid)
+    folds = stratified_folds(labels, 3, np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(4))))
+    assert len(result.cells) == 2
+    for cell in result.cells:
+        spec = PipelineSpec(kind=kind, order=cell.order, lag=cell.lag,
+                            svm_c=cell.c or 1.0, svm_kernel=cell.kernel or "linear")
+        scores = [fit_pipeline(spec, epochs[train], labels[train])
+                  .score(epochs[test], labels[test])[0] for train, test in folds]
+        assert cell.score == float(np.mean(scores))
 
 
 class TestGridSearchInvariants:

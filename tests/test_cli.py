@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import augcov
-from augcov.cli import main
+from augcov.cli import _parser, main
 
 
 def run_cli(capsys, *argv):
@@ -193,7 +194,18 @@ class TestEvaluate:
         assert report["aggregate"]["mean"] >= 0.99
         assert (tmp_path / "run" / "scores.csv").exists()
         assert (tmp_path / "run" / "timing.csv").exists()
-        assert (tmp_path / "run" / "manifest.json").exists()
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["command"] == "evaluate"
+        # every evaluate option but where the output goes and the worker count
+        sub = next(a for a in _parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest for a in sub.choices["evaluate"]._actions} - {"help"}
+        assert set(manifest["config"]) == options - {"out", "workers"} == {
+            "input", "pipeline", "param_source", "order", "lag", "eval", "folds",
+            "seed", "grid_max_order", "grid_max_lag", "shrink", "svm_c",
+            "svm_kernel", "dataset_id",
+        }
+        assert (manifest["config"]["eval"], manifest["config"]["folds"]) == ("ws", 4)
 
     def test_cs_single_session_exit_2(self, tmp_path, capsys):
         spec = ar_spec_json(tmp_path, seed=2)
@@ -270,7 +282,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("flag,value", [
         ("--folds", "0"), ("--folds", "1"), ("--svm-c", "-1"), ("--svm-c", "0"),
         ("--svm-c", "nan"), ("--svm-c", "inf"), ("--grid-max-order", "0"),
-        ("--grid-max-lag", "0"),
+        ("--grid-max-lag", "0"), ("--order", "0"), ("--lag", "0"),
     ])
     def test_bad_setting_exit_2(self, tmp_path, capsys, flag, value):
         spec = ar_spec_json(tmp_path, seed=9)
