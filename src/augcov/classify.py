@@ -26,13 +26,13 @@ from .errors import (
 )
 from .spd import SpdMatrix, _blocks, _spectral, as_stack, distances_from, frechet_mean, symm_fn
 from .stats import accuracy, auc_roc
-from .svm import SvmModel, svm_decision, svm_fit, svm_predict
+from .svm import KERNELS, SvmModel, svm_decision, svm_fit, svm_predict
 
 PIPELINE_KINDS = ("MDM", "ACM+MDM", "TANG+SVM", "ACM+TANG+SVM")
-PARAM_SOURCES = ("fixed", "grid", "ami_cao", "mdop")
+PARAM_SOURCES = ("fixed", "grid", *emb.METHODS)
 
 TABLE_C_GRID = (0.5, 1.0, 1.5)
-TABLE_KERNEL_GRID = ("linear", "rbf")
+TABLE_KERNEL_GRID = KERNELS
 TABLE_ORDER_GRID = tuple(range(1, 11))
 TABLE_LAG_GRID = tuple(range(1, 11))
 
@@ -189,15 +189,15 @@ class PipelineSpec:
     inner_folds: int = 5
     estimator_max_lag: int = emb.MDOP_DEFAULT_MAX_LAG
     ami_bins: int = emb.AMI_DEFAULT_BINS
-    cao_max_dim: int = 8
-    mdop_max_cycles: int = 8
+    cao_max_dim: int = emb.CAO_DEFAULT_MAX_DIM
+    mdop_max_cycles: int = emb.MDOP_DEFAULT_MAX_CYCLES
 
     def __post_init__(self):
         if self.kind not in PIPELINE_KINDS:
             raise InvalidSetting(f"unknown pipeline kind {self.kind!r}")
         if self.param_source not in PARAM_SOURCES:
             raise InvalidSetting(f"unknown param source {self.param_source!r}")
-        if not self.is_augmented and self.param_source in ("ami_cao", "mdop"):
+        if not self.is_augmented and self.param_source in emb.METHODS:
             raise InvalidSetting(
                 f"{self.kind} has no stacking parameters to estimate with "
                 f"{self.param_source}"
@@ -207,6 +207,9 @@ class PipelineSpec:
         for c in (self.svm_c, *self.grid_c):
             if not (np.isfinite(c) and c > 0):
                 raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
+        for kernel in (self.svm_kernel, *self.grid_kernels):
+            if kernel not in KERNELS:
+                raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
         if not all((self.grid_orders, self.grid_lags, self.grid_c, self.grid_kernels)):
             raise InvalidSetting("the order, lag, C and kernel grids must not be empty")
         emb.check_settings(order=self.order, lag=self.lag, max_lag=self.estimator_max_lag,
@@ -299,15 +302,21 @@ class GridSearchResult:
     ties: tuple  # cells whose score equals the best before tie-breaking
 
 
-def stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator):
+def stratified_folds(labels: np.ndarray, n_folds: int, seed, where: str = "the inner CV"):
     """Seeded stratified K-fold: per-class shuffle, round-robin assignment.
 
-    Returns a list of (train_idx, test_idx) arrays; every class lands in
-    every fold when it has at least n_folds members.
+    Returns a list of (train_idx, test_idx) arrays with every class in every
+    fold. seed (a SeedSequence, or an int) seeds the PCG64 shuffles; a class
+    with fewer than n_folds members raises TooFewSamples naming `where`.
     """
     labels = np.asarray(labels)
+    counts = {cls: int(np.sum(labels == cls)) for cls in sorted(set(labels.tolist()))}
+    if min(counts.values(), default=0) < n_folds:
+        raise TooFewSamples(f"{where} needs >= {n_folds} samples per class for "
+                            f"{n_folds}-fold CV, got {counts}")
+    rng = np.random.Generator(np.random.PCG64(seed))
     fold_of = np.empty(labels.size, dtype=int)
-    for cls in sorted(set(labels.tolist())):
+    for cls in counts:
         idx = np.nonzero(labels == cls)[0]
         perm = rng.permutation(idx.size)
         fold_of[idx[perm]] = np.arange(idx.size) % n_folds
@@ -353,17 +362,11 @@ def grid_search(
     if len(epochs) == 0 or labels.size != len(epochs):
         raise TooFewSamples("grid search needs one label per epoch")
     epochs = as_epochs(epochs)
-    counts = {cls: int(np.sum(labels == cls)) for cls in sorted(set(labels.tolist()))}
-    if min(counts.values()) < inner_folds:
-        raise TooFewSamples(
-            f"every class needs >= {inner_folds} samples for the inner CV, got {counts}"
-        )
+    folds = stratified_folds(labels, inner_folds, np.random.SeedSequence(seed))
     uses_svm = kind.endswith("SVM")
     param_grid = (
         list(itertools.product(c_grid, kernel_grid)) if uses_svm else [(None, None)]
     )
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    folds = stratified_folds(labels, inner_folds, rng)
 
     cells = []
     best = None  # (score, cell)
@@ -408,12 +411,10 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
     (params, c, kernel, grid_result, embedding_estimate). The inner-CV grid
     search runs only when the source leaves more than one candidate."""
     estimate = None
-    if spec.param_source == "ami_cao":
-        estimate = emb.estimate_traditional(epochs, max_lag=spec.estimator_max_lag,
-                                            bins=spec.ami_bins, max_dim=spec.cao_max_dim)
-    elif spec.param_source == "mdop":
-        estimate = emb.mdop_unified(epochs, max_cycles=spec.mdop_max_cycles,
-                                    max_lag=spec.estimator_max_lag)
+    if spec.param_source in emb.METHODS:
+        estimate = emb.estimate(epochs, spec.param_source, max_lag=spec.estimator_max_lag,
+                                bins=spec.ami_bins, max_dim=spec.cao_max_dim,
+                                max_cycles=spec.mdop_max_cycles)
 
     if estimate is not None:
         orders, lags = (estimate.dim,), (estimate.tau,)

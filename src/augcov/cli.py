@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import embedding as emb
 from .classify import PARAM_SOURCES, PIPELINE_KINDS, PipelineSpec
 from .data import (
     ar_spec_from_dict,
@@ -25,17 +26,17 @@ from .data import (
     read_epochset,
     write_epochset,
 )
-from .embedding import curve_to_csv, estimate_traditional, mdop_unified
 from .errors import AugcovError, ConfigError
 from .evaluate import (
     EvalReport,
+    canonical_json,
     cross_session_eval,
     grid_map_csv_rows,
     meta_analysis,
-    timing_summary,
     within_session_eval,
     write_csv,
 )
+from .svm import KERNELS
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -52,11 +53,11 @@ def _parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate-params", help="estimate (tau, D) from a container")
     est.add_argument("--input", required=True)
-    est.add_argument("--method", choices=("ami_cao", "mdop"), default="ami_cao")
-    est.add_argument("--max-lag", type=int, default=10)
-    est.add_argument("--bins", type=int, default=16)
-    est.add_argument("--max-dim", type=int, default=8)
-    est.add_argument("--max-cycles", type=int, default=8)
+    est.add_argument("--method", choices=emb.METHODS, default="ami_cao")
+    est.add_argument("--max-lag", type=int, default=emb.MDOP_DEFAULT_MAX_LAG)
+    est.add_argument("--bins", type=int, default=emb.AMI_DEFAULT_BINS)
+    est.add_argument("--max-dim", type=int, default=emb.CAO_DEFAULT_MAX_DIM)
+    est.add_argument("--max-cycles", type=int, default=emb.MDOP_DEFAULT_MAX_CYCLES)
     est.add_argument("--out", required=True, help="output directory")
 
     ev = sub.add_parser("evaluate", help="run a pipeline evaluation")
@@ -72,10 +73,10 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--grid-max-lag", type=int, default=10)
     ev.add_argument("--shrink", choices=("auto", "on", "off"), default="auto")
     ev.add_argument("--svm-c", type=float, default=1.0)
-    ev.add_argument("--svm-kernel", choices=("linear", "rbf"), default="linear")
+    ev.add_argument("--svm-kernel", choices=KERNELS, default="linear")
     ev.add_argument("--dataset-id", default="default")
-    ev.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: ACM_WORKERS or machine parallelism)")
+    ev.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                    help="worker processes (default: machine parallelism)")
     ev.add_argument("--out", required=True, help="output directory")
 
     st = sub.add_parser("stats", help="meta-analysis over evaluation reports")
@@ -130,29 +131,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate_params(args) -> int:
-    epochs = read_epochset(args.input).all_epochs()[0]
-    if args.method == "ami_cao":
-        est = estimate_traditional(
-            epochs, max_lag=args.max_lag, bins=args.bins, max_dim=args.max_dim
-        )
+    est = emb.estimate(read_epochset(args.input).all_epochs()[0], args.method,
+                       max_lag=args.max_lag, bins=args.bins, max_dim=args.max_dim,
+                       max_cycles=args.max_cycles)
+    # diagnostics key: (file name, header, values numbered from 1)
+    if est.method == "ami_cao":
+        tables = {"ami_curve": ("ami_curve.csv", ["lag", "value"], est.ami_curve.tolist()),
+                  "cao_e1_curve": ("cao_e1_curve.csv", ["lag", "value"], est.e1_curve.tolist())}
     else:
-        est = mdop_unified(epochs, max_cycles=args.max_cycles, max_lag=args.max_lag)
+        tables = {"cycle_lags": ("mdop_cycle_lags.csv", ["cycle", "lag"], est.cycle_lags)}
     # made only once there is an estimate, so a rejected run leaves nothing
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.method == "ami_cao":
-        ami_path = out_dir / "ami_curve.csv"
-        e1_path = out_dir / "cao_e1_curve.csv"
-        curve_to_csv(est.ami_curve, ami_path)
-        curve_to_csv(est.e1_curve, e1_path)
-        diagnostics = {"ami_curve": str(ami_path), "cao_e1_curve": str(e1_path)}
-    else:
-        lag_path = out_dir / "mdop_cycle_lags.csv"
-        write_csv(
-            [["cycle", "lag"]] + [[i + 1, lag] for i, lag in enumerate(est.cycle_lags)],
-            lag_path,
-        )
-        diagnostics = {"cycle_lags": str(lag_path)}
+    diagnostics = {}
+    for key, (name, header, values) in tables.items():
+        write_csv([header, *([i, v] for i, v in enumerate(values, start=1))], out_dir / name)
+        diagnostics[key] = str(out_dir / name)
     payload = {
         "tau": est.tau,
         "D": est.dim,
@@ -160,21 +154,11 @@ def _cmd_estimate_params(args) -> int:
         "flags": list(est.flags),
         "diagnostics": diagnostics,
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+    text = canonical_json(payload)
     (out_dir / "params.json").write_text(text)
     sys.stdout.write(text)
     _write_manifest(out_dir, args)
     return 0
-
-
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("ACM_WORKERS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _cmd_evaluate(args) -> int:
@@ -191,19 +175,18 @@ def _cmd_evaluate(args) -> int:
         inner_folds=args.folds,
     )
     epoch_set = read_epochset(args.input)
-    workers = _resolve_workers(args)
     if args.eval == "ws":
         report = within_session_eval(epoch_set, spec, args.folds, args.seed,
-                                     args.dataset_id, workers)
+                                     args.dataset_id, args.workers)
     else:
-        report = cross_session_eval(epoch_set, spec, args.seed, args.dataset_id, workers)
+        report = cross_session_eval(epoch_set, spec, args.seed, args.dataset_id,
+                                    args.workers)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json())
     write_csv(report.scores_csv_rows(), out_dir / "scores.csv")
     write_csv(report.timings_csv_rows(), out_dir / "timing.csv")
-    write_csv(timing_summary(report), out_dir / "timing_summary.csv")
     for session, split, grid in report.grid_maps:
         stem = f"gridmap_{session}_{split}".replace(":", "_")
         write_csv(grid_map_csv_rows(grid), out_dir / f"{stem}.csv")

@@ -9,7 +9,6 @@ extremum is taken.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,11 @@ import numpy as np
 from .covariance import AugmentedParams
 from .errors import ConstantSeries, InvalidSetting, TooShort
 
+METHODS = ("ami_cao", "mdop")  # the estimators behind estimate()
 AMI_DEFAULT_BINS = 16
+CAO_DEFAULT_MAX_DIM = 8
 CAO_DEFAULT_THRESHOLD = 0.05
+MDOP_DEFAULT_MAX_CYCLES = 8
 MDOP_DEFAULT_MAX_LAG = 10
 FNN_RATIO = 10.0  # Kennel false-neighbor distance ratio
 NN_BLOCK = 64  # rows per neighbour-search block: 64 x n float64, 0.4 MB at n = 768
@@ -283,7 +285,7 @@ def _mdop_cycle_stats(series, delays, candidates):
 
 def mdop_unified(
     epochs,
-    max_cycles: int = 8,
+    max_cycles: int = MDOP_DEFAULT_MAX_CYCLES,
     fnn_threshold: float = 0.05,
     max_lag: int = MDOP_DEFAULT_MAX_LAG,
 ) -> EmbeddingEstimate:
@@ -349,7 +351,7 @@ def estimate_traditional(
     epochs,
     max_lag: int = MDOP_DEFAULT_MAX_LAG,
     bins: int = AMI_DEFAULT_BINS,
-    max_dim: int = 8,
+    max_dim: int = CAO_DEFAULT_MAX_DIM,
     threshold: float = CAO_DEFAULT_THRESHOLD,
 ) -> EmbeddingEstimate:
     """AMI delay followed by Cao dimension (the two-step route)."""
@@ -373,16 +375,22 @@ def estimate_traditional(
     return est
 
 
+def estimate(epochs, method: str, *, max_lag: int = MDOP_DEFAULT_MAX_LAG,
+             bins: int = AMI_DEFAULT_BINS, max_dim: int = CAO_DEFAULT_MAX_DIM,
+             max_cycles: int = MDOP_DEFAULT_MAX_CYCLES) -> EmbeddingEstimate:
+    """(tau, dim) of an epoch stack by one of METHODS: "ami_cao" runs
+    estimate_traditional (max_lag, bins, max_dim), "mdop" runs mdop_unified
+    (max_cycles, max_lag). Every setting is checked, the unused ones too, as
+    PipelineSpec checks them."""
+    check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim, max_cycles=max_cycles)
+    if method == "ami_cao":
+        return estimate_traditional(epochs, max_lag=max_lag, bins=bins, max_dim=max_dim)
+    if method == "mdop":
+        return mdop_unified(epochs, max_cycles=max_cycles, max_lag=max_lag)
+    raise InvalidSetting(f"unknown estimator {method!r}, expected one of {METHODS}")
+
+
 def _check_fits(est: EmbeddingEstimate, n_samples: int) -> None:
     """An estimate must be an (order, lag) that evaluate accepts for these
     epochs: LagTooLarge unless (dim-1)*tau < T - 1."""
     AugmentedParams(est.dim, est.tau).check_length(n_samples)
-
-
-def curve_to_csv(curve: np.ndarray, path, start: int = 1) -> None:
-    """Write a diagnostic curve as lag,value rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "value"])
-        for i, v in enumerate(curve, start=start):
-            writer.writerow([i, repr(float(v))])

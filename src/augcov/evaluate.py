@@ -28,7 +28,6 @@ from .errors import (
     InvalidSetting,
     PairingViolation,
     SingleSession,
-    TooFewSamples,
 )
 from .stats import (
     bonferroni,
@@ -91,8 +90,7 @@ class EvalReport:
             "scores": [s.to_dict() for s in self.scores],
             "aggregate": {"mean": self.mean, "std": self.std},
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False) + "\n"
+        return canonical_json(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -132,18 +130,10 @@ def _ws_splits(epoch_set: EpochSet, folds: int, seed: int):
     splits, start = [], 0
     for s_idx, session in enumerate(epoch_set.sessions):
         labels = np.asarray(session.labels)
-        counts = {c: int(np.sum(labels == c)) for c in sorted(set(labels.tolist()))}
-        if min(counts.values()) < folds:
-            raise TooFewSamples(
-                f"session {session.session_id!r} needs >= {folds} samples per "
-                f"class for {folds}-fold CV, got {counts}"
-            )
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=(s_idx,))
-        ))
-        for f_idx, (train_idx, test_idx) in enumerate(
-            stratified_folds(labels, folds, rng)
-        ):
+        for f_idx, (train_idx, test_idx) in enumerate(stratified_folds(
+            labels, folds, np.random.SeedSequence(entropy=seed, spawn_key=(s_idx,)),
+            where=f"session {session.session_id!r}",
+        )):
             splits.append((session.session_id, f"fold{f_idx}", start + train_idx,
                            start + test_idx, _derive_seed(seed, s_idx, f_idx)))
         start += len(labels)
@@ -267,18 +257,6 @@ def _derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2 ** 31))
 
 
-def timing_summary(report: EvalReport):
-    """Per-stage mean/std/min/max over a report's splits, as CSV-ready rows."""
-    by_stage = {}
-    for _, _, stage, seconds in report.timings:
-        by_stage.setdefault(stage, []).append(seconds)
-    yield ["stage", "n", "mean_s", "std_s", "min_s", "max_s"]
-    for stage in sorted(by_stage):
-        vals = np.asarray(by_stage[stage])
-        yield [stage, vals.size, repr(float(vals.mean())), repr(float(vals.std())),
-               repr(float(vals.min())), repr(float(vals.max()))]
-
-
 # -- meta-analysis ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -317,8 +295,7 @@ class MetaAnalysis:
             "hypotheses": [h.to_dict() for h in self.hypotheses],
             "smd_kind": "cohens_d",
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False) + "\n"
+        return canonical_json(payload)
 
 
 def _subject_means(reports):
@@ -406,6 +383,13 @@ def meta_analysis(reports, seed: int = 0) -> MetaAnalysis:
     rule = (f"wilcoxon if subjects >= {WILCOXON_MIN_SUBJECTS} "
             f"else sign-flip permutation paired t")
     return MetaAnalysis(tuple(hypotheses), n_hyp, rule)
+
+
+def canonical_json(payload) -> str:
+    """report.json, meta.json and params.json: sorted keys, no spaces, one
+    line; NaN or Inf raise ValueError."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def write_csv(rows, path) -> None:

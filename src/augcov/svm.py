@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import EmptyClass, InvalidSetting, SolverStall
 
+KERNELS = ("linear", "rbf")
 KKT_TOL = 1e-3
 MAX_SMO_ITER = 100_000
 

@@ -163,8 +163,7 @@ def ar_two_class_set(seed, epochs_per_class=30, t=256):
 class TestStratifiedFolds:
     def test_every_class_in_every_fold(self):
         labels = np.array([0] * 12 + [1] * 13)
-        rng = np.random.default_rng(0)
-        folds = stratified_folds(labels, 5, rng)
+        folds = stratified_folds(labels, 5, np.random.SeedSequence(0))
         assert len(folds) == 5
         for train, test in folds:
             assert set(labels[test]) == {0, 1}
@@ -173,10 +172,32 @@ class TestStratifiedFolds:
 
     def test_partition_is_exact(self):
         labels = np.array([0, 1] * 10)
-        rng = np.random.default_rng(1)
-        folds = stratified_folds(labels, 4, rng)
+        folds = stratified_folds(labels, 4, np.random.SeedSequence(1))
         all_test = np.concatenate([t for _, t in folds])
         assert sorted(all_test.tolist()) == list(range(20))
+
+    def test_pinned_fold_indices(self):
+        """The test rows of the within-session folds of session 1 under seed 7,
+        and of the inner CV under seed 7: a change to the shuffle or the
+        generator would move the folds of every report."""
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1])
+        ws = stratified_folds(labels, 3, np.random.SeedSequence(entropy=7, spawn_key=(1,)))
+        inner = stratified_folds(labels, 3, np.random.SeedSequence(7))
+        assert [test.tolist() for _, test in ws] == [[2, 3, 6, 8], [4, 5, 9, 10], [0, 1, 7]]
+        assert [test.tolist() for _, test in inner] == [[1, 3, 5, 7], [0, 6, 8, 10], [2, 4, 9]]
+        for train, test in ws + inner:
+            assert np.array_equal(np.setdiff1d(np.arange(11), test), train)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({}, "the inner CV needs >= 3 samples per class for 3-fold CV, got {0: 2, 1: 4}"),
+        ({"where": "session 's1'"},
+         "session 's1' needs >= 3 samples per class for 3-fold CV, got {0: 2, 1: 4}"),
+    ])
+    def test_too_few_members_of_a_class(self, kwargs, message):
+        with pytest.raises(TooFewSamples) as info:
+            stratified_folds(np.array([0, 1, 1, 0, 1, 1]), 3, np.random.SeedSequence(0),
+                             **kwargs)
+        assert str(info.value) == message
 
 
 class TestGridSearch:
@@ -328,8 +349,7 @@ def test_inner_cv_cell_is_the_fitted_pipeline_score(kind, grid):
     ))
     epochs, labels = epoch_set.all_epochs()
     result = grid_search(epochs, labels, kind, inner_folds=3, seed=4, **grid)
-    folds = stratified_folds(labels, 3, np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(4))))
+    folds = stratified_folds(labels, 3, np.random.SeedSequence(4))
     assert len(result.cells) == 2
     for cell in result.cells:
         spec = PipelineSpec(kind=kind, order=cell.order, lag=cell.lag,

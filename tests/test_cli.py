@@ -142,6 +142,50 @@ class TestEstimateParams:
         assert payload["D"] <= 3
         assert (out_dir / "mdop_cycle_lags.csv").exists()
 
+    def test_output_bytes(self, tmp_path, capsys):
+        """Every file but the manifest, byte for byte, with the default
+        settings; params.json names its curve files by their full path."""
+        from augcov.covariance import Epoch
+        from augcov.data import EpochSet, Session, write_epochset
+
+        rng = np.random.default_rng(0)
+        epochs = []
+        for _ in range(4):
+            rows = [np.sin(2 * np.pi * np.arange(256) / 64.0 + rng.uniform(0, 2 * np.pi))
+                    + 0.15 * rng.standard_normal(256) for _ in range(2)]
+            epochs.append(Epoch(np.stack(rows), 250.0))
+        container = tmp_path / "sine.acm"
+        write_epochset(EpochSet("sine", [Session("s0", epochs, [0, 1, 0, 1])], ["a", "b"]),
+                       container)
+        files = {}
+        for method in ("ami_cao", "mdop"):
+            out_dir = tmp_path / method
+            code, stdout, _ = run_cli(capsys, "estimate-params", "--input", str(container),
+                                      "--method", method, "--out", str(out_dir))
+            assert code == 0
+            assert stdout == (out_dir / "params.json").read_text()
+            files.update({(method, path.name):
+                          path.read_bytes().decode().replace(str(out_dir) + os.sep, "")
+                          for path in out_dir.iterdir() if path.name != "manifest.json"})
+        assert files == {
+            ("ami_cao", "ami_curve.csv"):
+                "lag,value\r\n1,9.513580560705144\r\n2,8.827900094842636\r\n3,8.004310729138087\r\n"
+                "4,7.575980920923874\r\n5,6.986880379426659\r\n6,6.906683803740619\r\n"
+                "7,6.701402790225788\r\n8,6.59093381052663\r\n9,6.3875769655195285\r\n"
+                "10,6.438923089228473\r\n",
+            ("ami_cao", "cao_e1_curve.csv"):
+                "lag,value\r\n1,0.0068970731453029295\r\n2,0.3492258378972247\r\n"
+                "3,0.707125347185691\r\n4,0.8510278528883755\r\n5,0.9115037257253695\r\n"
+                "6,0.915519550578099\r\n7,0.9577501794646486\r\n8,0.9686500292385154\r\n",
+            ("ami_cao", "params.json"):
+                '{"D":7,"diagnostics":{"ami_curve":"ami_curve.csv",'
+                '"cao_e1_curve":"cao_e1_curve.csv"},"flags":[],"method":"ami_cao","tau":9}\n',
+            ("mdop", "mdop_cycle_lags.csv"): "cycle,lag\r\n1,9\r\n2,8\r\n",
+            ("mdop", "params.json"):
+                '{"D":3,"diagnostics":{"cycle_lags":"mdop_cycle_lags.csv"},"flags":[],'
+                '"method":"mdop","tau":9}\n',
+        }
+
     def test_constant_dataset_exit_2(self, tmp_path, capsys):
         from augcov.covariance import Epoch
         from augcov.data import EpochSet, Session, write_epochset
@@ -161,6 +205,8 @@ class TestEstimateParams:
         (["--bins", "-3"], "bins"),
         (["--max-lag", "0"], "max_lag"),
         (["--method", "mdop", "--max-cycles", "0"], "max_cycles"),
+        (["--method", "mdop", "--bins", "1"], "bins"),
+        (["--max-cycles", "0"], "max_cycles"),
     ])
     def test_bad_estimator_setting_exit_2(self, tmp_path, capsys, argv, setting):
         container = make_sine_container(tmp_path, capsys, noise=0.15, t=256)
@@ -407,20 +453,14 @@ class TestErrorPathsAndWorkers:
         assert code == 3
         assert json.loads(stderr)["error"] == "NoConvergence"
 
-    @pytest.mark.parametrize("argv,env", [
-        (["--workers", "0"], None), (["--workers", "-3"], None), ([], "0"), ([], "-2"),
-    ])
-    def test_workers_below_one_exit_2(self, tmp_path, capsys, monkeypatch, argv, env):
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
         spec = ar_spec_json(tmp_path, seed=42)
         container = tmp_path / "w.acm"
         run_cli(capsys, "simulate", "--spec-json", f"@{spec}", "--out", str(container))
-        if env is None:
-            monkeypatch.delenv("ACM_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("ACM_WORKERS", env)
         code, _, stderr = run_cli(
             capsys, "evaluate", "--input", str(container), "--pipeline", "MDM",
-            "--eval", "ws", "--folds", "3", "--seed", "2", *argv,
+            "--eval", "ws", "--folds", "3", "--seed", "2", "--workers", workers,
             "--out", str(tmp_path / "w"),
         )
         assert code == 2
@@ -428,27 +468,6 @@ class TestErrorPathsAndWorkers:
         assert error["error"] == "InvalidSetting"
         assert error["message"].startswith("workers must be an integer >= 1")
         assert not (tmp_path / "w").exists()
-
-    def test_acm_workers_env_fallback(self, tmp_path, capsys, monkeypatch):
-        spec = ar_spec_json(tmp_path, seed=40, n_sessions=2)
-        container = tmp_path / "env.acm"
-        run_cli(capsys, "simulate", "--spec-json", f"@{spec}", "--out", str(container))
-        monkeypatch.setenv("ACM_WORKERS", "2")
-        code, _, _ = run_cli(
-            capsys, "evaluate", "--input", str(container), "--pipeline", "MDM",
-            "--eval", "ws", "--folds", "3", "--seed", "2",
-            "--out", str(tmp_path / "envrun"),
-        )
-        assert code == 0
-        monkeypatch.setenv("ACM_WORKERS", "1")
-        code, _, _ = run_cli(
-            capsys, "evaluate", "--input", str(container), "--pipeline", "MDM",
-            "--eval", "ws", "--folds", "3", "--seed", "2",
-            "--out", str(tmp_path / "envrun1"),
-        )
-        assert code == 0
-        assert (tmp_path / "envrun" / "report.json").read_bytes() == \
-            (tmp_path / "envrun1" / "report.json").read_bytes()
 
 
 class TestCrossSessionGrid:

@@ -13,11 +13,12 @@ from augcov.embedding import (
     _prefix_neighbours,
     average_mutual_information,
     cao_embedding_dimension,
+    estimate,
     estimate_traditional,
     mdop_unified,
     select_tau_ami,
 )
-from augcov.errors import ConstantSeries, LagTooLarge, TooShort
+from augcov.errors import ConstantSeries, InvalidSetting, LagTooLarge, TooShort
 
 
 def make_set(series_list, rate=250.0):
@@ -319,6 +320,22 @@ class TestMdop:
         a = mdop_unified(clean_sine_set(seed=2), max_cycles=5, max_lag=16)
         b = mdop_unified(clean_sine_set(seed=2), max_cycles=5, max_lag=16)
         assert a == b
+
+
+class TestEstimate:
+    def test_runs_the_named_method(self):
+        epochs = clean_sine_set(t=300, seed=3)
+        assert estimate(epochs, "mdop", max_cycles=4, max_lag=12, bins=3, max_dim=2) == \
+            mdop_unified(epochs, max_cycles=4, max_lag=12)
+        got = estimate(epochs, "ami_cao", max_lag=12, bins=8, max_dim=3, max_cycles=1)
+        want = estimate_traditional(epochs, max_lag=12, bins=8, max_dim=3)
+        assert (got.tau, got.dim, got.flags) == (want.tau, want.dim, want.flags)
+        assert np.array_equal(got.ami_curve, want.ami_curve)
+        assert np.array_equal(got.e1_curve, want.e1_curve)
+
+    def test_unknown_method(self):
+        with pytest.raises(InvalidSetting, match="unknown estimator 'nolds'"):
+            estimate(noise_set(t=64), "nolds")
 
 
 class TestTraditionalWrapper:

@@ -348,6 +348,7 @@ class TestSettingsBoundary:
         {"inner_folds": 1}, {"svm_c": 0.0}, {"svm_c": -1.0}, {"svm_c": float("nan")},
         {"svm_c": float("inf")}, {"grid_c": (1.0, -0.5)}, {"grid_orders": ()},
         {"grid_lags": ()}, {"grid_kernels": ()}, {"kind": "LDA"},
+        {"svm_kernel": "poly"}, {"grid_kernels": ("linear", "poly")},
     ])
     def test_spec_rejects(self, bad):
         with pytest.raises(InvalidSetting):
@@ -417,15 +418,3 @@ class TestMultiClassSvmPipeline:
         report = within_session_eval(epoch_set, spec, folds=5, seed=3)
         assert all(s.metric == "accuracy" for s in report.scores)
         assert report.mean > 0.85
-
-
-def test_timing_summary_rows():
-    from augcov.evaluate import timing_summary
-
-    epoch_set = separable_set(seed=9)
-    report = within_session_eval(epoch_set, MDM, folds=5, seed=0)
-    rows = list(timing_summary(report))
-    assert rows[0] == ["stage", "n", "mean_s", "std_s", "min_s", "max_s"]
-    assert [r[0] for r in rows[1:]] == ["fit", "predict"]
-    for row in rows[1:]:
-        assert row[1] == 5  # one measurement per fold
