@@ -62,12 +62,10 @@ from .evaluate import (
 from .spd import (
     SpdMatrix,
     SpdStack,
-    TangentSymm,
     affine_invariant_distance,
     distances_from,
-    exp_map,
     frechet_mean,
-    log_map,
+    log_coordinates,
     symm_fn,
 )
 from .stats import (

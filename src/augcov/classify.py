@@ -24,7 +24,7 @@ from .errors import (
     LagTooLarge,
     TooFewSamples,
 )
-from .spd import SpdMatrix, _blocks, _spectral, as_stack, distances_from, frechet_mean, symm_fn
+from .spd import SpdMatrix, as_stack, distances_from, frechet_mean, log_coordinates, symm_fn
 from .stats import accuracy, auc_roc
 from .svm import KERNELS, SvmModel, svm_decision, svm_fit, svm_predict
 
@@ -99,24 +99,10 @@ def tangent_fit(covs) -> TangentMap:
 
 
 def tangent_transform_many(tmap: TangentMap, covs) -> np.ndarray:
-    """One row per covariance: the upper-triangle flattening of
-    Log(ref^{-1/2} cov ref^{-1/2}) with off-diagonal entries scaled by
-    sqrt(2), so the Euclidean feature norm equals the Riemannian distance to
-    the reference. The rows are C-contiguous: the SVM kernel sums in memory
-    order, and a Fortran-ordered matrix would shift its scores.
-    """
-    covs = as_stack(covs)
-    if covs.dim != tmap.dim:
-        raise DimensionMismatch(f"covariance dim {covs.dim} vs map dim {tmap.dim}")
-    rows, cols = np.triu_indices(tmap.dim)
-    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    out = np.empty((len(covs), tmap.output_len))
-    start = 0
-    for block in _blocks(covs.values):
-        stop = start + len(block)
-        out[start:stop] = _spectral(block, "log", tmap.ref_inv_sqrt)[:, rows, cols] * weights
-        start = stop
-    return out
+    """One row of Log coordinates (spd.log_coordinates) at the map's
+    reference per covariance: Euclidean feature norms equal Riemannian
+    distances to the reference."""
+    return log_coordinates(tmap.ref_inv_sqrt, as_stack(covs))
 
 
 # -- the classifier head -------------------------------------------------
@@ -212,11 +198,10 @@ class PipelineSpec:
                 raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
         if not all((self.grid_orders, self.grid_lags, self.grid_c, self.grid_kernels)):
             raise InvalidSetting("the order, lag, C and kernel grids must not be empty")
-        emb.check_settings(order=self.order, lag=self.lag, max_lag=self.estimator_max_lag,
-                           bins=self.ami_bins, max_dim=self.cao_max_dim,
-                           max_cycles=self.mdop_max_cycles)
-        for order, lag in itertools.product(self.grid_orders, self.grid_lags):
-            emb.check_settings(order=order, lag=lag)
+        emb.check_settings(max_lag=self.estimator_max_lag, bins=self.ami_bins,
+                           max_dim=self.cao_max_dim, max_cycles=self.mdop_max_cycles)
+        for cell in ((self.order, self.lag), *itertools.product(self.grid_orders, self.grid_lags)):
+            AugmentedParams(*cell)  # the one check of the (order, lag) rule
 
     @property
     def is_augmented(self) -> bool:
@@ -357,7 +342,7 @@ def grid_search(
     parameter grids.
     """
     if kind not in PIPELINE_KINDS:
-        raise ValueError(f"unknown pipeline kind {kind!r}")
+        raise InvalidSetting(f"unknown pipeline kind {kind!r}")
     labels = np.asarray(labels)
     if len(epochs) == 0 or labels.size != len(epochs):
         raise TooFewSamples("grid search needs one label per epoch")
@@ -372,12 +357,13 @@ def grid_search(
     best = None  # (score, cell)
     ties = []
     order1_scores = None  # embed_epoch ignores the lag at order 1: score it once
-    for order, lag in itertools.product(orders, lags):
+    for params in [AugmentedParams(*cell) for cell in itertools.product(orders, lags)]:
+        order, lag = params.order, params.lag
         if order == 1 and order1_scores is not None:
             param_scores = order1_scores
         else:
             try:
-                covs = covariance_stack(epochs, AugmentedParams(order, lag), shrink)
+                covs = covariance_stack(epochs, params, shrink)
             except LagTooLarge:
                 for c, kernel in param_grid:
                     cells.append(GridCell(order, lag, c, kernel, None, 0, False))

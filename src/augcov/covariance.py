@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     InconsistentInput,
     InvalidEpoch,
+    InvalidSetting,
     LagTooLarge,
     SingularSystem,
 )
@@ -101,16 +102,17 @@ def as_epochs(epochs) -> EpochStack:
 
 @dataclass(frozen=True)
 class AugmentedParams:
-    """The (order, lag) pair governing delay stacking."""
+    """The (order, lag) pair governing delay stacking: integers >= 1, else
+    InvalidSetting. The one check of the pair, for PipelineSpec too."""
 
     order: int
     lag: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.lag < 1:
-            raise ValueError(f"lag must be >= 1, got {self.lag}")
+        for name in ("order", "lag"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidSetting(f"{name} must be an integer >= 1, got {value!r}")
 
     def check_length(self, n_samples: int) -> None:
         """The embedded epoch must keep T - (order-1)*lag >= 2 samples."""
@@ -197,53 +199,32 @@ def covariance_stack(epochs, params: AugmentedParams, shrink: bool | None = None
                       f"may be rank-deficient, consider shrinkage", stacklevel=2)
     out = np.empty((len(values), k, k))
     for i, x in enumerate(values):
-        y = embed_epoch(x, params)
-        gram = y @ y.T
-        out[i] = sym(gram / (width - 1))
-        if shrink:
-            out[i] = _shrink(out[i], y, gram)[0]
+        out[i] = _covariance(embed_epoch(x, params), shrink)[0]
     return SpdStack(out)
 
 
-def ledoit_wolf(c_input: np.ndarray, y: np.ndarray) -> tuple[SpdMatrix, float]:
-    """Shrink a covariance toward a scaled identity with the Ledoit-Wolf
-    analytic shrinkage intensity.
+def ledoit_wolf(y: np.ndarray) -> tuple[SpdMatrix, float]:
+    """Ledoit-Wolf shrinkage of the uncentered covariance C = y y^T / (m - 1)
+    of an n x m (features x samples) data matrix y toward a scaled identity,
+    with the analytic intensity lambda; the step covariance_stack takes for
+    each shrunk epoch.
 
-    Parameters
-    ----------
-    c_input : ndarray
-        n x n symmetric PSD matrix, equal to y y^T / (m - 1).
-    y : ndarray
-        The n x m (features x samples) data matrix c_input was estimated
-        from; the intensity lambda is computed on it.
-
-    Returns
-    -------
-    (SpdMatrix, float)
-        (1 - lambda) * C + lambda * (tr C / n) * I, and lambda in [0, 1].
-        The map preserves the trace of C.
+    Returns (SpdMatrix, float): (1 - lambda) * C + lambda * (tr C / n) * I,
+    which preserves the trace of C, and lambda in [0, 1]. Fewer than two
+    samples raise InconsistentInput.
     """
-    c_input = sym(np.asarray(c_input, dtype=float))
     y = np.asarray(y, dtype=float)
-    n, m = y.shape
-    if c_input.shape != (n, n):
-        raise InconsistentInput(
-            f"covariance shape {c_input.shape} does not match data with {n} features"
-        )
-    if m < 2:
-        raise InconsistentInput("need at least two samples")
-    gram = y @ y.T
-    expected = gram / (m - 1)
-    scale = max(np.linalg.norm(expected), 1e-300)
-    if np.linalg.norm(c_input - expected) > 1e-8 * scale:
-        raise InconsistentInput("c_input is not y @ y.T / (m - 1) for the given y")
-    shrunk, lam = _shrink(c_input, y, gram)
+    if y.ndim != 2 or y.shape[1] < 2:
+        raise InconsistentInput(f"need an n x m data matrix with m >= 2 samples, "
+                                f"got shape {y.shape}")
+    shrunk, lam = _covariance(y, shrink=True)
     return SpdMatrix(shrunk), lam
 
 
-def _shrink(c_input: np.ndarray, y: np.ndarray, gram: np.ndarray):
-    """Ledoit-Wolf shrinkage of the symmetric c_input = gram / (m - 1), with
-    gram = y y^T computed once by the caller; returns (unchecked array, lam).
+def _covariance(y: np.ndarray, shrink: bool):
+    """The covariance C = sym(y y^T / (m - 1)) of an n x m data matrix, from
+    one gram y y^T, Ledoit-Wolf shrunk when shrink is set; returns
+    (unchecked array, lam), lam being 0.0 unshrunk.
 
     The analytic intensity takes the uncentered 1/m covariance S = gram / m:
       mu    = tr(S) / n
@@ -252,6 +233,10 @@ def _shrink(c_input: np.ndarray, y: np.ndarray, gram: np.ndarray):
       lam   = min(bbar2, d2) / d2
     """
     n, m = y.shape
+    gram = y @ y.T
+    c = sym(gram / (m - 1))
+    if not shrink:
+        return c, 0.0
     s = gram / m
     d2 = np.sum((s - np.trace(s) / n * np.eye(n)) ** 2) / n
     lam = 0.0
@@ -259,9 +244,8 @@ def _shrink(c_input: np.ndarray, y: np.ndarray, gram: np.ndarray):
         y2 = y ** 2
         bbar2 = (np.sum(y2 @ y2.T / m - s ** 2)) / (n * m)
         lam = float(min(bbar2, d2) / d2)
-    mu = np.trace(c_input) / n
-    shrunk = (1.0 - lam) * c_input + lam * mu * np.eye(n)
-    return shrunk, lam
+    mu = np.trace(c) / n
+    return (1.0 - lam) * c + lam * mu * np.eye(n), lam
 
 
 def lagged_blocks(data: np.ndarray, max_lag: int) -> list[np.ndarray]:

@@ -23,6 +23,7 @@ CAO_DEFAULT_THRESHOLD = 0.05
 MDOP_DEFAULT_MAX_CYCLES = 8
 MDOP_DEFAULT_MAX_LAG = 10
 FNN_RATIO = 10.0  # Kennel false-neighbor distance ratio
+MDOP_FNN_THRESHOLD = 0.05  # MDOP stops below this false-neighbor fraction
 NN_BLOCK = 64  # rows per neighbour-search block: 64 x n float64, 0.4 MB at n = 768
 
 
@@ -55,8 +56,8 @@ class CaoResult:
 
 def check_settings(**settings) -> None:
     """InvalidSetting unless each of bins and max_dim is an integer >= 2 and
-    each other setting (max_lag, tau, max_cycles, order, lag) one >= 1; the
-    one check of the estimator entry points and of PipelineSpec."""
+    each other setting (max_lag, tau, max_cycles) one >= 1; the one check of
+    the estimator entry points and of PipelineSpec."""
     for name, value in settings.items():
         low = 2 if name in ("bins", "max_dim") else 1
         if not isinstance(value, (int, np.integer)) or value < low:
@@ -286,7 +287,6 @@ def _mdop_cycle_stats(series, delays, candidates):
 def mdop_unified(
     epochs,
     max_cycles: int = MDOP_DEFAULT_MAX_CYCLES,
-    fnn_threshold: float = 0.05,
     max_lag: int = MDOP_DEFAULT_MAX_LAG,
 ) -> EmbeddingEstimate:
     """Joint (tau, dim) estimate by iterative embedding.
@@ -296,7 +296,7 @@ def mdop_unified(
     nearest-neighbor coordinate ratios over all channels and epochs) is
     largest, and uses it to probe the current embedding with the Kennel
     false-neighbor fraction: when even the most informative candidate
-    separates fewer than fnn_threshold of the current neighbor pairs, the
+    separates fewer than MDOP_FNN_THRESHOLD of the current neighbor pairs, the
     embedding is complete and the candidate is not added. Otherwise the
     coordinate joins the embedding and the cycle repeats, up to max_cycles
     additions (then flagged "no_termination").
@@ -328,7 +328,7 @@ def mdop_unified(
             raise TooShort("no usable neighbor pairs for the beta statistic")
         beta = np.where(counts > 0, sums / np.maximum(counts, 1), -np.inf)
         best = int(np.argmax(beta))
-        if chosen and false_counts[best] / totals < fnn_threshold:
+        if chosen and false_counts[best] / totals < MDOP_FNN_THRESHOLD:
             break
         chosen.append(candidates[best])
         delays.append(candidates[best])

@@ -326,9 +326,8 @@ def _paired_p_value(diffs: np.ndarray, n_subjects: int, seed: int) -> float:
     all-equal diffs carry no evidence and map to p = 0.5."""
     try:
         if n_subjects >= WILCOXON_MIN_SUBJECTS:
-            return wilcoxon_signed_rank(diffs, alternative="greater")
-        return permutation_paired_t(diffs, n_perm=10_000, seed=seed,
-                                    alternative="greater")
+            return wilcoxon_signed_rank(diffs)
+        return permutation_paired_t(diffs, n_perm=10_000, seed=seed)
     except (AllZeroDiffs, DegenerateVariance):
         return 0.5
 

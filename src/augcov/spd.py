@@ -1,6 +1,6 @@
 """Linear-algebra kernel for the manifold of symmetric positive definite
-matrices: affine-invariant distance, Frechet (geometric) mean, Exp/Log maps
-and symmetric matrix functions.
+matrices: affine-invariant distance, Frechet (geometric) mean, batched Log
+coordinates at a reference and symmetric matrix functions.
 
 Matrices travel as (n, k, k) stacks (SpdStack), checked once on
 construction; SpdMatrix is the one-matrix case. The hot paths share one
@@ -8,13 +8,15 @@ batched step, _spectral: whiten a stack by a reference's inverse square
 root, take one stacked eigendecomposition and apply f to the eigenvalues.
 Outputs are symmetrized, which damps the eigensolver's asymmetry drift.
 
-Memory model: the Frechet mean, the distances and the tangent features walk
-a stack in consecutive blocks of at most SPD_BLOCK_BYTES of matrices, so
-their peak memory is the live stack plus one block's working set (about
-four block-sized arrays) and small per-call matrices, whatever n is. A
-class mean reads its rows block by block instead of copying them out. The
-walk changes no result: per-matrix steps do not depend on the block, and
-sums add one matrix at a time in stack order, as numpy's axis-0 sum does.
+Memory model: one walk, _blocks, reads a stack in consecutive blocks of at
+most SPD_BLOCK_BYTES of matrices and applies _spectral to each. Its three
+consumers, the Frechet mean (_mean), the distances (distances_from) and the
+Log coordinates (log_coordinates), hold the live stack plus one block's
+working set (about four block-sized arrays) and small per-call matrices,
+whatever n is; the coordinates fill one preallocated row matrix. A class
+mean reads its rows block by block instead of copying them out. The walk
+changes no result: per-matrix steps do not depend on the block, and sums
+add one matrix at a time in stack order, as numpy's axis-0 sum does.
 """
 
 from __future__ import annotations
@@ -140,18 +142,6 @@ def as_stack(covs) -> SpdStack:
     return covs
 
 
-@dataclass(frozen=True)
-class TangentSymm:
-    """A symmetric (possibly indefinite) matrix in a tangent space."""
-
-    values: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)[None]
-        _filled(self, _validated(values, "TangentSymm input", False)[0])
-
-
 _SCALAR_FNS = {
     "log": np.log,
     "exp": np.exp,
@@ -185,27 +175,28 @@ def _spectral(stack: np.ndarray, fn: str | None, isqrt: np.ndarray | None = None
     return sym((u * _SCALAR_FNS[fn](w)[:, None, :]) @ np.swapaxes(u, 1, 2))
 
 
-def _blocks(values: np.ndarray, rows=None):
-    """The matrices values[rows] (all of them when rows is None), in order,
-    as consecutive (m, k, k) blocks of at most SPD_BLOCK_BYTES and at least
-    one matrix; an empty stack is one empty block. Blocks of the whole stack
-    are views, blocks of rows are copies of one block each."""
+def _blocks(values: np.ndarray, rows=None, spectral: tuple | None = None):
+    """The one stack walk: the matrices values[rows] (all of them when rows
+    is None), in order, in consecutive blocks of at most SPD_BLOCK_BYTES and
+    at least one matrix; an empty selection is one empty block. Yields
+    (out, block) per block, out being the slice of the block's matrices in
+    the walk's output. With spectral = (fn, isqrt), block is
+    _spectral(block, fn, isqrt), else the matrices themselves: views of the
+    whole stack, or a copy of one block of rows."""
     step = max(1, SPD_BLOCK_BYTES // (values.itemsize * values.shape[-1] ** 2))
     count = len(values) if rows is None else len(rows)
     for start in range(0, max(count, 1), step):
-        part = slice(start, start + step)
-        yield values[part] if rows is None else values[rows[part]]
+        out = slice(start, start + step)
+        block = values[out] if rows is None else values[rows[out]]
+        yield out, block if spectral is None else _spectral(block, *spectral)
 
 
-def _mean(values: np.ndarray, rows=None, fn: str | None = None, isqrt=None) -> np.ndarray:
-    """Mean over the matrices P of values[rows] of _spectral(P, fn, isqrt),
-    or of P itself when fn is None, one block at a time. The sum adds one
-    matrix at a time in order, as numpy's axis-0 sum does, so it equals the
-    mean of the whole stack bit for bit."""
+def _mean(values: np.ndarray, rows=None, spectral: tuple | None = None) -> np.ndarray:
+    """Mean over the matrices of values[rows] of what _blocks yields for
+    them. The sum adds one matrix at a time in order, as numpy's axis-0 sum
+    does, so it equals the mean of the whole stack bit for bit."""
     total = None
-    for block in _blocks(values, rows):
-        if fn is not None:
-            block = _spectral(block, fn, isqrt)
+    for _, block in _blocks(values, rows, spectral):
         if total is not None:
             block = np.concatenate([total[None], block])
         total = block.sum(axis=0)
@@ -220,19 +211,36 @@ def symm_fn(m: np.ndarray, fn: str) -> np.ndarray:
     return _spectral(_validated(np.asarray(m)[None], "symm_fn input", positive=False), fn)[0]
 
 
-def _check_dims(a, b) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-
-
 def distances_from(reference: SpdMatrix, stack: SpdStack) -> np.ndarray:
     """Affine-invariant distance from reference to each matrix P of a stack,
     sqrt(sum_i log^2 lambda_i) over the eigenvalues of
     reference^{-1/2} P reference^{-1/2}."""
-    _check_dims(reference, stack)
+    if reference.dim != stack.dim:
+        raise DimensionMismatch(f"dimensions differ: {reference.dim} vs {stack.dim}")
     isqrt = symm_fn(reference.values, "inv_sqrt")
-    w = np.concatenate([_spectral(block, None, isqrt) for block in _blocks(stack.values)])
+    w = np.empty((len(stack), stack.dim))
+    for out, eigenvalues in _blocks(stack.values, spectral=(None, isqrt)):
+        w[out] = eigenvalues
     return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+
+
+def log_coordinates(ref_inv_sqrt: np.ndarray, stack: SpdStack) -> np.ndarray:
+    """The batched Log map at a reference, given its inverse square root:
+    one row per matrix P of the stack, the upper-triangle flattening of
+    Log(ref^{-1/2} P ref^{-1/2}) with off-diagonal entries scaled by
+    sqrt(2), so a row's Euclidean norm is P's affine-invariant distance to
+    the reference. The rows are C-contiguous (an SVM kernel sums in memory
+    order, and a Fortran-ordered matrix would shift its scores) and filled
+    in place, one block at a time."""
+    dim = ref_inv_sqrt.shape[-1]
+    if stack.dim != dim:
+        raise DimensionMismatch(f"covariance dim {stack.dim} vs map dim {dim}")
+    rows, cols = np.triu_indices(dim)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    coords = np.empty((len(stack), rows.size))
+    for out, logs in _blocks(stack.values, spectral=("log", ref_inv_sqrt)):
+        coords[out] = logs[:, rows, cols] * weights
+    return coords
 
 
 def affine_invariant_distance(p1: SpdMatrix, p2: SpdMatrix) -> float:
@@ -245,24 +253,6 @@ def _whitening_pair(p: SpdMatrix):
     w, u = np.linalg.eigh(p.values)
     sq = np.sqrt(w)
     return sym((u * sq) @ u.T), sym((u / sq) @ u.T)
-
-
-def log_map(p: SpdMatrix, pi: SpdMatrix) -> TangentSymm:
-    """Riemannian Log map of pi at reference p:
-    p^{1/2} Log(p^{-1/2} pi p^{-1/2}) p^{1/2}."""
-    _check_dims(p, pi)
-    p_sqrt, p_isqrt = _whitening_pair(p)
-    inner = symm_fn(p_isqrt @ pi.values @ p_isqrt, "log")
-    return TangentSymm(sym(p_sqrt @ inner @ p_sqrt))
-
-
-def exp_map(p: SpdMatrix, si: TangentSymm) -> SpdMatrix:
-    """Riemannian Exp map of tangent vector si at reference p:
-    p^{1/2} Exp(p^{-1/2} si p^{-1/2}) p^{1/2}. Always lands on the manifold."""
-    _check_dims(p, si)
-    p_sqrt, p_isqrt = _whitening_pair(p)
-    inner = symm_fn(p_isqrt @ si.values @ p_isqrt, "exp")
-    return SpdMatrix(sym(p_sqrt @ inner @ p_sqrt))
 
 
 def frechet_mean(
@@ -293,7 +283,7 @@ def frechet_mean(
     current = SpdMatrix(_mean(stack.values, rows))
     for iteration in range(max_iter + 1):
         p_sqrt, p_isqrt = _whitening_pair(current)
-        whitened_mean = sym(_mean(stack.values, rows, "log", p_isqrt))
+        whitened_mean = sym(_mean(stack.values, rows, ("log", p_isqrt)))
         tangent_mean = p_sqrt @ whitened_mean @ p_sqrt
         residual = float(np.linalg.norm(tangent_mean))
         if residual < tol:

@@ -65,8 +65,8 @@ def accuracy(predicted, true) -> float:
     return float(np.mean(predicted == true))
 
 
-def wilcoxon_signed_rank(diffs, alternative: str = "greater") -> float:
-    """One-tailed signed-rank p-value for paired differences.
+def wilcoxon_signed_rank(diffs) -> float:
+    """One-tailed signed-rank p-value that paired differences are positive.
 
     Zeros are dropped. For up to 12 nonzero differences the 2^n sign
     assignments are enumerated exactly (respecting tied ranks); above that a
@@ -75,8 +75,6 @@ def wilcoxon_signed_rank(diffs, alternative: str = "greater") -> float:
     """
     from scipy.special import ndtr  # imported on use: it slows every CLI start
 
-    if alternative != "greater":
-        raise ValueError("only the one-tailed 'greater' alternative is supported")
     diffs = np.asarray(diffs, dtype=float)
     nonzero = diffs[diffs != 0.0]
     if nonzero.size == 0:
@@ -107,10 +105,8 @@ def wilcoxon_signed_rank(diffs, alternative: str = "greater") -> float:
     return float(ndtr(-z))
 
 
-def permutation_paired_t(
-    diffs, n_perm: int = 10_000, seed: int = 0, alternative: str = "greater"
-) -> float:
-    """Sign-flip permutation test of the paired t statistic.
+def permutation_paired_t(diffs, n_perm: int = 10_000, seed: int = 0) -> float:
+    """One-tailed sign-flip permutation test of the paired t statistic.
 
     When 2^n <= n_perm every sign pattern is enumerated and
     p = #{t_perm >= t_obs} / 2^n (the identity flip keeps p > 0); otherwise
@@ -118,8 +114,6 @@ def permutation_paired_t(
     +1-smoothed estimate (1 + #{t_perm >= t_obs}) / (n_perm + 1) is
     returned. Either way p lies in (0, 1].
     """
-    if alternative != "greater":
-        raise ValueError("only the one-tailed 'greater' alternative is supported")
     diffs = np.asarray(diffs, dtype=float)
     n = diffs.size
     if n < 3:

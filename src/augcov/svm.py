@@ -34,7 +34,6 @@ def _kernel_matrix(kind: str, gamma: float | None, x: np.ndarray, z: np.ndarray)
             - 2.0 * (x @ z.T)
         )
         return np.exp(-gamma * np.maximum(sq, 0.0))
-    raise ValueError(f"unknown kernel {kind!r}")
 
 
 def default_gamma(features: np.ndarray) -> float:
@@ -191,6 +190,8 @@ def svm_fit(
         raise EmptyClass("need at least two classes")
     if not (np.isfinite(c) and c > 0):
         raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
+    if kernel not in KERNELS:
+        raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
     if kernel == "rbf" and gamma is None:
         gamma = default_gamma(features)
     elif kernel == "rbf" and not (np.isfinite(gamma) and gamma > 0):

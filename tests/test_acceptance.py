@@ -318,8 +318,7 @@ def test_criterion_9_shrinkage():
         n = int(rng.integers(4, 12))
         m = int(rng.integers(2, n))  # m < n: rank deficient
         y = rng.standard_normal((n, m)) * rng.uniform(0.2, 3.0)
-        c = y @ y.T / (m - 1)
-        shrunk, lam = ledoit_wolf(c, y)
+        shrunk, lam = ledoit_wolf(y)
         assert 0.0 <= lam <= 1.0
         assert np.min(np.linalg.eigvalsh(shrunk.values)) > 0.0
 

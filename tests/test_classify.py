@@ -14,19 +14,19 @@ from augcov.classify import (
 from augcov.covariance import Epoch
 from augcov.data import ArSpec, generate_ar_dataset
 from augcov.errors import AllCellsInvalid, EmptyClass, InvalidSetting, TooFewSamples
-from augcov.spd import SpdMatrix, affine_invariant_distance, exp_map, symm_fn
+from augcov.spd import SpdMatrix, affine_invariant_distance, symm_fn
 
 from conftest import random_spd, random_symmetric
 
 
 def perturbed_class(rng, center, n, spread=0.2):
-    """Samples around a center: Gaussian tangent vectors pushed through Exp."""
-    from augcov.spd import TangentSymm
-
+    """Samples around a center: Gaussian tangent vectors pushed through Exp,
+    center^{1/2} Exp(center^{-1/2} S center^{-1/2}) center^{1/2}."""
+    sqrt, isqrt = symm_fn(center.values, "sqrt"), symm_fn(center.values, "inv_sqrt")
     out = []
     for _ in range(n):
         step = random_symmetric(rng, center.dim, scale=spread / center.dim)
-        out.append(exp_map(center, TangentSymm(step)))
+        out.append(SpdMatrix(sqrt @ symm_fn(isqrt @ step @ isqrt, "exp") @ sqrt))
     return out
 
 
@@ -240,6 +240,12 @@ class TestGridSearch:
         with pytest.raises(AllCellsInvalid):
             grid_search(epochs, labels, "ACM+MDM", orders=(5,), lags=(4,),
                         inner_folds=2, seed=2)
+        # an unknown kind, or a cell outside the (order, lag) rule, is a bad
+        # setting rather than an invalid cell
+        for kind, orders in (("FOO", (5,)), ("ACM+MDM", (0,)), ("ACM+MDM", (2.5,))):
+            with pytest.raises(InvalidSetting):
+                grid_search(epochs, labels, kind, orders=orders, lags=(4,),
+                            inner_folds=2, seed=2)
 
     def test_ar2_distinguished_classes_prefer_higher_order(self):
         hits = 0

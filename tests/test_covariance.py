@@ -21,6 +21,7 @@ from augcov.covariance import (
 from augcov.errors import (
     InconsistentInput,
     InvalidEpoch,
+    InvalidSetting,
     LagTooLarge,
     NotSPD,
     SingularSystem,
@@ -47,6 +48,11 @@ class TestEpoch:
         AugmentedParams(3, 4).check_length(10)
         with pytest.raises(LagTooLarge):  # a one-sample embedding is no epoch
             AugmentedParams(4, 4).check_length(13)
+
+    @pytest.mark.parametrize("order,lag", [(0, 1), (1, 0), (2.5, 1), (2, 1.5)])
+    def test_params_must_be_integers_of_at_least_one(self, order, lag):
+        with pytest.raises(InvalidSetting, match="must be an integer >= 1"):
+            AugmentedParams(order, lag)
 
 
 class TestEpochStack:
@@ -297,16 +303,14 @@ class TestLedoitWolf:
     def test_identity_fixed_point(self):
         rng = np.random.default_rng(18)
         y = rng.standard_normal((3, 50_000))
-        c = y @ y.T / (y.shape[1] - 1)
-        shrunk, lam = ledoit_wolf(c, y)
+        shrunk, lam = ledoit_wolf(y)
         assert 0.0 <= lam <= 1.0
         assert np.max(np.abs(shrunk.values - np.eye(3))) < 0.05
 
     def test_rank_deficient_becomes_spd(self):
         rng = np.random.default_rng(19)
         y = rng.standard_normal((10, 5))  # m < n
-        c = y @ y.T / (y.shape[1] - 1)
-        shrunk, lam = ledoit_wolf(c, y)
+        shrunk, lam = ledoit_wolf(y)
         assert lam > 0.0
         assert np.min(np.linalg.eigvalsh(shrunk.values)) > 0.0
 
@@ -316,22 +320,19 @@ class TestLedoitWolf:
             n = rng.integers(2, 8)
             m = rng.integers(3, 40)
             y = rng.standard_normal((n, m)) * rng.uniform(0.5, 2.0)
-            c = y @ y.T / (m - 1)
-            _, lam = ledoit_wolf(c, y)
+            _, lam = ledoit_wolf(y)
             assert lam == pytest.approx(ledoit_wolf_lambda_oracle(y), abs=1e-10)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(21)
         y = rng.standard_normal((4, 30))
         c = y @ y.T / 29
-        shrunk, _ = ledoit_wolf(c, y)
+        shrunk, _ = ledoit_wolf(y)
         assert np.trace(shrunk.values) == pytest.approx(np.trace(c), abs=1e-10)
 
-    def test_inconsistent_input(self):
-        rng = np.random.default_rng(22)
-        y = rng.standard_normal((3, 20))
+    def test_one_sample_rejected(self):
         with pytest.raises(InconsistentInput):
-            ledoit_wolf(np.eye(3), y)
+            ledoit_wolf(np.ones((3, 1)))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -340,17 +341,25 @@ class TestLedoitWolf:
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, 30))
         y = rng.standard_normal((n, m))
-        c = y @ y.T / max(m - 1, 1)
         if m < 2:
             return
-        _, lam = ledoit_wolf(c, y)
+        _, lam = ledoit_wolf(y)
         assert 0.0 <= lam <= 1.0
+
+    @given(n=st.integers(2, 8), m=st.integers(3, 60), log_scale=st.floats(-6.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_shrunk_order_one_covariance(self, n, m, log_scale, seed):
+        """ledoit_wolf and covariance_stack share one step, bit for bit."""
+        x = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal((n, m))
+        stack = covariance_stack(EpochStack(x[None], 250.0), AugmentedParams(1, 1), shrink=True)
+        assert np.array_equal(ledoit_wolf(x)[0].values, stack.values[0])
 
 
 def three_gram_augmented_covariance(epoch, params):
     """The shrunk augmented covariance with y y^T formed three times: once
-    for the raw covariance, once for ledoit_wolf's consistency check and once
-    for the 1/m covariance of the intensity."""
+    for the raw covariance, once for a consistency check of it and once for
+    the 1/m covariance of the intensity."""
     y = embed_epoch(epoch.data, params)
     n, m = y.shape
     raw = y @ y.T / (m - 1)

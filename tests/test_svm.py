@@ -203,6 +203,10 @@ class TestBinary:
         with pytest.raises(InvalidSetting, match="gamma must be"):
             svm_fit(x, np.array([0, 1]), kernel="rbf", gamma=gamma)
 
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(InvalidSetting, match="unknown SVM kernel 'poly'"):
+            svm_fit(np.eye(4), np.array([0, 1, 0, 1]), kernel="poly")
+
 
 class TestMultiClass:
     def test_three_blobs_one_vs_rest(self):
