@@ -26,7 +26,7 @@ from .errors import (
 )
 from .spd import SpdMatrix, as_stack, distances_from, frechet_mean, log_coordinates, symm_fn
 from .stats import accuracy, auc_roc
-from .svm import KERNELS, SvmModel, svm_decision, svm_fit, svm_predict
+from .svm import KERNELS, SvmModel, check_kernel, svm_decision, svm_fit, svm_predict
 
 PIPELINE_KINDS = ("MDM", "ACM+MDM", "TANG+SVM", "ACM+TANG+SVM")
 PARAM_SOURCES = ("fixed", "grid", *emb.METHODS)
@@ -83,14 +83,6 @@ class TangentMap:
 
     reference: SpdMatrix
     ref_inv_sqrt: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.reference.dim
-
-    @property
-    def output_len(self) -> int:
-        return self.dim * (self.dim + 1) // 2
 
 
 def tangent_fit(covs) -> TangentMap:
@@ -194,8 +186,7 @@ class PipelineSpec:
             if not (np.isfinite(c) and c > 0):
                 raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
         for kernel in (self.svm_kernel, *self.grid_kernels):
-            if kernel not in KERNELS:
-                raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
+            check_kernel(kernel)
         if not all((self.grid_orders, self.grid_lags, self.grid_c, self.grid_kernels)):
             raise InvalidSetting("the order, lag, C and kernel grids must not be empty")
         emb.check_settings(max_lag=self.estimator_max_lag, bins=self.ami_bins,

@@ -1,6 +1,11 @@
 """Epoch containers, band-pass preprocessing, the synthetic AR-process
 generator used for desk-scale verification, and the on-disk epoch format.
 
+The generator runs one time loop per (session, class) block of epochs. Each
+epoch still draws its innovations from its own (seed, session, class, epoch)
+substream, and each step makes the same per-epoch matrix-vector products as
+an epoch-by-epoch loop, so the containers are byte-identical to that loop's.
+
 The container format is a single UTF-8 JSON manifest line followed by the
 raw little-endian float64 payload, epoch-major row-major, sessions
 concatenated in manifest order. It round-trips bit-exactly.
@@ -10,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +29,7 @@ from .errors import (
     UnstableSpec,
     VersionUnsupported,
 )
+from .spd import SYM_RTOL
 
 FORMAT_NAME = "acm-epochs"
 FORMAT_VERSION = 1
@@ -141,7 +149,8 @@ class ArSpec:
 
     coefficients[c] is the list [A_1, ..., A_p] for class c; innovation[c]
     the SPD innovation covariance U for class c. Every class must define a
-    stable process (companion spectral radius < 1).
+    stable process (companion spectral radius < 1). Every field is checked
+    here, once: a bad one raises UnstableSpec.
     """
 
     coefficients: list
@@ -155,25 +164,45 @@ class ArSpec:
     subject: str = "sim"
 
     def __post_init__(self):
-        if len(self.coefficients) != len(self.innovations):
+        for name, low in (("lag", 1), ("n_samples", 2), ("epochs_per_class", 1),
+                          ("n_sessions", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise UnstableSpec(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        rate = self.sample_rate
+        if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
+                or not (math.isfinite(rate) and rate > 0)):
+            raise UnstableSpec(f"sample_rate must be finite and > 0, got {rate!r}")
+        object.__setattr__(self, "sample_rate", float(rate))
+        try:
+            classes = [list(cls) for cls in self.coefficients]
+            innovations = list(self.innovations)
+        except TypeError:
+            raise UnstableSpec("coefficients must be a list of per-class lists of "
+                               "matrices and innovations a list of matrices") from None
+        if len(classes) != len(innovations):
             raise UnstableSpec("one innovation covariance per class required")
-        if not self.coefficients:
+        if not classes:
             raise UnstableSpec("at least one class required")
-        if self.lag < 1 or self.n_samples < 2 or self.epochs_per_class < 1:
-            raise UnstableSpec("lag >= 1, n_samples >= 2 and epochs_per_class >= 1 required")
-        coeffs = [[np.asarray(a, dtype=float) for a in cls] for cls in self.coefficients]
-        innov = [np.asarray(u, dtype=float) for u in self.innovations]
+        d = _matrix(innovations[0], "class 0 innovation").shape[0]
+        innov = [_matrix(u, f"class {c} innovation", d) for c, u in enumerate(innovations)]
+        coeffs = [[_matrix(a, f"class {c} coefficient {i + 1}", d) for i, a in enumerate(cls)]
+                  for c, cls in enumerate(classes)]
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "innovations", innov)
-        for c, cls in enumerate(coeffs):
+        for c, (cls, u) in enumerate(zip(coeffs, innov)):
+            asym = np.linalg.norm(u - u.T)
+            if asym > SYM_RTOL * np.linalg.norm(u):
+                raise UnstableSpec(f"class {c} innovation covariance is asymmetric: |U - U^T|_F "
+                                   f"= {asym:.3e} exceeds {SYM_RTOL:g} * |U|_F")
+            if np.linalg.eigvalsh(u)[0] <= 0:
+                raise UnstableSpec(f"class {c} innovation covariance is not SPD")
             rho = companion_spectral_radius(cls, self.lag)
             if rho >= 1.0:
                 raise UnstableSpec(
                     f"class {c} AR process is unstable: spectral radius {rho:.4f} >= 1"
                 )
-            w = np.linalg.eigvalsh(innov[c])
-            if w[0] <= 0:
-                raise UnstableSpec(f"class {c} innovation covariance is not SPD")
 
     @property
     def n_classes(self) -> int:
@@ -182,6 +211,20 @@ class ArSpec:
     @property
     def n_channels(self) -> int:
         return self.innovations[0].shape[0]
+
+
+def _matrix(value, what: str, d: int | None = None) -> np.ndarray:
+    """value as a finite float matrix, d x d (any square size when d is None)."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise UnstableSpec(f"{what} is not a numeric matrix") from None
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or d not in (None, m.shape[0]):
+        size = "a square" if d is None else f"a {d}x{d}"
+        raise UnstableSpec(f"{what} must be {size} matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise UnstableSpec(f"{what} has a non-finite entry")
+    return m
 
 
 def companion_spectral_radius(coefficients: list, lag: int) -> float:
@@ -203,25 +246,6 @@ def companion_spectral_radius(coefficients: list, lag: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def _simulate_epoch(spec: ArSpec, class_idx: int, rng: np.random.Generator) -> np.ndarray:
-    coeffs = spec.coefficients[class_idx]
-    chol = np.linalg.cholesky(spec.innovations[class_idx])
-    d = spec.n_channels
-    p = len(coeffs)
-    burn_in = 10 * p * spec.lag
-    total = spec.n_samples + burn_in
-    x = np.zeros((d, total))
-    noise = chol @ rng.standard_normal((d, total))
-    for t in range(total):
-        acc = noise[:, t].copy()
-        for i, a in enumerate(coeffs):
-            back = (i + 1) * spec.lag
-            if t - back >= 0:
-                acc += a @ x[:, t - back]
-        x[:, t] = acc
-    return x[:, burn_in:]
-
-
 def generate_ar_dataset(spec: ArSpec) -> EpochSet:
     """Draw a labeled EpochSet from per-class AR processes.
 
@@ -230,15 +254,41 @@ def generate_ar_dataset(spec: ArSpec) -> EpochSet:
     (seed, session, class, epoch) counters, so output is identical however
     the work is distributed. All sessions fill one (n, d, T) array.
     """
-    labels = [c for c in range(spec.n_classes) for _ in range(spec.epochs_per_class)]
+    n = spec.epochs_per_class
+    labels = [c for c in range(spec.n_classes) for _ in range(n)]
     values = np.empty((spec.n_sessions * len(labels), spec.n_channels, spec.n_samples))
-    for i, (s_idx, c_idx, e_idx) in enumerate(itertools.product(
-            range(spec.n_sessions), range(spec.n_classes), range(spec.epochs_per_class))):
-        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(s_idx, c_idx, e_idx))
-        values[i] = _simulate_epoch(spec, c_idx, np.random.Generator(np.random.PCG64(ss)))
+    for i, (s_idx, c_idx) in enumerate(itertools.product(
+            range(spec.n_sessions), range(spec.n_classes))):
+        values[i * n:(i + 1) * n] = _simulate_block(spec, s_idx, c_idx).transpose(1, 2, 0)
     sessions = [(f"session{s_idx}", labels) for s_idx in range(spec.n_sessions)]
     class_names = [f"class{c}" for c in range(spec.n_classes)]
     return _split(spec.subject, EpochStack(values, spec.sample_rate), sessions, class_names)
+
+
+def _simulate_block(spec: ArSpec, s_idx: int, c_idx: int) -> np.ndarray:
+    """The (T, epochs_per_class, d) samples of one (session, class) block.
+
+    Each epoch draws chol @ z from its own substream; one time loop then
+    steps every epoch at once. np.matmul of a by the stacked (d, 1) columns
+    makes the same matrix-vector product per epoch as a @ x_e, so the bits
+    equal those of an epoch-by-epoch loop (a single GEMM would not).
+    """
+    coeffs = spec.coefficients[c_idx]
+    chol = np.linalg.cholesky(spec.innovations[c_idx])
+    burn_in = 10 * len(coeffs) * spec.lag
+    total = spec.n_samples + burn_in
+    x = np.empty((total, spec.epochs_per_class, spec.n_channels))
+    for e_idx in range(spec.epochs_per_class):
+        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(s_idx, c_idx, e_idx))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        x[:, e_idx] = (chol @ rng.standard_normal((spec.n_channels, total))).T
+    for t in range(spec.lag, total):
+        for i, a in enumerate(coeffs):
+            back = (i + 1) * spec.lag
+            if t < back:
+                break
+            x[t] += np.matmul(a, x[t - back][..., None])[..., 0]
+    return x[burn_in:]
 
 
 def ar_spec_from_dict(raw: dict) -> ArSpec:
@@ -249,18 +299,16 @@ def ar_spec_from_dict(raw: dict) -> ArSpec:
         return ArSpec(
             coefficients=raw["coefficients"],
             innovations=raw["innovations"],
-            lag=int(raw.get("lag", 1)),
-            n_samples=int(raw["n_samples"]),
-            epochs_per_class=int(raw["epochs_per_class"]),
-            seed=int(raw["seed"]),
-            sample_rate=float(raw.get("sample_rate", 250.0)),
-            n_sessions=int(raw.get("n_sessions", 1)),
+            lag=raw.get("lag", 1),
+            n_samples=raw["n_samples"],
+            epochs_per_class=raw["epochs_per_class"],
+            seed=raw["seed"],
+            sample_rate=raw.get("sample_rate", 250.0),
+            n_sessions=raw.get("n_sessions", 1),
             subject=str(raw.get("subject", "sim")),
         )
     except KeyError as exc:
         raise UnstableSpec(f"generator spec is missing field {exc}") from exc
-    except TypeError as exc:
-        raise UnstableSpec(f"generator spec has a field of the wrong type: {exc}") from exc
 
 
 # -- container format --------------------------------------------------

@@ -24,6 +24,12 @@ KKT_TOL = 1e-3
 MAX_SMO_ITER = 100_000
 
 
+def check_kernel(kernel) -> None:
+    """The one kernel rule: InvalidSetting unless kernel is in KERNELS."""
+    if kernel not in KERNELS:
+        raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
+
+
 def _kernel_matrix(kind: str, gamma: float | None, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     if kind == "linear":
         return x @ z.T
@@ -190,8 +196,7 @@ def svm_fit(
         raise EmptyClass("need at least two classes")
     if not (np.isfinite(c) and c > 0):
         raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
-    if kernel not in KERNELS:
-        raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
+    check_kernel(kernel)
     if kernel == "rbf" and gamma is None:
         gamma = default_gamma(features)
     elif kernel == "rbf" and not (np.isfinite(gamma) and gamma > 0):

@@ -528,6 +528,27 @@ def _set(raw, value, *keys):
     return raw
 
 
+def _spec_json(**fields):
+    """A valid white-noise generator spec as JSON, with fields replaced."""
+    return json.dumps({"coefficients": [[]], "innovations": [[[1.0, 0.0], [0.0, 1.0]]],
+                       "n_samples": 64, "epochs_per_class": 2, "seed": 0, **fields})
+
+
+BAD_SPEC_FIELDS = {
+    "spec-fractional-n-samples": {"n_samples": 64.7},
+    "spec-fractional-epochs": {"epochs_per_class": 2.9},
+    "spec-asymmetric-innovation": {"innovations": [[[1, 0.5], [0.2, 1]]]},
+    "spec-nan-upper-innovation": {"innovations": [[[1, "nan"], [0, 1]]]},
+    "spec-coefficient-size": {"coefficients": [[[[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]]]]},
+    "spec-innovation-sizes": {"coefficients": [[], []],
+                              "innovations": [[[1, 0], [0, 1]], [[1]]]},
+    "spec-n-samples-string": {"n_samples": "abc"},
+    "spec-1d-innovation": {"innovations": [[1.0, 2.0]]},
+    "spec-negative-seed": {"seed": -1},
+    "spec-no-sessions": {"n_sessions": 0},
+}
+
+
 @pytest.mark.parametrize("kind,edit,error", [
     ("container", lambda m: _drop(m, "sessions", 0, "labels"), "FormatError"),
     ("container", lambda m: _set(m, None, "sessions", 1, "labels", 0), "FormatError"),
@@ -540,9 +561,11 @@ def _set(raw, value, *keys):
              '"epochs_per_class": 2, "seed": 0}', "UnstableSpec"),
     ("spec", '{"coefficients": 5, "innovations": [[[1.0]]], "n_samples": 64, '
              '"epochs_per_class": 2, "seed": 0}', "UnstableSpec"),
+    *[("spec", _spec_json(**fields), "UnstableSpec") for fields in BAD_SPEC_FIELDS.values()],
 ], ids=["container-without-labels", "container-null-label", "container-sessions-not-list",
         "report-without-subject", "report-score-without-lag", "report-json-list",
-        "spec-json-list", "spec-null-field", "spec-coefficients-not-a-list"])
+        "spec-json-list", "spec-null-field", "spec-coefficients-not-a-list",
+        *BAD_SPEC_FIELDS])
 def test_malformed_input_file_exit_2(tmp_path, capsys, kind, edit, error):
     if kind == "container":
         argv = ["evaluate", "--input", str(_container_with(tmp_path, capsys, edit)),

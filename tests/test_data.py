@@ -1,9 +1,13 @@
 import json
 import pickle
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augcov.covariance import (
     AugmentedParams,
@@ -124,6 +128,38 @@ class TestArSpecValidation:
                 lag=1, n_samples=100, epochs_per_class=2, seed=0,
             )
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_samples", 64.7), ("n_samples", "abc"), ("n_samples", 1), ("n_samples", True),
+        ("epochs_per_class", 2.9), ("n_sessions", 0), ("lag", 0), ("seed", -1),
+        ("sample_rate", 0.0), ("sample_rate", float("nan")), ("sample_rate", "abc"),
+    ])
+    def test_bad_count_or_rate_rejected(self, field, value):
+        kwargs = dict(coefficients=[[]], innovations=[np.eye(2)],
+                      lag=1, n_samples=64, epochs_per_class=2, seed=0)
+        with pytest.raises(UnstableSpec, match=field):
+            ArSpec(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("coefficients,innovations,match", [
+        ([[]], [[[1.0, 0.5], [0.2, 1.0]]], "asymmetric"),
+        ([[]], [[[1.0, float("nan")], [0.0, 1.0]]], "non-finite"),
+        ([[]], [[[1.0, "nan"], [0.0, 1.0]]], "non-finite"),
+        ([[]], [[1.0, 2.0]], "square matrix"),
+        ([[]], [[["a", "b"], ["c", "d"]]], "not a numeric matrix"),
+        ([[0.1 * np.eye(3)]], [np.eye(2)], "coefficient 1 must be a 2x2"),
+        ([[], []], [np.eye(2), np.eye(1)], "class 1 innovation must be a 2x2"),
+        ([[[[0.1, 0.0], [float("inf"), 0.1]]]], [np.eye(2)], "non-finite"),
+        (5, [np.eye(2)], "per-class lists"),
+    ])
+    def test_bad_matrix_rejected(self, coefficients, innovations, match):
+        with pytest.raises(UnstableSpec, match=match):
+            ArSpec(coefficients=coefficients, innovations=innovations,
+                   lag=1, n_samples=64, epochs_per_class=2, seed=0)
+
+    def test_integer_like_counts_become_int(self):
+        spec = ArSpec(coefficients=[[]], innovations=[np.eye(2)], lag=np.int64(2),
+                      n_samples=np.int32(64), epochs_per_class=2, seed=0, sample_rate=100)
+        assert (type(spec.lag), type(spec.n_samples), type(spec.sample_rate)) == (int, int, float)
+
     def test_companion_radius_scalar(self):
         # AR(1) companion radius is |a|
         assert companion_spectral_radius([np.array([[0.9]])], 1) == pytest.approx(0.9)
@@ -134,7 +170,70 @@ class TestArSpecValidation:
         assert rho == pytest.approx(0.7, abs=1e-12)
 
 
+def per_epoch_reference(spec):
+    """The (n, d, T) values of the epoch-by-epoch generator loop that the
+    batched recursion replaced, kept here as the reference it must equal."""
+    def simulate_epoch(class_idx, rng):
+        coeffs = spec.coefficients[class_idx]
+        chol = np.linalg.cholesky(spec.innovations[class_idx])
+        burn_in = 10 * len(coeffs) * spec.lag
+        total = spec.n_samples + burn_in
+        x = np.zeros((spec.n_channels, total))
+        noise = chol @ rng.standard_normal((spec.n_channels, total))
+        for t in range(total):
+            acc = noise[:, t].copy()
+            for i, a in enumerate(coeffs):
+                back = (i + 1) * spec.lag
+                if t - back >= 0:
+                    acc += a @ x[:, t - back]
+            x[:, t] = acc
+        return x[:, burn_in:]
+
+    keys = itertools.product(range(spec.n_sessions), range(spec.n_classes),
+                             range(spec.epochs_per_class))
+    return np.stack([
+        simulate_epoch(c_idx, np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=spec.seed, spawn_key=(s_idx, c_idx, e_idx)))))
+        for s_idx, c_idx, e_idx in keys
+    ])
+
+
+@st.composite
+def stable_specs(draw):
+    """Stable ArSpecs: d 1-6, 0-3 coefficients at lag 1-3, 1-3 classes (class
+    0 white noise when there are several) and 1-2 sessions. The coefficient
+    spectral norms sum to below 1, which bounds the companion radius below 1."""
+    d, order, lag = draw(st.integers(1, 6)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    n_classes = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coefficients, innovations = [], []
+    for c in range(n_classes):
+        cls = []
+        for _ in range(0 if c == 0 and n_classes > 1 else order):
+            g = rng.standard_normal((d, d))
+            cls.append(g * (rng.uniform(0.1, 0.95) / order / np.linalg.norm(g, 2)))
+        coefficients.append(cls)
+        m = rng.standard_normal((d, d))
+        innovations.append(m @ m.T + 0.5 * np.eye(d))
+    return ArSpec(coefficients=coefficients, innovations=innovations, lag=lag,
+                  n_samples=draw(st.integers(2, 40)), epochs_per_class=draw(st.integers(1, 4)),
+                  seed=draw(st.integers(0, 2**63)), n_sessions=draw(st.integers(1, 2)))
+
+
 class TestGenerator:
+    @given(spec=stable_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_recursion_equals_per_epoch_loop(self, spec):
+        assert np.array_equal(generate_ar_dataset(spec).epochs.values, per_epoch_reference(spec))
+
+    def test_epochs_keep_their_substreams_as_the_spec_grows(self):
+        small = generate_ar_dataset(matched_dynamics_spec(seed=4, epochs_per_class=3, t=48))
+        large = generate_ar_dataset(
+            matched_dynamics_spec(seed=4, epochs_per_class=5, t=48, n_sessions=2))
+        for c in range(2):
+            assert np.array_equal(large.sessions[0].epochs.values[5 * c:5 * c + 3],
+                                  small.sessions[0].epochs.values[3 * c:3 * c + 3])
+
     def test_white_noise_covariance(self):
         u = np.array([[2.0, 0.3], [0.3, 1.0]])
         spec = ArSpec(
