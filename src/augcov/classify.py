@@ -15,24 +15,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedding as emb
-from .covariance import AugmentedParams, as_epochs, covariance_stack
+from . import svm
+from .covariance import AugmentedParams, as_epochs, covariance_stack, resolve_shrink
 from .errors import (
     AllCellsInvalid,
     DimensionMismatch,
     EmptyClass,
     InvalidSetting,
     LagTooLarge,
+    LengthMismatch,
     TooFewSamples,
 )
 from .spd import SpdMatrix, as_stack, distances_from, frechet_mean, log_coordinates, symm_fn
 from .stats import accuracy, auc_roc
-from .svm import KERNELS, SvmModel, check_kernel, svm_decision, svm_fit, svm_predict
+from .svm import KERNELS, SvmModel, svm_decision, svm_fit, svm_predict
 
 PIPELINE_KINDS = ("MDM", "ACM+MDM", "TANG+SVM", "ACM+TANG+SVM")
 PARAM_SOURCES = ("fixed", "grid", *emb.METHODS)
 
-TABLE_C_GRID = (0.5, 1.0, 1.5)
-TABLE_KERNEL_GRID = KERNELS
+TABLE_C_GRID = (0.5, 1.0, 1.5)  # with svm.KERNELS, the grid of every SVM search
 TABLE_ORDER_GRID = tuple(range(1, 11))
 TABLE_LAG_GRID = tuple(range(1, 11))
 
@@ -52,16 +53,25 @@ class MdmModel:
             raise ValueError("class labels must be unique")
 
 
+def _check_labels(n_samples: int, labels) -> np.ndarray:
+    """The one label rule of the classifiers: one label per sample, else
+    LengthMismatch; no samples at all raise EmptyClass. Returns the labels
+    as an array."""
+    labels = np.asarray(labels)
+    if labels.size != n_samples:
+        raise LengthMismatch(f"need one label per sample, got {labels.size} labels "
+                             f"for {n_samples} samples")
+    if n_samples == 0:
+        raise EmptyClass("no training samples")
+    return labels
+
+
 def mdm_fit(covs, labels) -> MdmModel:
     """Per-class Frechet means of the training covariances (an SpdStack or a
     sequence of SpdMatrix), each over its class's rows of the stack."""
-    labels = np.asarray(labels)
+    labels = _check_labels(len(covs), labels)
     classes = tuple(sorted(set(labels.tolist())))
-    if not classes:
-        raise EmptyClass("no training samples")
     covs = as_stack(covs)
-    if len(covs) != labels.size:
-        raise EmptyClass(f"{len(covs)} covariances for {labels.size} labels")
     return MdmModel(classes, tuple(frechet_mean(covs, rows=np.flatnonzero(labels == cls))
                                    for cls in classes))
 
@@ -151,7 +161,8 @@ def score_split(model, x_test, y_test) -> tuple:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Which covariance, which hyper-parameter source, which classifier."""
+    """Which covariance, which hyper-parameter source, which classifier.
+    Each field is set by one option of the evaluate command."""
 
     kind: str
     param_source: str = "fixed"
@@ -162,13 +173,7 @@ class PipelineSpec:
     svm_kernel: str = "linear"
     grid_orders: tuple = TABLE_ORDER_GRID
     grid_lags: tuple = TABLE_LAG_GRID
-    grid_c: tuple = TABLE_C_GRID
-    grid_kernels: tuple = TABLE_KERNEL_GRID
     inner_folds: int = 5
-    estimator_max_lag: int = emb.MDOP_DEFAULT_MAX_LAG
-    ami_bins: int = emb.AMI_DEFAULT_BINS
-    cao_max_dim: int = emb.CAO_DEFAULT_MAX_DIM
-    mdop_max_cycles: int = emb.MDOP_DEFAULT_MAX_CYCLES
 
     def __post_init__(self):
         if self.kind not in PIPELINE_KINDS:
@@ -180,17 +185,10 @@ class PipelineSpec:
                 f"{self.kind} has no stacking parameters to estimate with "
                 f"{self.param_source}"
             )
-        if self.inner_folds < 2:
-            raise InvalidSetting(f"inner CV needs >= 2 folds, got {self.inner_folds}")
-        for c in (self.svm_c, *self.grid_c):
-            if not (np.isfinite(c) and c > 0):
-                raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
-        for kernel in (self.svm_kernel, *self.grid_kernels):
-            check_kernel(kernel)
-        if not all((self.grid_orders, self.grid_lags, self.grid_c, self.grid_kernels)):
-            raise InvalidSetting("the order, lag, C and kernel grids must not be empty")
-        emb.check_settings(max_lag=self.estimator_max_lag, bins=self.ami_bins,
-                           max_dim=self.cao_max_dim, max_cycles=self.mdop_max_cycles)
+        check_folds(self.inner_folds, "inner_folds")
+        svm.check_settings(self.svm_c, self.svm_kernel)
+        if not (self.grid_orders and self.grid_lags):
+            raise InvalidSetting("the order and lag grids must not be empty")
         for cell in ((self.order, self.lag), *itertools.product(self.grid_orders, self.grid_lags)):
             AugmentedParams(*cell)  # the one check of the (order, lag) rule
 
@@ -278,13 +276,23 @@ class GridSearchResult:
     ties: tuple  # cells whose score equals the best before tie-breaking
 
 
+def check_folds(n_folds, name: str = "folds") -> None:
+    """The one fold-count rule, for stratified_folds, PipelineSpec and the
+    within-session protocol: InvalidSetting unless n_folds is an integer
+    >= 2."""
+    if not isinstance(n_folds, (int, np.integer)) or n_folds < 2:
+        raise InvalidSetting(f"{name} must be an integer >= 2, got {n_folds!r}")
+
+
 def stratified_folds(labels: np.ndarray, n_folds: int, seed, where: str = "the inner CV"):
     """Seeded stratified K-fold: per-class shuffle, round-robin assignment.
 
     Returns a list of (train_idx, test_idx) arrays with every class in every
-    fold. seed (a SeedSequence, or an int) seeds the PCG64 shuffles; a class
-    with fewer than n_folds members raises TooFewSamples naming `where`.
+    fold. seed (a SeedSequence, or an int) seeds the PCG64 shuffles; a fold
+    count that fails check_folds raises InvalidSetting, and a class with
+    fewer than n_folds members raises TooFewSamples naming `where`.
     """
+    check_folds(n_folds)
     labels = np.asarray(labels)
     counts = {cls: int(np.sum(labels == cls)) for cls in sorted(set(labels.tolist()))}
     if min(counts.values(), default=0) < n_folds:
@@ -319,29 +327,25 @@ def grid_search(
     kind: str,
     orders=TABLE_ORDER_GRID,
     lags=TABLE_LAG_GRID,
-    c_grid=TABLE_C_GRID,
-    kernel_grid=TABLE_KERNEL_GRID,
     inner_folds: int = 5,
     seed: int = 0,
     shrink: bool | None = None,
 ) -> GridSearchResult:
-    """Stratified inner-CV score over the (order, lag[, C, kernel]) grid.
+    """Stratified inner-CV score over the (order, lag[, C, kernel]) grid; SVM
+    kinds search every TABLE_C_GRID x svm.KERNELS pair in each cell.
 
     Cells that violate (order-1)*lag < T - 1 are recorded invalid and skipped.
     The best cell wins by mean score with deterministic tie-breaking:
-    smaller order, then smaller lag, then the listed order of the classifier
-    parameter grids.
+    smaller order, then smaller lag, then C and kernel in table order.
     """
     if kind not in PIPELINE_KINDS:
         raise InvalidSetting(f"unknown pipeline kind {kind!r}")
-    labels = np.asarray(labels)
-    if len(epochs) == 0 or labels.size != len(epochs):
-        raise TooFewSamples("grid search needs one label per epoch")
+    labels = _check_labels(len(epochs), labels)
     epochs = as_epochs(epochs)
     folds = stratified_folds(labels, inner_folds, np.random.SeedSequence(seed))
     uses_svm = kind.endswith("SVM")
     param_grid = (
-        list(itertools.product(c_grid, kernel_grid)) if uses_svm else [(None, None)]
+        list(itertools.product(TABLE_C_GRID, KERNELS)) if uses_svm else [(None, None)]
     )
 
     cells = []
@@ -389,9 +393,7 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
     search runs only when the source leaves more than one candidate."""
     estimate = None
     if spec.param_source in emb.METHODS:
-        estimate = emb.estimate(epochs, spec.param_source, max_lag=spec.estimator_max_lag,
-                                bins=spec.ami_bins, max_dim=spec.cao_max_dim,
-                                max_cycles=spec.mdop_max_cycles)
+        estimate = emb.estimate(epochs, spec.param_source)
 
     if estimate is not None:
         orders, lags = (estimate.dim,), (estimate.tau,)
@@ -401,17 +403,13 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
         orders, lags = (spec.order,), (spec.lag,)
     else:
         orders, lags = (1,), (1,)
-    if spec.uses_svm and spec.param_source != "fixed":
-        c_grid, kernels = spec.grid_c, spec.grid_kernels
-    else:
-        c_grid, kernels = (spec.svm_c,), (spec.svm_kernel,)
-
-    if len(orders) * len(lags) * len(c_grid) * len(kernels) == 1:
-        return (AugmentedParams(orders[0], lags[0]), c_grid[0], kernels[0],
+    # a fixed source fixes an SVM's C and kernel; any other searches the table
+    svm_search = spec.uses_svm and spec.param_source != "fixed"
+    if len(orders) * len(lags) == 1 and not svm_search:
+        return (AugmentedParams(orders[0], lags[0]), spec.svm_c, spec.svm_kernel,
                 None, estimate)
     grid = grid_search(
         epochs, labels, spec.kind, orders=orders, lags=lags,
-        c_grid=c_grid, kernel_grid=kernels,
         inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
     )
     return (AugmentedParams(grid.best_order, grid.best_lag), grid.best_c,
@@ -421,14 +419,12 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
 def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0) -> FittedPipeline:
     """Train one pipeline on an EpochStack (or a list of Epoch) with integer
     labels."""
-    labels = np.asarray(labels)
-    if len(epochs) != labels.size or len(epochs) == 0:
-        raise EmptyClass("need one label per training epoch")
+    labels = _check_labels(len(epochs), labels)
     epochs = as_epochs(epochs)
     params, c, kernel, grid_result, estimate = _resolve_params(
         spec, epochs, labels, seed
     )
-    shrink = spec.shrink if spec.shrink is not None else params.order > 1
+    shrink = resolve_shrink(spec.shrink, params)
 
     tmap, (x,) = _head_inputs(spec.kind, covariance_stack(epochs, params, shrink))
     return FittedPipeline(spec=spec, params=params, shrink=shrink,

@@ -173,23 +173,26 @@ def augmented_covariance(
     epoch: Epoch, params: AugmentedParams, shrink: bool | None = None
 ) -> SpdMatrix:
     """Augmented covariance of an epoch: the sample covariance of its
-    delay-embedded version, optionally Ledoit-Wolf shrunk.
-
-    shrink=None applies the default policy: shrinkage on for order > 1
-    (the stacked estimate lives in the finite-observation large-dimension
-    regime), off for order 1, where the result equals sample_covariance
-    exactly.
+    delay-embedded version, Ledoit-Wolf shrunk as resolve_shrink says.
     """
     return covariance_stack([epoch], params, shrink)[0]
+
+
+def resolve_shrink(shrink: bool | None, params: AugmentedParams) -> bool:
+    """The one shrink policy: shrink as given, or for None, on for order > 1
+    (the stacked estimate lives in the finite-observation large-dimension
+    regime) and off for order 1, where the augmented covariance equals
+    sample_covariance exactly."""
+    return params.order > 1 if shrink is None else shrink
 
 
 def covariance_stack(epochs, params: AugmentedParams, shrink: bool | None = None) -> SpdStack:
     """The augmented covariances of an EpochStack (or a non-empty sequence
     of same-shape Epoch) as one SpdStack, checked once;
-    augmented_covariance is the one-epoch case. Unshrunk, it warns when the
-    embedded epoch has no more samples than rows."""
-    if shrink is None:
-        shrink = params.order > 1
+    augmented_covariance is the one-epoch case. shrink goes through
+    resolve_shrink. Unshrunk, it warns when the embedded epoch has no more
+    samples than rows."""
+    shrink = resolve_shrink(shrink, params)
     values = as_epochs(epochs).values
     _, d, t = values.shape
     params.check_length(t)

@@ -19,7 +19,7 @@ from .errors import ConstantSeries, InvalidSetting, TooShort
 METHODS = ("ami_cao", "mdop")  # the estimators behind estimate()
 AMI_DEFAULT_BINS = 16
 CAO_DEFAULT_MAX_DIM = 8
-CAO_DEFAULT_THRESHOLD = 0.05
+CAO_THRESHOLD = 0.05  # Cao's E1 counts as settled within this of 1
 MDOP_DEFAULT_MAX_CYCLES = 8
 MDOP_DEFAULT_MAX_LAG = 10
 FNN_RATIO = 10.0  # Kennel false-neighbor distance ratio
@@ -57,7 +57,7 @@ class CaoResult:
 def check_settings(**settings) -> None:
     """InvalidSetting unless each of bins and max_dim is an integer >= 2 and
     each other setting (max_lag, tau, max_cycles) one >= 1; the one check of
-    the estimator entry points and of PipelineSpec."""
+    the estimator entry points."""
     for name, value in settings.items():
         low = 2 if name in ("bins", "max_dim") else 1
         if not isinstance(value, (int, np.integer)) or value < low:
@@ -214,17 +214,12 @@ def _cao_e_curve(series: np.ndarray, tau: int, max_e_dim: int) -> np.ndarray:
     return out
 
 
-def cao_embedding_dimension(
-    epochs,
-    tau: int,
-    max_dim: int,
-    threshold: float = CAO_DEFAULT_THRESHOLD,
-) -> CaoResult:
+def cao_embedding_dimension(epochs, tau: int, max_dim: int) -> CaoResult:
     """Embedding dimension by Cao's neighbor-distance-ratio statistic.
 
     E1(m) = E(m+1)/E(m) is averaged over all channels and epochs; the result
-    is the smallest D with both |E1(D) - 1| and |E1(D+1) - 1| below the
-    threshold, or max_dim with saturation_failure set when the curve never
+    is the smallest D with both |E1(D) - 1| and |E1(D+1) - 1| below
+    CAO_THRESHOLD, or max_dim with saturation_failure set when the curve never
     settles. Each series takes one incremental neighbour search for all
     max_dim + 1 dimensions (see _prefix_neighbours): O(n^2 * max_dim) time.
     """
@@ -242,7 +237,7 @@ def cao_embedding_dimension(
         raise TooShort("no channel produced a usable E curve")
     e_mean = total / count
     e1 = e_mean[1:] / e_mean[:-1]  # E1(m) for m = 1..max_dim
-    settled = np.abs(e1 - 1.0) < threshold
+    settled = np.abs(e1 - 1.0) < CAO_THRESHOLD
     for d in range(1, max_dim):
         if settled[d - 1] and settled[d]:
             return CaoResult(d, e1, False)
@@ -352,12 +347,11 @@ def estimate_traditional(
     max_lag: int = MDOP_DEFAULT_MAX_LAG,
     bins: int = AMI_DEFAULT_BINS,
     max_dim: int = CAO_DEFAULT_MAX_DIM,
-    threshold: float = CAO_DEFAULT_THRESHOLD,
 ) -> EmbeddingEstimate:
     """AMI delay followed by Cao dimension (the two-step route)."""
     check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim)
     tau_sel = select_tau_ami(epochs, max_lag, bins)
-    cao = cao_embedding_dimension(epochs, tau_sel.tau, max_dim, threshold)
+    cao = cao_embedding_dimension(epochs, tau_sel.tau, max_dim)
     flags = []
     if tau_sel.no_local_minimum:
         flags.append("no_local_minimum")
@@ -380,8 +374,7 @@ def estimate(epochs, method: str, *, max_lag: int = MDOP_DEFAULT_MAX_LAG,
              max_cycles: int = MDOP_DEFAULT_MAX_CYCLES) -> EmbeddingEstimate:
     """(tau, dim) of an epoch stack by one of METHODS: "ami_cao" runs
     estimate_traditional (max_lag, bins, max_dim), "mdop" runs mdop_unified
-    (max_cycles, max_lag). Every setting is checked, the unused ones too, as
-    PipelineSpec checks them."""
+    (max_cycles, max_lag). Every setting is checked, the unused ones too."""
     check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim, max_cycles=max_cycles)
     if method == "ami_cao":
         return estimate_traditional(epochs, max_lag=max_lag, bins=bins, max_dim=max_dim)

@@ -215,9 +215,13 @@ def _run_splits(epoch_set: EpochSet, spec: PipelineSpec, splits, eval_mode: str,
     return report
 
 
-def _check_workers(workers) -> None:
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise InvalidSetting(f"workers must be an integer >= 1, got {workers!r}")
+def _check_run(seed, workers=1) -> None:
+    """The one check of the run settings of the protocols and of
+    meta_analysis: InvalidSetting unless seed is an integer >= 0 and workers
+    one >= 1."""
+    for name, value, low in (("seed", seed, 0), ("workers", workers, 1)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise InvalidSetting(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def within_session_eval(
@@ -228,10 +232,9 @@ def within_session_eval(
     dataset: str = "default",
     workers: int = 1,
 ) -> EvalReport:
-    """Stratified seeded k-fold CV inside every session."""
-    if folds < 2:
-        raise InvalidSetting(f"within-session CV needs >= 2 folds, got {folds}")
-    _check_workers(workers)
+    """Stratified seeded k-fold CV inside every session; folds goes through
+    classify.check_folds."""
+    _check_run(seed, workers)
     return _run_splits(epoch_set, spec, _ws_splits(epoch_set, folds, seed), "ws",
                        seed, dataset, workers)
 
@@ -247,7 +250,7 @@ def cross_session_eval(
     one, rotating over sessions."""
     if len(epoch_set.sessions) < 2:
         raise SingleSession("cross-session evaluation needs at least 2 sessions")
-    _check_workers(workers)
+    _check_run(seed, workers)
     return _run_splits(epoch_set, spec, _cs_splits(epoch_set, seed), "cs",
                        seed, dataset, workers)
 
@@ -336,6 +339,7 @@ def meta_analysis(reports, seed: int = 0) -> MetaAnalysis:
     """Pairwise one-tailed comparisons of every pipeline pair, combined over
     datasets with Stouffer (weights sqrt(n_subjects)) and Bonferroni
     corrected over hypotheses."""
+    _check_run(seed)
     if len(reports) < 2:
         raise PairingViolation("need at least two reports")
     table = _subject_means(reports)

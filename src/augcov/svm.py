@@ -24,8 +24,11 @@ KKT_TOL = 1e-3
 MAX_SMO_ITER = 100_000
 
 
-def check_kernel(kernel) -> None:
-    """The one kernel rule: InvalidSetting unless kernel is in KERNELS."""
+def check_settings(c, kernel) -> None:
+    """The one rule of the SVM settings, for svm_fit and PipelineSpec:
+    InvalidSetting unless c is finite and > 0 and kernel is in KERNELS."""
+    if not (np.isfinite(c) and c > 0):
+        raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
     if kernel not in KERNELS:
         raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
 
@@ -177,13 +180,12 @@ def svm_fit(
     labels: np.ndarray,
     c: float = 1.0,
     kernel: str = "linear",
-    gamma: float | None = None,
 ) -> SvmModel:
     """Train a (possibly multi-class) SVM on a feature matrix.
 
-    gamma=None uses default_gamma for the rbf kernel and is ignored for the
-    linear one. Binary problems orient the decision so the larger label is
-    the positive class.
+    The rbf kernel takes its gamma from default_gamma of the features; the
+    linear one has none. Binary problems orient the decision so the larger
+    label is the positive class.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
@@ -194,15 +196,8 @@ def svm_fit(
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise EmptyClass("need at least two classes")
-    if not (np.isfinite(c) and c > 0):
-        raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
-    check_kernel(kernel)
-    if kernel == "rbf" and gamma is None:
-        gamma = default_gamma(features)
-    elif kernel == "rbf" and not (np.isfinite(gamma) and gamma > 0):
-        raise InvalidSetting(f"rbf gamma must be finite and > 0, got {gamma!r}")
-    if kernel == "linear":
-        gamma = None
+    check_settings(c, kernel)
+    gamma = default_gamma(features) if kernel == "rbf" else None
 
     # one kernel matrix serves every one-vs-rest machine
     kernel_mat = _kernel_matrix(kernel, gamma, features, features)

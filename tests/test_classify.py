@@ -13,7 +13,13 @@ from augcov.classify import (
 )
 from augcov.covariance import Epoch
 from augcov.data import ArSpec, generate_ar_dataset
-from augcov.errors import AllCellsInvalid, EmptyClass, InvalidSetting, TooFewSamples
+from augcov.errors import (
+    AllCellsInvalid,
+    EmptyClass,
+    InvalidSetting,
+    LengthMismatch,
+    TooFewSamples,
+)
 from augcov.spd import SpdMatrix, affine_invariant_distance, symm_fn
 
 from conftest import random_spd, random_symmetric
@@ -280,6 +286,20 @@ class TestGridSearch:
                         inner_folds=3, seed=0)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda epochs, labels: grid_search(epochs, labels, "MDM", orders=(1,), lags=(1, 2),
+                                       inner_folds=2),
+    lambda epochs, labels: fit_pipeline(PipelineSpec(kind="ACM+MDM", order=2), epochs, labels),
+    lambda epochs, labels: mdm_fit([SpdMatrix(np.eye(2))] * len(epochs), labels),
+], ids=["grid_search", "fit_pipeline", "mdm_fit"])
+def test_label_count_other_than_sample_count_is_length_mismatch(fit):
+    epochs, labels = ar_two_class_set(seed=6, epochs_per_class=4, t=32).all_epochs()
+    for wrong in (labels[:-1], np.append(labels, 0)):
+        with pytest.raises(LengthMismatch, match="one label per sample, got "
+                           f"{wrong.size} labels for 8 samples"):
+            fit(epochs, wrong)
+
+
 class TestFitPipeline:
     def test_fixed_acm_mdm(self):
         epoch_set = ar_two_class_set(seed=11)
@@ -325,8 +345,6 @@ class TestFitPipeline:
             PipelineSpec(kind="MDM", param_source="ami_cao")
 
     @pytest.mark.parametrize("setting,value", [
-        ("ami_bins", 0), ("ami_bins", 1), ("estimator_max_lag", 0),
-        ("cao_max_dim", 1), ("mdop_max_cycles", 0), ("ami_bins", 16.0),
         ("order", 0), ("lag", 0), ("order", 2.0), ("grid_orders", (1, 0)),
         ("grid_lags", (2, 0)),
     ])
@@ -338,9 +356,8 @@ class TestFitPipeline:
 @pytest.mark.parametrize("kind,grid", [
     ("MDM", dict(orders=(1,), lags=(1, 2))),
     ("ACM+MDM", dict(orders=(1, 3), lags=(2,))),
-    ("TANG+SVM", dict(orders=(1,), lags=(1,), c_grid=(0.5, 1.5), kernel_grid=("rbf",))),
-    ("ACM+TANG+SVM", dict(orders=(1, 2), lags=(1,), c_grid=(1.5,),
-                          kernel_grid=("linear",))),
+    ("TANG+SVM", dict(orders=(1,), lags=(1,))),
+    ("ACM+TANG+SVM", dict(orders=(1, 2), lags=(1,))),
 ])
 def test_inner_cv_cell_is_the_fitted_pipeline_score(kind, grid):
     """A grid cell's inner-CV score is, exactly, the mean over the search's
@@ -354,7 +371,8 @@ def test_inner_cv_cell_is_the_fitted_pipeline_score(kind, grid):
     epochs, labels = epoch_set.all_epochs()
     result = grid_search(epochs, labels, kind, inner_folds=3, seed=4, **grid)
     folds = stratified_folds(labels, 3, np.random.SeedSequence(4))
-    assert len(result.cells) == 2
+    n_cells = len(grid["orders"]) * len(grid["lags"])
+    assert len(result.cells) == n_cells * (6 if kind.endswith("SVM") else 1)
     for cell in result.cells:
         spec = PipelineSpec(kind=kind, order=cell.order, lag=cell.lag,
                             svm_c=cell.c or 1.0, svm_kernel=cell.kernel or "linear")
@@ -388,8 +406,7 @@ class TestEstimatorParamSources:
     def test_ami_cao_source_fits_and_predicts(self):
         epoch_set = ar_two_class_set(seed=31, epochs_per_class=10, t=256)
         epochs, labels = epoch_set.all_epochs()
-        spec = PipelineSpec(kind="ACM+MDM", param_source="ami_cao",
-                            estimator_max_lag=8, cao_max_dim=5)
+        spec = PipelineSpec(kind="ACM+MDM", param_source="ami_cao")
         fitted = fit_pipeline(spec, epochs, labels, seed=3)
         assert fitted.embedding_estimate is not None
         assert fitted.params.order == fitted.embedding_estimate.dim
@@ -400,8 +417,7 @@ class TestEstimatorParamSources:
     def test_mdop_source_selects_svm_params_from_grid(self):
         epoch_set = ar_two_class_set(seed=32, epochs_per_class=10, t=256)
         epochs, labels = epoch_set.all_epochs()
-        spec = PipelineSpec(kind="ACM+TANG+SVM", param_source="mdop",
-                            estimator_max_lag=6, mdop_max_cycles=4, inner_folds=3)
+        spec = PipelineSpec(kind="ACM+TANG+SVM", param_source="mdop", inner_folds=3)
         fitted = fit_pipeline(spec, epochs, labels, seed=4)
         assert fitted.embedding_estimate is not None
         assert fitted.embedding_estimate.method == "mdop"
@@ -451,8 +467,7 @@ class TestGridSearchOnlyWhenThereIsAChoice:
         monkeypatch.setattr(classify.emb, "mdop_unified", estimate)
         orders, lags = grid or ((1,), (1,))
         spec = PipelineSpec(kind=kind, param_source=source, order=2, lag=3,
-                            grid_orders=orders, grid_lags=lags,
-                            grid_c=(0.5, 1.0), grid_kernels=("linear",), inner_folds=3)
+                            grid_orders=orders, grid_lags=lags, inner_folds=3)
         epochs, labels = ar_two_class_set(seed=50, epochs_per_class=6, t=64).all_epochs()
         fitted = fit_pipeline(spec, epochs, labels, seed=1)
 
@@ -460,7 +475,7 @@ class TestGridSearchOnlyWhenThereIsAChoice:
             n_cells = len(orders) * len(lags)
         else:
             n_cells = 1
-        n_svm = 2 if kind.endswith("SVM") and source != "fixed" else 1
+        n_svm = 6 if kind.endswith("SVM") and source != "fixed" else 1
         searched = n_cells * n_svm > 1
         assert len(calls) == (1 if searched else 0)
         assert (fitted.grid_result is not None) == searched

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,11 @@ import numpy as np
 import pytest
 
 import augcov
+from augcov import cli
+from augcov.classify import PipelineSpec
 from augcov.cli import _parser, main
+from augcov.errors import InvalidSetting
+from augcov.evaluate import EvalReport, SplitScore
 
 
 def run_cli(capsys, *argv):
@@ -468,6 +473,77 @@ class TestErrorPathsAndWorkers:
         assert error["error"] == "InvalidSetting"
         assert error["message"].startswith("workers must be an integer >= 1")
         assert not (tmp_path / "w").exists()
+
+
+class TestSeed:
+    def test_evaluate_negative_seed_exit_2_names_seed(self, tmp_path, capsys):
+        spec = ar_spec_json(tmp_path, seed=44, n_sessions=2)
+        container = tmp_path / "seed.acm"
+        run_cli(capsys, "simulate", "--spec-json", f"@{spec}", "--out", str(container))
+        for mode in ("ws", "cs"):
+            code, _, stderr = run_cli(
+                capsys, "evaluate", "--input", str(container), "--pipeline", "MDM",
+                "--eval", mode, "--folds", "3", "--seed", "-1", "--out", str(tmp_path / "s"),
+            )
+            assert code == 2
+            assert json.loads(stderr) == {"error": "InvalidSetting",
+                                          "message": "seed must be an integer >= 0, got -1"}
+        assert not (tmp_path / "s").exists()
+
+    def test_stats_negative_seed_exit_2_names_seed(self, tmp_path, capsys):
+        paths = []
+        for pipeline in ("P1", "P2"):
+            report = EvalReport("ds", "alice", pipeline, "ws", 0)
+            report.scores.append(SplitScore("s", "fold0", 0.7, "auc", 1, 1, None, None))
+            paths.append(tmp_path / f"{pipeline}.json")
+            paths[-1].write_text(report.to_json())
+        code, stdout, stderr = run_cli(capsys, "stats", *map(str, paths), "--seed", "-1")
+        assert (code, stdout) == (2, "")
+        assert json.loads(stderr) == {"error": "InvalidSetting",
+                                      "message": "seed must be an integer >= 0, got -1"}
+
+
+def test_every_pipeline_spec_field_is_one_evaluate_option(monkeypatch, capsys):
+    """The settings a run can change are the settings the CLI exposes: each
+    PipelineSpec field is set by exactly one evaluate option, and the other
+    options only say what to run on, how to split it and where to write."""
+    options = {  # field: (option and a value off its default, the field's value)
+        "kind": (["--pipeline", "ACM+TANG+SVM"], "ACM+TANG+SVM"),
+        "param_source": (["--param-source", "grid"], "grid"),
+        "order": (["--order", "2"], 2),
+        "lag": (["--lag", "3"], 3),
+        "shrink": (["--shrink", "on"], True),
+        "svm_c": (["--svm-c", "1.5"], 1.5),
+        "svm_kernel": (["--svm-kernel", "rbf"], "rbf"),
+        "grid_orders": (["--grid-max-order", "2"], (1, 2)),
+        "grid_lags": (["--grid-max-lag", "3"], (1, 2, 3)),
+        "inner_folds": (["--folds", "4"], 4),
+    }
+    assert set(options) == {f.name for f in dataclasses.fields(PipelineSpec)}
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[0] for a in sub.choices["evaluate"]._actions if a.dest != "help"}
+    spec_options = {argv[0] for argv, _ in options.values()}
+    assert len(spec_options) == len(options)
+    assert flags - spec_options == {
+        "--input", "--eval", "--seed", "--dataset-id", "--workers", "--out"}
+
+    specs = []
+
+    def build(**kwargs):  # the spec evaluate builds, before any data is read
+        specs.append(PipelineSpec(**kwargs))
+        raise InvalidSetting("stop")
+
+    monkeypatch.setattr(cli, "PipelineSpec", build)
+    base = ["evaluate", "--input", "unread.acm", "--pipeline", "ACM+MDM",
+            "--seed", "0", "--out", "unwritten"]
+    assert run_cli(capsys, *base)[0] == 2
+    default = specs[-1]
+    for name, (argv, value) in options.items():
+        assert run_cli(capsys, *base, *argv)[0] == 2
+        changed = {f.name for f in dataclasses.fields(PipelineSpec)
+                   if getattr(specs[-1], f.name) != getattr(default, f.name)}
+        assert changed == {name}
+        assert getattr(specs[-1], name) == value
 
 
 class TestCrossSessionGrid:

@@ -337,6 +337,14 @@ class TestEstimate:
         with pytest.raises(InvalidSetting, match="unknown estimator 'nolds'"):
             estimate(noise_set(t=64), "nolds")
 
+    @pytest.mark.parametrize("setting,value", [
+        ("bins", 0), ("bins", 1), ("max_lag", 0), ("max_dim", 1), ("max_cycles", 0),
+        ("bins", 16.0),
+    ])
+    def test_bad_setting_rejected(self, setting, value):
+        with pytest.raises(InvalidSetting, match=f"{setting} must be an integer >= "):
+            estimate(noise_set(t=64), "ami_cao", **{setting: value})
+
 
 class TestTraditionalWrapper:
     def test_estimates_fit_the_epochs(self):

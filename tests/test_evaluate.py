@@ -345,19 +345,29 @@ class TestMetaAnalysis:
 
 class TestSettingsBoundary:
     @pytest.mark.parametrize("bad", [
-        {"inner_folds": 1}, {"svm_c": 0.0}, {"svm_c": -1.0}, {"svm_c": float("nan")},
-        {"svm_c": float("inf")}, {"grid_c": (1.0, -0.5)}, {"grid_orders": ()},
-        {"grid_lags": ()}, {"grid_kernels": ()}, {"kind": "LDA"},
-        {"svm_kernel": "poly"}, {"grid_kernels": ("linear", "poly")},
+        {"inner_folds": 1}, {"inner_folds": 2.5}, {"svm_c": 0.0}, {"svm_c": -1.0},
+        {"svm_c": float("nan")}, {"svm_c": float("inf")}, {"grid_orders": ()},
+        {"grid_lags": ()}, {"kind": "LDA"}, {"svm_kernel": "poly"},
     ])
     def test_spec_rejects(self, bad):
         with pytest.raises(InvalidSetting):
             PipelineSpec(**{"kind": "TANG+SVM", **bad})
 
-    @pytest.mark.parametrize("folds", [-1, 0, 1])
+    @pytest.mark.parametrize("folds", [-1, 0, 1, 2.5])
     def test_within_session_rejects_too_few_folds(self, folds):
-        with pytest.raises(InvalidSetting):
+        with pytest.raises(InvalidSetting, match="folds must be an integer >= 2"):
             within_session_eval(separable_set(), MDM, folds=folds, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_seed_below_zero(self, seed):
+        with pytest.raises(InvalidSetting, match="seed must be an integer >= 0"):
+            within_session_eval(separable_set(), MDM, seed=seed)
+        with pytest.raises(InvalidSetting, match="seed must be an integer >= 0"):
+            cross_session_eval(separable_set(n_sessions=2), MDM, seed=seed)
+        reports = [report_from_scores(p, s, [0.5 + 0.1 * i])
+                   for i, s in enumerate("abc") for p in ("P1", "P2")]
+        with pytest.raises(InvalidSetting, match="seed must be an integer >= 0"):
+            meta_analysis(reports, seed=seed)
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5])
     def test_rejects_workers_below_one(self, workers):
@@ -372,26 +382,32 @@ class TestSettingsBoundary:
         assert len(report.scores) == 2
 
 
-class TestTimingOrderSweep:
-    def test_total_time_grows_with_order(self):
-        from time import perf_counter
-
+class TestWorkOrderSweep:
+    def test_eigendecomposition_work_grows_with_order(self, monkeypatch):
+        """Fit plus predict of ACM+MDM does more work at every higher order,
+        counted as n * k^3 summed over the stacked eigh and eigvalsh calls
+        on n matrices of dimension k: a count, so host speed cannot move it."""
         from augcov.classify import fit_pipeline
-        epoch_set = separable_set(seed=8, epochs_per_class=20, t=256)
-        epochs, labels = epoch_set.all_epochs()
-        # minimum of 3 sweeps: host speed drifts between seconds, and the
-        # fastest repeat is the one least slowed by it
-        totals = [np.inf] * 6
-        for _ in range(3):
-            for i, order in enumerate(range(1, 7)):
-                spec = PipelineSpec(kind="ACM+MDM", param_source="fixed",
-                                    order=order, lag=1)
-                start = perf_counter()
-                fitted = fit_pipeline(spec, epochs, labels, seed=0)
-                fitted.predict(epochs)
-                totals[i] = min(totals[i], perf_counter() - start)
-        increases = sum(b >= a for a, b in zip(totals, totals[1:]))
-        assert increases >= 4
+
+        work = [0]
+
+        def counted(decompose):
+            def wrapper(a, *args, **kwargs):
+                k = np.shape(a)[-1]
+                work[0] += np.size(a) // k ** 2 * k ** 3
+                return decompose(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        epochs, labels = separable_set(seed=8, epochs_per_class=20, t=256).all_epochs()
+        totals = []
+        for order in range(1, 7):
+            work[0] = 0
+            spec = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=order, lag=1)
+            fit_pipeline(spec, epochs, labels, seed=0).predict(epochs)
+            totals.append(work[0])
+        assert all(b > a for a, b in zip(totals, totals[1:])), totals
 
 
 class TestMultiClassSvmPipeline:
