@@ -233,7 +233,9 @@ def _covariance(y: np.ndarray, shrink: bool):
       mu    = tr(S) / n
       d2    = |S - mu I|_F^2 / n
       bbar2 = (1 / m^2) sum_t |y_t y_t^T - S|_F^2 / n
+            = (sum_t |y_t|^4 / m - |S|_F^2) / (n m)
       lam   = min(bbar2, d2) / d2
+    The second form of bbar2 costs O(nm): no n x n product of y**2 is formed.
     """
     n, m = y.shape
     gram = y @ y.T
@@ -244,8 +246,8 @@ def _covariance(y: np.ndarray, shrink: bool):
     d2 = np.sum((s - np.trace(s) / n * np.eye(n)) ** 2) / n
     lam = 0.0
     if d2 > 0.0:
-        y2 = y ** 2
-        bbar2 = (np.sum(y2 @ y2.T / m - s ** 2)) / (n * m)
+        norms2 = (y * y).sum(axis=0)  # |y_t|^2 for each sample t
+        bbar2 = (norms2 @ norms2 / m - (s * s).sum()) / (n * m)
         lam = float(min(bbar2, d2) / d2)
     mu = np.trace(c) / n
     return (1.0 - lam) * c + lam * mu * np.eye(n), lam

@@ -5,6 +5,12 @@ dimension, and the unified MDOP procedure choosing both jointly.
 Everything here is deterministic: no randomness, fixed reduction order, and
 per-channel curves are accumulated over all channels and epochs before any
 extremum is taken.
+
+Cost. AMI bins each series once, then takes one bincount per lag. Cao and
+MDOP spend their time in the Chebyshev neighbour search (_prefix_neighbours):
+one |s_a - s_b| slab per block of NN_BLOCK rows, then one in-place max and
+one argmin per dimension, O(n^2) time per dimension and O((NN_BLOCK + span)
+* n) memory, span being the largest difference of the delay offsets.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ MDOP_DEFAULT_MAX_CYCLES = 8
 MDOP_DEFAULT_MAX_LAG = 10
 FNN_RATIO = 10.0  # Kennel false-neighbor distance ratio
 MDOP_FNN_THRESHOLD = 0.05  # MDOP stops below this false-neighbor fraction
-NN_BLOCK = 64  # rows per neighbour-search block: 64 x n float64, 0.4 MB at n = 768
+# rows per neighbour-search block; a block holds one difference slab of at
+# most (NN_BLOCK + span) x (n + span) and one NN_BLOCK x n distance matrix,
+# 0.4 MB at n = 768
+NN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -79,11 +88,14 @@ def average_mutual_information(
     if hi <= lo:
         raise ConstantSeries("cannot bin a constant series")
     edges = np.linspace(lo, hi, bins + 1)
+    # np.histogram2d's bins: each holds its lower edge, the last also hi
+    cells = np.searchsorted(edges, series, side="right") - 1
+    cells[series == hi] = bins - 1
 
     curve = np.empty(max_lag)
     for lag in range(1, max_lag + 1):
-        joint, _, _ = np.histogram2d(series[:-lag], series[lag:], bins=(edges, edges))
-        joint /= joint.sum()
+        joint = np.bincount(cells[:-lag] * bins + cells[lag:], minlength=bins * bins)
+        joint = joint.reshape(bins, bins) / (n - lag)
         px = joint.sum(axis=1)
         py = joint.sum(axis=0)
         nz = joint > 0
@@ -118,58 +130,77 @@ def select_tau_ami(
     return TauSelection(int(np.argmin(aggregate)) + 1, aggregate, True)
 
 
-def _prefix_neighbours(points: np.ndarray, counts, wanted) -> dict:
+def _prefix_neighbours(series: np.ndarray, offsets, counts, wanted) -> dict:
     """Nearest strictly-distinct neighbour of each row, under the max metric,
-    in every wanted prefix embedding of `points`.
+    in every wanted prefix of a delay embedding of `series`.
 
-    Prefix m (1-based) is points[:counts[m-1], :m]: the first m coordinates,
-    over the rows where they exist. counts must not increase with m, and
-    rows past a prefix's count may hold anything. Returns {m: (indices,
-    distances)} for each m in `wanted`, both of length counts[m-1]; index -1
-    marks rows with no distinct neighbour at all. Cao's method wants every
-    prefix, MDOP only its full embedding.
+    Row i, coordinate k of the embedding is series[i + offsets[k]]. Prefix m
+    (1-based) is the first m coordinates over the rows i < counts[m-1];
+    counts must not increase with m, and every such row must lie inside the
+    series (counts[m-1] + offsets[k] <= series.size for k < m). Returns
+    {m: (indices, distances)} for each m in `wanted`, both of length
+    counts[m-1]; index -1 marks rows with no distinct neighbour at all.
+    Cao's method wants every prefix, MDOP only its full embedding.
 
     Distances at or below 1e-9 * ptp of the prefix are treated as duplicates
     (a periodic signal sampled at an integer period revisits the same state
     up to rounding), and ties resolve to the lowest index.
 
-    The search walks blocks of NN_BLOCK rows. Each block's distance matrix
-    grows one coordinate at a time, D_m = max(D_{m-1}, |coordinate m
-    difference|), over the rows and columns where prefix m exists. max is
-    exact, so every prefix gets the distances, indices and ties of a search
-    from scratch. That costs O(n^2) per prefix dimension, where a fresh
-    search costs O(n^2 * m), and memory stays O(NN_BLOCK * n).
+    The search walks blocks of NN_BLOCK rows. Coordinate k's difference
+    |x_i[k] - x_j[k]| is entry (i + offsets[k], j + offsets[k]) of the slab
+    |s_a - s_b|, so each block fills the NN_BLOCK + span slab rows its
+    coordinates reach once, span being max - min of the offsets. The block's
+    distance matrix then grows one coordinate at a time, D_m = max(D_{m-1},
+    shifted slab view), one in-place max and, for wanted m, one argmin. max
+    and abs are exact, so every prefix gets the distances, indices and ties
+    of a search from scratch. That costs O(n^2) per prefix dimension, and
+    the two preallocated buffers take O((NN_BLOCK + span) * n) memory.
     """
     last = max(wanted)
-    tols = {
-        m: 1e-9 * (float(np.ptp(points[:counts[m - 1], :m])) or 1.0) for m in wanted
-    }
+    low, span = min(offsets), max(offsets) - min(offsets)
+    n, width = series.size, counts[0]
+    tols = {}
+    for m in wanted:
+        views = [series[o:o + counts[m - 1]] for o in offsets[:m]]
+        ptp = max(v.max() for v in views) - min(v.min() for v in views)
+        tols[m] = 1e-9 * (ptp or 1.0)
     found = {
         m: (np.empty(counts[m - 1], dtype=int), np.empty(counts[m - 1])) for m in wanted
     }
-    for start in range(0, counts[0], NN_BLOCK):
-        dists = None
+    # distance rows span all `width` columns, so the max and the argmin run on
+    # contiguous rows: columns past a prefix's count are set to inf, and the
+    # slab's padding keeps every shifted view inside it
+    slab = np.zeros((NN_BLOCK + span, max(n, max(offsets) + width)))
+    dists = np.empty((NN_BLOCK, width))
+    for start in range(0, width, NN_BLOCK):
+        top = start + low  # the series index of slab row 0
+        height = min(NN_BLOCK + span, n - top)
+        diffs = slab[:height, :n]
+        np.subtract(series[top:top + height, None], series[None, :], out=diffs)
+        np.abs(diffs, out=diffs)
         for m in range(1, last + 1):
             count = counts[m - 1]
             stop = min(start + NN_BLOCK, count)
             if stop <= start:
                 break
             rows = np.arange(stop - start)
-            coord = points[:count, m - 1]
-            step = np.abs(coord[start:stop, None] - coord[None, :])
-            if dists is None:
-                step[rows, rows + start] = np.inf  # no row is its own neighbour
+            o = offsets[m - 1]
+            step = slab[start + o - top:stop + o - top, o:o + width]
+            block = dists[:stop - start]
+            if m == 1:
+                block[...] = step
+                block[rows, rows + start] = np.inf  # no row is its own neighbour
             else:
-                np.maximum(dists[:stop - start, :count], step, out=step)
-            dists = step
+                np.maximum(block, step, out=block)
+            block[:, count:] = np.inf
             if m not in found:
                 continue
-            local = np.argmin(dists, axis=1)
-            nearest = dists[rows, local]
+            local = np.argmin(block, axis=1)
+            nearest = block[rows, local]
             # rows whose nearest point is a duplicate search again without them
             dup = np.nonzero(nearest <= tols[m])[0]
             if dup.size:
-                masked = dists[dup]
+                masked = block[dup]
                 masked[masked <= tols[m]] = np.inf
                 local[dup] = np.argmin(masked, axis=1)
                 nearest[dup] = masked[np.arange(dup.size), local[dup]]
@@ -196,20 +227,17 @@ def _cao_e_curve(series: np.ndarray, tau: int, max_e_dim: int) -> np.ndarray:
             raise TooShort(
                 f"series of length {n} cannot support dimension {m + 1} at lag {tau}"
             )
-    # column k holds s(i + k*tau); rows past counts[k-1] run off the series
-    # and are zero-filled, never read
-    padded = np.concatenate([series, np.zeros(max_e_dim * tau)])
-    points = np.stack(
-        [padded[k * tau:k * tau + counts[0]] for k in range(max_e_dim + 1)], axis=1
-    )
-    found = _prefix_neighbours(points, counts, range(1, max_e_dim + 1))
+    # coordinate k of row i is s(i + k*tau)
+    offsets = [k * tau for k in range(max_e_dim)]
+    found = _prefix_neighbours(series, offsets, counts, range(1, max_e_dim + 1))
     out = np.full(max_e_dim, np.nan)
     for m, (nn_idx, nn_dist) in found.items():
         i = np.nonzero(nn_idx >= 0)[0]
         if i.size == 0:
             continue
         j = nn_idx[i]
-        d_up = np.maximum(nn_dist[i], np.abs(points[i, m] - points[j, m]))
+        up = m * tau  # coordinate m, the one d_{m+1} adds
+        d_up = np.maximum(nn_dist[i], np.abs(series[i + up] - series[j + up]))
         out[m - 1] = np.mean(d_up / nn_dist[i])
     return out
 
@@ -256,9 +284,10 @@ def _mdop_cycle_stats(series, delays, candidates):
     t = np.arange(horizon, n)
     if t.size < 2:
         raise TooShort(f"series of length {n} too short for delay horizon {horizon}")
-    current = np.stack([series[t - d] for d in delays], axis=1)
+    # row i is time t[i] = horizon + i; coordinate k is s(t[i] - delays[k])
     dim = len(delays)
-    nn_idx, nn_dist = _prefix_neighbours(current, [t.size] * dim, [dim])[dim]
+    offsets = [horizon - d for d in delays]
+    nn_idx, nn_dist = _prefix_neighbours(series, offsets, [t.size] * dim, [dim])[dim]
     valid = nn_idx >= 0
     i = np.nonzero(valid)[0]
     j = nn_idx[i]

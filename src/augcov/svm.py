@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, InvalidSetting, SolverStall
+from .errors import EmptyClass, InvalidSetting, LengthMismatch, SolverStall
 
 KERNELS = ("linear", "rbf")
 KKT_TOL = 1e-3
@@ -189,8 +189,11 @@ def svm_fit(
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] != labels.size:
-        raise ValueError("features must be n_samples x n_features matching labels")
+    if features.ndim != 2:
+        raise ValueError("features must be n_samples x n_features")
+    if features.shape[0] != labels.size:
+        raise LengthMismatch(f"need one label per sample, got {labels.size} labels "
+                             f"for {features.shape[0]} samples")
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain NaN or Inf")
     classes = tuple(sorted(set(labels.tolist())))

@@ -370,8 +370,8 @@ def three_gram_augmented_covariance(epoch, params):
     d2 = np.sum((s - np.trace(s) / n * np.eye(n)) ** 2) / n
     lam = 0.0
     if d2 > 0.0:
-        y2 = y ** 2
-        lam = float(min(np.sum(y2 @ y2.T / m - s ** 2) / (n * m), d2) / d2)
+        norms2 = (y * y).sum(axis=0)  # sum_t |y_t|^4 is the sum of (y**2)(y**2)^T
+        lam = float(min((norms2 @ norms2 / m - (s * s).sum()) / (n * m), d2) / d2)
     return (1.0 - lam) * raw + lam * (np.trace(raw) / n) * np.eye(n)
 
 

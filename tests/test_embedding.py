@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from augcov.covariance import EpochStack
 from augcov.data import ArSpec, generate_ar_dataset
 from augcov.embedding import (
+    NN_BLOCK,
     EmbeddingEstimate,
     _cao_e_curve,
     _check_fits,
@@ -72,7 +73,52 @@ def ar3_chaotic_series(t, seed, burn=300):
     return np.array(out[burn:])
 
 
+@st.composite
+def embedding_series(draw, min_size=6, max_size=90):
+    """Series whose delay vectors tie, repeat or coincide."""
+    n = draw(st.integers(min_size, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "sine", "stretches"]))
+    if kind == "normal":
+        x = rng.standard_normal(n)
+    elif kind == "integer":  # few values: exact distance ties everywhere
+        x = rng.integers(0, draw(st.integers(1, 4)), n).astype(float)
+    elif kind == "sine":  # integer period: states revisited up to rounding
+        period = draw(st.integers(2, 12))
+        x = rng.uniform(0.5, 2.0) * np.sin(2 * np.pi * np.arange(n) / period + rng.uniform(0, 7))
+    else:  # constant stretches: runs of identical delay vectors
+        x = np.repeat(rng.standard_normal(n), rng.integers(1, 6, n))[:n]
+    return x * draw(st.sampled_from([1.0, 1e-6, 3e4]))
+
+
+def histogram_ami(series, max_lag, bins):
+    """average_mutual_information with one np.histogram2d per lag."""
+    edges = np.linspace(series.min(), series.max(), bins + 1)
+    curve = np.empty(max_lag)
+    for lag in range(1, max_lag + 1):
+        joint, _, _ = np.histogram2d(series[:-lag], series[lag:], bins=(edges, edges))
+        joint /= joint.sum()
+        px = joint.sum(axis=1)
+        py = joint.sum(axis=0)
+        nz = joint > 0
+        ratio = joint[nz] / (px[:, None] * py[None, :])[nz]
+        curve[lag - 1] = np.sum(joint[nz] * np.log(ratio))
+    return np.maximum(curve, 0.0)
+
+
 class TestAverageMutualInformation:
+    @settings(max_examples=100, deadline=None)
+    @given(embedding_series(30, 400), st.integers(0, 4), st.integers(1, 12),
+           st.integers(2, 24))
+    def test_matches_histogram2d(self, series, n_top, max_lag, bins):
+        """Equal to the histogram2d route, also when the maximum repeats and
+        values fall on the top edge, which belongs to the last bin."""
+        assume(series.size > max_lag + 10 and np.ptp(series) > 0)
+        series = series.copy()
+        series[::max(1, series.size // (n_top + 1))][:n_top] = series.max()
+        assert np.array_equal(average_mutual_information(series, max_lag, bins),
+                              histogram_ami(series, max_lag, bins))
+
     def test_iid_noise_mi_near_zero(self):
         x = np.random.default_rng(2).standard_normal(100_000)
         curve = average_mutual_information(x, 10)
@@ -163,22 +209,22 @@ def per_dimension_cao_e_curve(series, tau, max_e_dim):
     return out
 
 
-@st.composite
-def embedding_series(draw):
-    """Series whose delay vectors tie, repeat or coincide."""
-    n = draw(st.integers(6, 90))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["normal", "integer", "sine", "stretches"]))
-    if kind == "normal":
-        x = rng.standard_normal(n)
-    elif kind == "integer":  # few values: exact distance ties everywhere
-        x = rng.integers(0, draw(st.integers(1, 4)), n).astype(float)
-    elif kind == "sine":  # integer period: states revisited up to rounding
-        period = draw(st.integers(2, 12))
-        x = rng.uniform(0.5, 2.0) * np.sin(2 * np.pi * np.arange(n) / period + rng.uniform(0, 7))
-    else:  # constant stretches: runs of identical delay vectors
-        x = np.repeat(rng.standard_normal(n), rng.integers(1, 6, n))[:n]
-    return x * draw(st.sampled_from([1.0, 1e-6, 3e4]))
+def check_every_prefix(series, offsets, counts):
+    """_prefix_neighbours against brute_force_nn for every prefix, and the
+    full prefix alone against the full prefix of the every-prefix search."""
+    dim = len(offsets)
+    every = _prefix_neighbours(series, offsets, counts, range(1, dim + 1))
+    last = _prefix_neighbours(series, offsets, counts, [dim])
+    assert sorted(every) == list(range(1, dim + 1))
+    assert list(last) == [dim]
+    for m, (idx, dist) in every.items():
+        # prefix m as a points matrix: column k holds series[i + offsets[k]]
+        points = np.stack([series[o:o + counts[m - 1]] for o in offsets[:m]], axis=1)
+        ref_idx, ref_dist = brute_force_nn(points)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(last[dim][0], every[dim][0])
+    assert np.array_equal(last[dim][1], every[dim][1])
 
 
 class TestPrefixNeighbours:
@@ -187,21 +233,28 @@ class TestPrefixNeighbours:
     def test_every_prefix_matches_brute_force(self, series, tau, max_e_dim):
         counts = [series.size - m * tau for m in range(1, max_e_dim + 1)]
         assume(counts[-1] >= 2)
-        # rows past a prefix's count are NaN: they must never be read
+        # samples past every prefix's rows are NaN: they must never be read
         padded = np.concatenate([series, np.full(max_e_dim * tau, np.nan)])
-        points = np.stack(
-            [padded[k * tau:k * tau + counts[0]] for k in range(max_e_dim)], axis=1
-        )
-        every = _prefix_neighbours(points, counts, range(1, max_e_dim + 1))
-        last = _prefix_neighbours(points, counts, [max_e_dim])
-        assert sorted(every) == list(range(1, max_e_dim + 1))
-        assert list(last) == [max_e_dim]
-        for m, (idx, dist) in every.items():
-            ref_idx, ref_dist = brute_force_nn(points[:counts[m - 1], :m])
-            assert np.array_equal(idx, ref_idx)
-            assert np.array_equal(dist, ref_dist)
-        assert np.array_equal(last[max_e_dim][0], every[max_e_dim][0])
-        assert np.array_equal(last[max_e_dim][1], every[max_e_dim][1])
+        check_every_prefix(padded, [k * tau for k in range(max_e_dim)], counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(embedding_series(NN_BLOCK + 1, 3 * NN_BLOCK), st.integers(1, 12),
+           st.integers(1, 8))
+    def test_uniform_offsets_across_blocks(self, series, tau, max_e_dim):
+        """Cao's offsets k * tau, with rows on both sides of block edges."""
+        counts = [series.size - m * tau for m in range(1, max_e_dim + 1)]
+        assume(counts[-1] > NN_BLOCK)
+        check_every_prefix(series, [k * tau for k in range(max_e_dim)], counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(embedding_series(NN_BLOCK + 12, 3 * NN_BLOCK),
+           st.permutations(range(1, 11)), st.integers(1, 6))
+    def test_mdop_delay_sets_across_blocks(self, series, lags, dim):
+        """MDOP's offsets horizon - d: not monotone, one count for all."""
+        delays = [0, *lags[:dim - 1]]
+        horizon = 10
+        offsets = [horizon - d for d in delays]
+        check_every_prefix(series, offsets, [series.size - horizon] * dim)
 
     @settings(max_examples=150, deadline=None)
     @given(embedding_series(), st.integers(1, 4), st.integers(1, 6))
@@ -292,7 +345,36 @@ def reference_mdop(epochs, max_cycles, fnn_threshold, max_lag):
     return chosen
 
 
+def points_mdop_cycle_stats(series, delays, candidates):
+    """_mdop_cycle_stats from a stacked (len(t), len(delays)) points matrix,
+    column k holding series[t - delays[k]], searched by brute_force_nn."""
+    horizon = max(max(delays), max(candidates))
+    t = np.arange(horizon, series.size)
+    points = np.stack([series[t - d] for d in delays], axis=1)
+    idx, dist = brute_force_nn(points)
+    i = np.nonzero(idx >= 0)[0]
+    j = idx[i]
+    sums, counts, falses = [], [], []
+    for lag in candidates:
+        phi = np.abs(series[t[i] - lag] - series[t[j] - lag]) / dist[i]
+        sums.append(np.sum(np.log(phi[phi > 0.0])))
+        counts.append(int(np.sum(phi > 0.0)))
+        falses.append(int(np.sum(phi > 10.0)))
+    return np.array(sums), np.array(counts), np.array(falses), i.size
+
+
 class TestMdop:
+    @settings(max_examples=60, deadline=None)
+    @given(embedding_series(NN_BLOCK + 12, 3 * NN_BLOCK),
+           st.permutations(range(1, 11)), st.integers(1, 6))
+    def test_cycle_stats_match_points_search(self, series, lags, dim):
+        delays, candidates = [0, *lags[:dim - 1]], sorted(lags[dim - 1:])
+        got = _mdop_cycle_stats(series, delays, candidates)
+        want = points_mdop_cycle_stats(series, delays, candidates)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        assert got[3] == want[3]
+
     def test_sine_terminates_in_the_plane(self):
         est = mdop_unified(clean_sine_set(seed=0), max_cycles=6, max_lag=20)
         assert est.dim == 2

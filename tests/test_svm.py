@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augcov.errors import EmptyClass, InvalidSetting, SolverStall
+from augcov.errors import EmptyClass, InvalidSetting, LengthMismatch, SolverStall
 from augcov.svm import (
     KKT_TOL,
     MAX_SMO_ITER,
@@ -190,6 +190,11 @@ class TestBinary:
     def test_single_class_rejected(self):
         with pytest.raises(EmptyClass):
             svm_fit(np.zeros((3, 2)), np.array([1, 1, 1]))
+
+    def test_label_count_mismatch_rejected(self):
+        # the error the classifiers above raise for the same fault
+        with pytest.raises(LengthMismatch, match="3 labels for 4 samples"):
+            svm_fit(np.eye(4), [0, 1, 0])
 
     @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
     def test_invalid_c_rejected(self, c):
