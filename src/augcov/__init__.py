@@ -39,7 +39,6 @@ from .data import (
     ArSpec,
     EpochSet,
     Session,
-    bandpass,
     generate_ar_dataset,
     read_epochset,
     write_epochset,

@@ -10,7 +10,7 @@ alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,12 @@ PARAM_SOURCES = ("fixed", "grid", *emb.METHODS)
 TABLE_C_GRID = (0.5, 1.0, 1.5)  # with svm.KERNELS, the grid of every SVM search
 TABLE_ORDER_GRID = tuple(range(1, 11))
 TABLE_LAG_GRID = tuple(range(1, 11))
+
+# PipelineSpec field: (the kinds that read it, by a part of their name, and
+# the one param source they read it with); every kind and source reads the rest
+_SETTING_READERS = {"order": ("ACM", "fixed"), "lag": ("ACM", "fixed"),
+                    "svm_c": ("SVM", "fixed"), "svm_kernel": ("SVM", "fixed"),
+                    "grid_orders": ("ACM", "grid"), "grid_lags": ("ACM", "grid")}
 
 
 # -- minimum distance to the mean ---------------------------------------
@@ -162,7 +168,9 @@ def score_split(model, x_test, y_test) -> tuple:
 @dataclass(frozen=True)
 class PipelineSpec:
     """Which covariance, which hyper-parameter source, which classifier.
-    Each field is set by one option of the evaluate command."""
+    Each field is set by one option of the evaluate command. A field that
+    the kind and source do not read (_SETTING_READERS) must keep its
+    default, or InvalidSetting is raised: the value would be ignored."""
 
     kind: str
     param_source: str = "fixed"
@@ -191,6 +199,14 @@ class PipelineSpec:
             raise InvalidSetting("the order and lag grids must not be empty")
         for cell in ((self.order, self.lag), *itertools.product(self.grid_orders, self.grid_lags)):
             AugmentedParams(*cell)  # the one check of the (order, lag) rule
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, (family, source) in _SETTING_READERS.items():
+            value = getattr(self, name)
+            if value != defaults[name] and not (family in self.kind
+                                                and source == self.param_source):
+                raise InvalidSetting(
+                    f"{name}={value!r} is read only by {family} pipelines with param "
+                    f"source {source!r}; {self.kind} with {self.param_source!r} ignores it")
 
     @property
     def is_augmented(self) -> bool:

@@ -91,12 +91,9 @@ def _error_json(exc: BaseException) -> str:
 
 
 def _versions() -> dict:
-    import scipy  # only for its version: importing it slows every CLI start
-
     return {
         "augcov": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

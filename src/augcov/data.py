@@ -1,5 +1,5 @@
-"""Epoch containers, band-pass preprocessing, the synthetic AR-process
-generator used for desk-scale verification, and the on-disk epoch format.
+"""Epoch containers, the synthetic AR-process generator used for desk-scale
+verification, and the on-disk epoch format.
 
 The generator runs one time loop per (session, class) block of epochs. Each
 epoch still draws its innovations from its own (seed, session, class, epoch)
@@ -17,18 +17,12 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .covariance import Epoch, EpochStack, as_epochs
-from .errors import (
-    FormatError,
-    InvalidBand,
-    InvalidEpoch,
-    UnstableSpec,
-    VersionUnsupported,
-)
+from .covariance import EpochStack, as_epochs
+from .errors import FormatError, InvalidEpoch, UnstableSpec, VersionUnsupported
 from .spd import SYM_RTOL
 
 FORMAT_NAME = "acm-epochs"
@@ -113,33 +107,6 @@ def _hold(epoch_set: EpochSet, whole: EpochStack, sessions) -> EpochSet:
     return epoch_set
 
 
-# -- band-pass preprocessing -------------------------------------------
-
-def bandpass(epoch: Epoch, low_hz: float, high_hz: float) -> Epoch:
-    """Zero-phase 4th-order Butterworth band-pass, per channel.
-
-    Applied forward and backward (squared magnitude response, zero phase)
-    with Gustafsson edge handling, which makes the forward-backward pass
-    exactly direction-independent: a symmetric pulse stays symmetric. The
-    per-channel residual mean is then removed outright; a constant sits at
-    0 Hz, squarely in the stopband, so this only sharpens the ideal
-    response. T is preserved.
-    """
-    import scipy.signal  # costs most of `import augcov`; only this filter needs it
-
-    nyquist = epoch.sample_rate / 2.0
-    if not 0.0 < low_hz < high_hz < nyquist:
-        raise InvalidBand(
-            f"need 0 < low < high < {nyquist} Hz, got [{low_hz}, {high_hz}]"
-        )
-    b, a = scipy.signal.butter(
-        4, [low_hz, high_hz], btype="bandpass", fs=epoch.sample_rate
-    )
-    out = scipy.signal.filtfilt(b, a, epoch.data, axis=1, method="gust")
-    out -= out.mean(axis=1, keepdims=True)
-    return Epoch(out, epoch.sample_rate)
-
-
 # -- synthetic AR generator --------------------------------------------
 
 @dataclass(frozen=True)
@@ -155,10 +122,10 @@ class ArSpec:
 
     coefficients: list
     innovations: list
-    lag: int
     n_samples: int
     epochs_per_class: int
     seed: int
+    lag: int = 1
     sample_rate: float = 250.0
     n_sessions: int = 1
     subject: str = "sim"
@@ -175,6 +142,7 @@ class ArSpec:
                 or not (math.isfinite(rate) and rate > 0)):
             raise UnstableSpec(f"sample_rate must be finite and > 0, got {rate!r}")
         object.__setattr__(self, "sample_rate", float(rate))
+        object.__setattr__(self, "subject", str(self.subject))
         try:
             classes = [list(cls) for cls in self.coefficients]
             innovations = list(self.innovations)
@@ -292,23 +260,18 @@ def _simulate_block(spec: ArSpec, s_idx: int, c_idx: int) -> np.ndarray:
 
 
 def ar_spec_from_dict(raw: dict) -> ArSpec:
-    """Build an ArSpec from parsed JSON (the CLI's inline/file input)."""
+    """Build an ArSpec from parsed JSON (the CLI's inline/file input). The
+    keys are ArSpec's field names; a field with a default may be left out."""
     if not isinstance(raw, dict):
         raise UnstableSpec(f"generator spec must be a JSON object, got {type(raw).__name__}")
-    try:
-        return ArSpec(
-            coefficients=raw["coefficients"],
-            innovations=raw["innovations"],
-            lag=raw.get("lag", 1),
-            n_samples=raw["n_samples"],
-            epochs_per_class=raw["epochs_per_class"],
-            seed=raw["seed"],
-            sample_rate=raw.get("sample_rate", 250.0),
-            n_sessions=raw.get("n_sessions", 1),
-            subject=str(raw.get("subject", "sim")),
-        )
-    except KeyError as exc:
-        raise UnstableSpec(f"generator spec is missing field {exc}") from exc
+    names = [f.name for f in fields(ArSpec)]
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise UnstableSpec(f"generator spec has unknown fields {unknown}; the fields are {names}")
+    for f in fields(ArSpec):
+        if f.default is MISSING and f.name not in raw:
+            raise UnstableSpec(f"generator spec is missing field {f.name!r}")
+    return ArSpec(**raw)
 
 
 # -- container format --------------------------------------------------

@@ -152,10 +152,6 @@ class PairingViolation(ConfigError):
 
 # -- data_io -----------------------------------------------------------
 
-class InvalidBand(ConfigError):
-    pass
-
-
 class UnstableSpec(ConfigError):
     pass
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from augcov.classify import (
+    PARAM_SOURCES,
+    PIPELINE_KINDS,
     PipelineSpec,
     fit_pipeline,
     grid_search,
@@ -353,6 +355,29 @@ class TestFitPipeline:
             PipelineSpec(kind="ACM+MDM", param_source="ami_cao", **{setting: value})
 
 
+ACM_FIXED = {("ACM+MDM", "fixed"), ("ACM+TANG+SVM", "fixed")}
+SVM_FIXED = {("TANG+SVM", "fixed"), ("ACM+TANG+SVM", "fixed")}
+ACM_GRID = {("ACM+MDM", "grid"), ("ACM+TANG+SVM", "grid")}
+# field: (a value off its default, the (kind, source) pairs that read it)
+READ_ONLY_BY = {
+    "order": (2, ACM_FIXED), "lag": (2, ACM_FIXED),
+    "svm_c": (1000.0, SVM_FIXED), "svm_kernel": ("rbf", SVM_FIXED),
+    "grid_orders": ((1, 2), ACM_GRID), "grid_lags": ((1, 2), ACM_GRID),
+}
+SPEC_PAIRS = [(kind, source) for kind in PIPELINE_KINDS for source in PARAM_SOURCES
+              if kind.startswith("ACM") or source in ("fixed", "grid")]
+
+
+@pytest.mark.parametrize("kind,source,field", [
+    (kind, source, field) for kind, source in SPEC_PAIRS
+    for field, (_, readers) in READ_ONLY_BY.items() if (kind, source) not in readers])
+def test_a_setting_the_source_ignores_is_rejected(kind, source, field):
+    value, readers = READ_ONLY_BY[field]
+    (source_that_reads,) = {s for _, s in readers}
+    with pytest.raises(InvalidSetting, match=f"^{field}=.*'{source_that_reads}'"):
+        PipelineSpec(kind=kind, param_source=source, **{field: value})
+
+
 @pytest.mark.parametrize("kind,grid", [
     ("MDM", dict(orders=(1,), lags=(1, 2))),
     ("ACM+MDM", dict(orders=(1, 3), lags=(2,))),
@@ -374,8 +399,12 @@ def test_inner_cv_cell_is_the_fitted_pipeline_score(kind, grid):
     n_cells = len(grid["orders"]) * len(grid["lags"])
     assert len(result.cells) == n_cells * (6 if kind.endswith("SVM") else 1)
     for cell in result.cells:
-        spec = PipelineSpec(kind=kind, order=cell.order, lag=cell.lag,
-                            svm_c=cell.c or 1.0, svm_kernel=cell.kernel or "linear")
+        settings = {}  # the fixed settings the kind reads; at order 1 the lag is moot
+        if kind.startswith("ACM"):
+            settings.update(order=cell.order, lag=cell.lag)
+        if kind.endswith("SVM"):
+            settings.update(svm_c=cell.c, svm_kernel=cell.kernel)
+        spec = PipelineSpec(kind=kind, **settings)
         scores = [fit_pipeline(spec, epochs[train], labels[train])
                   .score(epochs[test], labels[test])[0] for train, test in folds]
         assert cell.score == float(np.mean(scores))
@@ -444,10 +473,13 @@ class TestGridSearchOnlyWhenThereIsAChoice:
         for kind in ("MDM", "ACM+MDM", "TANG+SVM", "ACM+TANG+SVM")
         for source in ("fixed", "grid", "ami_cao", "mdop")
         if kind.startswith("ACM") or source in ("fixed", "grid")
-        for grid in ((((1, 2), (1,)), ((1,), (1,))) if source == "grid" else (None,))
+        for grid in ((((1, 2), (1,)), ((1,), (1,))) if kind.startswith("ACM") and source == "grid"
+                     else (None,))
     ]
 
-    @pytest.mark.parametrize("kind,source,grid", CASES)
+    @pytest.mark.parametrize("kind,source,grid", CASES, ids=[
+        f"{kind}-{source}" + (f"-{len(grid[0])}x{len(grid[1])}" if grid else "")
+        for kind, source, grid in CASES])
     def test_search_iff_more_than_one_candidate(self, kind, source, grid, monkeypatch):
         import augcov.classify as classify
         from augcov.embedding import EmbeddingEstimate
@@ -465,16 +497,18 @@ class TestGridSearchOnlyWhenThereIsAChoice:
         monkeypatch.setattr(classify, "grid_search", counting)
         monkeypatch.setattr(classify.emb, "estimate_traditional", estimate)
         monkeypatch.setattr(classify.emb, "mdop_unified", estimate)
-        orders, lags = grid or ((1,), (1,))
-        spec = PipelineSpec(kind=kind, param_source=source, order=2, lag=3,
-                            grid_orders=orders, grid_lags=lags, inner_folds=3)
+        # each setting only where the kind and source read it
+        if grid is not None:
+            settings = dict(grid_orders=grid[0], grid_lags=grid[1])
+        elif kind.startswith("ACM") and source == "fixed":
+            settings = dict(order=2, lag=3)
+        else:
+            settings = {}
+        spec = PipelineSpec(kind=kind, param_source=source, inner_folds=3, **settings)
         epochs, labels = ar_two_class_set(seed=50, epochs_per_class=6, t=64).all_epochs()
         fitted = fit_pipeline(spec, epochs, labels, seed=1)
 
-        if source == "grid" and kind.startswith("ACM"):
-            n_cells = len(orders) * len(lags)
-        else:
-            n_cells = 1
+        n_cells = len(grid[0]) * len(grid[1]) if grid is not None else 1
         n_svm = 6 if kind.endswith("SVM") and source != "fixed" else 1
         searched = n_cells * n_svm > 1
         assert len(calls) == (1 if searched else 0)

@@ -43,18 +43,56 @@ def ar_spec_json(tmp_path, seed=0, epochs_per_class=12, t=96, n_sessions=1, sepa
     return path
 
 
-def test_cli_import_leaves_scipy_submodules_unloaded():
+SCIPY_BLOCKED_CHAIN = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+import augcov.cli
+lazy = ("statistics", "decimal", "concurrent.futures.process")
+loaded = sorted(m for m in lazy if m in sys.modules)
+steps = json.loads(sys.argv[1])
+codes = [augcov.cli.main(argv) for argv in steps]
+with open(sys.argv[2], "w") as fh:
+    json.dump({"loaded_by_import": loaded, "codes": codes}, fh)
+"""
+
+
+def test_the_cli_chain_runs_with_scipy_blocked(tmp_path):
+    """The package needs numpy and the standard library alone: with scipy
+    unimportable (also in the forked pool workers), simulate, both
+    estimators, a two-worker ws grid, cs runs and stats all exit 0. Importing
+    the CLI loads neither the process pool nor the quantile's modules."""
+    steps, reports = [], []
+    for seed in range(3):
+        container = str(tmp_path / f"s{seed}.acm")
+        spec = ar_spec_json(tmp_path, seed=seed, epochs_per_class=8, t=128, n_sessions=2)
+        steps.append(["simulate", "--spec-json", f"@{spec}", "--out", container])
+        for pipeline, order in (("MDM", "1"), ("ACM+MDM", "2")):
+            out = str(tmp_path / f"cs_{seed}_{order}")
+            steps.append(["evaluate", "--input", container, "--pipeline", pipeline,
+                          "--order", order, "--eval", "cs", "--seed", "3",
+                          "--workers", "1", "--out", out])
+            reports.append(f"{out}/report.json")
+    container = str(tmp_path / "s0.acm")
+    steps += [["estimate-params", "--input", container, "--method", method,
+               "--out", str(tmp_path / method)] for method in ("ami_cao", "mdop")]
+    steps.append(["evaluate", "--input", container, "--pipeline", "ACM+TANG+SVM",
+                  "--param-source", "grid", "--grid-max-order", "2", "--grid-max-lag", "1",
+                  "--eval", "ws", "--folds", "3", "--seed", "3", "--workers", "2",
+                  "--out", str(tmp_path / "ws_grid")])
+    steps.append(["stats", *reports, "--out", str(tmp_path / "meta")])
+
     src = str(Path(augcov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    # scipy and the process pool load on use; a serial evaluation needs neither
-    code = ("import sys, augcov.cli; print(sorted(m for m in "
-            "('scipy', 'scipy.linalg', 'scipy.special', 'scipy.signal', "
-            "'concurrent.futures.process') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+    result = tmp_path / "result.json"
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_CHAIN, json.dumps(steps),
+                           str(result)], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    outcome = json.loads(result.read_text())
+    assert outcome["loaded_by_import"] == []
+    assert outcome["codes"] == [0] * len(steps), proc.stderr
+    manifest = json.loads((tmp_path / "meta" / "manifest.json").read_text())
+    assert sorted(manifest["versions"]) == ["augcov", "numpy", "python"]
 
 
 def test_python_dash_m_runs_the_cli():
@@ -507,22 +545,24 @@ def test_every_pipeline_spec_field_is_one_evaluate_option(monkeypatch, capsys):
     """The settings a run can change are the settings the CLI exposes: each
     PipelineSpec field is set by exactly one evaluate option, and the other
     options only say what to run on, how to split it and where to write."""
-    options = {  # field: (option and a value off its default, the field's value)
-        "kind": (["--pipeline", "ACM+TANG+SVM"], "ACM+TANG+SVM"),
-        "param_source": (["--param-source", "grid"], "grid"),
-        "order": (["--order", "2"], 2),
-        "lag": (["--lag", "3"], 3),
-        "shrink": (["--shrink", "on"], True),
-        "svm_c": (["--svm-c", "1.5"], 1.5),
-        "svm_kernel": (["--svm-kernel", "rbf"], "rbf"),
-        "grid_orders": (["--grid-max-order", "2"], (1, 2)),
-        "grid_lags": (["--grid-max-lag", "3"], (1, 2, 3)),
-        "inner_folds": (["--folds", "4"], 4),
+    svm, grid = ["--pipeline", "ACM+TANG+SVM"], ["--param-source", "grid"]
+    options = {  # field: (option and a value off its default, the field's value,
+        #                  the options of a pipeline and source that read the field)
+        "kind": (["--pipeline", "ACM+TANG+SVM"], "ACM+TANG+SVM", []),
+        "param_source": (["--param-source", "grid"], "grid", []),
+        "order": (["--order", "2"], 2, []),
+        "lag": (["--lag", "3"], 3, []),
+        "shrink": (["--shrink", "on"], True, []),
+        "svm_c": (["--svm-c", "1.5"], 1.5, svm),
+        "svm_kernel": (["--svm-kernel", "rbf"], "rbf", svm),
+        "grid_orders": (["--grid-max-order", "2"], (1, 2), grid),
+        "grid_lags": (["--grid-max-lag", "3"], (1, 2, 3), grid),
+        "inner_folds": (["--folds", "4"], 4, []),
     }
     assert set(options) == {f.name for f in dataclasses.fields(PipelineSpec)}
     sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.option_strings[0] for a in sub.choices["evaluate"]._actions if a.dest != "help"}
-    spec_options = {argv[0] for argv, _ in options.values()}
+    spec_options = {argv[0] for argv, _, _ in options.values()}
     assert len(spec_options) == len(options)
     assert flags - spec_options == {
         "--input", "--eval", "--seed", "--dataset-id", "--workers", "--out"}
@@ -536,14 +576,28 @@ def test_every_pipeline_spec_field_is_one_evaluate_option(monkeypatch, capsys):
     monkeypatch.setattr(cli, "PipelineSpec", build)
     base = ["evaluate", "--input", "unread.acm", "--pipeline", "ACM+MDM",
             "--seed", "0", "--out", "unwritten"]
-    assert run_cli(capsys, *base)[0] == 2
-    default = specs[-1]
-    for name, (argv, value) in options.items():
-        assert run_cli(capsys, *base, *argv)[0] == 2
+
+    def spec_of(*argv):
+        code, _, stderr = run_cli(capsys, *base, *argv)
+        assert (code, json.loads(stderr)["message"]) == (2, "stop")  # built, not rejected
+        return specs[-1]
+
+    for name, (argv, value, where) in options.items():
+        default, spec = spec_of(*where), spec_of(*where, *argv)
         changed = {f.name for f in dataclasses.fields(PipelineSpec)
-                   if getattr(specs[-1], f.name) != getattr(default, f.name)}
+                   if getattr(spec, f.name) != getattr(default, f.name)}
         assert changed == {name}
-        assert getattr(specs[-1], name) == value
+        assert getattr(spec, name) == value
+
+
+def test_setting_the_source_ignores_exits_2_before_the_data_is_read(capsys):
+    code, _, stderr = run_cli(capsys, "evaluate", "--input", "unread.acm",
+                              "--pipeline", "TANG+SVM", "--param-source", "grid",
+                              "--svm-c", "1000", "--seed", "0", "--out", "unwritten")
+    assert code == 2
+    error = json.loads(stderr)
+    assert error["error"] == "InvalidSetting"
+    assert "svm_c=1000.0" in error["message"] and "'fixed'" in error["message"]
 
 
 class TestCrossSessionGrid:
@@ -622,6 +676,8 @@ BAD_SPEC_FIELDS = {
     "spec-1d-innovation": {"innovations": [[1.0, 2.0]]},
     "spec-negative-seed": {"seed": -1},
     "spec-no-sessions": {"n_sessions": 0},
+    "spec-unknown-field-n-sesions": {"n_sesions": 3},
+    "spec-unknown-field-sampel-rate": {"sampel_rate": 100},
 }
 
 

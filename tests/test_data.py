@@ -20,7 +20,7 @@ from augcov.data import (
     ArSpec,
     EpochSet,
     Session,
-    bandpass,
+    ar_spec_from_dict,
     companion_spectral_radius,
     generate_ar_dataset,
     read_epochset,
@@ -28,17 +28,11 @@ from augcov.data import (
 )
 from augcov.errors import (
     FormatError,
-    InvalidBand,
     InvalidEpoch,
     UnstableSpec,
     VersionUnsupported,
 )
 from augcov.spd import affine_invariant_distance, frechet_mean
-
-
-def sine_epoch(freq, rate=250.0, t=1000, amp=1.0, offset=0.0):
-    ts = np.arange(t) / rate
-    return Epoch((amp * np.sin(2 * np.pi * freq * ts) + offset)[None, :], rate)
 
 
 def matched_dynamics_spec(seed=0, epochs_per_class=100, t=512, n_sessions=1):
@@ -65,50 +59,6 @@ def matched_dynamics_spec(seed=0, epochs_per_class=100, t=512, n_sessions=1):
         seed=seed,
         n_sessions=n_sessions,
     )
-
-
-class TestBandpass:
-    def test_passband_gain(self):
-        epoch = sine_epoch(20.0)
-        out = bandpass(epoch, 8.0, 35.0)
-        mid = slice(200, 800)
-        gain = np.std(out.data[0, mid]) / np.std(epoch.data[0, mid])
-        assert abs(gain - 1.0) < 0.05
-
-    def test_stopband_attenuation(self):
-        epoch = sine_epoch(2.0)
-        out = bandpass(epoch, 8.0, 35.0)
-        mid = slice(200, 800)
-        gain = np.std(out.data[0, mid]) / np.std(epoch.data[0, mid])
-        assert gain <= 0.10
-
-    def test_zero_in_zero_out(self):
-        out = bandpass(Epoch(np.zeros((2, 500)), 250.0), 8.0, 35.0)
-        assert np.all(out.data == 0.0)
-
-    def test_preserves_length(self):
-        out = bandpass(sine_epoch(15.0, t=777), 8.0, 35.0)
-        assert out.data.shape == (1, 777)
-
-    def test_removes_dc(self):
-        out = bandpass(sine_epoch(20.0, offset=5.0), 8.0, 35.0)
-        rms = np.sqrt(np.mean(out.data**2))
-        assert abs(np.mean(out.data)) < 1e-6 * rms
-
-    def test_exactly_zero_phase(self):
-        t = 501
-        center = t // 2
-        pulse = np.exp(-0.5 * ((np.arange(t) - center) / 20.0) ** 2)
-        out = bandpass(Epoch(pulse[None, :], 250.0), 8.0, 35.0).data[0]
-        asymmetry = np.sqrt(np.mean((out - out[::-1]) ** 2))
-        assert asymmetry < 1e-9 * np.sqrt(np.mean(out**2))
-
-    def test_invalid_band(self):
-        epoch = sine_epoch(20.0)
-        with pytest.raises(InvalidBand):
-            bandpass(epoch, 35.0, 8.0)
-        with pytest.raises(InvalidBand):
-            bandpass(epoch, 8.0, 200.0)
 
 
 class TestArSpecValidation:
@@ -168,6 +118,26 @@ class TestArSpecValidation:
         # X_t = a X_{t-2}: roots of z^2 = a, radius sqrt(a)
         rho = companion_spectral_radius([np.array([[0.49]])], 2)
         assert rho == pytest.approx(0.7, abs=1e-12)
+
+
+class TestArSpecFromDict:
+    REQUIRED = {"coefficients": [[]], "innovations": [[[1.0]]], "n_samples": 64,
+                "epochs_per_class": 2, "seed": 0}
+
+    def test_left_out_fields_take_the_arspec_defaults(self):
+        assert ar_spec_from_dict(dict(self.REQUIRED)) == ArSpec(**self.REQUIRED)
+        spec = ar_spec_from_dict({**self.REQUIRED, "subject": 7, "lag": 2})
+        assert (spec.subject, spec.lag) == ("7", 2)
+
+    @pytest.mark.parametrize("typo", [{"n_sesions": 3}, {"sampel_rate": 100, "lag": 1}])
+    def test_unknown_field_rejected(self, typo):
+        with pytest.raises(UnstableSpec, match=f"unknown fields \\['{next(iter(typo))}'\\]"):
+            ar_spec_from_dict({**self.REQUIRED, **typo})
+
+    def test_missing_field_named(self):
+        raw = {k: v for k, v in self.REQUIRED.items() if k != "n_samples"}
+        with pytest.raises(UnstableSpec, match="missing field 'n_samples'"):
+            ar_spec_from_dict(raw)
 
 
 def per_epoch_reference(spec):

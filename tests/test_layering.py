@@ -1,11 +1,18 @@
 """Module layering: a module of the package uses only the public names of
-its siblings, so each private helper (spd's block walk, say) has one home,
-and no module imports scipy at load time, which would slow every CLI start."""
+its siblings, so each private helper (spd's block walk, say) has one home;
+no module imports scipy, even inside a function; and the third-party
+modules the package imports are the runtime dependencies pyproject.toml
+declares."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "augcov"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "augcov"
 
 
 def private_imports(path: Path):
@@ -20,23 +27,15 @@ def private_imports(path: Path):
     return found
 
 
-def module_level_scipy_imports(path: Path):
-    """Lines of the import statements outside any function that load scipy
-    or one of its submodules."""
-    def scipy_import(node):
+def absolute_imports(path: Path):
+    """(line, top-level name) of each absolute import in the file, function
+    bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
-        return (isinstance(node, ast.ImportFrom) and node.level == 0
-                and node.module.split(".")[0] == "scipy")
-
-    found, pending = [], list(ast.parse(path.read_text(), filename=str(path)).body)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if scipy_import(node):
-            found.append(node.lineno)
-        pending += ast.iter_child_nodes(node)
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
     return sorted(found)
 
 
@@ -54,16 +53,29 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert private_imports(module) == [(1, "spd", "_blocks"), (2, None, "_spd")]
 
 
-def test_no_module_imports_scipy_at_load_time():
+def test_no_module_imports_scipy():
     offenders = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
-                 for line in module_level_scipy_imports(path)]
+                 for line, name in absolute_imports(path) if name == "scipy"]
     assert offenders == []
 
 
-def test_the_check_sees_a_load_time_scipy_import(tmp_path):
+def test_the_check_sees_every_scipy_import(tmp_path):
     module = tmp_path / "data.py"
     module.write_text("import numpy\nimport scipy.signal\n"
                       "if True:\n    from scipy.special import ndtr\n"
                       "class A:\n    import scipy as sp\n"
-                      "def f():\n    import scipy.linalg\n")
-    assert module_level_scipy_imports(module) == [2, 4, 6]
+                      "def f():\n    import scipy.linalg\n"
+                      "from . import spd\n")
+    assert absolute_imports(module) == [(1, "numpy"), (2, "scipy"), (4, "scipy"),
+                                        (6, "scipy"), (8, "scipy")]
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+             for dep in declared}
+    imported = {name for path in PACKAGE.glob("*.py") for _, name in absolute_imports(path)
+                if name not in sys.stdlib_module_names}
+    assert imported == names == {"numpy"}

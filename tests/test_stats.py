@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from augcov.errors import (
     AllZeroDiffs,
@@ -13,6 +16,8 @@ from augcov.errors import (
     TooFewSamples,
 )
 from augcov.stats import (
+    _upper_quantile,
+    _upper_tail,
     accuracy,
     auc_roc,
     bonferroni,
@@ -179,7 +184,6 @@ class TestStouffer:
 
     def test_two_equal_p(self):
         # z = sqrt(2) * z(0.05)
-        from scipy.special import ndtr
         expected = float(ndtr(-np.sqrt(2.0) * ndtri(0.95)))
         combined = stouffer_combine([0.05, 0.05])
         assert combined == pytest.approx(expected, abs=1e-12)
@@ -200,6 +204,32 @@ class TestStouffer:
             stouffer_combine([0.0, 0.5])
         with pytest.raises(DegeneratePValue):
             stouffer_combine([1.0])
+
+
+class TestNormalTailAndQuantile:
+    """The standard-library normal tail and quantile against scipy's ndtr
+    and ndtri."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-37.0, 37.0))
+    def test_upper_tail_is_ndtr_of_minus_z(self, z):
+        assert _upper_tail(z) == pytest.approx(ndtr(-z), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(1e-12, 1.0 - 1e-12))
+    def test_upper_quantile_is_ndtri_of_one_minus_p(self, p):
+        assert _upper_quantile(np.array([p]))[0] == pytest.approx(
+            ndtri(1.0 - p), rel=1e-14, abs=0.0)
+
+    def test_the_one_plus_erf_form_fails_where_erfc_holds(self):
+        z = 8.0
+        expected = pytest.approx(ndtr(-z), rel=1e-12, abs=0.0)
+        assert 0.5 * (1.0 + math.erf(-z / math.sqrt(2.0))) != expected
+        assert _upper_tail(z) == expected
+
+    def test_p_too_small_to_leave_one_minus_p_below_one(self):
+        assert _upper_quantile(np.array([1e-20]))[0] == math.inf == ndtri(1.0 - 1e-20)
+        assert stouffer_combine([1e-20, 0.5]) == 0.0
 
 
 class TestBonferroni:
