@@ -200,10 +200,15 @@ def covariance_stack(epochs, params: AugmentedParams, shrink: bool | None = None
     if not shrink and width <= k:
         warnings.warn(f"epoch has T={width} samples for d={k} channels; covariance "
                       f"may be rank-deficient, consider shrinkage", stacklevel=2)
-    out = np.empty((len(values), k, k))
+    out, lams = np.empty((len(values), k, k)), np.zeros(len(values))
     for i, x in enumerate(values):
-        out[i] = _covariance(embed_epoch(x, params), shrink)[0]
-    return SpdStack(out)
+        out[i], lams[i] = _covariance(embed_epoch(x, params), shrink)
+    # Ledoit-Wolf bounds: a shrunk matrix keeps tr C and has lambda_max <= tr C
+    # and lambda_min >= lam * tr C / k, less the gram's rounding (at most
+    # width * eps * tr C). An unshrunk one (lam = 0) gets no lower bound.
+    traces = np.trace(out, axis1=1, axis2=2)
+    lower = traces * (lams / k - (width + k) * np.finfo(float).eps)
+    return SpdStack.bounded(out, lower, traces)
 
 
 def ledoit_wolf(y: np.ndarray) -> tuple[SpdMatrix, float]:

@@ -109,7 +109,7 @@ def _hold(epoch_set: EpochSet, whole: EpochStack, sessions) -> EpochSet:
 
 # -- synthetic AR generator --------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArSpec:
     """Generator description: per-class AR coefficients and innovation
     covariances, the generator lag, epoch geometry and the seed.
@@ -118,6 +118,10 @@ class ArSpec:
     the SPD innovation covariance U for class c. Every class must define a
     stable process (companion spectral radius < 1). Every field is checked
     here, once: a bad one raises UnstableSpec.
+
+    Two specs are equal when every field is, matrices compared entry by
+    entry. A spec is not hashable: it holds numpy matrices, which may be
+    the caller's own arrays.
     """
 
     coefficients: list
@@ -171,6 +175,18 @@ class ArSpec:
                 raise UnstableSpec(
                     f"class {c} AR process is unstable: spectral radius {rho:.4f} >= 1"
                 )
+
+    def __eq__(self, other):
+        if not isinstance(other, ArSpec):
+            return NotImplemented
+        pairs = zip([self.innovations, *self.coefficients],
+                    [other.innovations, *other.coefficients])
+        return (len(self.coefficients) == len(other.coefficients)
+                and all(len(a) == len(b) and all(map(np.array_equal, a, b)) for a, b in pairs)
+                and all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self)
+                        if f.name not in ("coefficients", "innovations")))
+
+    __hash__ = None
 
     @property
     def n_classes(self) -> int:

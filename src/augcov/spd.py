@@ -3,10 +3,22 @@ matrices: affine-invariant distance, Frechet (geometric) mean, batched Log
 coordinates at a reference and symmetric matrix functions.
 
 Matrices travel as (n, k, k) stacks (SpdStack), checked once on
-construction; SpdMatrix is the one-matrix case. The hot paths share one
-batched step, _spectral: whiten a stack by a reference's inverse square
-root, take one stacked eigendecomposition and apply f to the eigenvalues.
-Outputs are symmetrized, which damps the eigensolver's asymmetry drift.
+construction; SpdMatrix is the one-matrix case. The check (the SPD gate) is
+one stacked eigvalsh; SpdStack.bounded lets a caller that can bound each
+matrix's spectrum, as Ledoit-Wolf shrinkage does, skip it for the matrices
+whose bounds prove them positive definite by a wide margin. The hot paths
+share one batched step, _spectral: whiten a stack by a factor pair
+(G P G^T), take one stacked eigendecomposition and apply f to the
+eigenvalues. Outputs are symmetrized, which damps the eigensolver's
+asymmetry drift.
+
+The Frechet mean is gradient descent in the whitened frame of its iterate,
+with Barzilai-Borwein steps and a stop rule on the whitened gradient, so it
+is affine-invariant: units (volts or microvolts) and channel mixing change
+neither its steps nor its result beyond rounding. It carries the iterate's
+whitening factor from step to step, so a pass costs one log
+eigendecomposition per matrix plus one exp for the step, and no iterate is
+decomposed or checked until the mean is returned.
 
 Memory model: one walk, _blocks, reads a stack in consecutive blocks of at
 most SPD_BLOCK_BYTES of matrices and applies _spectral to each. Its three
@@ -21,6 +33,8 @@ add one matrix at a time in stack order, as numpy's axis-0 sum does.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +42,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyInput,
+    InvalidSetting,
     NoConvergence,
     NonPositiveEigenvalue,
     NotSPD,
@@ -37,6 +52,11 @@ from .errors import (
 # Relative eigenvalue floor separating "positive definite" from merely
 # positive semi-definite input.
 EPS_SPD = 1e-10
+
+# How far proven eigenvalue bounds must clear the EPS_SPD floor before a
+# matrix may skip the gate's eigvalsh (SpdStack.bounded): room for the
+# eigensolver's own rounding, of order k * 1e-16 relative, many times over.
+CERTIFICATE_MARGIN = 1e3
 
 # Relative Frobenius asymmetry accepted before construction fails.
 SYM_RTOL = 1e-10
@@ -48,6 +68,12 @@ SPD_BLOCK_BYTES = 1 << 17
 DEFAULT_MEAN_TOL = 1e-8
 DEFAULT_MEAN_MAX_ITER = 50
 
+# Longest step of the Frechet mean, in units of the whitened gradient. The
+# cost's Riemannian Hessian is at least the identity on this manifold (it
+# has non-positive curvature), so a longer step than 1 overshoots every
+# direction; a Barzilai-Borwein quotient above it is rounding noise.
+MAX_MEAN_STEP = 1.0
+
 
 def sym(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of every matrix of a stack."""
@@ -56,12 +82,14 @@ def sym(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validated(values, what: str, positive: bool = True) -> np.ndarray:
+def _validated(values, what: str, positive: bool = True, certified=None) -> np.ndarray:
     """Check an (n, k, k) stack once; return it, symmetrized if need be.
 
     NotSymmetric when a matrix has |M - M^T|_F > SYM_RTOL * |M|_F; with
-    positive set, NotSPD unless lambda_min > EPS_SPD * lambda_max. A "{i}"
-    in `what` names the first bad matrix in the message.
+    positive set, NotSPD unless lambda_min > EPS_SPD * lambda_max, found by
+    one stacked eigvalsh over the matrices that the boolean mask certified
+    does not mark as already proven positive definite. A "{i}" in `what`
+    names the first bad matrix in the message.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[1] != values.shape[2]:
@@ -75,12 +103,13 @@ def _validated(values, what: str, positive: bool = True) -> np.ndarray:
                 f"exceeds {SYM_RTOL:g} * |M|_F = {SYM_RTOL * scale[i]:.3e}"
             )
         values = sym(values)
-    if positive and len(values):
-        w = np.linalg.eigvalsh(values)
-        for i in np.flatnonzero((w[:, -1] <= 0.0) | (w[:, 0] <= EPS_SPD * w[:, -1]))[:1]:
+    gated = np.arange(len(values)) if certified is None else np.flatnonzero(~certified)
+    if positive and gated.size:
+        w = np.linalg.eigvalsh(values if certified is None else values[gated])
+        for j in np.flatnonzero((w[:, -1] <= 0.0) | (w[:, 0] <= EPS_SPD * w[:, -1]))[:1]:
             raise NotSPD(
-                f"{what.format(i=i)} is not positive definite: eigenvalue range "
-                f"[{w[i, 0]:.3e}, {w[i, -1]:.3e}] fails lambda_min > {EPS_SPD:g} * "
+                f"{what.format(i=gated[j])} is not positive definite: eigenvalue range "
+                f"[{w[j, 0]:.3e}, {w[j, -1]:.3e}] fails lambda_min > {EPS_SPD:g} * "
                 f"lambda_max; consider shrinkage for rank-deficient covariances"
             )
     return values
@@ -120,6 +149,16 @@ class SpdStack:
     def __post_init__(self):
         _filled(self, _validated(self.values, "matrix {i} of the stack"))
 
+    @classmethod
+    def bounded(cls, values, lower, upper) -> SpdStack:
+        """SpdStack(values) for matrices whose spectra are known to lie in
+        [lower[i], upper[i]], bounds that hold for the values as stored: a
+        matrix with lower > CERTIFICATE_MARGIN * EPS_SPD * upper is proven
+        to pass the SPD gate and skips its eigvalsh; the rest take it."""
+        certified = np.asarray(lower) > CERTIFICATE_MARGIN * EPS_SPD * np.asarray(upper)
+        return _filled(object.__new__(cls),
+                       _validated(values, "matrix {i} of the stack", certified=certified))
+
     def __len__(self) -> int:
         return self.values.shape[0]
 
@@ -153,12 +192,14 @@ _SCALAR_FNS = {
 _NEEDS_POSITIVE = {None, "log", "sqrt", "inv_sqrt"}
 
 
-def _spectral(stack: np.ndarray, fn: str | None, isqrt: np.ndarray | None = None):
-    """U f(Lambda) U^T of every matrix of an (n, k, k) stack, whitened first
-    as isqrt @ P @ isqrt when isqrt is given, from one stacked eigh and
-    symmetrized. fn=None returns the (n, k) eigenvalues instead. For every
-    fn but "exp", an eigenvalue at or below zero raises NonPositiveEigenvalue."""
-    whitened = sym(stack if isqrt is None else isqrt @ stack @ isqrt)
+def _spectral(stack: np.ndarray, fn: str | None, left=None, right=None):
+    """U f(Lambda) U^T of every matrix P of an (n, k, k) stack, whitened
+    first as left @ P @ right when a factor pair is given (right being
+    left^T, so the whitened matrices stay congruent to the P), from one
+    stacked eigh and symmetrized. fn=None returns the (n, k) eigenvalues
+    instead. For every fn but "exp", an eigenvalue at or below zero raises
+    NonPositiveEigenvalue."""
+    whitened = sym(stack if left is None else left @ stack @ right)
     if fn is None:
         w = np.linalg.eigvalsh(whitened)
     else:
@@ -180,9 +221,9 @@ def _blocks(values: np.ndarray, rows=None, spectral: tuple | None = None):
     is None), in order, in consecutive blocks of at most SPD_BLOCK_BYTES and
     at least one matrix; an empty selection is one empty block. Yields
     (out, block) per block, out being the slice of the block's matrices in
-    the walk's output. With spectral = (fn, isqrt), block is
-    _spectral(block, fn, isqrt), else the matrices themselves: views of the
-    whole stack, or a copy of one block of rows."""
+    the walk's output. With spectral = (fn, left, right), block is
+    _spectral(block, fn, left, right), else the matrices themselves: views
+    of the whole stack, or a copy of one block of rows."""
     step = max(1, SPD_BLOCK_BYTES // (values.itemsize * values.shape[-1] ** 2))
     count = len(values) if rows is None else len(rows)
     for start in range(0, max(count, 1), step):
@@ -219,7 +260,7 @@ def distances_from(reference: SpdMatrix, stack: SpdStack) -> np.ndarray:
         raise DimensionMismatch(f"dimensions differ: {reference.dim} vs {stack.dim}")
     isqrt = symm_fn(reference.values, "inv_sqrt")
     w = np.empty((len(stack), stack.dim))
-    for out, eigenvalues in _blocks(stack.values, spectral=(None, isqrt)):
+    for out, eigenvalues in _blocks(stack.values, spectral=(None, isqrt, isqrt)):
         w[out] = eigenvalues
     return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
 
@@ -238,7 +279,7 @@ def log_coordinates(ref_inv_sqrt: np.ndarray, stack: SpdStack) -> np.ndarray:
     rows, cols = np.triu_indices(dim)
     weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
     coords = np.empty((len(stack), rows.size))
-    for out, logs in _blocks(stack.values, spectral=("log", ref_inv_sqrt)):
+    for out, logs in _blocks(stack.values, spectral=("log", ref_inv_sqrt, ref_inv_sqrt)):
         coords[out] = logs[:, rows, cols] * weights
     return coords
 
@@ -248,13 +289,6 @@ def affine_invariant_distance(p1: SpdMatrix, p2: SpdMatrix) -> float:
     return float(distances_from(p1, as_stack([p2]))[0])
 
 
-def _whitening_pair(p: SpdMatrix):
-    """Return (p^{1/2}, p^{-1/2}) from one eigendecomposition."""
-    w, u = np.linalg.eigh(p.values)
-    sq = np.sqrt(w)
-    return sym((u * sq) @ u.T), sym((u / sq) @ u.T)
-
-
 def frechet_mean(
     mats,
     tol: float = DEFAULT_MEAN_TOL,
@@ -262,17 +296,34 @@ def frechet_mean(
     rows=None,
 ) -> SpdMatrix:
     """Geometric mean of an SpdStack (or a sequence of SpdMatrix), or of the
-    stack's matrices at the indices rows, by fixed-point iteration
-    P <- Exp_P(mean_i Log_P(P_i)). Rows are read in place, never copied out
-    as a sub-stack.
+    stack's matrices at the indices rows, by Riemannian gradient descent with
+    Barzilai-Borwein steps (Iannazzo & Porcelli 2018). Rows are read in
+    place, never copied out as a sub-stack.
 
-    Initialized at the arithmetic mean (always SPD). Stops when the Frobenius
-    norm of the tangent mean drops below tol, so the gradient condition
-    |sum_i Log_P(P_i)|_F / m < tol holds at the returned point. Exhausting
-    max_iter raises NoConvergence rather than silently returning a bad mean.
+    The iterate M is carried as its whitening factor G, G M G^T = I, so
+    M = F F^T with F = G^-1. A pass takes the whitened gradient
+    R = mean_i log(G P_i G^T), one stacked log over the rows, and stops when
+    |R|_F < tol: an affine-invariant rule, so rescaling or mixing the inputs
+    changes no step. Otherwise it steps to F exp(theta R) F^T, which is
+    G <- exp(-theta R / 2) G, one symm_fn exp: the new iterate needs no
+    eigendecomposition of its own. In this frame the step's parallel
+    transport is the identity, so the step length is the Barzilai-Borwein
+    theta = <s, s> / <s, y> of s = theta' R' and y = R' - R (primes for the
+    previous pass), 1 on the first pass or when <s, y> <= 0, and at most
+    MAX_MEAN_STEP.
+
+    Cost: one eigh of the arithmetic mean (the start), then per pass one
+    log eigh per row plus one exp eigh per step taken; the returned mean is
+    F F^T, from one inverse of G and one SPD check. tol must be finite and
+    > 0 and max_iter, the most steps taken, an integer >= 0 (else
+    InvalidSetting); exhausting max_iter raises NoConvergence rather than
+    silently returning a bad mean.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
+        raise InvalidSetting(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) \
+            or max_iter < 0:
+        raise InvalidSetting(f"max_iter must be an integer >= 0, got {max_iter!r}")
     stack = as_stack(mats)
     count = len(stack) if rows is None else len(rows)
     if count == 0:
@@ -280,14 +331,26 @@ def frechet_mean(
     if count == 1:
         return stack[0 if rows is None else rows[0]]
 
-    current = SpdMatrix(_mean(stack.values, rows))
+    # The start, the arithmetic mean, meets the SPD gate whenever its terms
+    # do: lambda_min(mean) >= mean lambda_min > EPS_SPD * mean lambda_max.
+    w, u = np.linalg.eigh(_mean(stack.values, rows))
+    whiten = (u / np.sqrt(w)) @ u.T  # G
+    previous = None  # (theta', R') of the last step
     for iteration in range(max_iter + 1):
-        p_sqrt, p_isqrt = _whitening_pair(current)
-        whitened_mean = sym(_mean(stack.values, rows, ("log", p_isqrt)))
-        tangent_mean = p_sqrt @ whitened_mean @ p_sqrt
-        residual = float(np.linalg.norm(tangent_mean))
-        if residual < tol:
-            return current
-        if iteration == max_iter:
-            raise NoConvergence(current, residual)
-        current = SpdMatrix(sym(p_sqrt @ symm_fn(whitened_mean, "exp") @ p_sqrt))
+        grad = _mean(stack.values, rows, ("log", whiten, whiten.T))
+        residual = float(np.linalg.norm(grad))
+        if residual < tol or iteration == max_iter:
+            unwhiten = np.linalg.inv(whiten)  # F
+            mean = SpdMatrix(unwhiten @ unwhiten.T)
+            if residual < tol:
+                return mean
+            raise NoConvergence(mean, residual)
+        theta = 1.0
+        if previous is not None:
+            last_theta, last_grad = previous
+            sy = last_theta * np.vdot(last_grad, last_grad - grad)
+            if sy > 0.0:
+                theta = min(last_theta ** 2 * np.vdot(last_grad, last_grad) / sy,
+                            MAX_MEAN_STEP)
+        whiten = symm_fn(-0.5 * theta * grad, "exp") @ whiten
+        previous = (theta, grad)

@@ -600,6 +600,35 @@ def test_setting_the_source_ignores_exits_2_before_the_data_is_read(capsys):
     assert "svm_c=1000.0" in error["message"] and "'fixed'" in error["message"]
 
 
+def test_cs_acm_mdm_scores_do_not_depend_on_units(tmp_path, capsys):
+    """The same container in volts and in microvolts (x 1e-6) gives cs
+    ACM+MDM scores within 1e-9: the distance is affine-invariant and the
+    class means stop on a scale-free rule. Classes of equal dynamics keep
+    the holdout AUCs away from 0 and 1, so the scores test the ranking."""
+    from augcov.covariance import EpochStack
+    from augcov.data import EpochSet, Session, read_epochset, write_epochset
+
+    spec = ar_spec_json(tmp_path, seed=6, epochs_per_class=10, t=64, n_sessions=2,
+                        separable=False)
+    containers = [tmp_path / "units.acm", tmp_path / "micro.acm"]
+    run_cli(capsys, "simulate", "--spec-json", f"@{spec}", "--out", str(containers[0]))
+    raw = read_epochset(containers[0])
+    write_epochset(EpochSet(raw.subject, [
+        Session(s.session_id, EpochStack(1e-6 * s.epochs.values, raw.sample_rate), s.labels)
+        for s in raw.sessions], raw.class_names), containers[1])
+    scores = []
+    for container in containers:
+        out = tmp_path / container.stem
+        code, _, _ = run_cli(
+            capsys, "evaluate", "--input", str(container), "--pipeline", "ACM+MDM",
+            "--param-source", "fixed", "--order", "3", "--lag", "2", "--eval", "cs",
+            "--seed", "4", "--out", str(out))
+        assert code == 0
+        scores.append([s["score"] for s in json.loads((out / "report.json").read_text())["scores"]])
+    assert len(scores[0]) == 2 and all(0.0 < s < 1.0 for s in scores[0])
+    np.testing.assert_allclose(scores[1], scores[0], rtol=0.0, atol=1e-9)
+
+
 class TestCrossSessionGrid:
     def test_cs_grid_emits_per_holdout_maps(self, tmp_path, capsys):
         spec = ar_spec_json(tmp_path, seed=41, epochs_per_class=8, t=64, n_sessions=2)

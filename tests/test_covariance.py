@@ -1,3 +1,4 @@
+import contextlib
 import pickle
 
 import numpy as np
@@ -26,7 +27,7 @@ from augcov.errors import (
     NotSPD,
     SingularSystem,
 )
-from augcov.spd import affine_invariant_distance
+from augcov.spd import EPS_SPD, affine_invariant_distance
 
 
 def make_epoch(data, rate=250.0):
@@ -354,6 +355,81 @@ class TestLedoitWolf:
         x = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal((n, m))
         stack = covariance_stack(EpochStack(x[None], 250.0), AugmentedParams(1, 1), shrink=True)
         assert np.array_equal(ledoit_wolf(x)[0].values, stack.values[0])
+
+
+def near_rank_one(rng, n, m, spread):
+    """n x m samples y_t = +-v + spread * noise: a covariance near v v^T,
+    whose Ledoit-Wolf intensity shrinks like spread^2 and whose condition
+    number grows like 1 / spread^2."""
+    v = rng.standard_normal((n, 1))
+    return np.sign(rng.standard_normal(m)) * v + spread * rng.standard_normal((n, m))
+
+
+@contextlib.contextmanager
+def gate_count():
+    """[matrices the SPD gate's eigvalsh decomposed], filled while open."""
+    seen = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        seen[0] += len(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", counted)
+        yield seen
+
+
+class TestGateCertificate:
+    """A shrunk covariance whose Ledoit-Wolf bounds prove it positive
+    definite skips the SPD gate's eigvalsh; every other matrix takes it."""
+
+    @given(n=st.integers(1, 5), m=st.integers(2, 60), order=st.integers(1, 3),
+           log_spread=st.floats(-9.0, 1.0), log_scale=st.floats(-12.0, 6.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_never_passes_what_the_gate_rejects(
+            self, n, m, order, log_spread, log_scale, seed):
+        """One epoch per stack, so the gate's eigvalsh either saw the matrix
+        or the certificate passed it; a passed matrix meets the gate's rule."""
+        y = near_rank_one(np.random.default_rng(seed), n, m + order, 10.0 ** log_spread)
+        epochs = EpochStack(10.0 ** log_scale * y[None], 250.0)
+        with gate_count() as seen:
+            try:
+                stack = covariance_stack(epochs, AugmentedParams(order, 1), shrink=True)
+            except NotSPD:
+                assert seen[0] == 1
+                return
+        if seen[0] == 0:
+            w = np.linalg.eigvalsh(stack.values[0])
+            assert w[0] > EPS_SPD * w[-1]
+
+    def test_unshrunk_order_one_stack_takes_the_gate(self):
+        rng = np.random.default_rng(30)
+        row = rng.standard_normal(64)
+        duplicated = np.stack([rng.standard_normal((2, 64)), np.stack([row, row])])
+        with gate_count() as seen:
+            covariance_stack(EpochStack(rng.standard_normal((5, 3, 64)), 250.0),
+                             AugmentedParams(1, 1))
+            assert seen[0] == 5
+            with pytest.raises(NotSPD, match="matrix 1 of the stack"):
+                covariance_stack(EpochStack(duplicated, 250.0), AugmentedParams(1, 1))
+
+    @pytest.mark.parametrize("spread,error", [(1e-3, None), (1e-5, NotSPD)])
+    def test_ill_conditioned_shrunk_stack_takes_the_gate(self, spread, error):
+        """Near-rank-one data leave the intensity too small for the bound to
+        clear EPS_SPD by the margin: the gate decides, and at spread 1e-5 the
+        shrunk matrix still fails it (condition number about 3e10)."""
+        rng = np.random.default_rng(3)
+        epochs = EpochStack(np.stack([rng.standard_normal((3, 200)),
+                                      near_rank_one(rng, 3, 200, spread)]), 250.0)
+        with gate_count() as seen:
+            if error is None:
+                covariance_stack(epochs, AugmentedParams(1, 1), shrink=True)
+            else:
+                with pytest.raises(error, match="matrix 1 of the stack"):
+                    covariance_stack(epochs, AugmentedParams(1, 1), shrink=True)
+        assert seen[0] == 1
 
 
 def three_gram_augmented_covariance(epoch, params):

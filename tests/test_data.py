@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import replace
 
 import itertools
 
@@ -138,6 +139,34 @@ class TestArSpecFromDict:
         raw = {k: v for k, v in self.REQUIRED.items() if k != "n_samples"}
         with pytest.raises(UnstableSpec, match="missing field 'n_samples'"):
             ar_spec_from_dict(raw)
+
+
+class TestArSpecEquality:
+    RAW = {"coefficients": [[], [[[0.0, -0.4], [0.4, 0.0]]]],
+           "innovations": [[[1.0, 0.0], [0.0, 1.0]], [[0.84, 0.0], [0.0, 0.84]]],
+           "n_samples": 64, "epochs_per_class": 2, "seed": 0}
+
+    def test_two_channel_specs_compare_their_matrices(self):
+        """d = 2: equal specs compare equal whatever holds their matrices,
+        and a change to any matrix, matrix count or scalar field tells them
+        apart."""
+        spec = ar_spec_from_dict(dict(self.RAW))
+        assert spec == ArSpec(**{**self.RAW, "innovations": [np.eye(2), 0.84 * np.eye(2)]})
+        assert not spec != ar_spec_from_dict(dict(self.RAW))
+        a1 = spec.coefficients[1][0]
+        for other in (
+            replace(spec, seed=1),
+            replace(spec, innovations=[np.eye(2), 0.5 * np.eye(2)]),
+            replace(spec, coefficients=[[], [0.5 * a1]]),
+            replace(spec, coefficients=[[], [a1, 0.0 * a1]]),
+            replace(spec, coefficients=[[], [a1], []], innovations=[*spec.innovations, np.eye(2)]),
+        ):
+            assert spec != other and other != spec
+        assert spec != "spec"
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable type: 'ArSpec'"):
+            hash(ar_spec_from_dict(dict(self.RAW)))
 
 
 def per_epoch_reference(spec):
