@@ -25,6 +25,7 @@ from .errors import (
     LagTooLarge,
     LengthMismatch,
     TooFewSamples,
+    check_integer,
 )
 from .spd import SpdMatrix, as_stack, distances_from, frechet_mean, log_coordinates, symm_fn
 from .stats import accuracy, auc_roc
@@ -296,8 +297,7 @@ def check_folds(n_folds, name: str = "folds") -> None:
     """The one fold-count rule, for stratified_folds, PipelineSpec and the
     within-session protocol: InvalidSetting unless n_folds is an integer
     >= 2."""
-    if not isinstance(n_folds, (int, np.integer)) or n_folds < 2:
-        raise InvalidSetting(f"{name} must be an integer >= 2, got {n_folds!r}")
+    check_integer(name, n_folds, 2)
 
 
 def stratified_folds(labels: np.ndarray, n_folds: int, seed, where: str = "the inner CV"):

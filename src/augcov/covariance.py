@@ -1,5 +1,6 @@
-"""Covariance estimators: plain spatial covariance, the lag-augmented
-covariance matrix, Ledoit-Wolf shrinkage and a Yule-Walker block solver.
+"""Covariance estimators: the lag-augmented covariance matrix (at order 1
+the plain spatial covariance), Ledoit-Wolf shrinkage and a Yule-Walker block
+solver.
 
 Signals are assumed band-pass filtered upstream, hence (near) zero-mean: the
 sample covariance is taken without mean subtraction. The augmented covariance
@@ -17,9 +18,9 @@ import numpy as np
 from .errors import (
     InconsistentInput,
     InvalidEpoch,
-    InvalidSetting,
     LagTooLarge,
     SingularSystem,
+    check_integer,
 )
 from .spd import SpdMatrix, SpdStack, sym
 
@@ -110,9 +111,7 @@ class AugmentedParams:
 
     def __post_init__(self):
         for name in ("order", "lag"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidSetting(f"{name} must be an integer >= 1, got {value!r}")
+            check_integer(name, getattr(self, name), 1)
 
     def check_length(self, n_samples: int) -> None:
         """The embedded epoch must keep T - (order-1)*lag >= 2 samples."""
@@ -140,15 +139,6 @@ class YuleWalkerSolution:
         return len(self.coefficients)
 
 
-def sample_covariance(epoch: Epoch) -> SpdMatrix:
-    """Uncentered spatial covariance X X^T / (T - 1) of one epoch.
-
-    Warns when T <= d (the estimate is then rank-deficient or barely
-    determined) and raises NotSPD if the result fails the SPD gate.
-    """
-    return covariance_stack([epoch], AugmentedParams(1, 1), shrink=False)[0]
-
-
 def embed_epoch(data: np.ndarray, params: AugmentedParams) -> np.ndarray:
     """Stack delayed copies of a d x T epoch array into a C-contiguous
     (d*order) x (T-(order-1)*lag) array; order 1 returns data itself.
@@ -174,6 +164,7 @@ def augmented_covariance(
 ) -> SpdMatrix:
     """Augmented covariance of an epoch: the sample covariance of its
     delay-embedded version, Ledoit-Wolf shrunk as resolve_shrink says.
+    AugmentedParams(1, 1) gives the plain covariance X X^T / (T - 1).
     """
     return covariance_stack([epoch], params, shrink)[0]
 
@@ -181,8 +172,8 @@ def augmented_covariance(
 def resolve_shrink(shrink: bool | None, params: AugmentedParams) -> bool:
     """The one shrink policy: shrink as given, or for None, on for order > 1
     (the stacked estimate lives in the finite-observation large-dimension
-    regime) and off for order 1, where the augmented covariance equals
-    sample_covariance exactly."""
+    regime) and off for order 1, where the augmented covariance is the plain
+    spatial covariance X X^T / (T - 1)."""
     return params.order > 1 if shrink is None else shrink
 
 

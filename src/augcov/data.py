@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .covariance import EpochStack, as_epochs
-from .errors import FormatError, InvalidEpoch, UnstableSpec, VersionUnsupported
+from .errors import FormatError, InvalidEpoch, UnstableSpec, VersionUnsupported, check_integer
 from .spd import SYM_RTOL
 
 FORMAT_NAME = "acm-epochs"
@@ -138,8 +138,7 @@ class ArSpec:
         for name, low in (("lag", 1), ("n_samples", 2), ("epochs_per_class", 1),
                           ("n_sessions", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise UnstableSpec(f"{name} must be an integer >= {low}, got {value!r}")
+            check_integer(name, value, low, UnstableSpec)
             object.__setattr__(self, name, int(value))
         rate = self.sample_rate
         if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import AugmentedParams
-from .errors import ConstantSeries, InvalidSetting, TooShort
+from .errors import ConstantSeries, InvalidSetting, TooShort, check_integer
 
 METHODS = ("ami_cao", "mdop")  # the estimators behind estimate()
 AMI_DEFAULT_BINS = 16
@@ -68,9 +68,7 @@ def check_settings(**settings) -> None:
     each other setting (max_lag, tau, max_cycles) one >= 1; the one check of
     the estimator entry points."""
     for name, value in settings.items():
-        low = 2 if name in ("bins", "max_dim") else 1
-        if not isinstance(value, (int, np.integer)) or value < low:
-            raise InvalidSetting(f"{name} must be an integer >= {low}, got {value!r}")
+        check_integer(name, value, 2 if name in ("bins", "max_dim") else 1)
 
 
 def average_mutual_information(

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all augcov modules.
+"""Exception hierarchy shared by all augcov modules, and check_integer, the
+one rule for integer settings.
 
 Two mixin bases drive the CLI exit codes: ConfigError (bad input or
 configuration, exit 2) and NumericalError (a computation failed, exit 3).
 """
+
+import numbers
 
 
 class AugcovError(Exception):
@@ -166,3 +169,10 @@ class FormatError(ConfigError):
 
 class VersionUnsupported(ConfigError):
     pass
+
+
+def check_integer(name: str, value, low: int, error: type = InvalidSetting) -> None:
+    """Raise error unless value is an integer >= low. A bool is not an
+    integer setting: True would otherwise act as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")

@@ -25,9 +25,10 @@ from .errors import (
     AllZeroDiffs,
     DegenerateVariance,
     FormatError,
-    InvalidSetting,
     PairingViolation,
     SingleSession,
+    VersionUnsupported,
+    check_integer,
 )
 from .stats import (
     bonferroni,
@@ -38,6 +39,7 @@ from .stats import (
 )
 
 WILCOXON_MIN_SUBJECTS = 20
+REPORT_VERSION = 1  # the report.json version to_json writes and from_json reads
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class EvalReport:
     def to_json(self) -> str:
         payload = {
             "format": "acm-eval-report",
-            "version": 1,
+            "version": REPORT_VERSION,
             "dataset": self.dataset,
             "subject": self.subject,
             "pipeline": self.pipeline,
@@ -94,9 +96,15 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
+        """Read a report written by to_json; only REPORT_VERSION is read, any
+        other version, or none, raises VersionUnsupported."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or raw.get("format") != "acm-eval-report":
             raise PairingViolation("not an evaluation report")
+        version = raw.get("version")
+        if type(version) is not int or version != REPORT_VERSION:
+            raise VersionUnsupported(f"evaluation report version {version!r} unsupported, "
+                                     f"expected {REPORT_VERSION}")
         try:
             report = cls(
                 dataset=raw["dataset"],
@@ -219,9 +227,8 @@ def _check_run(seed, workers=1) -> None:
     """The one check of the run settings of the protocols and of
     meta_analysis: InvalidSetting unless seed is an integer >= 0 and workers
     one >= 1."""
-    for name, value, low in (("seed", seed, 0), ("workers", workers, 1)):
-        if not isinstance(value, (int, np.integer)) or value < low:
-            raise InvalidSetting(f"{name} must be an integer >= {low}, got {value!r}")
+    check_integer("seed", seed, 0)
+    check_integer("workers", workers, 1)
 
 
 def within_session_eval(

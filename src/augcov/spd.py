@@ -47,6 +47,7 @@ from .errors import (
     NonPositiveEigenvalue,
     NotSPD,
     NotSymmetric,
+    check_integer,
 )
 
 # Relative eigenvalue floor separating "positive definite" from merely
@@ -321,9 +322,7 @@ def frechet_mean(
     """
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
         raise InvalidSetting(f"tol must be finite and > 0, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) \
-            or max_iter < 0:
-        raise InvalidSetting(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    check_integer("max_iter", max_iter, 0)
     stack = as_stack(mats)
     count = len(stack) if rows is None else len(rows)
     if count == 0:

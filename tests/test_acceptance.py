@@ -17,7 +17,6 @@ from augcov.covariance import (
     augmented_covariance,
     embed_epoch,
     ledoit_wolf,
-    sample_covariance,
     yule_walker_solve,
     lagged_blocks,
 )
@@ -97,7 +96,8 @@ def test_criterion_2_equivalence_identity():
         params = AugmentedParams(p, tau)
         aug = augmented_covariance(epoch, params, shrink=False)
 
-        via_embed = sample_covariance(Epoch(embed_epoch(x, params), 250.0))
+        via_embed = augmented_covariance(Epoch(embed_epoch(x, params), 250.0),
+                                         AugmentedParams(1, 1))
         assert np.array_equal(aug.values, via_embed.values)
 
         width = t - (p - 1) * tau

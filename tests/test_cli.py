@@ -717,6 +717,8 @@ BAD_SPEC_FIELDS = {
     ("report", lambda r: _drop(r, "subject"), "FormatError"),
     ("report", lambda r: _drop(r, "scores", 0, "lag"), "FormatError"),
     ("report", lambda r: [r], "PairingViolation"),
+    ("report", lambda r: _set(r, 99, "version"), "VersionUnsupported"),
+    ("report", lambda r: _drop(r, "version"), "VersionUnsupported"),
     ("spec", "[1]", "UnstableSpec"),
     ("spec", '{"coefficients": [[]], "innovations": [[[1.0]]], "n_samples": null, '
              '"epochs_per_class": 2, "seed": 0}', "UnstableSpec"),
@@ -725,6 +727,7 @@ BAD_SPEC_FIELDS = {
     *[("spec", _spec_json(**fields), "UnstableSpec") for fields in BAD_SPEC_FIELDS.values()],
 ], ids=["container-without-labels", "container-null-label", "container-sessions-not-list",
         "report-without-subject", "report-score-without-lag", "report-json-list",
+        "report-version-99", "report-without-version",
         "spec-json-list", "spec-null-field", "spec-coefficients-not-a-list",
         *BAD_SPEC_FIELDS])
 def test_malformed_input_file_exit_2(tmp_path, capsys, kind, edit, error):

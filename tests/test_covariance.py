@@ -16,7 +16,6 @@ from augcov.covariance import (
     embed_epoch,
     lagged_blocks,
     ledoit_wolf,
-    sample_covariance,
     yule_walker_solve,
 )
 from augcov.errors import (
@@ -28,6 +27,10 @@ from augcov.errors import (
     SingularSystem,
 )
 from augcov.spd import EPS_SPD, affine_invariant_distance
+
+
+# at (1, 1) the augmented covariance is the plain spatial covariance
+PLAIN = AugmentedParams(1, 1)
 
 
 def make_epoch(data, rate=250.0):
@@ -147,25 +150,25 @@ class TestEpochStack:
 class TestSampleCovariance:
     def test_single_channel_arithmetic(self):
         # sum of squares 4 over T-1 = 3
-        cov = sample_covariance(make_epoch([[1.0, -1.0, 1.0, -1.0]]))
+        cov = augmented_covariance(make_epoch([[1.0, -1.0, 1.0, -1.0]]), PLAIN)
         assert cov.values == pytest.approx(np.array([[4.0 / 3.0]]))
 
     def test_white_noise_near_identity(self):
         rng = np.random.default_rng(7)
-        cov = sample_covariance(make_epoch(rng.standard_normal((2, 10_000))))
+        cov = augmented_covariance(make_epoch(rng.standard_normal((2, 10_000))), PLAIN)
         assert np.all(np.abs(cov.values - np.eye(2)) < 0.05)
 
     def test_duplicated_channel_not_spd(self):
         rng = np.random.default_rng(8)
         row = rng.standard_normal(100)
         with pytest.raises(NotSPD):
-            sample_covariance(make_epoch(np.stack([row, row])))
+            augmented_covariance(make_epoch(np.stack([row, row])), PLAIN)
 
     def test_warns_when_underdetermined(self):
         rng = np.random.default_rng(9)
         with pytest.warns(UserWarning):
             try:
-                sample_covariance(make_epoch(rng.standard_normal((5, 4))))
+                augmented_covariance(make_epoch(rng.standard_normal((5, 4))), PLAIN)
             except NotSPD:
                 pass
 
@@ -213,7 +216,7 @@ class TestAugmentedCovariance:
     def test_order_one_equals_sample_covariance(self):
         rng = np.random.default_rng(11)
         epoch = make_epoch(rng.standard_normal((3, 200)))
-        plain = sample_covariance(epoch)
+        plain = augmented_covariance(epoch, PLAIN)
         aug = augmented_covariance(epoch, AugmentedParams(1, 1), shrink=False)
         assert np.array_equal(plain.values, aug.values)
 
@@ -237,7 +240,8 @@ class TestAugmentedCovariance:
         epoch = make_epoch(rng.standard_normal((2, 150)))
         params = AugmentedParams(3, 2)
         aug = augmented_covariance(epoch, params, shrink=False)
-        via_embed = sample_covariance(Epoch(embed_epoch(epoch.data, params), 250.0))
+        via_embed = augmented_covariance(Epoch(embed_epoch(epoch.data, params), 250.0),
+                                         PLAIN)
         assert np.array_equal(aug.values, via_embed.values)
 
     def test_symmetric_by_construction(self):
@@ -260,7 +264,7 @@ class TestAugmentedCovariance:
         rng = np.random.default_rng(16)
         epoch = make_epoch(rng.standard_normal((2, 100)))
         plain = augmented_covariance(epoch, AugmentedParams(1, 1))
-        assert np.array_equal(plain.values, sample_covariance(epoch).values)
+        assert np.array_equal(plain.values, augmented_covariance(epoch, PLAIN).values)
         # order > 1 defaults to shrinkage: trace preserved, off-diagonal damped
         raw = augmented_covariance(epoch, AugmentedParams(3, 1), shrink=False)
         shrunk = augmented_covariance(epoch, AugmentedParams(3, 1))

@@ -15,7 +15,6 @@ from augcov.covariance import (
     Epoch,
     EpochStack,
     augmented_covariance,
-    sample_covariance,
 )
 from augcov.data import (
     ArSpec,
@@ -285,7 +284,7 @@ class TestGenerator:
         epoch_set = generate_ar_dataset(spec)
         epochs, labels = epoch_set.all_epochs()
 
-        plain = [sample_covariance(e) for e in epochs]
+        plain = [augmented_covariance(e, AugmentedParams(1, 1)) for e in epochs]
         centroid0 = frechet_mean([c for c, y in zip(plain, labels) if y == 0])
         centroid1 = frechet_mean([c for c, y in zip(plain, labels) if y == 1])
         assert affine_invariant_distance(centroid0, centroid1) < 0.1

@@ -1,9 +1,11 @@
+import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
 
-from augcov import classify, covariance, data, evaluate, spd
+from augcov import classify, covariance, data, embedding, evaluate, spd
 from augcov.classify import PipelineSpec
 from augcov.covariance import Epoch
 from augcov.data import ArSpec, EpochSet, Session, generate_ar_dataset
@@ -13,6 +15,7 @@ from augcov.errors import (
     PairingViolation,
     SingleSession,
     TooFewSamples,
+    VersionUnsupported,
 )
 from augcov.evaluate import (
     EvalReport,
@@ -324,8 +327,19 @@ class TestMetaAnalysis:
 
     def test_report_json_round_trip(self):
         report = report_from_scores("P1", "alice", [0.7, 0.8])
+        assert json.loads(report.to_json())["version"] == 1
         clone = EvalReport.from_json(report.to_json())
         assert clone.to_json() == report.to_json()
+
+    @pytest.mark.parametrize("version", [99, None, True, 1.0, "1"])
+    def test_report_of_another_version_is_refused(self, version):
+        raw = json.loads(report_from_scores("P1", "alice", [0.7]).to_json())
+        raw["version"] = version
+        if version is None:
+            del raw["version"]
+        with pytest.raises(VersionUnsupported,
+                           match=re.escape(f"version {version!r} unsupported, expected 1")):
+            EvalReport.from_json(json.dumps(raw))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # mean and std of no splits
     def test_nan_is_never_serialised(self):
@@ -380,6 +394,31 @@ class TestSettingsBoundary:
         report = within_session_eval(separable_set(), PipelineSpec(kind="MDM", inner_folds=2),
                                      folds=2, seed=0)
         assert len(report.scores) == 2
+
+    @pytest.mark.parametrize("name, call", [
+        pytest.param("order", lambda: PipelineSpec("ACM+MDM", order=True), id="spec-order"),
+        pytest.param("lag", lambda: PipelineSpec("ACM+MDM", lag=True), id="spec-lag"),
+        pytest.param("order", lambda: PipelineSpec("ACM+MDM", param_source="grid",
+                                                   grid_orders=(1, True)), id="spec-grid"),
+        pytest.param("inner_folds", lambda: PipelineSpec("MDM", inner_folds=True),
+                     id="spec-inner-folds"),
+        pytest.param("max_lag", lambda: embedding.estimate(
+            separable_set().sessions[0].epochs, "mdop", max_lag=True), id="estimate-max-lag"),
+        pytest.param("max_dim", lambda: embedding.estimate(
+            separable_set().sessions[0].epochs, "ami_cao", max_dim=np.True_),
+            id="estimate-max-dim"),
+        pytest.param("seed", lambda: within_session_eval(separable_set(), MDM, seed=False),
+                     id="ws-seed"),
+        pytest.param("workers", lambda: within_session_eval(separable_set(), MDM, seed=0,
+                                                            workers=True), id="ws-workers"),
+        pytest.param("folds", lambda: within_session_eval(separable_set(), MDM, folds=True,
+                                                          seed=0), id="ws-folds"),
+    ])
+    def test_a_bool_is_not_an_integer_setting(self, name, call):
+        """True and False would act as 1 and 0: every integer setting rejects
+        them, at the spec, the estimators and the protocols."""
+        with pytest.raises(InvalidSetting, match=f"{name} must be an integer >= \\d, got"):
+            call()
 
 
 class TestWorkOrderSweep:

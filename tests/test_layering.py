@@ -1,11 +1,14 @@
 """Module layering: a module of the package uses only the public names of
 its siblings, so each private helper (spd's block walk, say) has one home;
-no module imports scipy, even inside a function; and the third-party
-modules the package imports are the runtime dependencies pyproject.toml
-declares."""
+no module imports scipy, even inside a function; the third-party modules
+the package imports are the runtime dependencies pyproject.toml declares;
+and each public name has one import path, its defining module."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +82,37 @@ def test_third_party_imports_are_the_declared_dependencies():
     imported = {name for path in PACKAGE.glob("*.py") for _, name in absolute_imports(path)
                 if name not in sys.stdlib_module_names}
     assert imported == names == {"numpy"}
+
+
+LIBRARY = ("classify", "covariance", "data", "embedding", "errors", "evaluate", "spd",
+           "stats", "svm")
+
+IMPORT_GRAPH = """
+import json, sys
+import augcov
+root = sorted(name for name in vars(augcov) if not name.startswith("__"))
+version = augcov.__version__
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("augcov."))
+import augcov.covariance, augcov.data
+data_path = loaded()
+import augcov.cli
+print(json.dumps({"root": root, "version": version, "data_path": data_path,
+                  "cli": loaded()}))
+"""
+
+
+def test_each_module_loads_only_what_it_imports():
+    """In a fresh interpreter: the package root binds only __version__, so
+    `import augcov.data` loads data and its dependencies, not the
+    classifiers, the protocols or the CLI; `import augcov.cli` loads every
+    library module, which the benchmark's tracer wraps after that import."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", IMPORT_GRAPH], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    graph = json.loads(out)
+    assert graph["root"] == [] and graph["version"]
+    heavy = {f"augcov.{name}" for name in ("classify", "evaluate", "embedding", "svm",
+                                           "stats", "cli")}
+    assert "augcov.data" in graph["data_path"] and not heavy & set(graph["data_path"])
+    assert {f"augcov.{name}" for name in LIBRARY + ("cli",)} <= set(graph["cli"])
