@@ -187,61 +187,12 @@ def _cmd_evaluate(args) -> int:
     for session, split, grid in report.grid_maps:
         stem = f"gridmap_{session}_{split}".replace(":", "_")
         write_csv(grid_map_csv_rows(grid), out_dir / f"{stem}.csv")
-        (out_dir / f"{stem}.svg").write_text(_grid_svg(grid))
     _write_manifest(out_dir, args)
     print(
         f"{report.pipeline} [{report.eval_mode}] on {args.input}: "
         f"{report.mean:.4f} +/- {report.std:.4f} over {len(report.scores)} splits"
     )
     return 0
-
-
-def _grid_svg(grid) -> str:
-    """Minimal heatmap over (order, lag): best score across classifier params."""
-    best = {}
-    for cell in grid.cells:
-        if not cell.valid or cell.score is None:
-            continue
-        key = (cell.order, cell.lag)
-        if key not in best or cell.score > best[key]:
-            best[key] = cell.score
-    orders = sorted({o for o, _ in best} | {c.order for c in grid.cells})
-    lags = sorted({l for _, l in best} | {c.lag for c in grid.cells})
-    size, margin = 28, 40
-    width = margin + size * len(lags) + 10
-    height = margin + size * len(orders) + 10
-    scores = list(best.values())
-    lo, hi = (min(scores), max(scores)) if scores else (0.0, 1.0)
-    span = (hi - lo) or 1.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="2" y="12" font-size="10">score {lo:.3f}..{hi:.3f} '
-        f'(best order={grid.best_order} lag={grid.best_lag})</text>',
-    ]
-    for r, order in enumerate(orders):
-        parts.append(
-            f'<text x="2" y="{margin + r * size + size * 0.7:.0f}" font-size="9">'
-            f'p={order}</text>'
-        )
-        for c, lag in enumerate(lags):
-            x, y = margin + c * size, margin + r * size
-            if (order, lag) in best:
-                frac = (best[(order, lag)] - lo) / span
-                shade = int(255 * (1.0 - frac))
-                fill = f"rgb({shade},{shade},255)"
-            else:
-                fill = "rgb(230,230,230)"
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{size - 2}" height="{size - 2}" '
-                f'fill="{fill}"/>'
-            )
-    for c, lag in enumerate(lags):
-        parts.append(
-            f'<text x="{margin + c * size + 6}" y="{margin - 6}" font-size="9">'
-            f't={lag}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def _cmd_stats(args) -> int:

@@ -1,11 +1,15 @@
-"""Covariance estimators: the lag-augmented covariance matrix (at order 1
-the plain spatial covariance), Ledoit-Wolf shrinkage and a Yule-Walker block
-solver.
+"""The lag-augmented covariance matrix (ACM) of epochs, Ledoit-Wolf shrunk
+as resolve_shrink says; at order 1 it is the plain spatial covariance.
 
 Signals are assumed band-pass filtered upstream, hence (near) zero-mean: the
 sample covariance is taken without mean subtraction. The augmented covariance
 of an epoch is, by construction, the plain covariance of the delay-embedded
 epoch; both views coincide bit for bit.
+
+The ACM's blocks are the lagged auto-covariances of the Yule-Walker equations
+of an AR model: for an AR(p) process and the unshrunk ACM C at order p + 1
+and the model's lag, the coefficients [A_p ... A_1] solve
+[A_p ... A_1] C[:pd, :pd] = C[pd:, :pd], d being the channel count.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InconsistentInput,
-    InvalidEpoch,
-    LagTooLarge,
-    SingularSystem,
-    check_integer,
-)
+from .errors import InvalidEpoch, LagTooLarge, check_integer
 from .spd import SpdMatrix, SpdStack, sym
 
 
@@ -122,23 +120,6 @@ class AugmentedParams:
             )
 
 
-@dataclass(frozen=True)
-class YuleWalkerSolution:
-    """AR coefficient blocks A_1..A_p and the innovation covariance U."""
-
-    coefficients: list
-    innovation_cov: np.ndarray
-
-    def __post_init__(self):
-        coeffs = [np.asarray(a, dtype=float) for a in self.coefficients]
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "innovation_cov", sym(np.asarray(self.innovation_cov, dtype=float)))
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-
 def embed_epoch(data: np.ndarray, params: AugmentedParams) -> np.ndarray:
     """Stack delayed copies of a d x T epoch array into a C-contiguous
     (d*order) x (T-(order-1)*lag) array; order 1 returns data itself.
@@ -202,24 +183,6 @@ def covariance_stack(epochs, params: AugmentedParams, shrink: bool | None = None
     return SpdStack.bounded(out, lower, traces)
 
 
-def ledoit_wolf(y: np.ndarray) -> tuple[SpdMatrix, float]:
-    """Ledoit-Wolf shrinkage of the uncentered covariance C = y y^T / (m - 1)
-    of an n x m (features x samples) data matrix y toward a scaled identity,
-    with the analytic intensity lambda; the step covariance_stack takes for
-    each shrunk epoch.
-
-    Returns (SpdMatrix, float): (1 - lambda) * C + lambda * (tr C / n) * I,
-    which preserves the trace of C, and lambda in [0, 1]. Fewer than two
-    samples raise InconsistentInput.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[1] < 2:
-        raise InconsistentInput(f"need an n x m data matrix with m >= 2 samples, "
-                                f"got shape {y.shape}")
-    shrunk, lam = _covariance(y, shrink=True)
-    return SpdMatrix(shrunk), lam
-
-
 def _covariance(y: np.ndarray, shrink: bool):
     """The covariance C = sym(y y^T / (m - 1)) of an n x m data matrix, from
     one gram y y^T, Ledoit-Wolf shrunk when shrink is set; returns
@@ -247,58 +210,3 @@ def _covariance(y: np.ndarray, shrink: bool):
         lam = float(min(bbar2, d2) / d2)
     mu = np.trace(c) / n
     return (1.0 - lam) * c + lam * mu * np.eye(n), lam
-
-
-def lagged_blocks(data: np.ndarray, max_lag: int) -> list[np.ndarray]:
-    """Uncentered lag-block covariances Gamma(0..max_lag) of a d x T signal,
-    Gamma(k) = X_t X_{t-k}^T averaged over the common support.
-
-    This is the estimator fed to yule_walker_solve; it is deliberately
-    independent of embed_epoch so the two routes can cross-check each other.
-    """
-    data = np.asarray(data, dtype=float)
-    d, t = data.shape
-    if max_lag >= t:
-        raise LagTooLarge(f"max_lag {max_lag} must be < T = {t}")
-    out = []
-    for k in range(max_lag + 1):
-        width = t - k
-        out.append(data[:, k:] @ data[:, :width].T / max(width - 1, 1))
-    return out
-
-
-def yule_walker_solve(gammas: list[np.ndarray], p: int) -> YuleWalkerSolution:
-    """Solve the block Yule-Walker system for AR coefficients A_1..A_p.
-
-    gammas holds Gamma(0), Gamma(1), ..., Gamma(p) in units of the model lag
-    (Gamma(k) = E[X_t X_{t-k}^T]); Gamma(-k) = Gamma(k)^T. The stacked system
-    [A_1 ... A_p] M = [Gamma(1) ... Gamma(p)], with M the block-Toeplitz
-    matrix M[k, i] = Gamma(i - k), is solved in one shot; the innovation
-    covariance follows from the lag-0 equation
-    U = Gamma(0) - sum_k A_k Gamma(k)^T.
-    """
-    if p < 1:
-        raise ValueError(f"order p must be >= 1, got {p}")
-    if len(gammas) < p + 1:
-        raise ValueError(f"need Gamma(0..{p}), got {len(gammas)} blocks")
-    gam = [np.asarray(g, dtype=float) for g in gammas[: p + 1]]
-    d = gam[0].shape[0]
-
-    def gamma(k: int) -> np.ndarray:
-        return gam[k] if k >= 0 else gam[-k].T
-
-    big = np.empty((p * d, p * d))
-    for row in range(p):
-        for col in range(p):
-            big[row * d:(row + 1) * d, col * d:(col + 1) * d] = gamma(col - row)
-    rhs = np.hstack([gamma(i) for i in range(1, p + 1)])  # d x (p*d)
-
-    cond = np.linalg.cond(big)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularSystem(
-            f"block-Toeplitz lag-covariance matrix is singular (cond={cond:.3e})"
-        )
-    a_stacked = np.linalg.solve(big, rhs.T).T  # d x (p*d), [A_1 ... A_p]
-    coeffs = [a_stacked[:, i * d:(i + 1) * d] for i in range(p)]
-    innovation = gamma(0) - sum(a @ gamma(k + 1).T for k, a in enumerate(coeffs))
-    return YuleWalkerSolution(coeffs, sym(innovation))

@@ -329,24 +329,29 @@ def read_epochset(path) -> EpochSet:
 
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise FormatError(f"not an {FORMAT_NAME} container", offset=0)
-    if manifest.get("version") != FORMAT_VERSION:
-        raise VersionUnsupported(
-            f"container version {manifest.get('version')!r} unsupported, "
-            f"expected {FORMAT_VERSION}"
-        )
+    version = manifest.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise VersionUnsupported(f"container version {version!r} unsupported, "
+                                 f"expected {FORMAT_VERSION}")
     for key in ("subject", "classes", "sample_rate", "sessions", "d", "T"):
         if key not in manifest:
             raise FormatError(f"manifest is missing the {key!r} section", offset=0)
 
     try:
-        d, t = int(manifest["d"]), int(manifest["T"])
+        d, t = manifest["d"], manifest["T"]
         rate = float(manifest["sample_rate"])
         classes = [str(c) for c in manifest["classes"]]
-        sessions = [(str(s["id"]), int(s["n_epochs"]), [int(v) for v in s["labels"]])
+        sessions = [(str(s["id"]), s["n_epochs"], list(s["labels"]))
                     for s in manifest["sessions"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"manifest has a missing or malformed field "
                           f"({type(exc).__name__}: {exc})", offset=0) from exc
+    check_integer("manifest d", d, 1, FormatError)
+    check_integer("manifest T", t, 1, FormatError)
+    for session_id, n, labels in sessions:
+        check_integer(f"session {session_id!r} n_epochs", n, 0, FormatError)
+        for label in labels:
+            check_integer(f"session {session_id!r} label", label, 0, FormatError)
     total_epochs = sum(n for _, n, _ in sessions)
     expected_bytes = total_epochs * d * t * 8
     if len(payload) != expected_bytes:

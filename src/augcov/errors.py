@@ -79,14 +79,6 @@ class LagTooLarge(ConfigError):
     pass
 
 
-class InconsistentInput(ConfigError):
-    pass
-
-
-class SingularSystem(NumericalError):
-    pass
-
-
 # -- embedding ---------------------------------------------------------
 
 class ConstantSeries(ConfigError):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
@@ -97,7 +99,8 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         """Read a report written by to_json; only REPORT_VERSION is read, any
-        other version, or none, raises VersionUnsupported."""
+        other version, or none, raises VersionUnsupported, and a score that
+        is not a finite real number (a bool included) raises FormatError."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or raw.get("format") != "acm-eval-report":
             raise PairingViolation("not an evaluation report")
@@ -117,6 +120,11 @@ class EvalReport:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"evaluation report has a missing or malformed field "
                               f"({type(exc).__name__}: {exc})") from exc
+        for s in report.scores:
+            if (isinstance(s.score, bool) or not isinstance(s.score, numbers.Real)
+                    or not math.isfinite(s.score)):
+                raise FormatError(f"evaluation report has a score that is not a finite "
+                                  f"number: {s.score!r} (split {s.session}/{s.split})")
         return report
 
     def scores_csv_rows(self):

@@ -285,11 +285,6 @@ def log_coordinates(ref_inv_sqrt: np.ndarray, stack: SpdStack) -> np.ndarray:
     return coords
 
 
-def affine_invariant_distance(p1: SpdMatrix, p2: SpdMatrix) -> float:
-    """Geodesic distance between two SPD matrices: distances_from for one pair."""
-    return float(distances_from(p1, as_stack([p2]))[0])
-
-
 def frechet_mean(
     mats,
     tol: float = DEFAULT_MEAN_TOL,

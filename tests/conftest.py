@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from augcov.spd import SpdMatrix
+from augcov.covariance import AugmentedParams, Epoch, augmented_covariance
+from augcov.spd import SpdMatrix, as_stack, distances_from
 
 
 def random_spd(rng, dim, scale=1.0, cond=10.0):
@@ -14,6 +15,21 @@ def random_spd(rng, dim, scale=1.0, cond=10.0):
 def random_symmetric(rng, dim, scale=1.0):
     m = rng.standard_normal((dim, dim)) * scale
     return 0.5 * (m + m.T)
+
+
+def pair_distance(p1, p2):
+    """Affine-invariant distance between two SpdMatrix: distances_from for one pair."""
+    return float(distances_from(p1, as_stack([p2]))[0])
+
+
+def ar_coefficients(x, p):
+    """AR(p) coefficients [A_1, ..., A_p] of a d x T signal from the Yule-Walker
+    blocks of its unshrunk order-(p + 1) augmented covariance C at lag 1:
+    [A_p ... A_1] C[:pd, :pd] = C[pd:, :pd]."""
+    d = len(x)
+    c = augmented_covariance(Epoch(x, 250.0), AugmentedParams(p + 1, 1), shrink=False).values
+    stacked = np.linalg.solve(c[:p * d, :p * d], c[:p * d, p * d:]).T  # [A_p ... A_1]
+    return [stacked[:, (p - i) * d:(p - i + 1) * d] for i in range(1, p + 1)]
 
 
 @pytest.fixture

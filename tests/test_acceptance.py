@@ -15,18 +15,16 @@ from augcov.covariance import (
     AugmentedParams,
     Epoch,
     augmented_covariance,
+    _covariance,
     embed_epoch,
-    ledoit_wolf,
-    yule_walker_solve,
-    lagged_blocks,
 )
 from augcov.data import ArSpec, EpochSet, Session, generate_ar_dataset
 from augcov.embedding import cao_embedding_dimension, mdop_unified, select_tau_ami
 from augcov.evaluate import within_session_eval
-from augcov.spd import SpdMatrix, affine_invariant_distance, frechet_mean, symm_fn
+from augcov.spd import SpdMatrix, frechet_mean, symm_fn
 from augcov.stats import auc_roc, bonferroni, permutation_paired_t, stouffer_combine, wilcoxon_signed_rank
 
-from conftest import random_spd
+from conftest import ar_coefficients, pair_distance, random_spd
 
 
 def report(name, ok, detail=""):
@@ -47,20 +45,20 @@ def test_criterion_1_manifold_suite():
         dim = int(rng.integers(2, 13))
         a, b, c = (random_spd(rng, dim) for _ in range(3))
 
-        dab = affine_invariant_distance(a, b)
-        assert abs(dab - affine_invariant_distance(b, a)) <= 1e-10
-        dbc = affine_invariant_distance(b, c)
-        dac = affine_invariant_distance(a, c)
+        dab = pair_distance(a, b)
+        assert abs(dab - pair_distance(b, a)) <= 1e-10
+        dbc = pair_distance(b, c)
+        dac = pair_distance(a, c)
         assert dac <= dab + dbc + 1e-9
 
         w = rng.standard_normal((dim, dim)) + 3.0 * np.eye(dim)
         wa = SpdMatrix(w @ a.values @ w.T)
         wb = SpdMatrix(w @ b.values @ w.T)
-        assert abs(affine_invariant_distance(wa, wb) - dab) <= 1e-8
+        assert abs(pair_distance(wa, wb) - dab) <= 1e-8
 
         ia = SpdMatrix(np.linalg.inv(a.values))
         ib = SpdMatrix(np.linalg.inv(b.values))
-        assert abs(affine_invariant_distance(ia, ib) - dab) <= 1e-8
+        assert abs(pair_distance(ia, ib) - dab) <= 1e-8
         checks += 1
 
     for _ in range(20):
@@ -134,11 +132,8 @@ def _recovery_error(t, seed):
         lag=1, n_samples=t, epochs_per_class=1, seed=seed,
     )
     data = generate_ar_dataset(spec).sessions[0].epochs[0].data
-    sol = yule_walker_solve(lagged_blocks(data, 2), p=2)
-    return max(
-        float(np.max(np.abs(sol.coefficients[0] - A1))),
-        float(np.max(np.abs(sol.coefficients[1] - A2))),
-    )
+    a1, a2 = ar_coefficients(data, 2)  # from the order-3 ACM's Yule-Walker blocks
+    return max(float(np.max(np.abs(a1 - A1))), float(np.max(np.abs(a2 - A2))))
 
 
 def test_criterion_3_ar_recovery():
@@ -151,7 +146,7 @@ def test_criterion_3_ar_recovery():
         and np.mean(errors_large) <= np.mean(errors_small) / 2.0
         and elapsed < 20.0
     )
-    report("criterion 3: Yule-Walker AR(2) recovery",
+    report("criterion 3: AR(2) recovery from the ACM's Yule-Walker blocks",
            ok, f"err@20k {max(errors_large):.3f}, ratio "
                f"{np.mean(errors_large) / np.mean(errors_small):.2f}, {elapsed:.1f}s")
 
@@ -318,9 +313,9 @@ def test_criterion_9_shrinkage():
         n = int(rng.integers(4, 12))
         m = int(rng.integers(2, n))  # m < n: rank deficient
         y = rng.standard_normal((n, m)) * rng.uniform(0.2, 3.0)
-        shrunk, lam = ledoit_wolf(y)
+        shrunk, lam = _covariance(y, True)
         assert 0.0 <= lam <= 1.0
-        assert np.min(np.linalg.eigvalsh(shrunk.values)) > 0.0
+        assert np.min(np.linalg.eigvalsh(shrunk)) > 0.0
 
         # independent per-sample reference formula
         s = y @ y.T / m

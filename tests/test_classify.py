@@ -22,9 +22,9 @@ from augcov.errors import (
     LengthMismatch,
     TooFewSamples,
 )
-from augcov.spd import SpdMatrix, affine_invariant_distance, symm_fn
+from augcov.spd import SpdMatrix, symm_fn
 
-from conftest import random_spd, random_symmetric
+from conftest import pair_distance, random_spd, random_symmetric
 
 
 def perturbed_class(rng, center, n, spread=0.2):
@@ -51,8 +51,8 @@ class TestMdm:
         covs = perturbed_class(rng, c0, 50) + perturbed_class(rng, c1, 50)
         labels = [0] * 50 + [1] * 50
         model = mdm_fit(covs, labels)
-        assert affine_invariant_distance(model.class_means[0], c0) < 0.2
-        assert affine_invariant_distance(model.class_means[1], c1) < 0.2
+        assert pair_distance(model.class_means[0], c0) < 0.2
+        assert pair_distance(model.class_means[1], c1) < 0.2
 
     def test_identical_samples_identical_means(self, rng):
         p = random_spd(rng, 3)
@@ -84,7 +84,7 @@ class TestMdm:
         queries = [random_spd(rng, 3) for _ in range(50)]
         labels, dists = mdm_predict(model, queries)
         for q, label, row in zip(queries, labels, dists):
-            brute = [affine_invariant_distance(q, m) for m in model.class_means]
+            brute = [pair_distance(q, m) for m in model.class_means]
             assert label == int(np.argmin(brute))
             assert row == pytest.approx(brute)
 
@@ -121,7 +121,7 @@ class TestTangent:
             q = random_spd(rng, 4)
             feat = tangent_transform_many(tmap, [q])[0]
             assert np.linalg.norm(feat) == pytest.approx(
-                affine_invariant_distance(tmap.reference, q), abs=1e-8
+                pair_distance(tmap.reference, q), abs=1e-8
             )
 
     def test_identity_reference_scaled_upper_triangle(self, rng):

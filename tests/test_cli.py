@@ -399,9 +399,8 @@ class TestEvaluate:
         )
         assert code == 0
         maps = list(out_dir.glob("gridmap_*.csv"))
-        svgs = list(out_dir.glob("gridmap_*.svg"))
         assert len(maps) == 3  # one per fold
-        assert len(svgs) == 3
+        assert not list(out_dir.glob("*.svg"))
         header = maps[0].read_text().splitlines()[0]
         assert header == "order,lag,param_id,mean_score,n_valid_folds"
 
@@ -717,6 +716,8 @@ BAD_SPEC_FIELDS = {
     ("report", lambda r: _drop(r, "subject"), "FormatError"),
     ("report", lambda r: _drop(r, "scores", 0, "lag"), "FormatError"),
     ("report", lambda r: [r], "PairingViolation"),
+    *[("report", lambda r, v=value: _set(r, v, "scores", 0, "score"), "FormatError")
+      for value in ("0.5", None, True, float("nan"))],
     ("report", lambda r: _set(r, 99, "version"), "VersionUnsupported"),
     ("report", lambda r: _drop(r, "version"), "VersionUnsupported"),
     ("spec", "[1]", "UnstableSpec"),
@@ -727,6 +728,7 @@ BAD_SPEC_FIELDS = {
     *[("spec", _spec_json(**fields), "UnstableSpec") for fields in BAD_SPEC_FIELDS.values()],
 ], ids=["container-without-labels", "container-null-label", "container-sessions-not-list",
         "report-without-subject", "report-score-without-lag", "report-json-list",
+        "report-score-string", "report-score-null", "report-score-bool", "report-score-nan",
         "report-version-99", "report-without-version",
         "spec-json-list", "spec-null-field", "spec-coefficients-not-a-list",
         *BAD_SPEC_FIELDS])

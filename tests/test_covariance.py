@@ -10,23 +10,16 @@ from augcov.covariance import (
     AugmentedParams,
     Epoch,
     EpochStack,
+    _covariance,
     as_epochs,
     augmented_covariance,
     covariance_stack,
     embed_epoch,
-    lagged_blocks,
-    ledoit_wolf,
-    yule_walker_solve,
 )
-from augcov.errors import (
-    InconsistentInput,
-    InvalidEpoch,
-    InvalidSetting,
-    LagTooLarge,
-    NotSPD,
-    SingularSystem,
-)
-from augcov.spd import EPS_SPD, affine_invariant_distance
+from augcov.errors import InvalidEpoch, InvalidSetting, LagTooLarge, NotSPD
+from augcov.spd import EPS_SPD
+
+from conftest import ar_coefficients, pair_distance
 
 
 # at (1, 1) the augmented covariance is the plain spatial covariance
@@ -285,8 +278,8 @@ class TestAugmentedCovariance:
         cov_y = augmented_covariance(make_epoch(y), params, shrink=False)
         flip_x = type(cov_x)(perm @ cov_x.values @ perm.T)
         flip_y = type(cov_y)(perm @ cov_y.values @ perm.T)
-        assert affine_invariant_distance(flip_x, flip_y) == pytest.approx(
-            affine_invariant_distance(cov_x, cov_y), abs=1e-8
+        assert pair_distance(flip_x, flip_y) == pytest.approx(
+            pair_distance(cov_x, cov_y), abs=1e-8
         )
 
 
@@ -308,16 +301,16 @@ class TestLedoitWolf:
     def test_identity_fixed_point(self):
         rng = np.random.default_rng(18)
         y = rng.standard_normal((3, 50_000))
-        shrunk, lam = ledoit_wolf(y)
+        shrunk, lam = _covariance(y, True)
         assert 0.0 <= lam <= 1.0
-        assert np.max(np.abs(shrunk.values - np.eye(3))) < 0.05
+        assert np.max(np.abs(shrunk - np.eye(3))) < 0.05
 
     def test_rank_deficient_becomes_spd(self):
         rng = np.random.default_rng(19)
         y = rng.standard_normal((10, 5))  # m < n
-        shrunk, lam = ledoit_wolf(y)
+        shrunk, lam = _covariance(y, True)
         assert lam > 0.0
-        assert np.min(np.linalg.eigvalsh(shrunk.values)) > 0.0
+        assert np.min(np.linalg.eigvalsh(shrunk)) > 0.0
 
     def test_lambda_matches_reference_formula(self):
         rng = np.random.default_rng(20)
@@ -325,19 +318,15 @@ class TestLedoitWolf:
             n = rng.integers(2, 8)
             m = rng.integers(3, 40)
             y = rng.standard_normal((n, m)) * rng.uniform(0.5, 2.0)
-            _, lam = ledoit_wolf(y)
+            _, lam = _covariance(y, True)
             assert lam == pytest.approx(ledoit_wolf_lambda_oracle(y), abs=1e-10)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(21)
         y = rng.standard_normal((4, 30))
         c = y @ y.T / 29
-        shrunk, _ = ledoit_wolf(y)
-        assert np.trace(shrunk.values) == pytest.approx(np.trace(c), abs=1e-10)
-
-    def test_one_sample_rejected(self):
-        with pytest.raises(InconsistentInput):
-            ledoit_wolf(np.ones((3, 1)))
+        shrunk, _ = _covariance(y, True)
+        assert np.trace(shrunk) == pytest.approx(np.trace(c), abs=1e-10)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -348,17 +337,17 @@ class TestLedoitWolf:
         y = rng.standard_normal((n, m))
         if m < 2:
             return
-        _, lam = ledoit_wolf(y)
+        _, lam = _covariance(y, True)
         assert 0.0 <= lam <= 1.0
 
     @given(n=st.integers(2, 8), m=st.integers(3, 60), log_scale=st.floats(-6.0, 3.0),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_is_the_shrunk_order_one_covariance(self, n, m, log_scale, seed):
-        """ledoit_wolf and covariance_stack share one step, bit for bit."""
+        """_covariance is covariance_stack's step at order 1, bit for bit."""
         x = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal((n, m))
         stack = covariance_stack(EpochStack(x[None], 250.0), AugmentedParams(1, 1), shrink=True)
-        assert np.array_equal(ledoit_wolf(x)[0].values, stack.values[0])
+        assert np.array_equal(_covariance(x, True)[0], stack.values[0])
 
 
 def near_rank_one(rng, n, m, spread):
@@ -497,49 +486,36 @@ STABLE_A2 = np.array([
 
 
 class TestYuleWalker:
+    """The unshrunk ACM's Yule-Walker blocks recover the coefficients of
+    data from simulate_var, a simulator independent of the package's."""
+
     def test_scalar_ar1(self):
-        sol = yule_walker_solve([np.array([[2.0]]), np.array([[1.0]])], p=1)
-        assert sol.coefficients[0] == pytest.approx(np.array([[0.5]]))
+        x = simulate_var([np.array([[0.5]])], np.eye(1), 20_000, np.random.default_rng(22))
+        (a,) = ar_coefficients(x, 1)
+        assert a == pytest.approx(np.array([[0.5]]), abs=0.03)
 
     def test_white_noise_zero_coefficients(self):
-        g0 = np.diag([2.0, 3.0])
-        zero = np.zeros((2, 2))
-        sol = yule_walker_solve([g0, zero, zero], p=2)
-        for a in sol.coefficients:
-            assert np.allclose(a, 0.0)
-        assert np.allclose(sol.innovation_cov, g0)
+        x = np.diag([2.0, 3.0]) @ np.random.default_rng(25).standard_normal((2, 20_000))
+        for a in ar_coefficients(x, 2):
+            assert np.max(np.abs(a)) < 0.05
 
     def test_recovers_synthetic_ar2(self):
         rng = np.random.default_rng(23)
         x = simulate_var([STABLE_A1, STABLE_A2], np.eye(3), 20_000, rng)
-        sol = yule_walker_solve(lagged_blocks(x, 2), p=2)
-        assert np.max(np.abs(sol.coefficients[0] - STABLE_A1)) < 0.05
-        assert np.max(np.abs(sol.coefficients[1] - STABLE_A2)) < 0.05
+        a1, a2 = ar_coefficients(x, 2)
+        assert np.max(np.abs(a1 - STABLE_A1)) < 0.05
+        assert np.max(np.abs(a2 - STABLE_A2)) < 0.05
 
     def test_error_shrinks_with_sample_size(self):
         def recovery_error(t, seed):
             rng = np.random.default_rng(seed)
             x = simulate_var([STABLE_A1, STABLE_A2], np.eye(3), t, rng)
-            sol = yule_walker_solve(lagged_blocks(x, 2), p=2)
-            return max(
-                np.max(np.abs(sol.coefficients[0] - STABLE_A1)),
-                np.max(np.abs(sol.coefficients[1] - STABLE_A2)),
-            )
+            a1, a2 = ar_coefficients(x, 2)
+            return max(np.max(np.abs(a1 - STABLE_A1)), np.max(np.abs(a2 - STABLE_A2)))
 
         errors_small = np.mean([recovery_error(2000, s) for s in range(5)])
         errors_large = np.mean([recovery_error(20_000, s) for s in range(5)])
         assert errors_large <= errors_small / 2.0
-
-    def test_singular_system(self):
-        g0 = np.ones((2, 2))  # rank 1
-        with pytest.raises(SingularSystem):
-            yule_walker_solve([g0, 0.5 * g0], p=1)
-
-    def test_innovation_symmetric(self):
-        rng = np.random.default_rng(24)
-        x = simulate_var([STABLE_A1], np.eye(3), 5000, rng)
-        sol = yule_walker_solve(lagged_blocks(x, 1), p=1)
-        assert np.array_equal(sol.innovation_cov, sol.innovation_cov.T)
 
 
 @given(

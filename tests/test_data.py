@@ -32,7 +32,9 @@ from augcov.errors import (
     UnstableSpec,
     VersionUnsupported,
 )
-from augcov.spd import affine_invariant_distance, frechet_mean
+from augcov.spd import frechet_mean
+
+from conftest import pair_distance
 
 
 def matched_dynamics_spec(seed=0, epochs_per_class=100, t=512, n_sessions=1):
@@ -287,13 +289,13 @@ class TestGenerator:
         plain = [augmented_covariance(e, AugmentedParams(1, 1)) for e in epochs]
         centroid0 = frechet_mean([c for c, y in zip(plain, labels) if y == 0])
         centroid1 = frechet_mean([c for c, y in zip(plain, labels) if y == 1])
-        assert affine_invariant_distance(centroid0, centroid1) < 0.1
+        assert pair_distance(centroid0, centroid1) < 0.1
 
         params = AugmentedParams(2, 1)
         aug = [augmented_covariance(e, params) for e in epochs]
         aug0 = frechet_mean([c for c, y in zip(aug, labels) if y == 0])
         aug1 = frechet_mean([c for c, y in zip(aug, labels) if y == 1])
-        assert affine_invariant_distance(aug0, aug1) > 0.5
+        assert pair_distance(aug0, aug1) > 0.5
 
 
 class TestContainer:
@@ -353,6 +355,27 @@ class TestContainer:
         doctored = json.dumps(manifest, separators=(",", ":")).encode() + b"\n" + payload
         path.write_bytes(doctored)
         with pytest.raises(VersionUnsupported):
+            read_epochset(path)
+
+    @pytest.mark.parametrize("field,value,error,match", [
+        ("version", True, VersionUnsupported, "version True"),
+        ("version", 1.0, VersionUnsupported, "version 1.0"),
+        ("d", 3.0, FormatError, "d must be an integer"),
+        ("T", "40", FormatError, "T must be an integer"),
+        ("n_epochs", "4", FormatError, "'s0' n_epochs"),
+        ("labels", [0, 0.9, 0, 1], FormatError, "'s0' label .* got 0.9"),
+        ("labels", [0, True, 0, 1], FormatError, "'s0' label .* got True"),
+    ], ids=["version-true", "version-float", "d-float", "T-string", "n_epochs-string",
+            "label-fraction", "label-bool"])
+    def test_integer_fields_must_be_json_integers(self, tmp_path, field, value, error, match):
+        """0.9 is not read as class 0, true as class 1 or "4" as 4."""
+        path = tmp_path / "set.acm"
+        write_epochset(self.make_set(), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        (manifest["sessions"][0] if field in ("n_epochs", "labels") else manifest)[field] = value
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        with pytest.raises(error, match=match):
             read_epochset(path)
 
     def test_missing_section(self, tmp_path):

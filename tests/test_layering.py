@@ -2,7 +2,9 @@
 its siblings, so each private helper (spd's block walk, say) has one home;
 no module imports scipy, even inside a function; the third-party modules
 the package imports are the runtime dependencies pyproject.toml declares;
-and each public name has one import path, its defining module."""
+each public name has one import path, its defining module; and each public
+function or class has a caller in the package or the README Library
+snippet."""
 
 import ast
 import json
@@ -16,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "augcov"
+README = ROOT / "README.md"
 
 
 def private_imports(path: Path):
@@ -82,6 +85,42 @@ def test_third_party_imports_are_the_declared_dependencies():
     imported = {name for path in PACKAGE.glob("*.py") for _, name in absolute_imports(path)
                 if name not in sys.stdlib_module_names}
     assert imported == names == {"numpy"}
+
+
+def referenced_names(source: str) -> set:
+    """Every identifier the code reads or calls, as an ast Name or Attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def uncalled_public_names(modules, snippet: str):
+    """file:name of each public top-level function or class of the modules
+    that no module references and the snippet does not name."""
+    used = referenced_names(snippet).union(
+        *(referenced_names(path.read_text()) for path in modules))
+    return [f"{path.name}:{node.name}" for path in modules
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_every_public_name_has_a_caller():
+    (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert uncalled_public_names(sorted(PACKAGE.glob("*.py")), snippet) == []
+
+
+def test_the_check_sees_an_uncalled_name(tmp_path):
+    (tmp_path / "a.py").write_text("class Used:\n    pass\n\n"
+                                   "def helper():\n    return Used()\n\n"
+                                   "def orphan():\n    pass\n\n"
+                                   "def _private():\n    pass\n\n"
+                                   "def shown():\n    pass\n")
+    (tmp_path / "b.py").write_text("from . import a\n\nclass Lonely:\n    pass\n\n"
+                                   "def run():\n    return a.helper()\n")
+    modules = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert uncalled_public_names(modules, "from a import shown\nshown()\nb.run()\n") \
+        == ["a.py:orphan", "b.py:Lonely"]
 
 
 LIBRARY = ("classify", "covariance", "data", "embedding", "errors", "evaluate", "spd",

@@ -22,13 +22,12 @@ from augcov.spd import (
     SYM_RTOL,
     SpdMatrix,
     SpdStack,
-    affine_invariant_distance,
     distances_from,
     frechet_mean,
     symm_fn,
 )
 
-from conftest import random_spd, random_symmetric
+from conftest import pair_distance, random_spd, random_symmetric
 
 
 class TestSpdMatrix:
@@ -149,7 +148,7 @@ def whitened_gradient(mean, mats):
 
 
 def assert_same_mean(got, want):
-    assert affine_invariant_distance(SpdMatrix(got), SpdMatrix(want)) <= MEAN_DIST_TOL
+    assert pair_distance(SpdMatrix(got), SpdMatrix(want)) <= MEAN_DIST_TOL
 
 
 class TestStackEqualsLoop:
@@ -185,7 +184,7 @@ class TestStackEqualsLoop:
                                                         eigvals_only=True)) ** 2))
                 for v in values]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        assert affine_invariant_distance(reference, stack[0]) == got[0]
+        assert pair_distance(reference, stack[0]) == got[0]
 
     @given(per_block=st.integers(1, 3), n=st.integers(2, 25), dim=st.integers(2, 8),
            seed=st.integers(0, 2**32 - 1))
@@ -297,13 +296,13 @@ class TestSymmFn:
 class TestDistance:
     def test_identity_to_itself(self):
         eye = SpdMatrix(np.eye(4))
-        assert affine_invariant_distance(eye, eye) == 0.0
+        assert pair_distance(eye, eye) == 0.0
 
     def test_log_eigenvalue_case(self):
         # eigenvalues of diag(e, 1/e) against I are e and 1/e: sqrt(1 + 1) = sqrt(2)
         eye = SpdMatrix(np.eye(2))
         other = SpdMatrix(np.diag([np.e, 1.0 / np.e]))
-        assert affine_invariant_distance(eye, other) == pytest.approx(np.sqrt(2.0))
+        assert pair_distance(eye, other) == pytest.approx(np.sqrt(2.0))
 
     def test_matches_direct_spectrum_oracle(self, rng):
         # eigenvalues of inv(P1) @ P2 (similar to the whitened product)
@@ -312,14 +311,14 @@ class TestDistance:
             p2 = random_spd(rng, 4)
             spectrum = np.linalg.eigvals(np.linalg.inv(p1.values) @ p2.values)
             oracle = np.sqrt(np.sum(np.log(np.real(spectrum)) ** 2))
-            assert affine_invariant_distance(p1, p2) == pytest.approx(oracle, abs=1e-10)
+            assert pair_distance(p1, p2) == pytest.approx(oracle, abs=1e-10)
 
     def test_symmetry(self, rng):
         for _ in range(20):
             p1 = random_spd(rng, 5)
             p2 = random_spd(rng, 5)
-            d12 = affine_invariant_distance(p1, p2)
-            d21 = affine_invariant_distance(p2, p1)
+            d12 = pair_distance(p1, p2)
+            d21 = pair_distance(p2, p1)
             assert abs(d12 - d21) <= 1e-10
 
     def test_congruence_invariance(self, rng):
@@ -329,8 +328,8 @@ class TestDistance:
             w = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
             q1 = SpdMatrix(w @ p1.values @ w.T)
             q2 = SpdMatrix(w @ p2.values @ w.T)
-            assert affine_invariant_distance(q1, q2) == pytest.approx(
-                affine_invariant_distance(p1, p2), abs=1e-8
+            assert pair_distance(q1, q2) == pytest.approx(
+                pair_distance(p1, p2), abs=1e-8
             )
 
     def test_inversion_invariance(self, rng):
@@ -339,21 +338,21 @@ class TestDistance:
             p2 = random_spd(rng, 4)
             i1 = SpdMatrix(np.linalg.inv(p1.values))
             i2 = SpdMatrix(np.linalg.inv(p2.values))
-            assert affine_invariant_distance(i1, i2) == pytest.approx(
-                affine_invariant_distance(p1, p2), abs=1e-8
+            assert pair_distance(i1, i2) == pytest.approx(
+                pair_distance(p1, p2), abs=1e-8
             )
 
     def test_triangle_inequality(self, rng):
         for _ in range(50):
             a, b, c = (random_spd(rng, 3) for _ in range(3))
-            dab = affine_invariant_distance(a, b)
-            dbc = affine_invariant_distance(b, c)
-            dac = affine_invariant_distance(a, c)
+            dab = pair_distance(a, b)
+            dbc = pair_distance(b, c)
+            dac = pair_distance(a, c)
             assert dac <= dab + dbc + 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            affine_invariant_distance(SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3)))
+            pair_distance(SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3)))
 
     def test_rounded_away_eigenvalue_raises(self):
         """Two matrices of condition 10^9.5 pass the SPD check, but whitening
@@ -374,9 +373,9 @@ class TestDistance:
         rng = np.random.default_rng(seed)
         p = random_spd(rng, dim)
         q = random_spd(rng, dim)
-        assert affine_invariant_distance(p, p) < 1e-12
+        assert pair_distance(p, p) < 1e-12
         if not np.allclose(p.values, q.values):
-            assert affine_invariant_distance(p, q) > 0.0
+            assert pair_distance(p, q) > 0.0
 
 
 def two_matrix_geometric_mean(p1, p2):
