@@ -16,10 +16,9 @@ import numpy as np
 
 from . import embedding as emb
 from . import svm
-from .covariance import AugmentedParams, as_epochs, covariance_stack, resolve_shrink
+from .covariance import AugmentedParams, EpochStack, covariance_stack, resolve_shrink
 from .errors import (
     AllCellsInvalid,
-    DimensionMismatch,
     EmptyClass,
     InvalidSetting,
     LagTooLarge,
@@ -27,7 +26,7 @@ from .errors import (
     TooFewSamples,
     check_integer,
 )
-from .spd import SpdMatrix, as_stack, distances_from, frechet_mean, log_coordinates, symm_fn
+from .spd import SpdStack, distances_from, frechet_mean, log_coordinates, symm_fn
 from .stats import accuracy, auc_roc
 from .svm import KERNELS, SvmModel, svm_decision, svm_fit, svm_predict
 
@@ -49,15 +48,8 @@ _SETTING_READERS = {"order": ("ACM", "fixed"), "lag": ("ACM", "fixed"),
 
 @dataclass(frozen=True)
 class MdmModel:
-    class_labels: tuple
-    class_means: tuple
-
-    def __post_init__(self):
-        dims = {m.dim for m in self.class_means}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"class means have mixed dimensions {sorted(dims)}")
-        if len(set(self.class_labels)) != len(self.class_labels):
-            raise ValueError("class labels must be unique")
+    class_labels: tuple  # sorted and unique
+    class_means: tuple  # SpdMatrix of one size, one per label
 
 
 def _check_labels(n_samples: int, labels) -> np.ndarray:
@@ -73,45 +65,36 @@ def _check_labels(n_samples: int, labels) -> np.ndarray:
     return labels
 
 
-def mdm_fit(covs, labels) -> MdmModel:
-    """Per-class Frechet means of the training covariances (an SpdStack or a
-    sequence of SpdMatrix), each over its class's rows of the stack."""
+def mdm_fit(covs: SpdStack, labels) -> MdmModel:
+    """Per-class Frechet means of the training covariances, each over its
+    class's rows of the stack."""
     labels = _check_labels(len(covs), labels)
     classes = tuple(sorted(set(labels.tolist())))
-    covs = as_stack(covs)
     return MdmModel(classes, tuple(frechet_mean(covs, rows=np.flatnonzero(labels == cls))
                                    for cls in classes))
 
 
-def mdm_predict(model: MdmModel, covs):
+def mdm_predict(model: MdmModel, covs: SpdStack):
     """Nearest class mean of each covariance; returns (labels, distances),
     with distances of shape (n, n_classes). Ties go to the earliest label
     in order."""
-    covs = as_stack(covs)
     dists = np.stack([distances_from(mean, covs) for mean in model.class_means], axis=1)
     return np.asarray(model.class_labels)[np.argmin(dists, axis=1)], dists
 
 
 # -- tangent-space features ---------------------------------------------
 
-@dataclass(frozen=True)
-class TangentMap:
-    """Log-map vectorizer anchored at the training Frechet mean."""
-
-    reference: SpdMatrix
-    ref_inv_sqrt: np.ndarray
+def tangent_fit(covs: SpdStack) -> np.ndarray:
+    """The tangent map of a training stack: the inverse square root of its
+    Frechet mean, the reference of the Log coordinates."""
+    return symm_fn(frechet_mean(covs).values, "inv_sqrt")
 
 
-def tangent_fit(covs) -> TangentMap:
-    reference = frechet_mean(covs)
-    return TangentMap(reference, symm_fn(reference.values, "inv_sqrt"))
-
-
-def tangent_transform_many(tmap: TangentMap, covs) -> np.ndarray:
+def tangent_transform_many(ref_inv_sqrt: np.ndarray, covs: SpdStack) -> np.ndarray:
     """One row of Log coordinates (spd.log_coordinates) at the map's
     reference per covariance: Euclidean feature norms equal Riemannian
     distances to the reference."""
-    return log_coordinates(tmap.ref_inv_sqrt, as_stack(covs))
+    return log_coordinates(ref_inv_sqrt, covs)
 
 
 # -- the classifier head -------------------------------------------------
@@ -227,19 +210,15 @@ class PipelineSpec:
 @dataclass(frozen=True)
 class FittedPipeline:
     """Immutable trained pipeline state: the head's model, and the tangent
-    map that feeds it (None for MDM kinds)."""
+    map that feeds it (tangent_fit's inverse square root; None for MDM
+    kinds)."""
 
-    spec: PipelineSpec
     params: AugmentedParams
     shrink: bool
     model: MdmModel | SvmModel
-    tangent_map: TangentMap | None = None
+    tangent_map: np.ndarray | None = None
     grid_result: "GridSearchResult | None" = None
     embedding_estimate: emb.EmbeddingEstimate | None = None
-
-    @property
-    def class_labels(self) -> tuple:
-        return self.model.class_labels
 
     @property
     def chosen_c(self) -> float | None:
@@ -249,21 +228,10 @@ class FittedPipeline:
     def chosen_kernel(self) -> str | None:
         return getattr(self.model, "kernel", None)
 
-    def _inputs(self, epochs):
-        return _map_to_head(self.tangent_map, covariance_stack(epochs, self.params, self.shrink))
-
-    def predict(self, epochs) -> np.ndarray:
-        return _head_predict(self.model, self._inputs(epochs))
-
-    def decision_scores(self, epochs) -> np.ndarray:
-        """Binary ranking scores (larger = second class); binary models only."""
-        if len(self.class_labels) != 2:
-            raise ValueError("decision scores are defined for binary problems")
-        return _head_decision(self.model, self._inputs(epochs))
-
-    def score(self, epochs, labels) -> tuple:
+    def score(self, epochs: EpochStack, labels) -> tuple:
         """(value, metric) of the epochs under score_split."""
-        return score_split(self.model, self._inputs(epochs), labels)
+        covs = covariance_stack(epochs, self.params, self.shrink)
+        return score_split(self.model, _map_to_head(self.tangent_map, covs), labels)
 
 
 # -- grid search ----------------------------------------------------------
@@ -274,9 +242,8 @@ class GridCell:
     lag: int
     c: float | None
     kernel: str | None
-    score: float | None
+    score: float | None  # None for a cell that violates the length rule
     n_valid_folds: int
-    valid: bool
 
     def param_id(self) -> str:
         return "-" if self.c is None else f"C={self.c:g},kernel={self.kernel}"
@@ -338,7 +305,7 @@ def _score_cell(kind, covs, labels, folds, param_grid):
 
 
 def grid_search(
-    epochs,
+    epochs: EpochStack,
     labels,
     kind: str,
     orders=TABLE_ORDER_GRID,
@@ -357,7 +324,6 @@ def grid_search(
     if kind not in PIPELINE_KINDS:
         raise InvalidSetting(f"unknown pipeline kind {kind!r}")
     labels = _check_labels(len(epochs), labels)
-    epochs = as_epochs(epochs)
     folds = stratified_folds(labels, inner_folds, np.random.SeedSequence(seed))
     uses_svm = kind.endswith("SVM")
     param_grid = (
@@ -377,14 +343,14 @@ def grid_search(
                 covs = covariance_stack(epochs, params, shrink)
             except LagTooLarge:
                 for c, kernel in param_grid:
-                    cells.append(GridCell(order, lag, c, kernel, None, 0, False))
+                    cells.append(GridCell(order, lag, c, kernel, None, 0))
                 continue
             param_scores = _score_cell(kind, covs, labels, folds, param_grid)
             if order == 1:
                 order1_scores = param_scores
         for (c, kernel), fold_scores in zip(param_grid, param_scores):
             score = float(np.mean(fold_scores))
-            cell = GridCell(order, lag, c, kernel, score, len(fold_scores), True)
+            cell = GridCell(order, lag, c, kernel, score, len(fold_scores))
             cells.append(cell)
             if best is None or score > best[0]:
                 best = (score, cell)
@@ -432,17 +398,15 @@ def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
             grid.best_kernel, grid, estimate)
 
 
-def fit_pipeline(spec: PipelineSpec, epochs, labels, seed: int = 0) -> FittedPipeline:
-    """Train one pipeline on an EpochStack (or a list of Epoch) with integer
-    labels."""
+def fit_pipeline(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0) -> FittedPipeline:
+    """Train one pipeline on an EpochStack with integer labels."""
     labels = _check_labels(len(epochs), labels)
-    epochs = as_epochs(epochs)
     params, c, kernel, grid_result, estimate = _resolve_params(
         spec, epochs, labels, seed
     )
     shrink = resolve_shrink(spec.shrink, params)
 
     tmap, (x,) = _head_inputs(spec.kind, covariance_stack(epochs, params, shrink))
-    return FittedPipeline(spec=spec, params=params, shrink=shrink,
+    return FittedPipeline(params=params, shrink=shrink,
                           model=_fit_head(spec.kind, x, labels, c, kernel), tangent_map=tmap,
                           grid_result=grid_result, embedding_estimate=estimate)

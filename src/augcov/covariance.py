@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidEpoch, LagTooLarge, check_integer
+from .errors import InvalidEpoch, LagTooLarge, check_integer, check_positive
 from .spd import SpdMatrix, SpdStack, sym
 
 
@@ -61,8 +61,7 @@ class EpochStack:
         bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
         if bad.size:
             raise InvalidEpoch(f"epoch {bad[0]} contains NaN or Inf")
-        if not self.sample_rate > 0:
-            raise InvalidEpoch(f"sample_rate must be positive, got {self.sample_rate}")
+        check_positive("sample_rate", self.sample_rate, InvalidEpoch)
         _view(self, values, self.sample_rate)
 
     def __len__(self) -> int:
@@ -87,7 +86,7 @@ def _view(obj, values: np.ndarray, sample_rate):
 def as_epochs(epochs) -> EpochStack:
     """An EpochStack as is, or a non-empty sequence of Epoch and EpochStack
     items of one shape and rate copied once into one stack, without a
-    second check."""
+    second check: the list input of Session and EpochSet."""
     if isinstance(epochs, EpochStack):
         return epochs
     epochs = list(epochs)
@@ -147,7 +146,7 @@ def augmented_covariance(
     delay-embedded version, Ledoit-Wolf shrunk as resolve_shrink says.
     AugmentedParams(1, 1) gives the plain covariance X X^T / (T - 1).
     """
-    return covariance_stack([epoch], params, shrink)[0]
+    return covariance_stack(EpochStack(epoch.data[None], epoch.sample_rate), params, shrink)[0]
 
 
 def resolve_shrink(shrink: bool | None, params: AugmentedParams) -> bool:
@@ -158,14 +157,14 @@ def resolve_shrink(shrink: bool | None, params: AugmentedParams) -> bool:
     return params.order > 1 if shrink is None else shrink
 
 
-def covariance_stack(epochs, params: AugmentedParams, shrink: bool | None = None) -> SpdStack:
-    """The augmented covariances of an EpochStack (or a non-empty sequence
-    of same-shape Epoch) as one SpdStack, checked once;
-    augmented_covariance is the one-epoch case. shrink goes through
+def covariance_stack(epochs: EpochStack, params: AugmentedParams,
+                     shrink: bool | None = None) -> SpdStack:
+    """The augmented covariances of an EpochStack as one SpdStack, checked
+    once; augmented_covariance is the one-epoch case. shrink goes through
     resolve_shrink. Unshrunk, it warns when the embedded epoch has no more
     samples than rows."""
     shrink = resolve_shrink(shrink, params)
-    values = as_epochs(epochs).values
+    values = epochs.values
     _, d, t = values.shape
     params.check_length(t)
     k, width = d * params.order, t - (params.order - 1) * params.lag

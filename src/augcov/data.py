@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .covariance import EpochStack, as_epochs
-from .errors import FormatError, InvalidEpoch, UnstableSpec, VersionUnsupported, check_integer
+from .errors import (FormatError, InvalidEpoch, UnstableSpec, VersionUnsupported, check_integer,
+                     check_positive)
 from .spd import SYM_RTOL
 
 FORMAT_NAME = "acm-epochs"
@@ -32,7 +31,8 @@ FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class Session:
     """One recording session: an EpochStack (or a non-empty list of Epoch,
-    stacked once) plus integer class labels."""
+    stacked once) plus integer class labels (errors.check_integer, else
+    InvalidEpoch)."""
 
     session_id: str
     epochs: EpochStack
@@ -45,6 +45,8 @@ class Session:
                 f"session {self.session_id!r}: {len(self.epochs)} epochs but "
                 f"{len(self.labels)} labels"
             )
+        for v in self.labels:
+            check_integer(f"session {self.session_id!r} label", v, 0, InvalidEpoch)
         object.__setattr__(self, "labels", [int(v) for v in self.labels])
 
 
@@ -88,10 +90,20 @@ def _split(subject, stack: EpochStack, sessions, class_names) -> EpochSet:
 
 
 def _hold(epoch_set: EpochSet, whole: EpochStack, sessions) -> EpochSet:
-    """Check the labels and make epoch_set hold whole, each session of
-    (id, labels) pairs a slice of it in order."""
+    """Check the names and labels and make epoch_set hold whole, each session
+    of (id, labels) pairs a slice of it in order. The names are strings, as
+    read_epochset requires, and the ids name output files, so they must be
+    unique and free of path separators."""
     if not len(whole):
         raise InvalidEpoch("EpochSet needs at least one epoch")
+    ids = [session_id for session_id, _ in sessions]
+    if not all(isinstance(name, str) for name in [epoch_set.subject, *epoch_set.class_names, *ids]):
+        raise InvalidEpoch("the subject, the class names and the session ids must be strings")
+    for session_id in ids:
+        if ids.count(session_id) > 1:
+            raise InvalidEpoch(f"session id {session_id!r} is not unique")
+        if "/" in session_id or "\\" in session_id:
+            raise InvalidEpoch(f"session id {session_id!r} holds a path separator")
     n_classes = len(epoch_set.class_names)
     parts, start = [], 0
     for session_id, labels in sessions:
@@ -140,11 +152,8 @@ class ArSpec:
             value = getattr(self, name)
             check_integer(name, value, low, UnstableSpec)
             object.__setattr__(self, name, int(value))
-        rate = self.sample_rate
-        if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
-                or not (math.isfinite(rate) and rate > 0)):
-            raise UnstableSpec(f"sample_rate must be finite and > 0, got {rate!r}")
-        object.__setattr__(self, "sample_rate", float(rate))
+        check_positive("sample_rate", self.sample_rate, UnstableSpec)
+        object.__setattr__(self, "sample_rate", float(self.sample_rate))
         object.__setattr__(self, "subject", str(self.subject))
         try:
             classes = [list(cls) for cls in self.coefficients]
@@ -337,15 +346,17 @@ def read_epochset(path) -> EpochSet:
         if key not in manifest:
             raise FormatError(f"manifest is missing the {key!r} section", offset=0)
 
+    d, t, rate, classes = (manifest[key] for key in ("d", "T", "sample_rate", "classes"))
     try:
-        d, t = manifest["d"], manifest["T"]
-        rate = float(manifest["sample_rate"])
-        classes = [str(c) for c in manifest["classes"]]
-        sessions = [(str(s["id"]), s["n_epochs"], list(s["labels"]))
-                    for s in manifest["sessions"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        sessions = [(s["id"], s["n_epochs"], list(s["labels"])) for s in manifest["sessions"]]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"manifest has a missing or malformed field "
                           f"({type(exc).__name__}: {exc})", offset=0) from exc
+    check_positive("manifest sample_rate", rate, FormatError)
+    strings = [manifest["subject"], *(session_id for session_id, _, _ in sessions)]
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes + strings)):
+        raise FormatError("manifest classes must be a list of strings, and the subject "
+                          "and session ids strings", offset=0)
     check_integer("manifest d", d, 1, FormatError)
     check_integer("manifest T", t, 1, FormatError)
     for session_id, n, labels in sessions:
@@ -367,6 +378,7 @@ def read_epochset(path) -> EpochSet:
                 f"session {session_id!r} declares {n} epochs but {len(labels)} labels",
                 offset=0,
             )
-    stack = EpochStack(np.frombuffer(payload, dtype="<f8").reshape(total_epochs, d, t), rate)
-    return _split(str(manifest["subject"]), stack,
+    stack = EpochStack(np.frombuffer(payload, dtype="<f8").reshape(total_epochs, d, t),
+                        float(rate))
+    return _split(manifest["subject"], stack,
                   [(session_id, labels) for session_id, _, labels in sessions], classes)

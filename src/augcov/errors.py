@@ -1,10 +1,11 @@
-"""Exception hierarchy shared by all augcov modules, and check_integer, the
-one rule for integer settings.
+"""Exception hierarchy shared by all augcov modules, and check_integer and
+check_positive, the one rules for integer and for positive real settings.
 
 Two mixin bases drive the CLI exit codes: ConfigError (bad input or
 configuration, exit 2) and NumericalError (a computation failed, exit 3).
 """
 
+import math
 import numbers
 
 
@@ -168,3 +169,11 @@ def check_integer(name: str, value, low: int, error: type = InvalidSetting) -> N
     integer setting: True would otherwise act as 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_positive(name: str, value, error: type = InvalidSetting) -> None:
+    """Raise error unless value is a finite real number > 0; a bool is not
+    one, and neither is a string."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise error(f"{name} must be finite and > 0, got {value!r}")

@@ -33,22 +33,12 @@ add one matrix at a time in stack order, as numpy's axis-0 sum does.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    InvalidSetting,
-    NoConvergence,
-    NonPositiveEigenvalue,
-    NotSPD,
-    NotSymmetric,
-    check_integer,
-)
+from .errors import (DimensionMismatch, EmptyInput, NoConvergence, NonPositiveEigenvalue,
+                     NotSPD, NotSymmetric)
 
 # Relative eigenvalue floor separating "positive definite" from merely
 # positive semi-definite input.
@@ -66,8 +56,10 @@ SYM_RTOL = 1e-10
 # matrix): one matrix of size 91 or more, up to 455 matrices of size 6.
 SPD_BLOCK_BYTES = 1 << 17
 
-DEFAULT_MEAN_TOL = 1e-8
-DEFAULT_MEAN_MAX_ITER = 50
+# The Frechet mean's stop rule: whitened gradient norm below MEAN_TOL, at
+# most MEAN_MAX_ITER steps.
+MEAN_TOL = 1e-8
+MEAN_MAX_ITER = 50
 
 # Longest step of the Frechet mean, in units of the whitened gradient. The
 # cost's Riemannian Hessian is at least the identity on this manifold (it
@@ -168,29 +160,14 @@ class SpdStack:
         return _filled(object.__new__(cls), self.values[index])
 
 
-def as_stack(covs) -> SpdStack:
-    """A non-empty SpdStack as is, or a non-empty sequence of same-size
-    SpdMatrix stacked without a second check."""
-    if not isinstance(covs, SpdStack):
-        covs = list(covs)
-        if len({c.dim for c in covs}) > 1:
-            raise DimensionMismatch(f"dimensions differ: {sorted({c.dim for c in covs})}")
-        if covs:
-            covs = _filled(object.__new__(SpdStack), np.stack([c.values for c in covs]))
-    if not len(covs):
-        raise EmptyInput("need at least one matrix")
-    return covs
-
-
 _SCALAR_FNS = {
     "log": np.log,
     "exp": np.exp,
-    "sqrt": np.sqrt,
     "inv_sqrt": lambda w: 1.0 / np.sqrt(w),
 }
 
 # fn None stands for the eigenvalues themselves, whose logs give a distance.
-_NEEDS_POSITIVE = {None, "log", "sqrt", "inv_sqrt"}
+_NEEDS_POSITIVE = {None, "log", "inv_sqrt"}
 
 
 def _spectral(stack: np.ndarray, fn: str | None, left=None, right=None):
@@ -247,7 +224,7 @@ def _mean(values: np.ndarray, rows=None, spectral: tuple | None = None) -> np.nd
 
 def symm_fn(m: np.ndarray, fn: str) -> np.ndarray:
     """U f(Lambda) U^T, symmetrized, for the symmetric matrix m = U Lambda U^T
-    and fn one of "log", "exp", "sqrt", "inv_sqrt"."""
+    and fn one of "log", "exp", "inv_sqrt"."""
     if fn not in _SCALAR_FNS:
         raise ValueError(f"unknown matrix function {fn!r}")
     return _spectral(_validated(np.asarray(m)[None], "symm_fn input", positive=False), fn)[0]
@@ -285,22 +262,17 @@ def log_coordinates(ref_inv_sqrt: np.ndarray, stack: SpdStack) -> np.ndarray:
     return coords
 
 
-def frechet_mean(
-    mats,
-    tol: float = DEFAULT_MEAN_TOL,
-    max_iter: int = DEFAULT_MEAN_MAX_ITER,
-    rows=None,
-) -> SpdMatrix:
-    """Geometric mean of an SpdStack (or a sequence of SpdMatrix), or of the
-    stack's matrices at the indices rows, by Riemannian gradient descent with
-    Barzilai-Borwein steps (Iannazzo & Porcelli 2018). Rows are read in
-    place, never copied out as a sub-stack.
+def frechet_mean(stack: SpdStack, rows=None) -> SpdMatrix:
+    """Geometric mean of an SpdStack, or of its matrices at the indices
+    rows, by Riemannian gradient descent with Barzilai-Borwein steps
+    (Iannazzo & Porcelli 2018). Rows are read in place, never copied out as
+    a sub-stack.
 
     The iterate M is carried as its whitening factor G, G M G^T = I, so
     M = F F^T with F = G^-1. A pass takes the whitened gradient
     R = mean_i log(G P_i G^T), one stacked log over the rows, and stops when
-    |R|_F < tol: an affine-invariant rule, so rescaling or mixing the inputs
-    changes no step. Otherwise it steps to F exp(theta R) F^T, which is
+    |R|_F < MEAN_TOL: an affine-invariant rule, so rescaling or mixing the
+    inputs changes no step. Otherwise it steps to F exp(theta R) F^T, which is
     G <- exp(-theta R / 2) G, one symm_fn exp: the new iterate needs no
     eigendecomposition of its own. In this frame the step's parallel
     transport is the identity, so the step length is the Barzilai-Borwein
@@ -310,15 +282,10 @@ def frechet_mean(
 
     Cost: one eigh of the arithmetic mean (the start), then per pass one
     log eigh per row plus one exp eigh per step taken; the returned mean is
-    F F^T, from one inverse of G and one SPD check. tol must be finite and
-    > 0 and max_iter, the most steps taken, an integer >= 0 (else
-    InvalidSetting); exhausting max_iter raises NoConvergence rather than
-    silently returning a bad mean.
+    F F^T, from one inverse of G and one SPD check. Taking MEAN_MAX_ITER
+    steps without meeting the rule raises NoConvergence rather than
+    silently returning a bad mean; no rows at all raise EmptyInput.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
-        raise InvalidSetting(f"tol must be finite and > 0, got {tol!r}")
-    check_integer("max_iter", max_iter, 0)
-    stack = as_stack(mats)
     count = len(stack) if rows is None else len(rows)
     if count == 0:
         raise EmptyInput("need at least one matrix")
@@ -330,13 +297,13 @@ def frechet_mean(
     w, u = np.linalg.eigh(_mean(stack.values, rows))
     whiten = (u / np.sqrt(w)) @ u.T  # G
     previous = None  # (theta', R') of the last step
-    for iteration in range(max_iter + 1):
+    for iteration in range(MEAN_MAX_ITER + 1):
         grad = _mean(stack.values, rows, ("log", whiten, whiten.T))
         residual = float(np.linalg.norm(grad))
-        if residual < tol or iteration == max_iter:
+        if residual < MEAN_TOL or iteration == MEAN_MAX_ITER:
             unwhiten = np.linalg.inv(whiten)  # F
             mean = SpdMatrix(unwhiten @ unwhiten.T)
-            if residual < tol:
+            if residual < MEAN_TOL:
                 return mean
             raise NoConvergence(mean, residual)
         theta = 1.0

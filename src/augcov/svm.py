@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClass, InvalidSetting, LengthMismatch, SolverStall
+from .errors import EmptyClass, InvalidSetting, LengthMismatch, SolverStall, check_positive
 
 KERNELS = ("linear", "rbf")
 KKT_TOL = 1e-3
@@ -27,8 +27,7 @@ MAX_SMO_ITER = 100_000
 def check_settings(c, kernel) -> None:
     """The one rule of the SVM settings, for svm_fit and PipelineSpec:
     InvalidSetting unless c is finite and > 0 and kernel is in KERNELS."""
-    if not (np.isfinite(c) and c > 0):
-        raise InvalidSetting(f"SVM C must be finite and > 0, got {c!r}")
+    check_positive("SVM C", c)
     if kernel not in KERNELS:
         raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from augcov.covariance import AugmentedParams, Epoch, augmented_covariance
-from augcov.spd import SpdMatrix, as_stack, distances_from
+from augcov.covariance import AugmentedParams, Epoch, EpochStack, augmented_covariance
+from augcov.spd import SpdMatrix, SpdStack, distances_from
 
 
 def random_spd(rng, dim, scale=1.0, cond=10.0):
@@ -17,9 +17,19 @@ def random_symmetric(rng, dim, scale=1.0):
     return 0.5 * (m + m.T)
 
 
+def spd_stack(mats):
+    """The SpdStack of a sequence of SpdMatrix (or of arrays), in order."""
+    return SpdStack(np.stack([getattr(m, "values", m) for m in mats]))
+
+
+def epoch_stack(epochs):
+    """The EpochStack of a sequence of same-shape Epoch, in order."""
+    return EpochStack(np.stack([e.data for e in epochs]), epochs[0].sample_rate)
+
+
 def pair_distance(p1, p2):
     """Affine-invariant distance between two SpdMatrix: distances_from for one pair."""
-    return float(distances_from(p1, as_stack([p2]))[0])
+    return float(distances_from(p1, spd_stack([p2]))[0])
 
 
 def ar_coefficients(x, p):

@@ -24,7 +24,7 @@ from augcov.evaluate import within_session_eval
 from augcov.spd import SpdMatrix, frechet_mean, symm_fn
 from augcov.stats import auc_roc, bonferroni, permutation_paired_t, stouffer_combine, wilcoxon_signed_rank
 
-from conftest import ar_coefficients, pair_distance, random_spd
+from conftest import ar_coefficients, pair_distance, random_spd, spd_stack
 
 
 def report(name, ok, detail=""):
@@ -64,10 +64,10 @@ def test_criterion_1_manifold_suite():
     for _ in range(20):
         dim = int(rng.integers(2, 13))
         p1, p2 = random_spd(rng, dim), random_spd(rng, dim)
-        mean = frechet_mean([p1, p2])
-        sq = symm_fn(p1.values, "sqrt")
+        mean = frechet_mean(spd_stack([p1, p2]))
         isq = symm_fn(p1.values, "inv_sqrt")
-        closed = sq @ symm_fn(isq @ p2.values @ isq, "sqrt") @ sq
+        sq = np.linalg.inv(isq)
+        closed = sq @ np.linalg.inv(symm_fn(isq @ p2.values @ isq, "inv_sqrt")) @ sq
         assert np.linalg.norm(mean.values - closed) < 1e-8
 
     elapsed = time.time() - start

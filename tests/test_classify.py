@@ -13,7 +13,7 @@ from augcov.classify import (
     tangent_fit,
     tangent_transform_many,
 )
-from augcov.covariance import Epoch
+from augcov.covariance import EpochStack, covariance_stack
 from augcov.data import ArSpec, generate_ar_dataset
 from augcov.errors import (
     AllCellsInvalid,
@@ -22,15 +22,17 @@ from augcov.errors import (
     LengthMismatch,
     TooFewSamples,
 )
-from augcov.spd import SpdMatrix, symm_fn
+from augcov.spd import SpdMatrix, SpdStack, frechet_mean, symm_fn
+from augcov.svm import svm_decision
 
-from conftest import pair_distance, random_spd, random_symmetric
+from conftest import pair_distance, random_spd, random_symmetric, spd_stack
 
 
 def perturbed_class(rng, center, n, spread=0.2):
     """Samples around a center: Gaussian tangent vectors pushed through Exp,
     center^{1/2} Exp(center^{-1/2} S center^{-1/2}) center^{1/2}."""
-    sqrt, isqrt = symm_fn(center.values, "sqrt"), symm_fn(center.values, "inv_sqrt")
+    isqrt = symm_fn(center.values, "inv_sqrt")
+    sqrt = np.linalg.inv(isqrt)
     out = []
     for _ in range(n):
         step = random_symmetric(rng, center.dim, scale=spread / center.dim)
@@ -40,37 +42,37 @@ def perturbed_class(rng, center, n, spread=0.2):
 
 class TestMdm:
     def test_singleton_classes_keep_samples(self, rng):
-        covs = [random_spd(rng, 3), random_spd(rng, 3)]
+        covs = spd_stack([random_spd(rng, 3), random_spd(rng, 3)])
         model = mdm_fit(covs, [0, 1])
-        assert np.allclose(model.class_means[0].values, covs[0].values)
-        assert np.allclose(model.class_means[1].values, covs[1].values)
+        assert np.allclose(model.class_means[0].values, covs.values[0])
+        assert np.allclose(model.class_means[1].values, covs.values[1])
 
     def test_recovers_synthetic_centers(self, rng):
         c0 = random_spd(rng, 4)
         c1 = random_spd(rng, 4)
         covs = perturbed_class(rng, c0, 50) + perturbed_class(rng, c1, 50)
         labels = [0] * 50 + [1] * 50
-        model = mdm_fit(covs, labels)
+        model = mdm_fit(spd_stack(covs), labels)
         assert pair_distance(model.class_means[0], c0) < 0.2
         assert pair_distance(model.class_means[1], c1) < 0.2
 
     def test_identical_samples_identical_means(self, rng):
         p = random_spd(rng, 3)
-        model = mdm_fit([p, p, p, p], [0, 0, 1, 1])
+        model = mdm_fit(spd_stack([p, p, p, p]), [0, 0, 1, 1])
         assert np.allclose(model.class_means[0].values, p.values)
         assert np.allclose(model.class_means[1].values, p.values)
 
     def test_predict_class_mean_is_its_class(self, rng):
-        covs = [random_spd(rng, 3) for _ in range(6)]
+        covs = spd_stack([random_spd(rng, 3) for _ in range(6)])
         model = mdm_fit(covs, [0, 0, 0, 1, 1, 1])
-        labels, dists = mdm_predict(model, [model.class_means[0]])
+        labels, dists = mdm_predict(model, spd_stack([model.class_means[0]]))
         assert labels[0] == 0
         assert dists[0, 0] == pytest.approx(0.0, abs=1e-7)
 
     def test_equidistant_tie_goes_to_first_label(self):
         eye = SpdMatrix(np.eye(2))
-        model = mdm_fit([eye, eye], [0, 1])
-        labels, _ = mdm_predict(model, [SpdMatrix(np.diag([2.0, 0.9]))])
+        model = mdm_fit(spd_stack([eye, eye]), [0, 1])
+        labels, _ = mdm_predict(model, spd_stack([np.diag([2.0, 0.9])]))
         assert labels[0] == 0
 
     def test_agrees_with_brute_force(self, rng):
@@ -80,9 +82,9 @@ class TestMdm:
             + perturbed_class(rng, c1, 10)
             + perturbed_class(rng, c2, 10)
         )
-        model = mdm_fit(covs, [0] * 10 + [1] * 10 + [2] * 10)
+        model = mdm_fit(spd_stack(covs), [0] * 10 + [1] * 10 + [2] * 10)
         queries = [random_spd(rng, 3) for _ in range(50)]
-        labels, dists = mdm_predict(model, queries)
+        labels, dists = mdm_predict(model, spd_stack(queries))
         for q, label, row in zip(queries, labels, dists):
             brute = [pair_distance(q, m) for m in model.class_means]
             assert label == int(np.argmin(brute))
@@ -96,38 +98,37 @@ class TestMdm:
         test = [random_spd(rng, 3) for _ in range(20)]
         w = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
 
-        model = mdm_fit(train, labels)
-        base = mdm_predict(model, test)[0]
-        model_t = mdm_fit([SpdMatrix(w @ p.values @ w.T) for p in train], labels)
-        moved = mdm_predict(model_t, [SpdMatrix(w @ q.values @ w.T) for q in test])[0]
+        model = mdm_fit(spd_stack(train), labels)
+        base = mdm_predict(model, spd_stack(test))[0]
+        model_t = mdm_fit(spd_stack([w @ p.values @ w.T for p in train]), labels)
+        moved = mdm_predict(model_t, spd_stack([w @ q.values @ w.T for q in test]))[0]
         assert np.array_equal(base, moved)
 
     def test_empty_class(self):
         with pytest.raises(EmptyClass):
-            mdm_fit([], [])
+            mdm_fit(SpdStack(np.empty((0, 3, 3))), [])
 
 
 class TestTangent:
     def test_reference_maps_to_zero(self, rng):
-        covs = [random_spd(rng, 4) for _ in range(8)]
-        tmap = tangent_fit(covs)
-        feat = tangent_transform_many(tmap, [tmap.reference])[0]
+        covs = spd_stack([random_spd(rng, 4) for _ in range(8)])
+        feat = tangent_transform_many(tangent_fit(covs), spd_stack([frechet_mean(covs)]))[0]
         assert np.allclose(feat, 0.0, atol=1e-10)
 
     def test_norm_matches_riemannian_distance(self, rng):
-        covs = [random_spd(rng, 4) for _ in range(8)]
-        tmap = tangent_fit(covs)
+        covs = spd_stack([random_spd(rng, 4) for _ in range(8)])
+        ref_inv_sqrt, reference = tangent_fit(covs), frechet_mean(covs)
         for _ in range(20):
             q = random_spd(rng, 4)
-            feat = tangent_transform_many(tmap, [q])[0]
+            feat = tangent_transform_many(ref_inv_sqrt, spd_stack([q]))[0]
             assert np.linalg.norm(feat) == pytest.approx(
-                pair_distance(tmap.reference, q), abs=1e-8
+                pair_distance(reference, q), abs=1e-8
             )
 
     def test_identity_reference_scaled_upper_triangle(self, rng):
-        tmap = tangent_fit([SpdMatrix(np.eye(3))] * 2)
+        ref_inv_sqrt = tangent_fit(spd_stack([np.eye(3)] * 2))
         q = random_spd(rng, 3)
-        feat = tangent_transform_many(tmap, [q])[0]
+        feat = tangent_transform_many(ref_inv_sqrt, spd_stack([q]))[0]
         logm = symm_fn(q.values, "log")
         iu = np.triu_indices(3)
         expected = logm[iu] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
@@ -137,18 +138,17 @@ class TestTangent:
         """Fancy-indexing the upper triangle out of a stacked log yields a
         Fortran-ordered matrix; the SVM kernel then sums in another order
         and grid scores shift. The rows must come back C-contiguous."""
-        covs = [random_spd(rng, 6) for _ in range(9)]
-        tmap = tangent_fit(covs)
-        feats = tangent_transform_many(tmap, covs)
+        covs = spd_stack([random_spd(rng, 6) for _ in range(9)])
+        isqrt = tangent_fit(covs)
+        feats = tangent_transform_many(isqrt, covs)
         assert feats.flags.c_contiguous
         iu = np.triu_indices(6)
         weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-        rows = [symm_fn(tmap.ref_inv_sqrt @ c.values @ tmap.ref_inv_sqrt, "log")[iu] * weights
-                for c in covs]
+        rows = [symm_fn(isqrt @ c @ isqrt, "log")[iu] * weights for c in covs.values]
         assert np.array_equal(feats, np.stack(rows))
 
     def test_output_length(self, rng):
-        covs = [random_spd(rng, 5) for _ in range(4)]
+        covs = spd_stack([random_spd(rng, 5) for _ in range(4)])
         assert tangent_transform_many(tangent_fit(covs), covs).shape[1] == 15
 
 
@@ -221,7 +221,7 @@ class TestGridSearch:
         # force ties by handing the search a constant scorer via identical cells:
         # order 1 cells all score the same on white noise with tiny grids
         rng = np.random.default_rng(50)
-        epochs = [Epoch(rng.standard_normal((2, 64)), 250.0) for _ in range(20)]
+        epochs = EpochStack(rng.standard_normal((20, 2, 64)), 250.0)
         labels = np.array([0, 1] * 10)
         result = grid_search(epochs, labels, "ACM+MDM", orders=(1, 2), lags=(1, 2),
                              inner_folds=4, seed=9)
@@ -232,16 +232,16 @@ class TestGridSearch:
 
     def test_invalid_cells_recorded(self):
         rng = np.random.default_rng(51)
-        epochs = [Epoch(rng.standard_normal((2, 12)), 250.0) for _ in range(16)]
+        epochs = EpochStack(rng.standard_normal((16, 2, 12)), 250.0)
         labels = np.array([0, 1] * 8)
         result = grid_search(epochs, labels, "ACM+MDM", orders=(1, 4), lags=(1, 4),
                              inner_folds=2, seed=2)
-        invalid = [c for c in result.cells if not c.valid]
+        invalid = [c for c in result.cells if c.score is None]
         assert {(c.order, c.lag) for c in invalid} == {(4, 4)}
 
     def test_all_cells_invalid(self):
         rng = np.random.default_rng(52)
-        epochs = [Epoch(rng.standard_normal((2, 8)), 250.0) for _ in range(8)]
+        epochs = EpochStack(rng.standard_normal((8, 2, 8)), 250.0)
         labels = np.array([0, 1] * 4)
         with pytest.raises(AllCellsInvalid):
             grid_search(epochs, labels, "ACM+MDM", orders=(5,), lags=(4,),
@@ -282,7 +282,7 @@ class TestGridSearch:
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(53)
-        epochs = [Epoch(rng.standard_normal((2, 32)), 250.0) for _ in range(4)]
+        epochs = EpochStack(rng.standard_normal((4, 2, 32)), 250.0)
         with pytest.raises(TooFewSamples):
             grid_search(epochs, np.array([0, 0, 1, 1]), "MDM", orders=(1,), lags=(1,),
                         inner_folds=3, seed=0)
@@ -292,7 +292,7 @@ class TestGridSearch:
     lambda epochs, labels: grid_search(epochs, labels, "MDM", orders=(1,), lags=(1, 2),
                                        inner_folds=2),
     lambda epochs, labels: fit_pipeline(PipelineSpec(kind="ACM+MDM", order=2), epochs, labels),
-    lambda epochs, labels: mdm_fit([SpdMatrix(np.eye(2))] * len(epochs), labels),
+    lambda epochs, labels: mdm_fit(spd_stack([np.eye(2)] * len(epochs)), labels),
 ], ids=["grid_search", "fit_pipeline", "mdm_fit"])
 def test_label_count_other_than_sample_count_is_length_mismatch(fit):
     epochs, labels = ar_two_class_set(seed=6, epochs_per_class=4, t=32).all_epochs()
@@ -310,7 +310,8 @@ class TestFitPipeline:
         fitted = fit_pipeline(spec, epochs, labels, seed=0)
         assert fitted.params.order == 2
         assert fitted.shrink is True
-        preds = fitted.predict(epochs)
+        covs = covariance_stack(epochs, fitted.params, fitted.shrink)
+        preds = mdm_predict(fitted.model, covs)[0]
         assert np.mean(preds == labels) > 0.9
 
     def test_plain_mdm_order_one_no_shrink(self):
@@ -328,8 +329,9 @@ class TestFitPipeline:
         assert fitted.chosen_c in (0.5, 1.0, 1.5)
         assert fitted.chosen_kernel in ("linear", "rbf")
         assert fitted.grid_result is not None
-        scores = fitted.decision_scores(epochs)
-        assert scores.shape == (len(epochs),)
+        features = tangent_transform_many(fitted.tangent_map,
+                                          covariance_stack(epochs, fitted.params, fitted.shrink))
+        assert svm_decision(fitted.model, features).shape == (len(epochs),)
 
     def test_acm_grid_pipeline(self):
         epoch_set = ar_two_class_set(seed=14, epochs_per_class=20, t=128)
@@ -416,7 +418,7 @@ class TestGridSearchInvariants:
         epochs, labels = epoch_set.all_epochs()
         result = grid_search(epochs, labels, "ACM+MDM", orders=(1, 2), lags=(1, 2),
                              inner_folds=3, seed=4)
-        valid_scores = [c.score for c in result.cells if c.valid]
+        valid_scores = [c.score for c in result.cells if c.score is not None]
         assert result.best_score == max(valid_scores)
 
     def test_order_one_lag_tie_breaks_to_smaller_lag(self):
@@ -441,7 +443,8 @@ class TestEstimatorParamSources:
         assert fitted.params.order == fitted.embedding_estimate.dim
         assert fitted.params.lag == fitted.embedding_estimate.tau
         assert (fitted.params.order - 1) * fitted.params.lag < 256
-        assert len(fitted.predict(epochs)) == len(epochs)
+        value, metric = fitted.score(epochs, labels)
+        assert metric == "auc" and 0.0 <= value <= 1.0
 
     def test_mdop_source_selects_svm_params_from_grid(self):
         epoch_set = ar_two_class_set(seed=32, epochs_per_class=10, t=256)
@@ -452,16 +455,17 @@ class TestEstimatorParamSources:
         assert fitted.embedding_estimate.method == "mdop"
         assert fitted.chosen_c in (0.5, 1.0, 1.5)
         assert fitted.chosen_kernel in ("linear", "rbf")
-        scores = fitted.decision_scores(epochs)
-        assert np.all(np.isfinite(scores))
+        features = tangent_transform_many(fitted.tangent_map,
+                                          covariance_stack(epochs, fitted.params, fitted.shrink))
+        assert np.all(np.isfinite(svm_decision(fitted.model, features)))
 
 
 def test_mdm_predict_dimension_mismatch(rng):
     from augcov.errors import DimensionMismatch
 
-    model = mdm_fit([random_spd(rng, 3), random_spd(rng, 3)], [0, 1])
+    model = mdm_fit(spd_stack([random_spd(rng, 3), random_spd(rng, 3)]), [0, 1])
     with pytest.raises(DimensionMismatch):
-        mdm_predict(model, [random_spd(rng, 4)])
+        mdm_predict(model, spd_stack([random_spd(rng, 4)]))
 
 
 class TestGridSearchOnlyWhenThereIsAChoice:

@@ -713,6 +713,10 @@ BAD_SPEC_FIELDS = {
     ("container", lambda m: _drop(m, "sessions", 0, "labels"), "FormatError"),
     ("container", lambda m: _set(m, None, "sessions", 1, "labels", 0), "FormatError"),
     ("container", lambda m: _set(m, 3, "sessions"), "FormatError"),
+    # session ids name the grid maps: a repeated id made two holdout splits
+    # of one name, and a separator failed after report.json was written
+    ("container", lambda m: _set(m, "session0", "sessions", 1, "id"), "InvalidEpoch"),
+    ("container", lambda m: _set(m, "day1/am", "sessions", 1, "id"), "InvalidEpoch"),
     ("report", lambda r: _drop(r, "subject"), "FormatError"),
     ("report", lambda r: _drop(r, "scores", 0, "lag"), "FormatError"),
     ("report", lambda r: [r], "PairingViolation"),
@@ -727,6 +731,7 @@ BAD_SPEC_FIELDS = {
              '"epochs_per_class": 2, "seed": 0}', "UnstableSpec"),
     *[("spec", _spec_json(**fields), "UnstableSpec") for fields in BAD_SPEC_FIELDS.values()],
 ], ids=["container-without-labels", "container-null-label", "container-sessions-not-list",
+        "container-repeated-session-id", "container-session-id-with-slash",
         "report-without-subject", "report-score-without-lag", "report-json-list",
         "report-score-string", "report-score-null", "report-score-bool", "report-score-nan",
         "report-version-99", "report-without-version",
@@ -747,3 +752,4 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, kind, edit, error):
     lines = stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+    assert not (tmp_path / "run").exists()  # refused before any output

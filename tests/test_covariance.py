@@ -19,7 +19,7 @@ from augcov.covariance import (
 from augcov.errors import InvalidEpoch, InvalidSetting, LagTooLarge, NotSPD
 from augcov.spd import EPS_SPD
 
-from conftest import ar_coefficients, pair_distance
+from conftest import ar_coefficients, epoch_stack, pair_distance
 
 
 # at (1, 1) the augmented covariance is the plain spatial covariance
@@ -77,6 +77,15 @@ class TestEpochStack:
     def test_rejects_shape_and_rate(self, values, rate):
         with pytest.raises(InvalidEpoch):
             EpochStack(values, rate)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), "250", True, None])
+    def test_rate_must_be_a_finite_positive_number(self, rate):
+        """An infinite rate would reach write_epochset's manifest as
+        Infinity, which is not JSON."""
+        with pytest.raises(InvalidEpoch, match="sample_rate must be finite and > 0"):
+            EpochStack(np.ones((2, 1, 10)), rate)
+        with pytest.raises(InvalidEpoch, match="sample_rate must be finite and > 0"):
+            Epoch(np.ones((1, 10)), rate)
 
     def test_epoch_is_the_one_epoch_case(self):
         with pytest.raises(InvalidEpoch, match=r"^epoch 0 contains NaN or Inf"):
@@ -450,7 +459,7 @@ def test_one_gram_augmented_covariance_is_bit_identical(d, t, order, lag):
     rng = np.random.default_rng(d * 1000 + t)
     epochs = [make_epoch(scale * rng.standard_normal((d, t))) for scale in (1.0, 1e-6, 1.0)]
     params = AugmentedParams(order, lag)
-    stack = covariance_stack(epochs, params, shrink=True)
+    stack = covariance_stack(epoch_stack(epochs), params, shrink=True)
     for i, epoch in enumerate(epochs):
         want = three_gram_augmented_covariance(epoch, params)
         assert np.array_equal(stack[i].values, want)

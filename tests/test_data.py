@@ -14,7 +14,7 @@ from augcov.covariance import (
     AugmentedParams,
     Epoch,
     EpochStack,
-    augmented_covariance,
+    covariance_stack,
 )
 from augcov.data import (
     ArSpec,
@@ -286,15 +286,13 @@ class TestGenerator:
         epoch_set = generate_ar_dataset(spec)
         epochs, labels = epoch_set.all_epochs()
 
-        plain = [augmented_covariance(e, AugmentedParams(1, 1)) for e in epochs]
-        centroid0 = frechet_mean([c for c, y in zip(plain, labels) if y == 0])
-        centroid1 = frechet_mean([c for c, y in zip(plain, labels) if y == 1])
+        plain = covariance_stack(epochs, AugmentedParams(1, 1))
+        centroid0, centroid1 = (frechet_mean(plain, rows=np.flatnonzero(labels == y))
+                                for y in (0, 1))
         assert pair_distance(centroid0, centroid1) < 0.1
 
-        params = AugmentedParams(2, 1)
-        aug = [augmented_covariance(e, params) for e in epochs]
-        aug0 = frechet_mean([c for c, y in zip(aug, labels) if y == 0])
-        aug1 = frechet_mean([c for c, y in zip(aug, labels) if y == 1])
+        aug = covariance_stack(epochs, AugmentedParams(2, 1))
+        aug0, aug1 = (frechet_mean(aug, rows=np.flatnonzero(labels == y)) for y in (0, 1))
         assert pair_distance(aug0, aug1) > 0.5
 
 
@@ -378,6 +376,58 @@ class TestContainer:
         with pytest.raises(error, match=match):
             read_epochset(path)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("sample_rate", "250", "sample_rate must be finite"),
+        ("sample_rate", True, "sample_rate must be finite"),
+        ("sample_rate", "inf", "sample_rate must be finite"),
+        ("sample_rate", float("inf"), "sample_rate must be finite"),
+        ("sample_rate", 0, "sample_rate must be finite"),
+        ("classes", "ab", "classes must be a list of strings"),
+        ("classes", [0, 1], "classes must be a list of strings"),
+        ("subject", 7, "subject and session ids strings"),
+        ("id", 0, "subject and session ids strings"),
+    ], ids=["rate-string", "rate-bool", "rate-inf-string", "rate-infinity", "rate-zero",
+            "classes-string", "classes-numbers", "subject-number", "session-id-number"])
+    def test_typed_fields_must_have_their_json_type(self, tmp_path, field, value, match):
+        """"250", true and "inf" are not read as rates, "ab" not as the two
+        classes a and b, and a number not as a subject or session id."""
+        path = tmp_path / "set.acm"
+        write_epochset(self.make_set(), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        (manifest["sessions"][0] if field == "id" else manifest)[field] = value
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match=match):
+            read_epochset(path)
+
+    @pytest.mark.parametrize("second_id,match", [
+        ("s0", "'s0' is not unique"), ("day1/am", "'day1/am' holds a path separator"),
+        ("day1\\am", "holds a path separator")])
+    def test_session_ids_are_unique_file_names(self, tmp_path, second_id, match):
+        """Session ids name the grid maps of a run, so a repeated id or one
+        with a path separator is refused when the set is built or read."""
+        sessions = self.make_set().sessions
+        with pytest.raises(InvalidEpoch, match=match):
+            EpochSet("s", [sessions[0], Session(second_id, sessions[1].epochs, [0, 1, 0, 1])],
+                         ["left", "right"])
+        path = tmp_path / "set.acm"
+        write_epochset(self.make_set(), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        manifest["sessions"][1]["id"] = second_id
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        with pytest.raises(InvalidEpoch, match=match):
+            read_epochset(path)
+
+    @pytest.mark.parametrize("subject,session_id,classes", [
+        (7, "s1", ["left", "right"]), ("s", 1, ["left", "right"]), ("s", "s1", [0, 1])])
+    def test_a_set_holds_only_names_the_reader_reads(self, subject, session_id, classes):
+        """write_epochset would write a container that read_epochset refuses."""
+        sessions = self.make_set().sessions
+        with pytest.raises(InvalidEpoch, match="must be strings"):
+            EpochSet(subject, [sessions[0], Session(session_id, sessions[1].epochs,
+                                                    [0, 1, 0, 1])], classes)
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "set.acm"
         write_epochset(self.make_set(), path)
@@ -402,6 +452,15 @@ class TestSessionStacks:
         b = Session("b", EpochStack(np.ones(shape_b), rate_b), [0, 1])
         with pytest.raises(InvalidEpoch, match="share shape and sample rate"):
             EpochSet("s", [a, b], ["x", "y"])
+
+    @pytest.mark.parametrize("labels,bad", [([0.9, 1.2, True, 0], "0.9"), ([0, True, 1, 0], "True"),
+                                            ([0, "1", 1, 0], "'1'"), ([0, 1, -1, 0], "-1")])
+    def test_labels_must_be_integers(self, labels, bad):
+        """[0.9, 1.2, True, 0] is not kept as [0, 1, 1, 0]."""
+        with pytest.raises(InvalidEpoch, match=f"'a' label must be an integer >= 0, got {bad}"):
+            Session("a", EpochStack(self.values(n=4), 250.0), labels)
+        session = Session("a", EpochStack(self.values(n=4), 250.0), np.array([0, 1, 1, 0]))
+        assert session.labels == [0, 1, 1, 0] and type(session.labels[0]) is int
 
     def test_mixed_epochs_within_a_session_raise(self):
         epochs = [Epoch(np.ones((3, 40)), 250.0), Epoch(np.ones((3, 41)), 250.0)]

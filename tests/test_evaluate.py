@@ -423,7 +423,7 @@ class TestSettingsBoundary:
 
 class TestWorkOrderSweep:
     def test_eigendecomposition_work_grows_with_order(self, monkeypatch):
-        """Fit plus predict of ACM+MDM does more work at every higher order,
+        """Fit plus scoring of ACM+MDM does more work at every higher order,
         counted as n * k^3 summed over the stacked eigh and eigvalsh calls
         on n matrices of dimension k: a count, so host speed cannot move it."""
         from augcov.classify import fit_pipeline
@@ -444,7 +444,7 @@ class TestWorkOrderSweep:
         for order in range(1, 7):
             work[0] = 0
             spec = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=order, lag=1)
-            fit_pipeline(spec, epochs, labels, seed=0).predict(epochs)
+            fit_pipeline(spec, epochs, labels, seed=0).score(epochs, labels)
             totals.append(work[0])
         assert all(b > a for a, b in zip(totals, totals[1:])), totals
 

@@ -2,11 +2,14 @@
 its siblings, so each private helper (spd's block walk, say) has one home;
 no module imports scipy, even inside a function; the third-party modules
 the package imports are the runtime dependencies pyproject.toml declares;
-each public name has one import path, its defining module; and each public
-function or class has a caller in the package or the README Library
-snippet."""
+each public name has one import path, its defining module; each public
+function or class, and each public method or property of a public class,
+has a caller in the package, the README Library snippet or the benchmark;
+and every augcov name the benchmark uses exists."""
 
 import ast
+import functools
+import importlib
 import json
 import os
 import re
@@ -19,6 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "augcov"
 README = ROOT / "README.md"
+BENCH = ROOT / "bench"
 
 
 def private_imports(path: Path):
@@ -94,33 +98,119 @@ def referenced_names(source: str) -> set:
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def uncalled_public_names(modules, snippet: str):
-    """file:name of each public top-level function or class of the modules
-    that no module references and the snippet does not name."""
-    used = referenced_names(snippet).union(
-        *(referenced_names(path.read_text()) for path in modules))
-    return [f"{path.name}:{node.name}" for path in modules
-            for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in used]
+def uncalled_public_names(modules, callers=()):
+    """file:name of each public top-level function or class of the modules,
+    and file:Class.name of each public method or property of a public
+    class, that neither the modules nor the caller sources reference."""
+    used = set().union(*map(referenced_names, [*callers, *(p.read_text() for p in modules)]))
+    found = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                members = node.body if isinstance(node, ast.ClassDef) else []
+                found += [f"{path.name}:{name}" for name in [node.name] if name not in used]
+                found += [f"{path.name}:{node.name}.{m.name}" for m in members
+                          if isinstance(m, ast.FunctionDef) and m.name[0] != "_"
+                          and m.name not in used]
+    return found
+
+
+def library_callers():
+    """The README Library snippet and the benchmark's sources."""
+    (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    return [snippet, *(path.read_text() for path in sorted(BENCH.glob("*.py")))]
 
 
 def test_every_public_name_has_a_caller():
-    (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    assert uncalled_public_names(sorted(PACKAGE.glob("*.py")), snippet) == []
+    assert uncalled_public_names(sorted(PACKAGE.glob("*.py")), library_callers()) == []
 
 
 def test_the_check_sees_an_uncalled_name(tmp_path):
-    (tmp_path / "a.py").write_text("class Used:\n    pass\n\n"
-                                   "def helper():\n    return Used()\n\n"
+    (tmp_path / "a.py").write_text("class Used:\n    def go(self):\n        pass\n\n"
+                                   "    @property\n    def size(self):\n        pass\n\n"
+                                   "    def _inner(self):\n        pass\n\n"
+                                   "def helper():\n    return Used().go()\n\n"
                                    "def orphan():\n    pass\n\n"
                                    "def _private():\n    pass\n\n"
                                    "def shown():\n    pass\n")
     (tmp_path / "b.py").write_text("from . import a\n\nclass Lonely:\n    pass\n\n"
                                    "def run():\n    return a.helper()\n")
     modules = [tmp_path / "a.py", tmp_path / "b.py"]
-    assert uncalled_public_names(modules, "from a import shown\nshown()\nb.run()\n") \
-        == ["a.py:orphan", "b.py:Lonely"]
+    assert uncalled_public_names(modules, ["from a import shown\nshown()\nb.run()\n"]) \
+        == ["a.py:Used.size", "a.py:orphan", "b.py:Lonely"]
+    assert uncalled_public_names(modules, ["shown()\nb.run()\n", "x.size + orphan()\n"]) \
+        == ["b.py:Lonely"]
+
+
+def _as_code(text: str):
+    try:
+        return ast.parse(text)
+    except SyntaxError:
+        return None
+
+
+def _dotted(node) -> str | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def augcov_names_used(sources) -> set:
+    """Dotted augcov names that the sources import or read: imports, also in
+    string constants that are Python code (a `python -c` command), and
+    attribute chains off the package, such as augcov.cli.main."""
+    trees = [ast.parse(source) for source in sources]
+    trees += [code for tree in list(trees) for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "augcov" in node.value and (code := _as_code(node.value)) is not None]
+    names = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "augcov":
+            names |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names if alias.name.split(".")[0] == "augcov"}
+        elif isinstance(node, ast.Attribute) and (_dotted(node) or "").startswith("augcov."):
+            names.add(_dotted(node))
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Whether a dotted name is a module, or an attribute path off one."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        try:
+            functools.reduce(getattr, parts[i:], module)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_every_augcov_name_the_benchmark_uses_exists():
+    """bench/ changes only with the benchmark, so a library name it uses
+    must outlive any other change: deleting one fails every run."""
+    used = augcov_names_used(path.read_text() for path in sorted(BENCH.glob("*.py")))
+    assert {"augcov.covariance.Epoch", "augcov.covariance.augmented_covariance",
+            "augcov.covariance.AugmentedParams", "augcov.data.EpochSet", "augcov.data.Session",
+            "augcov.data.write_epochset", "augcov.cli.main", "augcov.cli.entry"} <= used
+    assert sorted(name for name in used if not resolves(name)) == []
+
+
+def test_the_check_sees_a_missing_benchmark_name():
+    source = ("import augcov.cli\nfrom augcov.spd import frechet_mean, gone\n"
+              "augcov.cli.main([])\naugcov.cli.lost()\n"
+              "BOOT = 'import sys; from augcov.data import missing'\nTEXT = 'no augcov code'\n")
+    used = augcov_names_used([source])
+    assert used == {"augcov.cli", "augcov.spd.frechet_mean", "augcov.spd.gone",
+                    "augcov.cli.main", "augcov.cli.lost", "augcov.data.missing"}
+    assert sorted(name for name in used if not resolves(name)) == [
+        "augcov.cli.lost", "augcov.data.missing", "augcov.spd.gone"]
 
 
 LIBRARY = ("classify", "covariance", "data", "embedding", "errors", "evaluate", "spd",

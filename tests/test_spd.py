@@ -9,7 +9,6 @@ from augcov import spd
 from augcov.errors import (
     DimensionMismatch,
     EmptyInput,
-    InvalidSetting,
     NoConvergence,
     NonPositiveEigenvalue,
     NotSPD,
@@ -27,7 +26,7 @@ from augcov.spd import (
     symm_fn,
 )
 
-from conftest import pair_distance, random_spd, random_symmetric
+from conftest import pair_distance, random_spd, random_symmetric, spd_stack
 
 
 class TestSpdMatrix:
@@ -171,12 +170,11 @@ class TestStackEqualsLoop:
         else:
             assert_same_mean(mean.values, _ref_frechet_mean(values))
 
-        tmap = tangent_fit(stack)
+        isqrt = tangent_fit(stack)
         iu = np.triu_indices(dim)
         weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-        isqrt = tmap.ref_inv_sqrt
         rows = np.stack([_ref_fn(isqrt @ v @ isqrt, np.log)[iu] * weights for v in values])
-        assert np.array_equal(tangent_transform_many(tmap, stack), rows)
+        assert np.array_equal(tangent_transform_many(isqrt, stack), rows)
 
         reference = random_spd(rng, dim, scale)
         got = distances_from(reference, stack)
@@ -205,8 +203,8 @@ class TestStackEqualsLoop:
             mp.setattr(spd, "SPD_BLOCK_BYTES", per_block * values[0].nbytes)
             mean = frechet_mean(stack)
             model = mdm_fit(stack, labels)
-            tmap = tangent_fit(stack)
-            rows = tangent_transform_many(tmap, stack)
+            tangent_isqrt = tangent_fit(stack)
+            rows = tangent_transform_many(tangent_isqrt, stack)
             dists = distances_from(reference, stack)
 
         assert np.array_equal(mean.values, frechet_mean(stack).values)
@@ -223,8 +221,8 @@ class TestStackEqualsLoop:
 
         iu = np.triu_indices(dim)
         weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-        isqrt = tmap.ref_inv_sqrt
-        want = np.stack([_ref_fn(isqrt @ v @ isqrt, np.log)[iu] * weights for v in values])
+        want = np.stack([_ref_fn(tangent_isqrt @ v @ tangent_isqrt, np.log)[iu] * weights
+                         for v in values])
         assert np.array_equal(rows, want)
 
         isqrt = _ref_fn(reference.values, lambda w: 1.0 / np.sqrt(w))
@@ -268,9 +266,9 @@ class TestSymmFn:
     def test_log_of_identity_is_zero(self):
         assert np.allclose(symm_fn(np.eye(3), "log"), np.zeros((3, 3)))
 
-    def test_sqrt_diagonal(self):
-        out = symm_fn(np.diag([4.0, 9.0]), "sqrt")
-        assert np.allclose(out, np.diag([2.0, 3.0]))
+    def test_inv_sqrt_diagonal(self):
+        out = symm_fn(np.diag([4.0, 9.0]), "inv_sqrt")
+        assert np.allclose(out, np.diag([0.5, 1.0 / 3.0]))
 
     def test_log_exp_round_trip(self, rng):
         m = random_spd(rng, 5).values
@@ -380,76 +378,66 @@ class TestDistance:
 
 def two_matrix_geometric_mean(p1, p2):
     """Closed form P1^{1/2} (P1^{-1/2} P2 P1^{-1/2})^{1/2} P1^{1/2}."""
-    sq = symm_fn(p1.values, "sqrt")
-    isq = symm_fn(p1.values, "inv_sqrt")
-    return sq @ symm_fn(isq @ p2.values @ isq, "sqrt") @ sq
+    sq = _ref_fn(p1.values, np.sqrt)
+    isq = _ref_fn(p1.values, lambda w: 1.0 / np.sqrt(w))
+    return sq @ _ref_fn(isq @ p2.values @ isq, np.sqrt) @ sq
 
 
 class TestFrechetMean:
     def test_single_element(self, rng):
         p = random_spd(rng, 4)
-        assert np.array_equal(frechet_mean([p]).values, p.values)
+        assert np.array_equal(frechet_mean(spd_stack([p])).values, p.values)
 
     def test_all_identical(self):
         eye = SpdMatrix(np.eye(3))
-        out = frechet_mean([eye, eye, eye])
+        out = frechet_mean(spd_stack([eye, eye, eye]))
         assert np.allclose(out.values, np.eye(3), atol=1e-12)
 
     def test_two_matrix_closed_form(self, rng):
         for _ in range(10):
             p1 = random_spd(rng, 4)
             p2 = random_spd(rng, 4)
-            mean = frechet_mean([p1, p2])
+            mean = frechet_mean(spd_stack([p1, p2]))
             oracle = two_matrix_geometric_mean(p1, p2)
             assert np.linalg.norm(mean.values - oracle) < 1e-8
 
     def test_gradient_condition_at_result(self, rng):
         """The stop rule holds at the returned mean, checked apart from the
-        loop: |mean_i log(M^-1/2 P_i M^-1/2)|_F < tol."""
-        mats = [random_spd(rng, 4) for _ in range(7)]
-        tol = 1e-8
-        mean = frechet_mean(mats, tol=tol)
-        assert whitened_gradient(mean.values, [m.values for m in mats]) < tol
+        loop: |mean_i log(M^-1/2 P_i M^-1/2)|_F < MEAN_TOL."""
+        mats = spd_stack([random_spd(rng, 4) for _ in range(7)])
+        mean = frechet_mean(mats)
+        assert whitened_gradient(mean.values, mats.values) < spd.MEAN_TOL
 
     def test_congruence_invariance_of_mean(self, rng):
-        mats = [random_spd(rng, 3) for _ in range(5)]
+        mats = spd_stack([random_spd(rng, 3) for _ in range(5)])
         w = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
         mean = frechet_mean(mats)
-        transformed = [SpdMatrix(w @ m.values @ w.T) for m in mats]
-        mean_t = frechet_mean(transformed)
+        mean_t = frechet_mean(SpdStack(w @ mats.values @ w.T))
         assert np.linalg.norm(mean_t.values - w @ mean.values @ w.T) < 1e-7
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            frechet_mean([])
+            frechet_mean(SpdStack(np.empty((0, 3, 3))))
+        with pytest.raises(EmptyInput):
+            frechet_mean(spd_stack([np.eye(3)]), rows=np.array([], dtype=int))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            frechet_mean([SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3))])
-
-    def test_no_convergence_carries_state(self, rng):
-        mats = [random_spd(rng, 4) for _ in range(5)]
+    def test_no_convergence_carries_state(self, rng, monkeypatch):
+        monkeypatch.setattr(spd, "MEAN_TOL", 1e-16)
+        monkeypatch.setattr(spd, "MEAN_MAX_ITER", 1)
+        mats = spd_stack([random_spd(rng, 4) for _ in range(5)])
         with pytest.raises(NoConvergence) as err:
-            frechet_mean(mats, tol=1e-16, max_iter=1)
+            frechet_mean(mats)
         assert isinstance(err.value.last_iterate, SpdMatrix)
         assert err.value.residual > 0.0
 
-    @pytest.mark.parametrize("setting", [
-        {"max_iter": -1}, {"max_iter": 1.5}, {"max_iter": True}, {"max_iter": "3"},
-        {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"tol": float("inf")},
-        {"tol": "1e-8"},
-    ])
-    def test_bad_setting_rejected(self, rng, setting):
-        mats = [random_spd(rng, 3) for _ in range(3)]
-        with pytest.raises(InvalidSetting):
-            frechet_mean(mats, **setting)
-
-    def test_no_step_allowed(self, rng):
-        """max_iter=0 checks the arithmetic mean and takes no step."""
+    def test_no_step_allowed(self, rng, monkeypatch):
+        """At MEAN_MAX_ITER = 0 the mean checks the arithmetic mean and takes
+        no step."""
+        monkeypatch.setattr(spd, "MEAN_MAX_ITER", 0)
         eye = SpdMatrix(np.eye(3))
-        assert np.array_equal(frechet_mean([eye, eye], max_iter=0).values, np.eye(3))
+        assert np.array_equal(frechet_mean(spd_stack([eye, eye])).values, np.eye(3))
         with pytest.raises(NoConvergence):
-            frechet_mean([random_spd(rng, 3) for _ in range(3)], max_iter=0)
+            frechet_mean(spd_stack([random_spd(rng, 3) for _ in range(3)]))
 
     @given(log_c=st.floats(-8.0, 8.0), n=st.integers(2, 12), dim=st.integers(2, 6),
            seed=st.integers(0, 2**32 - 1))
