@@ -2,8 +2,9 @@
 on the manifold, tangent-space features feeding the SMO SVM, the four
 pipeline kinds, and the (order, lag, C, kernel) grid search.
 
-Fitted models are immutable; fitting never touches anything but the epochs
-it is handed, so grid-search scores are functions of the training split
+fold_scores is the one fit-and-score step of the inner CV and the outer
+splits. Fitted models are immutable; fitting never touches anything but the
+rows it is handed, so grid-search scores are functions of the training split
 alone.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import embedding as emb
 from . import svm
-from .covariance import AugmentedParams, EpochStack, covariance_stack, resolve_shrink
+from .covariance import AugmentedParams, EpochStack, covariance_stack
 from .errors import (
     AllCellsInvalid,
     EmptyClass,
@@ -99,26 +100,6 @@ def tangent_transform_many(ref_inv_sqrt: np.ndarray, covs: SpdStack) -> np.ndarr
 
 # -- the classifier head -------------------------------------------------
 
-def _head_inputs(kind, train, *others):
-    """(tangent map, head inputs of train and of each other stack). SVM kinds
-    fit the map on the training stack and feed the SVM each stack's tangent
-    features; MDM kinds have no map and feed MDM the stacks themselves."""
-    tmap = tangent_fit(train) if kind.endswith("SVM") else None
-    return tmap, [_map_to_head(tmap, covs) for covs in (train, *others)]
-
-
-def _map_to_head(tmap, covs):
-    return covs if tmap is None else tangent_transform_many(tmap, covs)
-
-
-def _fit_head(kind, x, y, c, kernel):
-    """Train a kind's head on its inputs: an SVM on tangent features, or MDM
-    on covariances."""
-    if kind.endswith("SVM"):
-        return svm_fit(x, y, c=c, kernel=kernel)
-    return mdm_fit(x, y)
-
-
 def _head_decision(model, x) -> np.ndarray:
     """Binary ranking scores of a trained SVM (on tangent features) or MDM
     (on covariances, distance to class 0 minus distance to class 1); larger
@@ -138,13 +119,36 @@ def _head_predict(model, x) -> np.ndarray:
 def score_split(model, x_test, y_test) -> tuple:
     """Score a test split: AUC of the decision against y == the model's
     second class when training saw two classes, else accuracy of the
-    predicted labels. Returns (value, metric); the inner CV and the outer
-    splits both score here."""
+    predicted labels. Returns (value, metric)."""
     classes = model.class_labels
     if len(classes) == 2:
         positive = np.asarray(y_test) == classes[1]
         return auc_roc(_head_decision(model, x_test), positive), "auc"
     return accuracy(_head_predict(model, x_test), y_test), "accuracy"
+
+
+def fold_scores(kind, covs_of, labels, train, test, heads) -> list:
+    """Fit one head per (C, kernel) of heads on the train rows and score the
+    test rows with score_split; returns one (value, metric) per head. The
+    inner CV and the outer splits both score here.
+
+    covs_of(rows) gives the SpdStack of those rows. SVM kinds fit the
+    tangent map on the training stack and feed the SVM tangent features;
+    MDM kinds feed MDM the stacks and ignore C and kernel. The training
+    stack is dropped before the test stack is built."""
+    uses_svm = kind.endswith("SVM")
+    x = covs_of(train)
+    if uses_svm:
+        ref_inv_sqrt = tangent_fit(x)
+        x = tangent_transform_many(ref_inv_sqrt, x)
+    y = labels[train]
+    models = [svm_fit(x, y, c=c, kernel=kernel) if uses_svm else mdm_fit(x, y)
+              for c, kernel in heads]
+    del x
+    x = covs_of(test)
+    if uses_svm:
+        x = tangent_transform_many(ref_inv_sqrt, x)
+    return [score_split(model, x, labels[test]) for model in models]
 
 
 # -- pipeline configuration ----------------------------------------------
@@ -207,33 +211,6 @@ class PipelineSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
-class FittedPipeline:
-    """Immutable trained pipeline state: the head's model, and the tangent
-    map that feeds it (tangent_fit's inverse square root; None for MDM
-    kinds)."""
-
-    params: AugmentedParams
-    shrink: bool
-    model: MdmModel | SvmModel
-    tangent_map: np.ndarray | None = None
-    grid_result: "GridSearchResult | None" = None
-    embedding_estimate: emb.EmbeddingEstimate | None = None
-
-    @property
-    def chosen_c(self) -> float | None:
-        return getattr(self.model, "C", None)
-
-    @property
-    def chosen_kernel(self) -> str | None:
-        return getattr(self.model, "kernel", None)
-
-    def score(self, epochs: EpochStack, labels) -> tuple:
-        """(value, metric) of the epochs under score_split."""
-        covs = covariance_stack(epochs, self.params, self.shrink)
-        return score_split(self.model, _map_to_head(self.tangent_map, covs), labels)
-
-
 # -- grid search ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -291,19 +268,6 @@ def stratified_folds(labels: np.ndarray, n_folds: int, seed, where: str = "the i
     return [(everything[fold_of != f], everything[fold_of == f]) for f in range(n_folds)]
 
 
-def _score_cell(kind, covs, labels, folds, param_grid):
-    """Inner-CV fold scores of one (order, lag) cell, one list per (C, kernel)."""
-    # the tangent map depends on (order, lag, fold) only, so each fold's head
-    # inputs are built once and reused for every (C, kernel)
-    fold_inputs = [(_head_inputs(kind, covs[train], covs[test])[1], labels[train], labels[test])
-                   for train, test in folds]
-    return [
-        [score_split(_fit_head(kind, x_train, y_train, c, kernel), x_test, y_test)[0]
-         for (x_train, x_test), y_train, y_test in fold_inputs]
-        for c, kernel in param_grid
-    ]
-
-
 def grid_search(
     epochs: EpochStack,
     labels,
@@ -345,12 +309,16 @@ def grid_search(
                 for c, kernel in param_grid:
                     cells.append(GridCell(order, lag, c, kernel, None, 0))
                 continue
-            param_scores = _score_cell(kind, covs, labels, folds, param_grid)
+            # folds outside, heads inside: one fold's head inputs at a time
+            param_scores = list(zip(*(
+                [value for value, _ in fold_scores(kind, covs.__getitem__, labels,
+                                                   train, test, param_grid)]
+                for train, test in folds)))
             if order == 1:
                 order1_scores = param_scores
-        for (c, kernel), fold_scores in zip(param_grid, param_scores):
-            score = float(np.mean(fold_scores))
-            cell = GridCell(order, lag, c, kernel, score, len(fold_scores))
+        for (c, kernel), scores in zip(param_grid, param_scores):
+            score = float(np.mean(scores))
+            cell = GridCell(order, lag, c, kernel, score, len(scores))
             cells.append(cell)
             if best is None or score > best[0]:
                 best = (score, cell)
@@ -367,46 +335,28 @@ def grid_search(
                             tuple(cells), tuple(ties))
 
 
-# -- pipeline fitting -----------------------------------------------------
+# -- parameter selection --------------------------------------------------
 
-def _resolve_params(spec: PipelineSpec, epochs, labels, seed):
-    """Pick (order, lag, C, kernel) per the configured source; returns
-    (params, c, kernel, grid_result, embedding_estimate). The inner-CV grid
-    search runs only when the source leaves more than one candidate."""
-    estimate = None
+def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0):
+    """Pick (order, lag, C, kernel) on a training split per the spec's
+    source; returns (params, c, kernel, grid_result), with C and kernel None
+    for MDM kinds and grid_result None when nothing was searched. The
+    inner-CV grid search runs only when the source leaves more than one
+    candidate."""
     if spec.param_source in emb.METHODS:
         estimate = emb.estimate(epochs, spec.param_source)
-
-    if estimate is not None:
         orders, lags = (estimate.dim,), (estimate.tau,)
     elif spec.is_augmented and spec.param_source == "grid":
         orders, lags = spec.grid_orders, spec.grid_lags
-    elif spec.is_augmented:
+    else:  # fixed, or a plain kind, whose spec pins order = lag = 1
         orders, lags = (spec.order,), (spec.lag,)
-    else:
-        orders, lags = (1,), (1,)
     # a fixed source fixes an SVM's C and kernel; any other searches the table
     svm_search = spec.uses_svm and spec.param_source != "fixed"
     if len(orders) * len(lags) == 1 and not svm_search:
-        return (AugmentedParams(orders[0], lags[0]), spec.svm_c, spec.svm_kernel,
-                None, estimate)
+        c, kernel = (spec.svm_c, spec.svm_kernel) if spec.uses_svm else (None, None)
+        return AugmentedParams(orders[0], lags[0]), c, kernel, None
     grid = grid_search(
         epochs, labels, spec.kind, orders=orders, lags=lags,
         inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
     )
-    return (AugmentedParams(grid.best_order, grid.best_lag), grid.best_c,
-            grid.best_kernel, grid, estimate)
-
-
-def fit_pipeline(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0) -> FittedPipeline:
-    """Train one pipeline on an EpochStack with integer labels."""
-    labels = _check_labels(len(epochs), labels)
-    params, c, kernel, grid_result, estimate = _resolve_params(
-        spec, epochs, labels, seed
-    )
-    shrink = resolve_shrink(spec.shrink, params)
-
-    tmap, (x,) = _head_inputs(spec.kind, covariance_stack(epochs, params, shrink))
-    return FittedPipeline(params=params, shrink=shrink,
-                          model=_fit_head(spec.kind, x, labels, c, kernel), tangent_map=tmap,
-                          grid_result=grid_result, embedding_estimate=estimate)
+    return AugmentedParams(grid.best_order, grid.best_lag), grid.best_c, grid.best_kernel, grid

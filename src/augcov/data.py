@@ -93,15 +93,18 @@ def _hold(epoch_set: EpochSet, whole: EpochStack, sessions) -> EpochSet:
     """Check the names and labels and make epoch_set hold whole, each session
     of (id, labels) pairs a slice of it in order. The names are strings, as
     read_epochset requires, and the ids name output files, so they must be
-    unique and free of path separators."""
+    free of path separators and unique once a file name writes ':' as '_'
+    (as the grid maps' names do)."""
     if not len(whole):
         raise InvalidEpoch("EpochSet needs at least one epoch")
     ids = [session_id for session_id, _ in sessions]
     if not all(isinstance(name, str) for name in [epoch_set.subject, *epoch_set.class_names, *ids]):
         raise InvalidEpoch("the subject, the class names and the session ids must be strings")
-    for session_id in ids:
-        if ids.count(session_id) > 1:
-            raise InvalidEpoch(f"session id {session_id!r} is not unique")
+    stems = [session_id.replace(":", "_") for session_id in ids]
+    for session_id, stem in zip(ids, stems):
+        if stems.count(stem) > 1:
+            raise InvalidEpoch(f"session id {session_id!r} is not unique in file names, "
+                               f"where ':' is written '_'")
         if "/" in session_id or "\\" in session_id:
             raise InvalidEpoch(f"session id {session_id!r} holds a path separator")
     n_classes = len(epoch_set.class_names)

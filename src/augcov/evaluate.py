@@ -21,7 +21,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .classify import PipelineSpec, fit_pipeline, stratified_folds
+from .classify import PipelineSpec, fold_scores, select_params, stratified_folds
+from .covariance import covariance_stack
 from .data import EpochSet
 from .errors import (
     AllZeroDiffs,
@@ -173,26 +174,21 @@ def _cs_splits(epoch_set: EpochSet, seed: int):
 
 
 def _score_split(epochs, labels, spec: PipelineSpec, split):
-    """Fit on the split's train rows, score its test rows; returns
-    (SplitScore, timing rows, grid search result or None)."""
+    """Select the parameters on the split's train rows, then fit on them and
+    score its test rows; returns (SplitScore, timing rows, grid search result
+    or None)."""
     session_id, split_id, train, test, seed = split
     start = perf_counter()
-    fitted = fit_pipeline(spec, epochs[train], labels[train], seed=seed)
-    fitted_at = perf_counter()
-    value, metric = fitted.score(epochs[test], labels[test])
-    score = SplitScore(
-        session=session_id,
-        split=split_id,
-        score=value,
-        metric=metric,
-        order=fitted.params.order,
-        lag=fitted.params.lag,
-        svm_c=fitted.chosen_c,
-        svm_kernel=fitted.chosen_kernel,
-    )
-    timings = [(session_id, split_id, "fit", fitted_at - start),
-               (session_id, split_id, "predict", perf_counter() - fitted_at)]
-    return score, timings, fitted.grid_result
+    params, c, kernel, grid = select_params(spec, epochs[train], labels[train], seed)
+    selected_at = perf_counter()
+    ((value, metric),) = fold_scores(
+        spec.kind, lambda rows: covariance_stack(epochs[rows], params, spec.shrink),
+        labels, train, test, [(c, kernel)])
+    score = SplitScore(session=session_id, split=split_id, score=value, metric=metric,
+                       order=params.order, lag=params.lag, svm_c=c, svm_kernel=kernel)
+    timings = [(session_id, split_id, "select", selected_at - start),
+               (session_id, split_id, "fit_score", perf_counter() - selected_at)]
+    return score, timings, grid
 
 
 _worker_args = None  # (epochs, labels, spec) of the evaluation a pool worker serves

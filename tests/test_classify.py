@@ -5,15 +5,17 @@ from augcov.classify import (
     PARAM_SOURCES,
     PIPELINE_KINDS,
     PipelineSpec,
-    fit_pipeline,
+    fold_scores,
     grid_search,
     mdm_fit,
     mdm_predict,
+    select_params,
     stratified_folds,
     tangent_fit,
     tangent_transform_many,
 )
-from augcov.covariance import EpochStack, covariance_stack
+from augcov import embedding as emb
+from augcov.covariance import AugmentedParams, EpochStack, covariance_stack
 from augcov.data import ArSpec, generate_ar_dataset
 from augcov.errors import (
     AllCellsInvalid,
@@ -23,7 +25,7 @@ from augcov.errors import (
     TooFewSamples,
 )
 from augcov.spd import SpdMatrix, SpdStack, frechet_mean, symm_fn
-from augcov.svm import svm_decision
+from augcov.svm import KERNELS
 
 from conftest import pair_distance, random_spd, random_symmetric, spd_stack
 
@@ -291,9 +293,8 @@ class TestGridSearch:
 @pytest.mark.parametrize("fit", [
     lambda epochs, labels: grid_search(epochs, labels, "MDM", orders=(1,), lags=(1, 2),
                                        inner_folds=2),
-    lambda epochs, labels: fit_pipeline(PipelineSpec(kind="ACM+MDM", order=2), epochs, labels),
     lambda epochs, labels: mdm_fit(spd_stack([np.eye(2)] * len(epochs)), labels),
-], ids=["grid_search", "fit_pipeline", "mdm_fit"])
+], ids=["grid_search", "mdm_fit"])
 def test_label_count_other_than_sample_count_is_length_mismatch(fit):
     epochs, labels = ar_two_class_set(seed=6, epochs_per_class=4, t=32).all_epochs()
     for wrong in (labels[:-1], np.append(labels, 0)):
@@ -302,36 +303,53 @@ def test_label_count_other_than_sample_count_is_length_mismatch(fit):
             fit(epochs, wrong)
 
 
+def split_scores(spec, epochs, labels, seed=0):
+    """evaluate's route on one split whose train and test rows are every
+    row: select_params, then fold_scores with each row set's stack built at
+    the chosen params and the spec's shrink. Returns (select_params' result,
+    the split's (value, metric))."""
+    selected = select_params(spec, epochs, labels, seed)
+    params, c, kernel = selected[:3]
+    rows = np.arange(len(epochs))
+    ((value, metric),) = fold_scores(
+        spec.kind, lambda r: covariance_stack(epochs[r], params, spec.shrink),
+        labels, rows, rows, [(c, kernel)])
+    return selected, (value, metric)
+
+
 class TestFitPipeline:
+    """Parameter selection and the split's fit and score, as evaluate runs
+    them: select_params, then fold_scores."""
+
     def test_fixed_acm_mdm(self):
         epoch_set = ar_two_class_set(seed=11)
         epochs, labels = epoch_set.all_epochs()
         spec = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=2, lag=1)
-        fitted = fit_pipeline(spec, epochs, labels, seed=0)
-        assert fitted.params.order == 2
-        assert fitted.shrink is True
-        covs = covariance_stack(epochs, fitted.params, fitted.shrink)
-        preds = mdm_predict(fitted.model, covs)[0]
-        assert np.mean(preds == labels) > 0.9
+        (params, c, kernel, grid), (value, metric) = split_scores(spec, epochs, labels)
+        assert (params.order, params.lag, c, kernel, grid) == (2, 1, None, None, None)
+        # the route shrinks at order 2
+        np.testing.assert_array_equal(covariance_stack(epochs, params, spec.shrink).values,
+                                      covariance_stack(epochs, params, True).values)
+        assert metric == "auc" and value > 0.9
 
     def test_plain_mdm_order_one_no_shrink(self):
         epoch_set = ar_two_class_set(seed=12)
         epochs, labels = epoch_set.all_epochs()
-        fitted = fit_pipeline(PipelineSpec(kind="MDM"), epochs, labels, seed=0)
-        assert fitted.params.order == 1 and fitted.params.lag == 1
-        assert fitted.shrink is False
+        spec = PipelineSpec(kind="MDM")
+        params = select_params(spec, epochs, labels, seed=0)[0]
+        assert params.order == 1 and params.lag == 1
+        np.testing.assert_array_equal(covariance_stack(epochs, params, spec.shrink).values,
+                                      covariance_stack(epochs, params, False).values)
 
     def test_tang_svm_grid_selects_from_table(self):
         epoch_set = ar_two_class_set(seed=13)
         epochs, labels = epoch_set.all_epochs()
         spec = PipelineSpec(kind="TANG+SVM", param_source="grid")
-        fitted = fit_pipeline(spec, epochs, labels, seed=1)
-        assert fitted.chosen_c in (0.5, 1.0, 1.5)
-        assert fitted.chosen_kernel in ("linear", "rbf")
-        assert fitted.grid_result is not None
-        features = tangent_transform_many(fitted.tangent_map,
-                                          covariance_stack(epochs, fitted.params, fitted.shrink))
-        assert svm_decision(fitted.model, features).shape == (len(epochs),)
+        (_, c, kernel, grid), (value, metric) = split_scores(spec, epochs, labels, seed=1)
+        assert c in (0.5, 1.0, 1.5)
+        assert kernel in KERNELS
+        assert grid is not None and (grid.best_c, grid.best_kernel) == (c, kernel)
+        assert metric == "auc" and 0.0 <= value <= 1.0
 
     def test_acm_grid_pipeline(self):
         epoch_set = ar_two_class_set(seed=14, epochs_per_class=20, t=128)
@@ -340,9 +358,9 @@ class TestFitPipeline:
             kind="ACM+MDM", param_source="grid",
             grid_orders=(1, 2), grid_lags=(1, 2), inner_folds=3,
         )
-        fitted = fit_pipeline(spec, epochs, labels, seed=2)
+        params = select_params(spec, epochs, labels, seed=2)[0]
         cells = [(o, l) for o in (1, 2) for l in (1, 2)]
-        assert (fitted.params.order, fitted.params.lag) in cells
+        assert (params.order, params.lag) in cells
 
     def test_estimator_source_rejected_for_plain(self):
         with pytest.raises(ValueError):
@@ -388,8 +406,9 @@ def test_a_setting_the_source_ignores_is_rejected(kind, source, field):
 ])
 def test_inner_cv_cell_is_the_fitted_pipeline_score(kind, grid):
     """A grid cell's inner-CV score is, exactly, the mean over the search's
-    folds of what fit_pipeline with that cell as fixed settings scores on
-    the held-out fold: the two paths train and score one head alike."""
+    folds of what fold_scores gives for that cell's (C, kernel) alone, with
+    each fold's stacks built from its own epochs: indexing one cell stack
+    scores as building the stacks per split does, bit for bit."""
     epoch_set = generate_ar_dataset(ArSpec(
         coefficients=[[], [[[0.0, -0.2], [0.2, 0.0]]]],
         innovations=[np.eye(2), 0.96 * np.eye(2)],
@@ -401,15 +420,30 @@ def test_inner_cv_cell_is_the_fitted_pipeline_score(kind, grid):
     n_cells = len(grid["orders"]) * len(grid["lags"])
     assert len(result.cells) == n_cells * (6 if kind.endswith("SVM") else 1)
     for cell in result.cells:
-        settings = {}  # the fixed settings the kind reads; at order 1 the lag is moot
-        if kind.startswith("ACM"):
-            settings.update(order=cell.order, lag=cell.lag)
-        if kind.endswith("SVM"):
-            settings.update(svm_c=cell.c, svm_kernel=cell.kernel)
-        spec = PipelineSpec(kind=kind, **settings)
-        scores = [fit_pipeline(spec, epochs[train], labels[train])
-                  .score(epochs[test], labels[test])[0] for train, test in folds]
+        params = AugmentedParams(cell.order, cell.lag)
+        scores = [fold_scores(kind, lambda rows: covariance_stack(epochs[rows], params),
+                              labels, train, test, [(cell.c, cell.kernel)])[0][0]
+                  for train, test in folds]
         assert cell.score == float(np.mean(scores))
+
+
+def test_inner_cv_memory_stays_near_one_cell_stack():
+    """The ACM+MDM inner CV holds one fold's sub-stacks at a time, next to
+    the cell stack, not a copy of the cell stack per fold: its tracemalloc
+    peak stays under 3 cell stacks."""
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    epochs = EpochStack(rng.standard_normal((100, 6, 64)), 250.0)
+    labels = np.repeat([0, 1], 50)
+    cell_bytes = covariance_stack(epochs, AugmentedParams(6, 1)).values.nbytes
+    tracemalloc.start()
+    try:
+        grid_search(epochs, labels, "ACM+MDM", orders=(5, 6), lags=(1,), inner_folds=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cell_bytes, (peak, cell_bytes)
 
 
 class TestGridSearchInvariants:
@@ -438,26 +472,25 @@ class TestEstimatorParamSources:
         epoch_set = ar_two_class_set(seed=31, epochs_per_class=10, t=256)
         epochs, labels = epoch_set.all_epochs()
         spec = PipelineSpec(kind="ACM+MDM", param_source="ami_cao")
-        fitted = fit_pipeline(spec, epochs, labels, seed=3)
-        assert fitted.embedding_estimate is not None
-        assert fitted.params.order == fitted.embedding_estimate.dim
-        assert fitted.params.lag == fitted.embedding_estimate.tau
-        assert (fitted.params.order - 1) * fitted.params.lag < 256
-        value, metric = fitted.score(epochs, labels)
+        (params, _, _, _), (value, metric) = split_scores(spec, epochs, labels, seed=3)
+        estimate = emb.estimate(epochs, "ami_cao")
+        assert params.order == estimate.dim
+        assert params.lag == estimate.tau
+        assert (params.order - 1) * params.lag < 256
         assert metric == "auc" and 0.0 <= value <= 1.0
 
     def test_mdop_source_selects_svm_params_from_grid(self):
         epoch_set = ar_two_class_set(seed=32, epochs_per_class=10, t=256)
         epochs, labels = epoch_set.all_epochs()
         spec = PipelineSpec(kind="ACM+TANG+SVM", param_source="mdop", inner_folds=3)
-        fitted = fit_pipeline(spec, epochs, labels, seed=4)
-        assert fitted.embedding_estimate is not None
-        assert fitted.embedding_estimate.method == "mdop"
-        assert fitted.chosen_c in (0.5, 1.0, 1.5)
-        assert fitted.chosen_kernel in ("linear", "rbf")
-        features = tangent_transform_many(fitted.tangent_map,
-                                          covariance_stack(epochs, fitted.params, fitted.shrink))
-        assert np.all(np.isfinite(svm_decision(fitted.model, features)))
+        (params, c, kernel, grid), (value, metric) = split_scores(spec, epochs, labels, seed=4)
+        estimate = emb.estimate(epochs, "mdop")
+        assert estimate.method == "mdop"
+        assert (params.order, params.lag) == (estimate.dim, estimate.tau)
+        assert c in (0.5, 1.0, 1.5)
+        assert kernel in KERNELS
+        assert grid is not None
+        assert metric == "auc" and np.isfinite(value)
 
 
 def test_mdm_predict_dimension_mismatch(rng):
@@ -469,7 +502,7 @@ def test_mdm_predict_dimension_mismatch(rng):
 
 
 class TestGridSearchOnlyWhenThereIsAChoice:
-    """_resolve_params runs the inner-CV search exactly when its source
+    """select_params runs the inner-CV search exactly when its source
     leaves more than one (order, lag, C, kernel) candidate."""
 
     CASES = [
@@ -510,16 +543,18 @@ class TestGridSearchOnlyWhenThereIsAChoice:
             settings = {}
         spec = PipelineSpec(kind=kind, param_source=source, inner_folds=3, **settings)
         epochs, labels = ar_two_class_set(seed=50, epochs_per_class=6, t=64).all_epochs()
-        fitted = fit_pipeline(spec, epochs, labels, seed=1)
+        params, c, kernel, grid_result = select_params(spec, epochs, labels, seed=1)
 
         n_cells = len(grid[0]) * len(grid[1]) if grid is not None else 1
         n_svm = 6 if kind.endswith("SVM") and source != "fixed" else 1
         searched = n_cells * n_svm > 1
         assert len(calls) == (1 if searched else 0)
-        assert (fitted.grid_result is not None) == searched
+        assert (grid_result is not None) == searched
         expected = {"fixed": (2, 3) if kind.startswith("ACM") else (1, 1),
                     "ami_cao": (2, 2), "mdop": (2, 2)}.get(source)
         if expected is not None:
-            assert (fitted.params.order, fitted.params.lag) == expected
+            assert (params.order, params.lag) == expected
         if kind.endswith("SVM") and not searched:
-            assert (fitted.chosen_c, fitted.chosen_kernel) == (1.0, "linear")
+            assert (c, kernel) == (1.0, "linear")
+        if not kind.endswith("SVM"):
+            assert (c, kernel) == (None, None)

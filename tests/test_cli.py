@@ -717,6 +717,9 @@ BAD_SPEC_FIELDS = {
     # of one name, and a separator failed after report.json was written
     ("container", lambda m: _set(m, "session0", "sessions", 1, "id"), "InvalidEpoch"),
     ("container", lambda m: _set(m, "day1/am", "sessions", 1, "id"), "InvalidEpoch"),
+    # ids a:b and a_b both named their maps gridmap_a_b_*, one overwriting the other
+    ("container", lambda m: _set(_set(m, "a:b", "sessions", 0, "id"), "a_b", "sessions", 1, "id"),
+     "InvalidEpoch"),
     ("report", lambda r: _drop(r, "subject"), "FormatError"),
     ("report", lambda r: _drop(r, "scores", 0, "lag"), "FormatError"),
     ("report", lambda r: [r], "PairingViolation"),
@@ -732,6 +735,7 @@ BAD_SPEC_FIELDS = {
     *[("spec", _spec_json(**fields), "UnstableSpec") for fields in BAD_SPEC_FIELDS.values()],
 ], ids=["container-without-labels", "container-null-label", "container-sessions-not-list",
         "container-repeated-session-id", "container-session-id-with-slash",
+        "container-session-ids-one-file-name",
         "report-without-subject", "report-score-without-lag", "report-json-list",
         "report-score-string", "report-score-null", "report-score-bool", "report-score-nan",
         "report-version-99", "report-without-version",

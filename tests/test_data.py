@@ -402,18 +402,23 @@ class TestContainer:
 
     @pytest.mark.parametrize("second_id,match", [
         ("s0", "'s0' is not unique"), ("day1/am", "'day1/am' holds a path separator"),
-        ("day1\\am", "holds a path separator")])
+        ("day1\\am", "holds a path separator"),
+        ("s_0", "'s:0' is not unique in file names, where ':' is written '_'")])
     def test_session_ids_are_unique_file_names(self, tmp_path, second_id, match):
-        """Session ids name the grid maps of a run, so a repeated id or one
-        with a path separator is refused when the set is built or read."""
+        """Session ids name the grid maps of a run, which write ':' as '_', so
+        a repeated id, two ids that differ only in ':' and '_', or an id with
+        a path separator is refused when the set is built or read."""
+        first_id = "s:0" if second_id == "s_0" else "s0"  # s_0 meets its ':' twin
         sessions = self.make_set().sessions
         with pytest.raises(InvalidEpoch, match=match):
-            EpochSet("s", [sessions[0], Session(second_id, sessions[1].epochs, [0, 1, 0, 1])],
-                         ["left", "right"])
+            EpochSet("s", [Session(first_id, sessions[0].epochs, [0, 1, 0, 1]),
+                           Session(second_id, sessions[1].epochs, [0, 1, 0, 1])],
+                     ["left", "right"])
         path = tmp_path / "set.acm"
         write_epochset(self.make_set(), path)
         header, payload = path.read_bytes().split(b"\n", 1)
         manifest = json.loads(header)
+        manifest["sessions"][0]["id"] = first_id
         manifest["sessions"][1]["id"] = second_id
         path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
         with pytest.raises(InvalidEpoch, match=match):

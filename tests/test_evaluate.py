@@ -232,21 +232,21 @@ class TestSplitRunner:
                                       Session("small", small.epochs, small.labels)],
                              ["a", "b"])
 
-        def fit_pipeline(*args, **kwargs):
+        def select_params(*args, **kwargs):
             raise AssertionError("a split was fitted before every session was checked")
 
-        monkeypatch.setattr(evaluate, "fit_pipeline", fit_pipeline)
+        monkeypatch.setattr(evaluate, "select_params", select_params)
         with pytest.raises(TooFewSamples, match="'small'"):
             within_session_eval(epoch_set, MDM, folds=3, seed=0)
 
 
 class TestTimingProfile:
-    def test_one_fit_and_one_predict_row_per_split(self):
+    def test_one_select_and_one_fit_score_row_per_split(self):
         report = within_session_eval(separable_set(n_sessions=2), MDM, folds=3, seed=0)
         splits = [(s.session, s.split) for s in report.scores]
         assert len(splits) == 6
         assert [row[:3] for row in report.timings] == [
-            (*split, stage) for split in splits for stage in ("fit", "predict")]
+            (*split, stage) for split in splits for stage in ("select", "fit_score")]
         assert all(row[3] >= 0.0 for row in report.timings)
 
 
@@ -423,10 +423,12 @@ class TestSettingsBoundary:
 
 class TestWorkOrderSweep:
     def test_eigendecomposition_work_grows_with_order(self, monkeypatch):
-        """Fit plus scoring of ACM+MDM does more work at every higher order,
-        counted as n * k^3 summed over the stacked eigh and eigvalsh calls
-        on n matrices of dimension k: a count, so host speed cannot move it."""
-        from augcov.classify import fit_pipeline
+        """Fit plus scoring of ACM+MDM (fold_scores, training and scoring on
+        every row) does more work at every higher order, counted as n * k^3
+        summed over the stacked eigh and eigvalsh calls on n matrices of
+        dimension k: a count, so host speed cannot move it."""
+        from augcov.classify import fold_scores
+        from augcov.covariance import AugmentedParams, covariance_stack
 
         work = [0]
 
@@ -443,8 +445,9 @@ class TestWorkOrderSweep:
         totals = []
         for order in range(1, 7):
             work[0] = 0
-            spec = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=order, lag=1)
-            fit_pipeline(spec, epochs, labels, seed=0).score(epochs, labels)
+            params, rows = AugmentedParams(order, 1), np.arange(len(epochs))
+            fold_scores("ACM+MDM", lambda r: covariance_stack(epochs[r], params),
+                        labels, rows, rows, [(None, None)])
             totals.append(work[0])
         assert all(b > a for a, b in zip(totals, totals[1:])), totals
 

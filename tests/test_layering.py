@@ -5,7 +5,7 @@ the package imports are the runtime dependencies pyproject.toml declares;
 each public name has one import path, its defining module; each public
 function or class, and each public method or property of a public class,
 has a caller in the package, the README Library snippet or the benchmark;
-and every augcov name the benchmark uses exists."""
+and every augcov name the benchmark uses, or the README quotes, exists."""
 
 import ast
 import functools
@@ -211,6 +211,37 @@ def test_the_check_sees_a_missing_benchmark_name():
                     "augcov.cli.main", "augcov.cli.lost", "augcov.data.missing"}
     assert sorted(name for name in used if not resolves(name)) == [
         "augcov.cli.lost", "augcov.data.missing", "augcov.spd.gone"]
+
+
+def readme_module_names(text: str) -> set:
+    """augcov.<module>.<name...> of each `module.name` that the text quotes
+    in backticks outside code blocks, with or without the augcov prefix and
+    maybe with a call after the name, such as `embedding.estimate(epochs)`."""
+    modules = "|".join(path.stem for path in PACKAGE.glob("*.py") if path.stem[0] != "_")
+    pattern = re.compile(rf"(?:augcov\.)?((?:{modules})(?:\.\w+)+)")
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    return {f"augcov.{match.group(1)}" for quoted in re.findall(r"`([^`]+)`", prose)
+            if (match := pattern.match(quoted))}
+
+
+def test_every_module_name_the_readme_quotes_exists():
+    """A README sentence that quotes `module.name` goes stale when the name
+    is renamed or deleted, so each such name must resolve."""
+    quoted = readme_module_names(README.read_text())
+    assert {"augcov.spd.MEAN_TOL", "augcov.classify.stratified_folds",
+            "augcov.covariance.resolve_shrink", "augcov.embedding.estimate"} <= quoted
+    assert sorted(name for name in quoted if not resolves(name)) == []
+
+
+def test_the_check_sees_a_stale_readme_name():
+    text = ("Call `classify.fit_model(spec,\nepochs)`, read `spd.MEAN_TOL` and\n"
+            "```sh\nsvm.gone `x`\n```\n"
+            "`augcov.cli.main`; `PipelineSpec.name`, `other.x` and spd.gone name no module.\n")
+    quoted = readme_module_names(text)
+    assert quoted == {"augcov.classify.fit_model", "augcov.spd.MEAN_TOL",
+                      "augcov.cli.main"}
+    assert sorted(name for name in quoted if not resolves(name)) == [
+        "augcov.classify.fit_model"]
 
 
 LIBRARY = ("classify", "covariance", "data", "embedding", "errors", "evaluate", "spd",
