@@ -337,14 +337,16 @@ def grid_search(
 
 # -- parameter selection --------------------------------------------------
 
-def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0):
-    """Pick (order, lag, C, kernel) on a training split per the spec's
-    source; returns (params, c, kernel, grid_result), with C and kernel None
-    for MDM kinds and grid_result None when nothing was searched. The
-    inner-CV grid search runs only when the source leaves more than one
-    candidate."""
+def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0,
+                  rows=slice(None)):
+    """Pick (order, lag, C, kernel) on a training split, the epochs and
+    labels at rows, per the spec's source; returns (params, c, kernel,
+    grid_result), with C and kernel None for MDM kinds and grid_result None
+    when nothing was searched. The rows are indexed only when an estimator
+    or the inner-CV grid search reads them, and the search runs only when
+    the source leaves more than one candidate."""
     if spec.param_source in emb.METHODS:
-        estimate = emb.estimate(epochs, spec.param_source)
+        estimate = emb.estimate(epochs[rows], spec.param_source)
         orders, lags = (estimate.dim,), (estimate.tau,)
     elif spec.is_augmented and spec.param_source == "grid":
         orders, lags = spec.grid_orders, spec.grid_lags
@@ -356,7 +358,7 @@ def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0)
         c, kernel = (spec.svm_c, spec.svm_kernel) if spec.uses_svm else (None, None)
         return AugmentedParams(orders[0], lags[0]), c, kernel, None
     grid = grid_search(
-        epochs, labels, spec.kind, orders=orders, lags=lags,
+        epochs[rows], np.asarray(labels)[rows], spec.kind, orders=orders, lags=lags,
         inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
     )
     return AugmentedParams(grid.best_order, grid.best_lag), grid.best_c, grid.best_kernel, grid

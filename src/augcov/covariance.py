@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEpoch, LagTooLarge, check_integer, check_positive
-from .spd import SpdMatrix, SpdStack, sym
+from .spd import SpdMatrix, SpdStack, pack, sym
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,10 @@ def resolve_shrink(shrink: bool | None, params: AugmentedParams) -> bool:
 def covariance_stack(epochs: EpochStack, params: AugmentedParams,
                      shrink: bool | None = None) -> SpdStack:
     """The augmented covariances of an EpochStack as one SpdStack, checked
-    once; augmented_covariance is the one-epoch case. shrink goes through
-    resolve_shrink. Unshrunk, it warns when the embedded epoch has no more
-    samples than rows."""
+    once; augmented_covariance is the one-epoch case. Each covariance is
+    exactly symmetric and goes straight into its packed row, so no full
+    (n, k, k) stack is made. shrink goes through resolve_shrink. Unshrunk,
+    it warns when the embedded epoch has no more samples than rows."""
     shrink = resolve_shrink(shrink, params)
     values = epochs.values
     _, d, t = values.shape
@@ -171,13 +172,14 @@ def covariance_stack(epochs: EpochStack, params: AugmentedParams,
     if not shrink and width <= k:
         warnings.warn(f"epoch has T={width} samples for d={k} channels; covariance "
                       f"may be rank-deficient, consider shrinkage", stacklevel=2)
-    out, lams = np.empty((len(values), k, k)), np.zeros(len(values))
+    out = np.empty((len(values), k * (k + 1) // 2))
+    lams, traces = np.zeros(len(values)), np.empty(len(values))
     for i, x in enumerate(values):
-        out[i], lams[i] = _covariance(embed_epoch(x, params), shrink)
+        c, lams[i] = _covariance(embed_epoch(x, params), shrink)
+        out[i], traces[i] = pack(c), np.trace(c)
     # Ledoit-Wolf bounds: a shrunk matrix keeps tr C and has lambda_max <= tr C
     # and lambda_min >= lam * tr C / k, less the gram's rounding (at most
     # width * eps * tr C). An unshrunk one (lam = 0) gets no lower bound.
-    traces = np.trace(out, axis1=1, axis2=2)
     lower = traces * (lams / k - (width + k) * np.finfo(float).eps)
     return SpdStack.bounded(out, lower, traces)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -328,52 +329,57 @@ def write_epochset(epoch_set: EpochSet, path) -> None:
 
 
 def read_epochset(path) -> EpochSet:
-    """Read a container written by write_epochset; lossless inverse."""
+    """Read a container written by write_epochset; lossless inverse. The
+    payload is read straight into the stack's array, sized from the
+    manifest, so it is held once; its length on disk comes from fstat."""
     with open(path, "rb") as fh:
         header = fh.readline()
-        payload = fh.read()
-    if not header.endswith(b"\n"):
-        raise FormatError("missing newline-terminated manifest line", offset=len(header))
-    try:
-        manifest = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}", offset=0) from exc
+        if not header.endswith(b"\n"):
+            raise FormatError("missing newline-terminated manifest line", offset=len(header))
+        try:
+            manifest = json.loads(header.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"manifest is not valid JSON: {exc}", offset=0) from exc
 
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
-        raise FormatError(f"not an {FORMAT_NAME} container", offset=0)
-    version = manifest.get("version")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise VersionUnsupported(f"container version {version!r} unsupported, "
-                                 f"expected {FORMAT_VERSION}")
-    for key in ("subject", "classes", "sample_rate", "sessions", "d", "T"):
-        if key not in manifest:
-            raise FormatError(f"manifest is missing the {key!r} section", offset=0)
+        if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
+            raise FormatError(f"not an {FORMAT_NAME} container", offset=0)
+        version = manifest.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise VersionUnsupported(f"container version {version!r} unsupported, "
+                                     f"expected {FORMAT_VERSION}")
+        for key in ("subject", "classes", "sample_rate", "sessions", "d", "T"):
+            if key not in manifest:
+                raise FormatError(f"manifest is missing the {key!r} section", offset=0)
 
-    d, t, rate, classes = (manifest[key] for key in ("d", "T", "sample_rate", "classes"))
-    try:
-        sessions = [(s["id"], s["n_epochs"], list(s["labels"])) for s in manifest["sessions"]]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"manifest has a missing or malformed field "
-                          f"({type(exc).__name__}: {exc})", offset=0) from exc
-    check_positive("manifest sample_rate", rate, FormatError)
-    strings = [manifest["subject"], *(session_id for session_id, _, _ in sessions)]
-    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes + strings)):
-        raise FormatError("manifest classes must be a list of strings, and the subject "
-                          "and session ids strings", offset=0)
-    check_integer("manifest d", d, 1, FormatError)
-    check_integer("manifest T", t, 1, FormatError)
-    for session_id, n, labels in sessions:
-        check_integer(f"session {session_id!r} n_epochs", n, 0, FormatError)
-        for label in labels:
-            check_integer(f"session {session_id!r} label", label, 0, FormatError)
-    total_epochs = sum(n for _, n, _ in sessions)
-    expected_bytes = total_epochs * d * t * 8
-    if len(payload) != expected_bytes:
+        d, t, rate, classes = (manifest[key] for key in ("d", "T", "sample_rate", "classes"))
+        try:
+            sessions = [(s["id"], s["n_epochs"], list(s["labels"])) for s in manifest["sessions"]]
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"manifest has a missing or malformed field "
+                              f"({type(exc).__name__}: {exc})", offset=0) from exc
+        check_positive("manifest sample_rate", rate, FormatError)
+        strings = [manifest["subject"], *(session_id for session_id, _, _ in sessions)]
+        if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes + strings)):
+            raise FormatError("manifest classes must be a list of strings, and the subject "
+                              "and session ids strings", offset=0)
+        check_integer("manifest d", d, 1, FormatError)
+        check_integer("manifest T", t, 1, FormatError)
+        for session_id, n, labels in sessions:
+            check_integer(f"session {session_id!r} n_epochs", n, 0, FormatError)
+            for label in labels:
+                check_integer(f"session {session_id!r} label", label, 0, FormatError)
+        total_epochs = sum(n for _, n, _ in sessions)
+        expected_bytes = total_epochs * d * t * 8
+        payload_bytes = os.fstat(fh.fileno()).st_size - len(header)
+        if payload_bytes == expected_bytes:
+            values = np.empty((total_epochs, d, t), dtype="<f8")
+            payload_bytes = fh.readinto(values.reshape(-1).view(np.uint8))
+    if payload_bytes != expected_bytes:
         raise FormatError(
-            f"payload holds {len(payload)} bytes but the manifest declares "
+            f"payload holds {payload_bytes} bytes but the manifest declares "
             f"{total_epochs} epochs of {d}x{t} float64 ({expected_bytes} bytes); "
             f"payload section truncated or inconsistent",
-            offset=len(header) + min(len(payload), expected_bytes),
+            offset=len(header) + min(payload_bytes, expected_bytes),
         )
     for session_id, n, labels in sessions:
         if len(labels) != n:
@@ -381,7 +387,6 @@ def read_epochset(path) -> EpochSet:
                 f"session {session_id!r} declares {n} epochs but {len(labels)} labels",
                 offset=0,
             )
-    stack = EpochStack(np.frombuffer(payload, dtype="<f8").reshape(total_epochs, d, t),
-                        float(rate))
+    stack = EpochStack(values, float(rate))
     return _split(manifest["subject"], stack,
                   [(session_id, labels) for session_id, _, labels in sessions], classes)

@@ -179,7 +179,7 @@ def _score_split(epochs, labels, spec: PipelineSpec, split):
     or None)."""
     session_id, split_id, train, test, seed = split
     start = perf_counter()
-    params, c, kernel, grid = select_params(spec, epochs[train], labels[train], seed)
+    params, c, kernel, grid = select_params(spec, epochs, labels, seed, rows=train)
     selected_at = perf_counter()
     ((value, metric),) = fold_scores(
         spec.kind, lambda rows: covariance_stack(epochs[rows], params, spec.shrink),

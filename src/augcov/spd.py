@@ -2,9 +2,10 @@
 matrices: affine-invariant distance, Frechet (geometric) mean, batched Log
 coordinates at a reference and symmetric matrix functions.
 
-Matrices travel as (n, k, k) stacks (SpdStack), checked once on
-construction; SpdMatrix is the one-matrix case. The check (the SPD gate) is
-one stacked eigvalsh; SpdStack.bounded lets a caller that can bound each
+Matrices travel as stacks (SpdStack) that store each matrix's upper
+triangle once, checked once on construction; SpdMatrix is the one-matrix
+case, a full (k, k) matrix. The check (the SPD gate) is one eigvalsh per
+block of the stack walk; SpdStack.bounded lets a caller that can bound each
 matrix's spectrum, as Ledoit-Wolf shrinkage does, skip it for the matrices
 whose bounds prove them positive definite by a wide margin. The hot paths
 share one batched step, _spectral: whiten a stack by a factor pair
@@ -20,19 +21,26 @@ whitening factor from step to step, so a pass costs one log
 eigendecomposition per matrix plus one exp for the step, and no iterate is
 decomposed or checked until the mean is returned.
 
-Memory model: one walk, _blocks, reads a stack in consecutive blocks of at
-most SPD_BLOCK_BYTES of matrices and applies _spectral to each. Its three
-consumers, the Frechet mean (_mean), the distances (distances_from) and the
-Log coordinates (log_coordinates), hold the live stack plus one block's
-working set (about four block-sized arrays) and small per-call matrices,
-whatever n is; the coordinates fill one preallocated row matrix. A class
-mean reads its rows block by block instead of copying them out. The walk
-changes no result: per-matrix steps do not depend on the block, and sums
-add one matrix at a time in stack order, as numpy's axis-0 sum does.
+Memory model: a stack of n matrices of size k holds n k(k+1)/2 floats,
+about half of n k^2, and no full (n, k, k) array of it is ever made. One
+walk, _blocks, reads a stack in consecutive blocks of at most
+SPD_BLOCK_BYTES of full matrices, unpacks each block by one gather and
+applies _spectral to it. Its consumers, the SPD gate, the Frechet mean
+(_mean), the distances (distances_from) and the Log coordinates
+(log_coordinates), hold the live packed stack plus one block's working set
+(the unpacked block and about four block-sized arrays) and small per-call
+matrices, whatever n is; the coordinates fill one preallocated row matrix.
+A class mean reads its rows block by block instead of copying them out.
+Neither the packing nor the walk changes a result: every stored matrix is
+exactly symmetric, so unpacking restores its bits, per-matrix steps do not
+depend on the block, and sums add one matrix at a time in stack order, as
+numpy's axis-0 sum does.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,15 +83,11 @@ def sym(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validated(values, what: str, positive: bool = True, certified=None) -> np.ndarray:
-    """Check an (n, k, k) stack once; return it, symmetrized if need be.
-
-    NotSymmetric when a matrix has |M - M^T|_F > SYM_RTOL * |M|_F; with
-    positive set, NotSPD unless lambda_min > EPS_SPD * lambda_max, found by
-    one stacked eigvalsh over the matrices that the boolean mask certified
-    does not mark as already proven positive definite. A "{i}" in `what`
-    names the first bad matrix in the message.
-    """
+def _symmetric(values, what: str) -> np.ndarray:
+    """An (n, k, k) float stack checked once for symmetry, symmetrized if
+    need be: NotSymmetric when a matrix is not square or has
+    |M - M^T|_F > SYM_RTOL * |M|_F. A "{i}" in `what` names the first bad
+    matrix in the message."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[1] != values.shape[2]:
         raise NotSymmetric(f"{what} must be square, got shape {values.shape[1:]}")
@@ -96,23 +100,67 @@ def _validated(values, what: str, positive: bool = True, certified=None) -> np.n
                 f"exceeds {SYM_RTOL:g} * |M|_F = {SYM_RTOL * scale[i]:.3e}"
             )
         values = sym(values)
-    gated = np.arange(len(values)) if certified is None else np.flatnonzero(~certified)
-    if positive and gated.size:
-        w = np.linalg.eigvalsh(values if certified is None else values[gated])
-        for j in np.flatnonzero((w[:, -1] <= 0.0) | (w[:, 0] <= EPS_SPD * w[:, -1]))[:1]:
-            raise NotSPD(
-                f"{what.format(i=gated[j])} is not positive definite: eigenvalue range "
-                f"[{w[j, 0]:.3e}, {w[j, -1]:.3e}] fails lambda_min > {EPS_SPD:g} * "
-                f"lambda_max; consider shrinkage for rank-deficient covariances"
-            )
     return values
 
 
-def _filled(obj, values):
-    """obj of a frozen matrix type around checked values, made read-only."""
+def _gate(w: np.ndarray, index, what: str) -> None:
+    """The SPD gate on ascending eigenvalue rows w: NotSPD unless
+    lambda_min > EPS_SPD * lambda_max, naming the first failing matrix by
+    its index[j] in `what`."""
+    for j in np.flatnonzero((w[:, -1] <= 0.0) | (w[:, 0] <= EPS_SPD * w[:, -1]))[:1]:
+        raise NotSPD(
+            f"{what.format(i=index[j])} is not positive definite: eigenvalue range "
+            f"[{w[j, 0]:.3e}, {w[j, -1]:.3e}] fails lambda_min > {EPS_SPD:g} * "
+            f"lambda_max; consider shrinkage for rank-deficient covariances"
+        )
+
+
+def _gated(stack: SpdStack, rows=None) -> SpdStack:
+    """stack, after the SPD gate on the matrices stack[rows] (all of them
+    when rows is None): one eigvalsh per block of the stack walk."""
+    index = np.arange(len(stack)) if rows is None else rows
+    if index.size:
+        for out, block in _blocks(stack, rows):
+            _gate(np.linalg.eigvalsh(block), index[out], "matrix {i} of the stack")
+    return stack
+
+
+@functools.cache
+def _triangle(dim: int):
+    """(upper, table) of dim x dim matrices: the flat indices of the upper
+    triangle in np.triu_indices order, and the (dim, dim) table of the
+    packed position of each entry, (i, j) and (j, i) alike."""
+    rows, cols = np.triu_indices(dim)
+    table = np.empty((dim, dim), dtype=np.intp)
+    table[rows, cols] = table[cols, rows] = np.arange(rows.size)
+    upper = rows * dim + cols
+    upper.setflags(write=False)
+    table.setflags(write=False)
+    return upper, table
+
+
+def pack(m: np.ndarray) -> np.ndarray:
+    """The upper triangle of a matrix, or of each matrix of a stack, as one
+    C-contiguous row per matrix in np.triu_indices order: the storage of
+    SpdStack.packed."""
+    dim = m.shape[-1]
+    return np.take(m.reshape(*m.shape[:-2], dim * dim), _triangle(dim)[0], axis=-1)
+
+
+def _unpacked(packed: np.ndarray, dim: int) -> np.ndarray:
+    """The C-contiguous (b, k, k) matrices of b packed rows, by one gather
+    through the dimension's table. The layout matters: numpy sums and
+    multiplies a stack in its memory order, so another layout would move
+    the last bits of a mean."""
+    return np.take(packed, _triangle(dim)[1], axis=1)
+
+
+def _filled(obj, values, dim=None):
+    """obj of a frozen matrix type around checked values, made read-only:
+    an SpdMatrix's (k, k) matrix, or an SpdStack's packed rows of size dim."""
     values.setflags(write=False)
-    object.__setattr__(obj, "values", values)
-    object.__setattr__(obj, "dim", values.shape[-1])
+    object.__setattr__(obj, "values" if isinstance(obj, SpdMatrix) else "packed", values)
+    object.__setattr__(obj, "dim", values.shape[-1] if dim is None else dim)
     return obj
 
 
@@ -126,38 +174,50 @@ class SpdMatrix:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        _filled(self, _validated(np.array(self.values, dtype=float)[None], "SpdMatrix input")[0])
+        values = _symmetric(np.array(self.values, dtype=float)[None], "SpdMatrix input")
+        _gate(np.linalg.eigvalsh(values), [0], "SpdMatrix input")
+        _filled(self, values[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpdStack:
-    """n SPD matrices of one size as one read-only (n, k, k) array, checked
-    once. A float64 array is held without a copy and made read-only, so a
-    stack costs its size once. An integer index gives an SpdMatrix view, an
-    index array or mask a sub-stack; iterating yields SpdMatrix items."""
+    """n SPD matrices of one size k, checked once and stored once: packed is
+    one read-only (n, k(k+1)/2) array whose row i holds the upper triangle
+    of matrix i in np.triu_indices order, so a stack costs half its full
+    size. SpdStack(values) checks an (n, k, k) array, symmetrizes it and
+    copies its upper triangles. An integer index gives an SpdMatrix, an
+    index array, slice or mask a packed sub-stack; iterating yields
+    SpdMatrix items. No full (n, k, k) copy of a stack is ever made: the
+    stack walk unpacks one block at a time."""
 
-    values: np.ndarray
-    dim: int = field(init=False)
+    packed: np.ndarray
+    dim: int
 
-    def __post_init__(self):
-        _filled(self, _validated(self.values, "matrix {i} of the stack"))
+    def __init__(self, values):
+        values = _symmetric(values, "matrix {i} of the stack")
+        _gated(_filled(self, pack(values), values.shape[-1]))
 
     @classmethod
-    def bounded(cls, values, lower, upper) -> SpdStack:
-        """SpdStack(values) for matrices whose spectra are known to lie in
-        [lower[i], upper[i]], bounds that hold for the values as stored: a
-        matrix with lower > CERTIFICATE_MARGIN * EPS_SPD * upper is proven
-        to pass the SPD gate and skips its eigvalsh; the rest take it."""
+    def bounded(cls, packed, lower, upper) -> SpdStack:
+        """The stack of packed rows (n, k(k+1)/2), the upper triangles of
+        symmetric matrices, held without a copy, for matrices whose spectra
+        are known to lie in [lower[i], upper[i]], bounds that hold for the
+        values as stored: a matrix with lower > CERTIFICATE_MARGIN * EPS_SPD
+        * upper is proven to pass the SPD gate and skips its eigvalsh; the
+        rest take it."""
+        packed = np.asarray(packed, dtype=float)
+        dim = (math.isqrt(8 * packed.shape[-1] + 1) - 1) // 2  # k(k+1)/2 = width
         certified = np.asarray(lower) > CERTIFICATE_MARGIN * EPS_SPD * np.asarray(upper)
-        return _filled(object.__new__(cls),
-                       _validated(values, "matrix {i} of the stack", certified=certified))
+        return _gated(_filled(object.__new__(cls), packed, dim), np.flatnonzero(~certified))
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.packed.shape[0]
 
     def __getitem__(self, index):
-        cls = SpdMatrix if isinstance(index, (int, np.integer)) else SpdStack
-        return _filled(object.__new__(cls), self.values[index])
+        if isinstance(index, (int, np.integer)):
+            return _filled(object.__new__(SpdMatrix),
+                           _unpacked(self.packed[index][None], self.dim)[0])
+        return _filled(object.__new__(SpdStack), self.packed[index], self.dim)
 
 
 _SCALAR_FNS = {
@@ -194,32 +254,35 @@ def _spectral(stack: np.ndarray, fn: str | None, left=None, right=None):
     return sym((u * _SCALAR_FNS[fn](w)[:, None, :]) @ np.swapaxes(u, 1, 2))
 
 
-def _blocks(values: np.ndarray, rows=None, spectral: tuple | None = None):
-    """The one stack walk: the matrices values[rows] (all of them when rows
-    is None), in order, in consecutive blocks of at most SPD_BLOCK_BYTES and
-    at least one matrix; an empty selection is one empty block. Yields
-    (out, block) per block, out being the slice of the block's matrices in
-    the walk's output. With spectral = (fn, left, right), block is
-    _spectral(block, fn, left, right), else the matrices themselves: views
-    of the whole stack, or a copy of one block of rows."""
-    step = max(1, SPD_BLOCK_BYTES // (values.itemsize * values.shape[-1] ** 2))
-    count = len(values) if rows is None else len(rows)
+def _blocks(stack: SpdStack, rows=None, spectral: tuple | None = None):
+    """The one stack walk: the matrices stack[rows] (all of them when rows
+    is None), in order, in consecutive blocks of at most SPD_BLOCK_BYTES of
+    full matrices and at least one matrix; an empty selection is one empty
+    block. Each block is unpacked from the stored triangles just before it
+    is used. Yields (out, block) per block, out being the slice of the
+    block's matrices in the walk's output. With spectral = (fn, left, right),
+    block is _spectral(block, fn, left, right), else the full matrices."""
+    step = max(1, SPD_BLOCK_BYTES // (stack.packed.itemsize * stack.dim ** 2))
+    count = len(stack) if rows is None else len(rows)
     for start in range(0, max(count, 1), step):
         out = slice(start, start + step)
-        block = values[out] if rows is None else values[rows[out]]
-        yield out, block if spectral is None else _spectral(block, *spectral)
+        block = _unpacked(stack.packed[out] if rows is None else stack.packed[rows[out]],
+                          stack.dim)
+        if spectral is not None:
+            block = _spectral(block, *spectral)
+        yield out, block
 
 
-def _mean(values: np.ndarray, rows=None, spectral: tuple | None = None) -> np.ndarray:
-    """Mean over the matrices of values[rows] of what _blocks yields for
+def _mean(stack: SpdStack, rows=None, spectral: tuple | None = None) -> np.ndarray:
+    """Mean over the matrices of stack[rows] of what _blocks yields for
     them. The sum adds one matrix at a time in order, as numpy's axis-0 sum
     does, so it equals the mean of the whole stack bit for bit."""
     total = None
-    for _, block in _blocks(values, rows, spectral):
+    for _, block in _blocks(stack, rows, spectral):
         if total is not None:
             block = np.concatenate([total[None], block])
         total = block.sum(axis=0)
-    return total / (len(values) if rows is None else len(rows))
+    return total / (len(stack) if rows is None else len(rows))
 
 
 def symm_fn(m: np.ndarray, fn: str) -> np.ndarray:
@@ -227,7 +290,7 @@ def symm_fn(m: np.ndarray, fn: str) -> np.ndarray:
     and fn one of "log", "exp", "inv_sqrt"."""
     if fn not in _SCALAR_FNS:
         raise ValueError(f"unknown matrix function {fn!r}")
-    return _spectral(_validated(np.asarray(m)[None], "symm_fn input", positive=False), fn)[0]
+    return _spectral(_symmetric(np.asarray(m)[None], "symm_fn input"), fn)[0]
 
 
 def distances_from(reference: SpdMatrix, stack: SpdStack) -> np.ndarray:
@@ -238,27 +301,26 @@ def distances_from(reference: SpdMatrix, stack: SpdStack) -> np.ndarray:
         raise DimensionMismatch(f"dimensions differ: {reference.dim} vs {stack.dim}")
     isqrt = symm_fn(reference.values, "inv_sqrt")
     w = np.empty((len(stack), stack.dim))
-    for out, eigenvalues in _blocks(stack.values, spectral=(None, isqrt, isqrt)):
+    for out, eigenvalues in _blocks(stack, spectral=(None, isqrt, isqrt)):
         w[out] = eigenvalues
     return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
 
 
 def log_coordinates(ref_inv_sqrt: np.ndarray, stack: SpdStack) -> np.ndarray:
     """The batched Log map at a reference, given its inverse square root:
-    one row per matrix P of the stack, the upper-triangle flattening of
-    Log(ref^{-1/2} P ref^{-1/2}) with off-diagonal entries scaled by
-    sqrt(2), so a row's Euclidean norm is P's affine-invariant distance to
-    the reference. The rows are C-contiguous (an SVM kernel sums in memory
-    order, and a Fortran-ordered matrix would shift its scores) and filled
-    in place, one block at a time."""
+    one row per matrix P of the stack, the upper triangle of
+    Log(ref^{-1/2} P ref^{-1/2}) in the stack's packed order, with
+    off-diagonal entries scaled by sqrt(2), so a row's Euclidean norm is P's
+    affine-invariant distance to the reference. The rows are C-contiguous
+    (an SVM kernel sums in memory order, and a Fortran-ordered matrix would
+    shift its scores) and filled in place, one block at a time."""
     dim = ref_inv_sqrt.shape[-1]
     if stack.dim != dim:
         raise DimensionMismatch(f"covariance dim {stack.dim} vs map dim {dim}")
-    rows, cols = np.triu_indices(dim)
-    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    coords = np.empty((len(stack), rows.size))
-    for out, logs in _blocks(stack.values, spectral=("log", ref_inv_sqrt, ref_inv_sqrt)):
-        coords[out] = logs[:, rows, cols] * weights
+    weights = pack(np.where(np.eye(dim, dtype=bool), 1.0, np.sqrt(2.0)))
+    coords = np.empty((len(stack), weights.size))
+    for out, logs in _blocks(stack, spectral=("log", ref_inv_sqrt, ref_inv_sqrt)):
+        coords[out] = pack(logs) * weights
     return coords
 
 
@@ -294,11 +356,11 @@ def frechet_mean(stack: SpdStack, rows=None) -> SpdMatrix:
 
     # The start, the arithmetic mean, meets the SPD gate whenever its terms
     # do: lambda_min(mean) >= mean lambda_min > EPS_SPD * mean lambda_max.
-    w, u = np.linalg.eigh(_mean(stack.values, rows))
+    w, u = np.linalg.eigh(_mean(stack, rows))
     whiten = (u / np.sqrt(w)) @ u.T  # G
     previous = None  # (theta', R') of the last step
     for iteration in range(MEAN_MAX_ITER + 1):
-        grad = _mean(stack.values, rows, ("log", whiten, whiten.T))
+        grad = _mean(stack, rows, ("log", whiten, whiten.T))
         residual = float(np.linalg.norm(grad))
         if residual < MEAN_TOL or iteration == MEAN_MAX_ITER:
             unwhiten = np.linalg.inv(whiten)  # F

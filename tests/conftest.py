@@ -22,6 +22,11 @@ def spd_stack(mats):
     return SpdStack(np.stack([getattr(m, "values", m) for m in mats]))
 
 
+def full_values(stack):
+    """The (n, k, k) matrices of an SpdStack, unpacked one at a time."""
+    return np.stack([m.values for m in stack])
+
+
 def epoch_stack(epochs):
     """The EpochStack of a sequence of same-shape Epoch, in order."""
     return EpochStack(np.stack([e.data for e in epochs]), epochs[0].sample_rate)

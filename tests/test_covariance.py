@@ -356,7 +356,7 @@ class TestLedoitWolf:
         """_covariance is covariance_stack's step at order 1, bit for bit."""
         x = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal((n, m))
         stack = covariance_stack(EpochStack(x[None], 250.0), AugmentedParams(1, 1), shrink=True)
-        assert np.array_equal(_covariance(x, True)[0], stack.values[0])
+        assert np.array_equal(_covariance(x, True)[0], stack[0].values)
 
 
 def near_rank_one(rng, n, m, spread):
@@ -403,7 +403,7 @@ class TestGateCertificate:
                 assert seen[0] == 1
                 return
         if seen[0] == 0:
-            w = np.linalg.eigvalsh(stack.values[0])
+            w = np.linalg.eigvalsh(stack[0].values)
             assert w[0] > EPS_SPD * w[-1]
 
     def test_unshrunk_order_one_stack_takes_the_gate(self):
@@ -566,3 +566,25 @@ def test_covariance_stack_equals_per_epoch_reference(n, d, order, lag, extra, sh
     for i in range(n):
         want = augmented_covariance(Epoch(x[i], 250.0), params, shrink)
         assert np.array_equal(stack[i].values, want.values)
+
+
+@pytest.mark.parametrize("shrink", [True, False])
+def test_covariance_stack_memory_is_the_packed_stack(shrink):
+    """covariance_stack writes each covariance into its packed row and gates
+    the stack one block at a time, so at EEG scale (22 channels, order 10:
+    k = 220) its traced peak is the packed stack, about n k^2 / 2 floats,
+    plus one epoch's working set: the embedded epoch and its square (each
+    about 2.3 k^2 here) and a few k x k matrices, 12 k^2 in all. A full
+    (n, k, k) array, 16 k^2 for these 16 epochs, does not fit."""
+    import tracemalloc
+
+    n, k = 16, 220
+    epochs = EpochStack(np.random.default_rng(4).standard_normal((n, 22, 512)), 250.0)
+    tracemalloc.start()
+    try:
+        stack = covariance_stack(epochs, AugmentedParams(10, 1), shrink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.packed.nbytes == n * k * (k + 1) // 2 * 8
+    assert peak < stack.packed.nbytes + 12 * k * k * 8, (peak, stack.packed.nbytes)

@@ -331,6 +331,45 @@ class TestContainer:
         with pytest.raises(FormatError, match="payload"):
             read_epochset(path)
 
+    @pytest.mark.parametrize("change", [-17, -8 * 3 * 40, 9, 8 * 3 * 40])
+    def test_payload_length_error_names_sizes_and_offset(self, tmp_path, change):
+        """A payload shorter or longer than the manifest declares raises one
+        FormatError: the bytes on disk, the declared bytes, and the offset
+        where the two part (the end of the shorter one)."""
+        path = tmp_path / "set.acm"
+        write_epochset(self.make_set(), path)
+        blob = path.read_bytes()
+        header_len = blob.index(b"\n") + 1
+        expected = 8 * 3 * 40 * 8  # 8 epochs of 3 x 40
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        held = expected + change
+        with pytest.raises(FormatError, match=(
+                f"payload holds {held} bytes but the manifest declares 8 epochs of "
+                f"3x40 float64 \\({expected} bytes\\)")) as err:
+            read_epochset(path)
+        assert err.value.offset == header_len + min(held, expected)
+        assert str(err.value).endswith(f"(at byte offset {header_len + min(held, expected)})")
+
+    def test_read_holds_the_payload_once(self, tmp_path):
+        """The payload is read into the stack's array, not into a bytes copy
+        first: the traced peak of a read is the payload plus the finite
+        check's byte per sample (one eighth of it) and small change."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        epochs = EpochStack(rng.standard_normal((64, 8, 256)), 250.0)
+        path = tmp_path / "big.acm"
+        write_epochset(EpochSet("subj", [Session("s0", epochs, [0, 1] * 32)], ["a", "b"]),
+                       path)
+        tracemalloc.start()
+        try:
+            loaded = read_epochset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.epochs.values, epochs.values)
+        assert peak < 1.25 * epochs.values.nbytes, (peak, epochs.values.nbytes)
+
     def test_dimension_mismatch_in_manifest(self, tmp_path):
         path = tmp_path / "set.acm"
         write_epochset(self.make_set(), path)

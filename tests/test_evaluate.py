@@ -240,6 +240,25 @@ class TestSplitRunner:
             within_session_eval(epoch_set, MDM, folds=3, seed=0)
 
 
+def test_a_fixed_split_copies_each_row_set_once(monkeypatch):
+    """A within-session split indexes its training and its test epochs once
+    each, to build their covariances: a fixed source reads no training
+    epochs while it selects."""
+    copies = []
+    getitem = covariance.EpochStack.__getitem__
+
+    def counted(self, index):
+        if isinstance(index, np.ndarray):
+            copies.append(len(index))
+        return getitem(self, index)
+
+    monkeypatch.setattr(covariance.EpochStack, "__getitem__", counted)
+    spec = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=2, lag=1)
+    within_session_eval(separable_set(n_sessions=2, epochs_per_class=6), spec, folds=3,
+                        seed=0)
+    assert sorted(copies) == sorted([8, 4] * 3 * 2)  # (train, test) x folds x sessions
+
+
 class TestTimingProfile:
     def test_one_select_and_one_fit_score_row_per_split(self):
         report = within_session_eval(separable_set(n_sessions=2), MDM, folds=3, seed=0)

@@ -23,10 +23,11 @@ from augcov.spd import (
     SpdStack,
     distances_from,
     frechet_mean,
+    sym,
     symm_fn,
 )
 
-from conftest import pair_distance, random_spd, random_symmetric, spd_stack
+from conftest import full_values, pair_distance, random_spd, random_symmetric, spd_stack
 
 
 class TestSpdMatrix:
@@ -81,7 +82,7 @@ class TestSpdStackValidation:
         m = np.diag([1.0, 1.0, lowest])
         m[0, 1] += asym * SYM_RTOL * np.linalg.norm(m)
         if error is None:
-            assert np.array_equal(SpdMatrix(m).values, SpdStack(m[None]).values[0])
+            assert np.array_equal(SpdMatrix(m).values, SpdStack(m[None])[0].values)
         else:
             for build in (lambda: SpdMatrix(m), lambda: SpdStack(m[None])):
                 with pytest.raises(error):
@@ -90,15 +91,21 @@ class TestSpdStackValidation:
     def test_indexing(self, rng):
         values = stack_of(rng, 5, 3)
         stack = SpdStack(values)
-        assert stack.values is values  # held, not copied
+        rows, cols = np.triu_indices(3)
+        assert np.array_equal(stack.packed, values[:, rows, cols])  # one copy of half
+        assert not hasattr(stack, "values")
         assert isinstance(stack[2], SpdMatrix)
         assert np.array_equal(stack[2].values, values[2])
         sub = stack[np.array([4, 0])]
         assert isinstance(sub, SpdStack) and len(sub) == 2
-        assert np.array_equal(sub.values, values[[4, 0]])
+        assert np.array_equal(full_values(sub), values[[4, 0]])
+        assert np.array_equal(full_values(stack[1:3]), values[1:3])
         assert [m.dim for m in stack] == [3] * 5
-        with pytest.raises(ValueError):
-            stack.values[0, 0, 0] = 1.0
+        with pytest.raises(IndexError):
+            stack[5]
+        for frozen in (stack.packed[0], stack[2].values[0], sub.packed[0]):
+            with pytest.raises(ValueError):
+                frozen[0] = 1.0
 
 
 def _ref_fn(m, f):
@@ -231,11 +238,98 @@ class TestStackEqualsLoop:
         assert np.array_equal(dists, want)
 
 
+def _ref_gate(values):
+    """(error type, index) of the first matrix of a full (n, k, k) stack that
+    fails the checks, one matrix at a time: symmetry for every matrix first,
+    then lambda_min > EPS_SPD * lambda_max; None when all pass."""
+    for i, m in enumerate(values):
+        if np.linalg.norm(m - m.T) > SYM_RTOL * np.linalg.norm(m):
+            return NotSymmetric, i
+    for i, m in enumerate(values):
+        w = np.linalg.eigvalsh(0.5 * (m + m.T))
+        if w[-1] <= 0.0 or w[0] <= EPS_SPD * w[-1]:
+            return NotSPD, i
+    return None
+
+
+class TestPackedStorage:
+    """A stack stores each matrix's upper triangle once and the walk unpacks
+    one block at a time: the round trip is bit-exact, and every kernel on
+    the packed stack equals a per-matrix reference on the full matrices,
+    exactly (distances, coordinates, the gate's verdict and index) or within
+    MEAN_DIST_TOL (the mean, whose step rule differs from the reference's)."""
+
+    @given(n=st.integers(1, 12), dim=st.integers(1, 12), per_block=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_and_kernels_match_full_storage(self, n, dim, per_block, seed):
+        rng = np.random.default_rng(seed)
+        values = stack_of(rng, n, dim)  # SpdMatrix values: exactly symmetric
+        stack = SpdStack(values)
+        rows, cols = np.triu_indices(dim)
+        assert stack.packed.shape == (n, rows.size)
+        assert np.array_equal(stack.packed, values[:, rows, cols])
+        order = rng.permutation(n)
+        reference = random_spd(rng, dim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spd, "SPD_BLOCK_BYTES", per_block * values[0].nbytes)
+            walked = [block for _, block in spd._blocks(stack)]
+            walked_rows = [block for _, block in spd._blocks(stack, order)]
+            mean = frechet_mean(stack)
+            isqrt = tangent_fit(stack)
+            coords = tangent_transform_many(isqrt, stack)
+            dists = distances_from(reference, stack)
+        assert all(block.flags.c_contiguous for block in walked + walked_rows)
+        assert np.array_equal(np.concatenate(walked), values)
+        assert np.array_equal(np.concatenate(walked_rows), values[order])
+        assert np.array_equal(full_values(stack), values)
+        assert np.array_equal(full_values(stack[order]), values[order])
+
+        if n == 1:
+            assert np.array_equal(mean.values, values[0])
+        else:
+            assert_same_mean(mean.values, _ref_frechet_mean(values))
+        weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+        want = np.stack([_ref_fn(isqrt @ v @ isqrt, np.log)[rows, cols] * weights
+                         for v in values])
+        assert np.array_equal(coords, want)
+        ref_isqrt = _ref_fn(reference.values, lambda w: 1.0 / np.sqrt(w))
+        want = [np.sqrt(np.sum(np.log(np.linalg.eigvalsh(sym(ref_isqrt @ v @ ref_isqrt))) ** 2))
+                for v in values]
+        assert np.array_equal(dists, want)
+
+    @given(n=st.integers(1, 12), dim=st.integers(2, 12), per_block=st.integers(1, 4),
+           bad=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(["asym", "rank"])),
+                        max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_gate_names_the_first_bad_matrix(self, n, dim, per_block, bad, seed):
+        rng = np.random.default_rng(seed)
+        values = stack_of(rng, n, dim)
+        for i, kind in bad:
+            if i >= n:
+                continue
+            if kind == "asym":
+                values[i, 0, 1] += 1e-3 * np.linalg.norm(values[i])
+            else:
+                v = rng.standard_normal((dim, dim - 1))
+                values[i] = sym(v @ v.T)
+        want = _ref_gate(values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spd, "SPD_BLOCK_BYTES", per_block * values[0].nbytes)
+            if want is None:
+                assert np.array_equal(full_values(SpdStack(values)), values)
+                return
+            error, index = want
+            with pytest.raises(error, match=rf"^matrix {index} of the stack "):
+                SpdStack(values)
+
+
 class TestBlockedMemory:
     """The stack walks hold one block's temporaries, not copies of the stack:
     32 matrices of size 96 span several blocks, and each call's traced peak
     beyond its live inputs (and the feature rows it returns) stays under half
-    the stack's bytes."""
+    the bytes of the stack as full (n, k, k) matrices."""
 
     @staticmethod
     def _peak_beyond(result_of):
@@ -252,11 +346,12 @@ class TestBlockedMemory:
         n, dim = 32, 96
         a = rng.standard_normal((n, dim, 2 * dim))
         stack = SpdStack(a @ np.swapaxes(a, 1, 2) / (2 * dim) + 0.1 * np.eye(dim))
-        assert len(stack) > 2 * max(1, spd.SPD_BLOCK_BYTES // stack.values[0].nbytes)
+        full_bytes = n * dim * dim * 8  # the stack as (n, k, k) float64
+        assert len(stack) > 2 * max(1, spd.SPD_BLOCK_BYTES // (full_bytes // n))
         labels = np.arange(n) % 2
         tmap = tangent_fit(stack)
         reference = stack[3]
-        budget = stack.values.nbytes / 2
+        budget = full_bytes / 2
         assert self._peak_beyond(lambda: mdm_fit(stack, labels)) < budget
         assert self._peak_beyond(lambda: distances_from(reference, stack)) < budget
         assert self._peak_beyond(lambda: tangent_transform_many(tmap, stack)) < budget
@@ -406,13 +501,13 @@ class TestFrechetMean:
         loop: |mean_i log(M^-1/2 P_i M^-1/2)|_F < MEAN_TOL."""
         mats = spd_stack([random_spd(rng, 4) for _ in range(7)])
         mean = frechet_mean(mats)
-        assert whitened_gradient(mean.values, mats.values) < spd.MEAN_TOL
+        assert whitened_gradient(mean.values, full_values(mats)) < spd.MEAN_TOL
 
     def test_congruence_invariance_of_mean(self, rng):
         mats = spd_stack([random_spd(rng, 3) for _ in range(5)])
         w = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
         mean = frechet_mean(mats)
-        mean_t = frechet_mean(SpdStack(w @ mats.values @ w.T))
+        mean_t = frechet_mean(SpdStack(w @ full_values(mats) @ w.T))
         assert np.linalg.norm(mean_t.values - w @ mean.values @ w.T) < 1e-7
 
     def test_empty_input(self):
