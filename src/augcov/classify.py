@@ -1,6 +1,7 @@
 """Classification heads and pipeline plumbing: minimum distance to the mean
 on the manifold, tangent-space features feeding the SMO SVM, the four
-pipeline kinds, and the (order, lag, C, kernel) grid search.
+pipeline kinds, and select_params: fixed parameters, embedding.estimate, or
+the (order, lag, C, kernel) grid search, whose result keeps its winning cell.
 
 fold_scores is the one fit-and-score step of the inner CV and the outer
 splits. Fitted models are immutable; fitting never touches anything but the
@@ -20,10 +21,8 @@ from . import svm
 from .covariance import AugmentedParams, EpochStack, covariance_stack
 from .errors import (
     AllCellsInvalid,
-    EmptyClass,
     InvalidSetting,
     LagTooLarge,
-    LengthMismatch,
     TooFewSamples,
     check_integer,
 )
@@ -53,23 +52,10 @@ class MdmModel:
     class_means: tuple  # SpdMatrix of one size, one per label
 
 
-def _check_labels(n_samples: int, labels) -> np.ndarray:
-    """The one label rule of the classifiers: one label per sample, else
-    LengthMismatch; no samples at all raise EmptyClass. Returns the labels
-    as an array."""
-    labels = np.asarray(labels)
-    if labels.size != n_samples:
-        raise LengthMismatch(f"need one label per sample, got {labels.size} labels "
-                             f"for {n_samples} samples")
-    if n_samples == 0:
-        raise EmptyClass("no training samples")
-    return labels
-
-
 def mdm_fit(covs: SpdStack, labels) -> MdmModel:
     """Per-class Frechet means of the training covariances, each over its
     class's rows of the stack."""
-    labels = _check_labels(len(covs), labels)
+    labels = svm.check_labels(len(covs), labels)
     classes = tuple(sorted(set(labels.tolist())))
     return MdmModel(classes, tuple(frechet_mean(covs, rows=np.flatnonzero(labels == cls))
                                    for cls in classes))
@@ -183,10 +169,12 @@ class PipelineSpec:
             )
         check_folds(self.inner_folds, "inner_folds")
         svm.check_settings(self.svm_c, self.svm_kernel)
-        if not (self.grid_orders and self.grid_lags):
-            raise InvalidSetting("the order and lag grids must not be empty")
         for cell in ((self.order, self.lag), *itertools.product(self.grid_orders, self.grid_lags)):
             AugmentedParams(*cell)  # the one check of the (order, lag) rule
+        for name in ("grid_orders", "grid_lags"):  # grid order breaks grid_search's ties
+            grid = getattr(self, name)
+            if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
+                raise InvalidSetting(f"{name} must be non-empty and strictly increasing: {grid!r}")
         defaults = {f.name: f.default for f in fields(self)}
         for name, (family, source) in _SETTING_READERS.items():
             value = getattr(self, name)
@@ -228,13 +216,9 @@ class GridCell:
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    best_order: int
-    best_lag: int
-    best_c: float | None
-    best_kernel: str | None
-    best_score: float
+    best: GridCell  # the winning cell, ties[0]
     cells: tuple
-    ties: tuple  # cells whose score equals the best before tie-breaking
+    ties: tuple  # the valid cells whose score equals the best, in grid order
 
 
 def check_folds(n_folds, name: str = "folds") -> None:
@@ -282,12 +266,13 @@ def grid_search(
     kinds search every TABLE_C_GRID x svm.KERNELS pair in each cell.
 
     Cells that violate (order-1)*lag < T - 1 are recorded invalid and skipped.
-    The best cell wins by mean score with deterministic tie-breaking:
-    smaller order, then smaller lag, then C and kernel in table order.
+    The best cell is the first valid one with the top mean score in grid
+    order: orders, then lags, as given (PipelineSpec makes both strictly
+    increasing), then C and kernel in table order.
     """
     if kind not in PIPELINE_KINDS:
         raise InvalidSetting(f"unknown pipeline kind {kind!r}")
-    labels = _check_labels(len(epochs), labels)
+    labels = svm.check_labels(len(epochs), labels)
     folds = stratified_folds(labels, inner_folds, np.random.SeedSequence(seed))
     uses_svm = kind.endswith("SVM")
     param_grid = (
@@ -295,8 +280,6 @@ def grid_search(
     )
 
     cells = []
-    best = None  # (score, cell)
-    ties = []
     order1_scores = None  # embed_epoch ignores the lag at order 1: score it once
     for params in [AugmentedParams(*cell) for cell in itertools.product(orders, lags)]:
         order, lag = params.order, params.lag
@@ -317,22 +300,16 @@ def grid_search(
             if order == 1:
                 order1_scores = param_scores
         for (c, kernel), scores in zip(param_grid, param_scores):
-            score = float(np.mean(scores))
-            cell = GridCell(order, lag, c, kernel, score, len(scores))
-            cells.append(cell)
-            if best is None or score > best[0]:
-                best = (score, cell)
-                ties = [cell]
-            elif score == best[0]:
-                ties.append(cell)
+            cells.append(GridCell(order, lag, c, kernel, float(np.mean(scores)), len(scores)))
 
-    if best is None:
+    valid = [cell for cell in cells if cell.score is not None]
+    if not valid:
         raise AllCellsInvalid(
             "no grid cell satisfies (order-1)*lag < T - 1 for these epochs"
         )
-    score, top = best
-    return GridSearchResult(top.order, top.lag, top.c, top.kernel, score,
-                            tuple(cells), tuple(ties))
+    top = max(cell.score for cell in valid)
+    ties = tuple(cell for cell in valid if cell.score == top)
+    return GridSearchResult(ties[0], tuple(cells), ties)
 
 
 # -- parameter selection --------------------------------------------------
@@ -361,4 +338,4 @@ def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0,
         epochs[rows], np.asarray(labels)[rows], spec.kind, orders=orders, lags=lags,
         inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
     )
-    return AugmentedParams(grid.best_order, grid.best_lag), grid.best_c, grid.best_kernel, grid
+    return AugmentedParams(grid.best.order, grid.best.lag), grid.best.c, grid.best.kernel, grid

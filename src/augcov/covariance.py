@@ -206,7 +206,7 @@ def _covariance(y: np.ndarray, shrink: bool):
     d2 = np.sum((s - np.trace(s) / n * np.eye(n)) ** 2) / n
     lam = 0.0
     if d2 > 0.0:
-        norms2 = (y * y).sum(axis=0)  # |y_t|^2 for each sample t
+        norms2 = np.einsum("ij,ij->j", y, y)  # |y_t|^2 for each t, no y * y temporary
         bbar2 = (norms2 @ norms2 / m - (s * s).sum()) / (n * m)
         lam = float(min(bbar2, d2) / d2)
     mu = np.trace(c) / n

@@ -13,9 +13,11 @@ concatenated in manifest order. It round-trips bit-exactly.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
+import stat
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -331,7 +333,7 @@ def write_epochset(epoch_set: EpochSet, path) -> None:
 def read_epochset(path) -> EpochSet:
     """Read a container written by write_epochset; lossless inverse. The
     payload is read straight into the stack's array, sized from the
-    manifest, so it is held once; its length on disk comes from fstat."""
+    manifest; its length comes from fstat, or from reading a pipe whole."""
     with open(path, "rb") as fh:
         header = fh.readline()
         if not header.endswith(b"\n"):
@@ -370,7 +372,12 @@ def read_epochset(path) -> EpochSet:
                 check_integer(f"session {session_id!r} label", label, 0, FormatError)
         total_epochs = sum(n for _, n, _ in sessions)
         expected_bytes = total_epochs * d * t * 8
-        payload_bytes = os.fstat(fh.fileno()).st_size - len(header)
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            payload_bytes = info.st_size - len(header)
+        else:  # a pipe or FIFO has no size: read it whole, then read from that
+            fh = io.BytesIO(fh.read())
+            payload_bytes = len(fh.getbuffer())
         if payload_bytes == expected_bytes:
             values = np.empty((total_epochs, d, t), dtype="<f8")
             payload_bytes = fh.readinto(values.reshape(-1).view(np.uint8))

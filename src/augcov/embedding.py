@@ -1,6 +1,7 @@
-"""Nonlinear-dynamics estimators for the stacking hyper-parameters: average
-mutual information for the delay, Cao's neighbor-ratio method for the
-dimension, and the unified MDOP procedure choosing both jointly.
+"""Nonlinear-dynamics estimators for the stacking hyper-parameters, behind
+one entry, estimate: average mutual information for the delay, then Cao's
+neighbor-ratio method for the dimension, or the unified MDOP procedure
+choosing both jointly.
 
 Everything here is deterministic: no randomness, fixed reduction order, and
 per-channel curves are accumulated over all channels and epochs before any
@@ -358,59 +359,43 @@ def mdop_unified(
         flags.append("no_termination")
 
     tau = max(1, int(np.floor(np.mean(chosen) + 0.5)))
-    est = EmbeddingEstimate(
+    return EmbeddingEstimate(
         tau=tau,
         dim=1 + len(chosen),
         method="mdop",
         cycle_lags=tuple(chosen),
         flags=tuple(flags),
     )
-    _check_fits(est, series.shape[1])
-    return est
-
-
-def estimate_traditional(
-    epochs,
-    max_lag: int = MDOP_DEFAULT_MAX_LAG,
-    bins: int = AMI_DEFAULT_BINS,
-    max_dim: int = CAO_DEFAULT_MAX_DIM,
-) -> EmbeddingEstimate:
-    """AMI delay followed by Cao dimension (the two-step route)."""
-    check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim)
-    tau_sel = select_tau_ami(epochs, max_lag, bins)
-    cao = cao_embedding_dimension(epochs, tau_sel.tau, max_dim)
-    flags = []
-    if tau_sel.no_local_minimum:
-        flags.append("no_local_minimum")
-    if cao.saturation_failure:
-        flags.append("saturation_failure")
-    est = EmbeddingEstimate(
-        tau=tau_sel.tau,
-        dim=cao.dim,
-        method="ami_cao",
-        ami_curve=tau_sel.curve,
-        e1_curve=cao.e1_curve,
-        flags=tuple(flags),
-    )
-    _check_fits(est, epochs.values.shape[2])
-    return est
 
 
 def estimate(epochs, method: str, *, max_lag: int = MDOP_DEFAULT_MAX_LAG,
              bins: int = AMI_DEFAULT_BINS, max_dim: int = CAO_DEFAULT_MAX_DIM,
              max_cycles: int = MDOP_DEFAULT_MAX_CYCLES) -> EmbeddingEstimate:
-    """(tau, dim) of an epoch stack by one of METHODS: "ami_cao" runs
-    estimate_traditional (max_lag, bins, max_dim), "mdop" runs mdop_unified
-    (max_cycles, max_lag). Every setting is checked, the unused ones too."""
+    """(tau, dim) of an epoch stack by one of METHODS: "ami_cao" takes the
+    AMI delay (max_lag, bins), then Cao's dimension at it (max_dim); "mdop"
+    runs mdop_unified (max_cycles, max_lag). Every setting is checked, the
+    unused ones too, and the estimate must pass evaluate's length rule."""
     check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim, max_cycles=max_cycles)
     if method == "ami_cao":
-        return estimate_traditional(epochs, max_lag=max_lag, bins=bins, max_dim=max_dim)
-    if method == "mdop":
-        return mdop_unified(epochs, max_cycles=max_cycles, max_lag=max_lag)
-    raise InvalidSetting(f"unknown estimator {method!r}, expected one of {METHODS}")
-
-
-def _check_fits(est: EmbeddingEstimate, n_samples: int) -> None:
-    """An estimate must be an (order, lag) that evaluate accepts for these
-    epochs: LagTooLarge unless (dim-1)*tau < T - 1."""
-    AugmentedParams(est.dim, est.tau).check_length(n_samples)
+        tau_sel = select_tau_ami(epochs, max_lag, bins)
+        cao = cao_embedding_dimension(epochs, tau_sel.tau, max_dim)
+        flags = []
+        if tau_sel.no_local_minimum:
+            flags.append("no_local_minimum")
+        if cao.saturation_failure:
+            flags.append("saturation_failure")
+        est = EmbeddingEstimate(
+            tau=tau_sel.tau,
+            dim=cao.dim,
+            method="ami_cao",
+            ami_curve=tau_sel.curve,
+            e1_curve=cao.e1_curve,
+            flags=tuple(flags),
+        )
+    elif method == "mdop":
+        est = mdop_unified(epochs, max_cycles=max_cycles, max_lag=max_lag)
+    else:
+        raise InvalidSetting(f"unknown estimator {method!r}, expected one of {METHODS}")
+    # the length rule: LagTooLarge unless (dim-1)*tau < T - 1
+    AugmentedParams(est.dim, est.tau).check_length(epochs.values.shape[2])
+    return est

@@ -324,7 +324,7 @@ def _subject_means(reports):
                 f"duplicate report for dataset={rep.dataset!r} "
                 f"pipeline={rep.pipeline!r} subject={rep.subject!r}"
             )
-        by_subject[rep.subject] = float(np.mean([s.score for s in rep.scores]))
+        by_subject[rep.subject] = rep.mean
         key = (rep.dataset, rep.subject)
         splits = tuple(sorted((s.session, s.split) for s in rep.scores))
         if key in split_keys and split_keys[key] != splits:

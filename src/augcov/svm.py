@@ -8,7 +8,7 @@ rank-2 update per step, only the two working-pair entries are reset when
 they change sets, and the set sizes are counts, so a step costs a few numpy
 calls on rows of one C-contiguous copy of the kernel matrix. Multi-class
 problems are handled one-vs-rest with argmax of the decision values; the
-machines share one kernel matrix.
+machines share one kernel matrix, and each holds its kernel and gamma.
 """
 
 from __future__ import annotations
@@ -30,6 +30,19 @@ def check_settings(c, kernel) -> None:
     check_positive("SVM C", c)
     if kernel not in KERNELS:
         raise InvalidSetting(f"unknown SVM kernel {kernel!r}, expected one of {KERNELS}")
+
+
+def check_labels(n_samples: int, labels) -> np.ndarray:
+    """The one label rule of the classifiers, for svm_fit, classify.mdm_fit
+    and classify.grid_search: one label per sample, else LengthMismatch; no
+    samples at all raise EmptyClass. Returns the labels as an array."""
+    labels = np.asarray(labels)
+    if labels.size != n_samples:
+        raise LengthMismatch(f"need one label per sample, got {labels.size} labels "
+                             f"for {n_samples} samples")
+    if n_samples == 0:
+        raise EmptyClass("no training samples")
+    return labels
 
 
 def _kernel_matrix(kind: str, gamma: float | None, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -76,9 +89,6 @@ class SvmModel:
 
     class_labels: tuple
     machines: tuple  # one BinarySvm for binary, one per class otherwise
-    C: float
-    kernel: str
-    gamma: float | None
 
     @property
     def is_binary(self) -> bool:
@@ -187,12 +197,9 @@ def svm_fit(
     label is the positive class.
     """
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
     if features.ndim != 2:
         raise ValueError("features must be n_samples x n_features")
-    if features.shape[0] != labels.size:
-        raise LengthMismatch(f"need one label per sample, got {labels.size} labels "
-                             f"for {features.shape[0]} samples")
+    labels = check_labels(features.shape[0], labels)
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain NaN or Inf")
     classes = tuple(sorted(set(labels.tolist())))
@@ -209,7 +216,7 @@ def svm_fit(
                     kernel, gamma)
         for cls in positives
     )
-    return SvmModel(classes, machines, c, kernel, gamma)
+    return SvmModel(classes, machines)
 
 
 def svm_decision(model: SvmModel, features: np.ndarray) -> np.ndarray:

@@ -216,8 +216,8 @@ class TestGridSearch:
                              inner_folds=5, seed=3)
         plain = grid_search(epochs, labels, "MDM", orders=(1,), lags=(1,),
                             inner_folds=5, seed=3)
-        assert result.best_order == 1 and result.best_lag == 1
-        assert result.best_score == plain.best_score
+        assert (result.best.order, result.best.lag) == (1, 1)
+        assert result.best.score == plain.best.score
 
     def test_tie_break_prefers_smaller_order_then_lag(self):
         # force ties by handing the search a constant scorer via identical cells:
@@ -229,7 +229,7 @@ class TestGridSearch:
                              inner_folds=4, seed=9)
         tied = [c for c in result.ties]
         if len(tied) > 1:
-            best = (result.best_order, result.best_lag)
+            best = (result.best.order, result.best.lag)
             assert best == min((c.order, c.lag) for c in tied)
 
     def test_invalid_cells_recorded(self):
@@ -264,7 +264,7 @@ class TestGridSearch:
             result = grid_search(epochs, labels, "ACM+MDM",
                                  orders=(1, 2, 3, 4), lags=(1, 2, 3, 4),
                                  inner_folds=3, seed=seed)
-            if result.best_order >= 2:
+            if result.best.order >= 2:
                 hits += 1
         assert hits >= 18  # >= 90% of seeds
 
@@ -348,7 +348,7 @@ class TestFitPipeline:
         (_, c, kernel, grid), (value, metric) = split_scores(spec, epochs, labels, seed=1)
         assert c in (0.5, 1.0, 1.5)
         assert kernel in KERNELS
-        assert grid is not None and (grid.best_c, grid.best_kernel) == (c, kernel)
+        assert grid is not None and (grid.best.c, grid.best.kernel) == (c, kernel)
         assert metric == "auc" and 0.0 <= value <= 1.0
 
     def test_acm_grid_pipeline(self):
@@ -373,6 +373,16 @@ class TestFitPipeline:
     def test_bad_estimator_settings_rejected(self, setting, value):
         with pytest.raises(InvalidSetting):
             PipelineSpec(kind="ACM+MDM", param_source="ami_cao", **{setting: value})
+
+    @pytest.mark.parametrize("setting,value", [
+        ("grid_orders", (3, 2)), ("grid_orders", (2, 2, 3)), ("grid_lags", (1, 3, 2)),
+    ])
+    def test_grids_must_be_strictly_increasing(self, setting, value):
+        # grid order is the tie-break order: (3, 2) would let order 3 win a tie
+        # with order 2, and (2, 2, 3) would score the order-2 cells twice
+        with pytest.raises(InvalidSetting, match=f"{setting} must be non-empty and strictly "
+                           "increasing"):
+            PipelineSpec(kind="ACM+MDM", param_source="grid", **{setting: value})
 
 
 ACM_FIXED = {("ACM+MDM", "fixed"), ("ACM+TANG+SVM", "fixed")}
@@ -454,7 +464,9 @@ class TestGridSearchInvariants:
         result = grid_search(epochs, labels, "ACM+MDM", orders=(1, 2), lags=(1, 2),
                              inner_folds=3, seed=4)
         valid_scores = [c.score for c in result.cells if c.score is not None]
-        assert result.best_score == max(valid_scores)
+        assert result.best.score == max(valid_scores)
+        assert result.best == result.ties[0]
+        assert result.ties == tuple(c for c in result.cells if c.score == result.best.score)
 
     def test_order_one_lag_tie_breaks_to_smaller_lag(self):
         # at order 1 the lag is irrelevant, so (1,1) and (1,2) tie exactly
@@ -464,7 +476,7 @@ class TestGridSearchInvariants:
                              inner_folds=3, seed=6)
         scores = {(c.order, c.lag): c.score for c in result.cells}
         assert scores[(1, 1)] == scores[(1, 2)]
-        assert result.best_lag == 1
+        assert result.best.lag == 1
         assert len(result.ties) == 2
 
 
@@ -533,8 +545,7 @@ class TestGridSearchOnlyWhenThereIsAChoice:
             return EmbeddingEstimate(tau=2, dim=2, method=source)
 
         monkeypatch.setattr(classify, "grid_search", counting)
-        monkeypatch.setattr(classify.emb, "estimate_traditional", estimate)
-        monkeypatch.setattr(classify.emb, "mdop_unified", estimate)
+        monkeypatch.setattr(classify.emb, "estimate", estimate)
         # each setting only where the kind and source read it
         if grid is not None:
             settings = dict(grid_orders=grid[0], grid_lags=grid[1])

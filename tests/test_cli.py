@@ -265,6 +265,27 @@ class TestEstimateParams:
         assert not (tmp_path / "e").exists()  # a rejected run leaves no directory
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_estimate_params_reads_a_piped_container(tmp_path, capsys):
+    """`cat x.acm | augcov estimate-params --input /dev/stdin` estimates what
+    the file gives."""
+    container = make_sine_container(tmp_path, capsys, t=256)
+    src = str(Path(augcov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "augcov", "estimate-params", "--input", "/dev/stdin",
+         "--method", "mdop", "--out", str(tmp_path / "piped")],
+        input=container.read_bytes(), capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, stdout, _ = run_cli(capsys, "estimate-params", "--input", str(container),
+                              "--method", "mdop", "--out", str(tmp_path / "file"))
+    assert code == 0
+    piped, from_file = json.loads(proc.stdout), json.loads(stdout)
+    assert (piped["tau"], piped["D"]) == (from_file["tau"], from_file["D"])
+
+
 class TestEvaluate:
     def evaluate(self, capsys, container, out_dir, *extra):
         return run_cli(

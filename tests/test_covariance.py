@@ -573,8 +573,8 @@ def test_covariance_stack_memory_is_the_packed_stack(shrink):
     """covariance_stack writes each covariance into its packed row and gates
     the stack one block at a time, so at EEG scale (22 channels, order 10:
     k = 220) its traced peak is the packed stack, about n k^2 / 2 floats,
-    plus one epoch's working set: the embedded epoch and its square (each
-    about 2.3 k^2 here) and a few k x k matrices, 12 k^2 in all. A full
+    plus one epoch's working set: the embedded epoch (about 2.3 k^2 here)
+    and a few k x k matrices, 12 k^2 in all. A full
     (n, k, k) array, 16 k^2 for these 16 epochs, does not fit."""
     import tracemalloc
 

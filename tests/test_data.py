@@ -1,4 +1,5 @@
 import json
+import os
 import pickle
 from dataclasses import replace
 
@@ -349,6 +350,37 @@ class TestContainer:
             read_epochset(path)
         assert err.value.offset == header_len + min(held, expected)
         assert str(err.value).endswith(f"(at byte offset {header_len + min(held, expected)})")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    @pytest.mark.parametrize("change", [0, -17, -8 * 3 * 40, 9, 8 * 3 * 40])
+    def test_a_pipe_reads_like_the_file(self, tmp_path, change):
+        """A pipe reports no size, so its payload is read whole: an intact
+        container gives the file's epochs, and a truncated or over-long one
+        the file's FormatError, message and offset included."""
+        import threading
+
+        path = tmp_path / "set.acm"
+        write_epochset(self.make_set(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        fifo = tmp_path / "set.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            if change == 0:
+                piped = read_epochset(fifo)
+                assert np.array_equal(piped.epochs.values, read_epochset(path).epochs.values)
+                assert [s.labels for s in piped.sessions] == [[0, 1, 0, 1]] * 2
+                return
+            with pytest.raises(FormatError) as from_pipe:
+                read_epochset(fifo)
+        finally:
+            writer.join()
+        with pytest.raises(FormatError) as from_file:
+            read_epochset(path)
+        assert str(from_pipe.value) == str(from_file.value)
+        assert from_pipe.value.offset == from_file.value.offset
 
     def test_read_holds_the_payload_once(self, tmp_path):
         """The payload is read into the stack's array, not into a bytes copy

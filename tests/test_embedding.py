@@ -9,13 +9,11 @@ from augcov.embedding import (
     NN_BLOCK,
     EmbeddingEstimate,
     _cao_e_curve,
-    _check_fits,
     _mdop_cycle_stats,
     _prefix_neighbours,
     average_mutual_information,
     cao_embedding_dimension,
     estimate,
-    estimate_traditional,
     mdop_unified,
     select_tau_ami,
 )
@@ -410,10 +408,14 @@ class TestEstimate:
         assert estimate(epochs, "mdop", max_cycles=4, max_lag=12, bins=3, max_dim=2) == \
             mdop_unified(epochs, max_cycles=4, max_lag=12)
         got = estimate(epochs, "ami_cao", max_lag=12, bins=8, max_dim=3, max_cycles=1)
-        want = estimate_traditional(epochs, max_lag=12, bins=8, max_dim=3)
-        assert (got.tau, got.dim, got.flags) == (want.tau, want.dim, want.flags)
-        assert np.array_equal(got.ami_curve, want.ami_curve)
-        assert np.array_equal(got.e1_curve, want.e1_curve)
+        tau_sel = select_tau_ami(epochs, 12, 8)
+        cao = cao_embedding_dimension(epochs, tau_sel.tau, 3)
+        flags = (("no_local_minimum",) * tau_sel.no_local_minimum
+                 + ("saturation_failure",) * cao.saturation_failure)
+        assert (got.tau, got.dim, got.flags) == (tau_sel.tau, cao.dim, flags)
+        assert np.array_equal(got.ami_curve, tau_sel.curve)
+        assert np.array_equal(got.e1_curve, cao.e1_curve)
+
 
     def test_unknown_method(self):
         with pytest.raises(InvalidSetting, match="unknown estimator 'nolds'"):
@@ -430,7 +432,7 @@ class TestEstimate:
 
 class TestTraditionalWrapper:
     def test_estimates_fit_the_epochs(self):
-        est = estimate_traditional(noisy_sine_set(t=1200, seed=10), max_lag=24, max_dim=5)
+        est = estimate(noisy_sine_set(t=1200, seed=10), "ami_cao", max_lag=24, max_dim=5)
         assert est.method == "ami_cao"
         assert (est.dim - 1) * est.tau < 1200
         assert est.ami_curve is not None and est.e1_curve is not None
@@ -501,8 +503,18 @@ class TestStackSeries:
         assert list(got.cycle_lags) == chosen
 
 
-def test_estimates_obey_the_evaluate_length_rule():
-    # evaluate needs (order-1)*lag < T - 1; an estimate at the edge is refused
-    _check_fits(EmbeddingEstimate(tau=3, dim=4, method="mdop"), n_samples=11)
-    with pytest.raises(LagTooLarge):
-        _check_fits(EmbeddingEstimate(tau=3, dim=4, method="mdop"), n_samples=10)
+def test_estimates_obey_the_evaluate_length_rule(monkeypatch):
+    # evaluate needs (order-1)*lag < T - 1; estimate refuses an estimate at the
+    # edge, whichever method made it: here tau 3 and dim 4, so T must exceed 10
+    import augcov.embedding as embedding
+
+    monkeypatch.setattr(embedding, "select_tau_ami",
+                        lambda *args: embedding.TauSelection(3, np.zeros(3), False))
+    monkeypatch.setattr(embedding, "cao_embedding_dimension",
+                        lambda *args: embedding.CaoResult(4, np.zeros(4), False))
+    monkeypatch.setattr(embedding, "mdop_unified",
+                        lambda *args, **kwargs: EmbeddingEstimate(3, 4, "mdop"))
+    for method in ("ami_cao", "mdop"):
+        assert (estimate(noise_set(t=11), method).dim, method) == (4, method)
+        with pytest.raises(LagTooLarge):
+            estimate(noise_set(t=10), method)

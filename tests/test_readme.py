@@ -1,5 +1,6 @@
 """The README's Library snippet runs as written, against a small copy of
-the README's `sim01` dataset, so its imports follow the modules."""
+the README's `sim01` dataset, so its imports follow the modules; the CI
+workflow runs the ROADMAP's tier-1 command as written."""
 
 import json
 import re
@@ -22,3 +23,23 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
     exec(compile(snippet, "README.md", "exec"), namespace)
     assert namespace["cov"].dim == 8
     assert len(namespace["report"].scores) == 2 * 5  # sessions x folds
+
+
+def test_ci_runs_the_roadmap_tier1_command():
+    """The CI workflow parses, installs the test extras on Python 3.11 and
+    runs the ROADMAP's tier-1 command as written, then each benchmark
+    workload once."""
+    import pytest
+
+    yaml = pytest.importorskip("yaml")
+    root = README.parent
+    (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (root / "ROADMAP.md").read_text())
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "ci.yml").read_text())
+    steps = workflow["jobs"]["test"]["steps"]
+    runs = [step.get("run", "") for step in steps]
+    assert {"python-version": "3.11"} in [step.get("with") for step in steps]
+    assert 'python -m pip install -e ".[test]"' in runs
+    assert command in runs
+    bench = next(run for run in runs if "bench/run.py" in run)
+    assert "for w in grid-svm eeg-mdm estimate" in bench
+    assert "--seed 1 --seconds 1 --trace 0" in bench
