@@ -6,11 +6,14 @@ the (order, lag, C, kernel) grid search, whose result keeps its winning cell.
 fold_scores is the one fit-and-score step of the inner CV and the outer
 splits. Fitted models are immutable; fitting never touches anything but the
 rows it is handed, so grid-search scores are functions of the training split
-alone.
+alone. Memory model: an MDM fold holds one class's covariance stack at a
+time (SVM: the training stack and its features), and no fold builds a test
+stack: test rows are built and scored one SPD block at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
 
@@ -26,7 +29,7 @@ from .errors import (
     TooFewSamples,
     check_integer,
 )
-from .spd import SpdStack, distances_from, frechet_mean, log_coordinates, symm_fn
+from .spd import SpdStack, block_rows, distances_from, frechet_mean, log_coordinates, symm_fn
 from .stats import accuracy, auc_roc
 from .svm import KERNELS, SvmModel, svm_decision, svm_fit, svm_predict
 
@@ -51,6 +54,12 @@ class MdmModel:
     class_labels: tuple  # sorted and unique
     class_means: tuple  # SpdMatrix of one size, one per label
 
+    @functools.cached_property
+    def whiteners(self) -> tuple:
+        """The inverse square root of each class mean, the whitening of every
+        distance to it: taken on the first prediction, once per model."""
+        return tuple(symm_fn(mean.values, "inv_sqrt") for mean in self.class_means)
+
 
 def mdm_fit(covs: SpdStack, labels) -> MdmModel:
     """Per-class Frechet means of the training covariances, each over its
@@ -65,7 +74,7 @@ def mdm_predict(model: MdmModel, covs: SpdStack):
     """Nearest class mean of each covariance; returns (labels, distances),
     with distances of shape (n, n_classes). Ties go to the earliest label
     in order."""
-    dists = np.stack([distances_from(mean, covs) for mean in model.class_means], axis=1)
+    dists = np.stack([distances_from(isqrt, covs) for isqrt in model.whiteners], axis=1)
     return np.asarray(model.class_labels)[np.argmin(dists, axis=1)], dists
 
 
@@ -86,55 +95,57 @@ def tangent_transform_many(ref_inv_sqrt: np.ndarray, covs: SpdStack) -> np.ndarr
 
 # -- the classifier head -------------------------------------------------
 
-def _head_decision(model, x) -> np.ndarray:
-    """Binary ranking scores of a trained SVM (on tangent features) or MDM
-    (on covariances, distance to class 0 minus distance to class 1); larger
-    means the second class."""
+def _head_output(model, x) -> np.ndarray:
+    """What a trained SVM (on tangent features) or MDM (on covariances) is
+    scored by: for two classes the ranking score, larger for the second (MDM:
+    distance to class 0 minus to class 1), else the predicted labels."""
+    binary = len(model.class_labels) == 2
     if isinstance(model, SvmModel):
-        return np.asarray(svm_decision(model, x), dtype=float)
-    dists = mdm_predict(model, x)[1]
-    return dists[:, 0] - dists[:, 1]
+        return np.asarray(svm_decision(model, x), dtype=float) if binary else svm_predict(model, x)
+    predicted, dists = mdm_predict(model, x)
+    return dists[:, 0] - dists[:, 1] if binary else predicted
 
 
-def _head_predict(model, x) -> np.ndarray:
-    if isinstance(model, SvmModel):
-        return svm_predict(model, x)
-    return mdm_predict(model, x)[0]
-
-
-def score_split(model, x_test, y_test) -> tuple:
-    """Score a test split: AUC of the decision against y == the model's
-    second class when training saw two classes, else accuracy of the
-    predicted labels. Returns (value, metric)."""
-    classes = model.class_labels
+def _score(classes, output, y_test) -> tuple:
+    """Score a test split from a head's output on it: AUC of the decision
+    against y == classes[1] when training saw two classes, else accuracy of
+    the predicted labels. Returns (value, metric)."""
     if len(classes) == 2:
-        positive = np.asarray(y_test) == classes[1]
-        return auc_roc(_head_decision(model, x_test), positive), "auc"
-    return accuracy(_head_predict(model, x_test), y_test), "accuracy"
+        return auc_roc(output, np.asarray(y_test) == classes[1]), "auc"
+    return accuracy(output, y_test), "accuracy"
 
 
 def fold_scores(kind, covs_of, labels, train, test, heads) -> list:
     """Fit one head per (C, kernel) of heads on the train rows and score the
-    test rows with score_split; returns one (value, metric) per head. The
-    inner CV and the outer splits both score here.
+    test rows; returns one (value, metric) per head. The inner CV and the
+    outer splits both score here.
 
     covs_of(rows) gives the SpdStack of those rows. SVM kinds fit the
-    tangent map on the training stack and feed the SVM tangent features;
-    MDM kinds feed MDM the stacks and ignore C and kernel. The training
-    stack is dropped before the test stack is built."""
+    tangent map on the training stack and feed the SVM tangent features.
+    MDM kinds ignore C and kernel and mdm_fit each class mean on its class's
+    stack alone. Each head scores the test rows from its outputs on blocks
+    of spd.block_rows rows, each block built and dropped in turn."""
     uses_svm = kind.endswith("SVM")
-    x = covs_of(train)
+    y = labels[train]
     if uses_svm:
+        x = covs_of(train)
         ref_inv_sqrt = tangent_fit(x)
         x = tangent_transform_many(ref_inv_sqrt, x)
-    y = labels[train]
-    models = [svm_fit(x, y, c=c, kernel=kernel) if uses_svm else mdm_fit(x, y)
-              for c, kernel in heads]
-    del x
-    x = covs_of(test)
+        models = [svm_fit(x, y, c=c, kernel=kernel) for c, kernel in heads]
+    else:
+        rows, classes = np.arange(len(labels))[train], tuple(sorted(set(y.tolist())))
+        means = tuple(mdm_fit(covs_of(rows[y == cls]), y[y == cls]).class_means[0]
+                      for cls in classes)
+        models = [MdmModel(classes, means)] * len(heads)
+    step = block_rows(len(ref_inv_sqrt) if uses_svm else means[0].dim)
+    test = np.arange(len(labels))[test]
+    blocks = (covs_of(test[start:start + step]) for start in range(0, len(test), step))
     if uses_svm:
-        x = tangent_transform_many(ref_inv_sqrt, x)
-    return [score_split(model, x, labels[test]) for model in models]
+        blocks = (tangent_transform_many(ref_inv_sqrt, x) for x in blocks)
+    # blocks outside, heads inside: one block's inputs at a time
+    outputs = zip(*([_head_output(model, x) for model in models] for x in blocks))
+    return [_score(model.class_labels, np.concatenate(output), labels[test])
+            for model, output in zip(models, outputs)]
 
 
 # -- pipeline configuration ----------------------------------------------
@@ -169,12 +180,8 @@ class PipelineSpec:
             )
         check_folds(self.inner_folds, "inner_folds")
         svm.check_settings(self.svm_c, self.svm_kernel)
-        for cell in ((self.order, self.lag), *itertools.product(self.grid_orders, self.grid_lags)):
-            AugmentedParams(*cell)  # the one check of the (order, lag) rule
-        for name in ("grid_orders", "grid_lags"):  # grid order breaks grid_search's ties
-            grid = getattr(self, name)
-            if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
-                raise InvalidSetting(f"{name} must be non-empty and strictly increasing: {grid!r}")
+        AugmentedParams(self.order, self.lag)  # the one check of the (order, lag) rule
+        _grid_cells(self.grid_orders, self.grid_lags, ("grid_orders", "grid_lags"))
         defaults = {f.name: f.default for f in fields(self)}
         for name, (family, source) in _SETTING_READERS.items():
             value = getattr(self, name)
@@ -219,6 +226,17 @@ class GridSearchResult:
     best: GridCell  # the winning cell, ties[0]
     cells: tuple
     ties: tuple  # the valid cells whose score equals the best, in grid order
+
+
+def _grid_cells(orders, lags, names=("orders", "lags")) -> list:
+    """The AugmentedParams of the (order, lag) grid, orders then lags, for
+    PipelineSpec and grid_search: InvalidSetting unless each cell is valid
+    and both grids are non-empty and strictly increasing (ties go by order)."""
+    cells = [AugmentedParams(*cell) for cell in itertools.product(orders, lags)]
+    for name, grid in zip(names, (orders, lags)):
+        if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
+            raise InvalidSetting(f"{name} must be non-empty and strictly increasing: {grid!r}")
+    return cells
 
 
 def check_folds(n_folds, name: str = "folds") -> None:
@@ -267,8 +285,8 @@ def grid_search(
 
     Cells that violate (order-1)*lag < T - 1 are recorded invalid and skipped.
     The best cell is the first valid one with the top mean score in grid
-    order: orders, then lags, as given (PipelineSpec makes both strictly
-    increasing), then C and kernel in table order.
+    order: orders, then lags, both strictly increasing (else
+    InvalidSetting), then C and kernel in table order.
     """
     if kind not in PIPELINE_KINDS:
         raise InvalidSetting(f"unknown pipeline kind {kind!r}")
@@ -281,7 +299,7 @@ def grid_search(
 
     cells = []
     order1_scores = None  # embed_epoch ignores the lag at order 1: score it once
-    for params in [AugmentedParams(*cell) for cell in itertools.product(orders, lags)]:
+    for params in _grid_cells(orders, lags):
         order, lag = params.order, params.lag
         if order == 1 and order1_scores is not None:
             param_scores = order1_scores

@@ -160,10 +160,12 @@ def resolve_shrink(shrink: bool | None, params: AugmentedParams) -> bool:
 def covariance_stack(epochs: EpochStack, params: AugmentedParams,
                      shrink: bool | None = None) -> SpdStack:
     """The augmented covariances of an EpochStack as one SpdStack, checked
-    once; augmented_covariance is the one-epoch case. Each covariance is
-    exactly symmetric and goes straight into its packed row, so no full
-    (n, k, k) stack is made. shrink goes through resolve_shrink. Unshrunk,
-    it warns when the embedded epoch has no more samples than rows."""
+    once; augmented_covariance is the one-epoch case. Memory: each
+    covariance is exactly symmetric and goes straight into its packed row,
+    so next to the packed stack one embedded epoch and at most three k x k
+    matrices are alive at a time, shrunk or not. shrink goes through
+    resolve_shrink. Unshrunk, it warns when the embedded epoch has no more
+    samples than rows."""
     shrink = resolve_shrink(shrink, params)
     values = epochs.values
     _, d, t = values.shape
@@ -177,6 +179,7 @@ def covariance_stack(epochs: EpochStack, params: AugmentedParams,
     for i, x in enumerate(values):
         c, lams[i] = _covariance(embed_epoch(x, params), shrink)
         out[i], traces[i] = pack(c), np.trace(c)
+        del c  # not alive through the next covariance's build
     # Ledoit-Wolf bounds: a shrunk matrix keeps tr C and has lambda_max <= tr C
     # and lambda_min >= lam * tr C / k, less the gram's rounding (at most
     # width * eps * tr C). An unshrunk one (lam = 0) gets no lower bound.
@@ -202,12 +205,17 @@ def _covariance(y: np.ndarray, shrink: bool):
     c = sym(gram / (m - 1))
     if not shrink:
         return c, 0.0
-    s = gram / m
-    d2 = np.sum((s - np.trace(s) / n * np.eye(n)) ** 2) / n
+    s = np.divide(gram, m, out=gram)
+    work = np.eye(n)
+    work *= np.trace(s) / n
+    d2 = np.sum(np.square(np.subtract(s, work, out=work), out=work)) / n
     lam = 0.0
     if d2 > 0.0:
         norms2 = np.einsum("ij,ij->j", y, y)  # |y_t|^2 for each t, no y * y temporary
-        bbar2 = (norms2 @ norms2 / m - (s * s).sum()) / (n * m)
+        bbar2 = (norms2 @ norms2 / m - np.multiply(s, s, out=work).sum()) / (n * m)
         lam = float(min(bbar2, d2) / d2)
+    del gram, s, work
     mu = np.trace(c) / n
-    return (1.0 - lam) * c + lam * mu * np.eye(n), lam
+    c *= 1.0 - lam
+    c += lam * mu * np.eye(n)
+    return c, lam

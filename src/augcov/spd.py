@@ -254,6 +254,11 @@ def _spectral(stack: np.ndarray, fn: str | None, left=None, right=None):
     return sym((u * _SCALAR_FNS[fn](w)[:, None, :]) @ np.swapaxes(u, 1, 2))
 
 
+def block_rows(dim: int) -> int:
+    """Matrices of size dim per SPD_BLOCK_BYTES block of a walk, at least 1."""
+    return max(1, SPD_BLOCK_BYTES // (8 * dim * dim))
+
+
 def _blocks(stack: SpdStack, rows=None, spectral: tuple | None = None):
     """The one stack walk: the matrices stack[rows] (all of them when rows
     is None), in order, in consecutive blocks of at most SPD_BLOCK_BYTES of
@@ -262,7 +267,7 @@ def _blocks(stack: SpdStack, rows=None, spectral: tuple | None = None):
     is used. Yields (out, block) per block, out being the slice of the
     block's matrices in the walk's output. With spectral = (fn, left, right),
     block is _spectral(block, fn, left, right), else the full matrices."""
-    step = max(1, SPD_BLOCK_BYTES // (stack.packed.itemsize * stack.dim ** 2))
+    step = block_rows(stack.dim)
     count = len(stack) if rows is None else len(rows)
     for start in range(0, max(count, 1), step):
         out = slice(start, start + step)
@@ -293,15 +298,14 @@ def symm_fn(m: np.ndarray, fn: str) -> np.ndarray:
     return _spectral(_symmetric(np.asarray(m)[None], "symm_fn input"), fn)[0]
 
 
-def distances_from(reference: SpdMatrix, stack: SpdStack) -> np.ndarray:
-    """Affine-invariant distance from reference to each matrix P of a stack,
-    sqrt(sum_i log^2 lambda_i) over the eigenvalues of
-    reference^{-1/2} P reference^{-1/2}."""
-    if reference.dim != stack.dim:
-        raise DimensionMismatch(f"dimensions differ: {reference.dim} vs {stack.dim}")
-    isqrt = symm_fn(reference.values, "inv_sqrt")
+def distances_from(ref_inv_sqrt: np.ndarray, stack: SpdStack) -> np.ndarray:
+    """Affine-invariant distance from a reference, given its inverse square
+    root, to each matrix P of a stack: sqrt(sum_i log^2 lambda_i) over the
+    eigenvalues of ref^{-1/2} P ref^{-1/2}."""
+    if stack.dim != len(ref_inv_sqrt):
+        raise DimensionMismatch(f"dimensions differ: {len(ref_inv_sqrt)} vs {stack.dim}")
     w = np.empty((len(stack), stack.dim))
-    for out, eigenvalues in _blocks(stack, spectral=(None, isqrt, isqrt)):
+    for out, eigenvalues in _blocks(stack, spectral=(None, ref_inv_sqrt, ref_inv_sqrt)):
         w[out] = eigenvalues
     return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from augcov.covariance import AugmentedParams, Epoch, EpochStack, augmented_covariance
-from augcov.spd import SpdMatrix, SpdStack, distances_from
+from augcov.spd import SpdMatrix, SpdStack, distances_from, symm_fn
 
 
 def random_spd(rng, dim, scale=1.0, cond=10.0):
@@ -34,7 +34,7 @@ def epoch_stack(epochs):
 
 def pair_distance(p1, p2):
     """Affine-invariant distance between two SpdMatrix: distances_from for one pair."""
-    return float(distances_from(p1, spd_stack([p2]))[0])
+    return float(distances_from(symm_fn(p1.values, "inv_sqrt"), spd_stack([p2]))[0])
 
 
 def ar_coefficients(x, p):

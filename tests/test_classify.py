@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from augcov import classify, spd
 from augcov.classify import (
     PARAM_SOURCES,
     PIPELINE_KINDS,
@@ -25,7 +28,8 @@ from augcov.errors import (
     TooFewSamples,
 )
 from augcov.spd import SpdMatrix, SpdStack, frechet_mean, symm_fn
-from augcov.svm import KERNELS
+from augcov.stats import accuracy, auc_roc
+from augcov.svm import KERNELS, svm_decision, svm_fit, svm_predict
 
 from conftest import pair_distance, random_spd, random_symmetric, spd_stack
 
@@ -255,6 +259,16 @@ class TestGridSearch:
                 grid_search(epochs, labels, kind, orders=orders, lags=(4,),
                             inner_folds=2, seed=2)
 
+    @pytest.mark.parametrize("grid", [dict(orders=(3, 2), lags=(1,)),
+                                      dict(orders=(2, 2, 3), lags=(1,)),
+                                      dict(orders=(2,), lags=(1, 3, 2))])
+    def test_grids_must_be_strictly_increasing(self, grid):
+        """Called directly too: (3, 2) would let order 3 win a tie with order
+        2, and (2, 2, 3) would score the order-2 cells twice."""
+        epochs, labels = ar_two_class_set(seed=6, epochs_per_class=4, t=32).all_epochs()
+        with pytest.raises(InvalidSetting, match="must be non-empty and strictly increasing"):
+            grid_search(epochs, labels, "ACM+MDM", inner_folds=2, **grid)
+
     def test_ar2_distinguished_classes_prefer_higher_order(self):
         hits = 0
         seeds = range(20)
@@ -455,6 +469,96 @@ def test_inner_cv_memory_stays_near_one_cell_stack():
     finally:
         tracemalloc.stop()
     assert peak < 2 * cell_bytes, (peak, cell_bytes)
+
+
+def test_mdm_fold_memory_is_one_class_stack_and_one_block():
+    """An ACM+MDM fold fits one class at a time and scores the test rows one
+    block at a time (one matrix of size k = 96 per block): its traced peak
+    stays under the largest class's packed training stack plus the Frechet
+    mean's working set of one block (about 12 k^2) and the class means, 16
+    k^2 in all. The whole training stack (three classes) or the whole packed
+    test stack, 24 k^2 each, does not fit next to that working set."""
+    import tracemalloc
+
+    k = 96
+    rng = np.random.default_rng(11)
+    epochs = EpochStack(rng.standard_normal((96, 8, 160)), 250.0)
+    labels = np.repeat([0, 1, 2], 32)
+    covs = covariance_stack(epochs, AugmentedParams(12, 1))
+    assert covs.dim == k
+    train, test = np.flatnonzero(np.arange(96) % 2 == 0), np.flatnonzero(np.arange(96) % 2)
+    class_bytes = 16 * covs.packed.shape[1] * 8  # each class has 16 training rows
+    tracemalloc.start()
+    try:
+        fold_scores("ACM+MDM", covs.__getitem__, labels, train, test, [(None, None)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < class_bytes + 16 * k * k * 8, (peak, class_bytes)
+
+
+@given(n_classes=st.integers(2, 3), per_class=st.integers(3, 7), channels=st.integers(1, 3),
+       order=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_block_streamed_scoring_equals_whole_stack(n_classes, per_class, channels, order,
+                                                  seed):
+    """fold_scores, with one matrix per block, against its looped reference:
+    fit on the whole training stack, score the whole test stack. MDM
+    decisions (or predicted labels) match bit for bit, TS+SVM decisions
+    within 1e-12 of their scale, and the fold scores are equal. Every test
+    block holds one row, and MDM builds one stack per class."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(n_classes), per_class)
+    data = rng.standard_normal((len(labels), channels, 40)) * (1.0 + labels)[:, None, None]
+    covs = covariance_stack(EpochStack(data, 250.0), AugmentedParams(order, 1))
+    train, test = stratified_folds(labels, 3, seed)[0]
+    y_train, y_test = labels[train], labels[test]
+    for kind, heads in (("ACM+MDM", [(None, None)]),
+                        ("ACM+TANG+SVM", [(1.0, "linear"), (0.5, "rbf")])):
+        if kind == "ACM+MDM":
+            model = mdm_fit(covs[train], y_train)
+            predicted, dists = mdm_predict(model, covs[test])
+            want = [dists[:, 0] - dists[:, 1] if n_classes == 2 else predicted]
+        else:
+            isqrt = tangent_fit(covs[train])
+            features = tangent_transform_many(isqrt, covs[test])
+            models = [svm_fit(tangent_transform_many(isqrt, covs[train]), y_train, c=c,
+                              kernel=kernel) for c, kernel in heads]
+            want = [svm_decision(m, features) if n_classes == 2 else svm_predict(m, features)
+                    for m in models]
+        want_scores = [(auc_roc(w, y_test == 1), "auc") if n_classes == 2
+                       else (accuracy(w, y_test), "accuracy") for w in want]
+
+        requested, scored = [], []
+
+        def covs_of(rows):
+            requested.append(rows.tolist())
+            return covs[rows]
+
+        def score(classes, output, y):
+            scored.append(output)
+            return real_score(classes, output, y)
+
+        real_score = classify._score
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spd, "SPD_BLOCK_BYTES", covs.dim ** 2 * 8)
+            mp.setattr(classify, "_score", score)
+            got_scores = fold_scores(kind, covs_of, labels, train, test, heads)
+
+        assert got_scores == want_scores and len(scored) == len(want)
+        test_calls = [[row] for row in test]
+        if kind == "ACM+MDM":
+            assert requested == [train[y_train == c].tolist()
+                                 for c in range(n_classes)] + test_calls
+            assert all(np.array_equal(g, w) for g, w in zip(scored, want))
+        else:
+            assert requested == [train.tolist()] + test_calls
+            for g, w in zip(scored, want):
+                if n_classes == 2:
+                    np.testing.assert_allclose(g, w, rtol=0.0,
+                                               atol=1e-12 * np.abs(w).max())
+                else:
+                    assert np.array_equal(g, w)
 
 
 class TestGridSearchInvariants:

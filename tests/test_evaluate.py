@@ -241,9 +241,9 @@ class TestSplitRunner:
 
 
 def test_a_fixed_split_copies_each_row_set_once(monkeypatch):
-    """A within-session split indexes its training and its test epochs once
-    each, to build their covariances: a fixed source reads no training
-    epochs while it selects."""
+    """A within-session split indexes each class's training epochs and its
+    test epochs (one block at this size) once each, to build their
+    covariances: a fixed source reads no training epochs while it selects."""
     copies = []
     getitem = covariance.EpochStack.__getitem__
 
@@ -256,7 +256,8 @@ def test_a_fixed_split_copies_each_row_set_once(monkeypatch):
     spec = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=2, lag=1)
     within_session_eval(separable_set(n_sessions=2, epochs_per_class=6), spec, folds=3,
                         seed=0)
-    assert sorted(copies) == sorted([8, 4] * 3 * 2)  # (train, test) x folds x sessions
+    # (class 0 train, class 1 train, test) x folds x sessions
+    assert sorted(copies) == sorted([4, 4, 4] * 3 * 2)
 
 
 class TestTimingProfile:

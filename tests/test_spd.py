@@ -184,7 +184,7 @@ class TestStackEqualsLoop:
         assert np.array_equal(tangent_transform_many(isqrt, stack), rows)
 
         reference = random_spd(rng, dim, scale)
-        got = distances_from(reference, stack)
+        got = distances_from(symm_fn(reference.values, "inv_sqrt"), stack)
         want = [np.sqrt(np.sum(np.log(scipy.linalg.eigh(v, reference.values,
                                                         eigvals_only=True)) ** 2))
                 for v in values]
@@ -212,7 +212,7 @@ class TestStackEqualsLoop:
             model = mdm_fit(stack, labels)
             tangent_isqrt = tangent_fit(stack)
             rows = tangent_transform_many(tangent_isqrt, stack)
-            dists = distances_from(reference, stack)
+            dists = distances_from(symm_fn(reference.values, "inv_sqrt"), stack)
 
         assert np.array_equal(mean.values, frechet_mean(stack).values)
         assert_same_mean(mean.values, _ref_frechet_mean(values))
@@ -278,7 +278,7 @@ class TestPackedStorage:
             mean = frechet_mean(stack)
             isqrt = tangent_fit(stack)
             coords = tangent_transform_many(isqrt, stack)
-            dists = distances_from(reference, stack)
+            dists = distances_from(symm_fn(reference.values, "inv_sqrt"), stack)
         assert all(block.flags.c_contiguous for block in walked + walked_rows)
         assert np.array_equal(np.concatenate(walked), values)
         assert np.array_equal(np.concatenate(walked_rows), values[order])
@@ -350,10 +350,10 @@ class TestBlockedMemory:
         assert len(stack) > 2 * max(1, spd.SPD_BLOCK_BYTES // (full_bytes // n))
         labels = np.arange(n) % 2
         tmap = tangent_fit(stack)
-        reference = stack[3]
+        reference_isqrt = symm_fn(stack[3].values, "inv_sqrt")
         budget = full_bytes / 2
         assert self._peak_beyond(lambda: mdm_fit(stack, labels)) < budget
-        assert self._peak_beyond(lambda: distances_from(reference, stack)) < budget
+        assert self._peak_beyond(lambda: distances_from(reference_isqrt, stack)) < budget
         assert self._peak_beyond(lambda: tangent_transform_many(tmap, stack)) < budget
 
 
@@ -457,7 +457,7 @@ class TestDistance:
             q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             mats.append(q @ np.diag(np.logspace(0.0, -9.5, 6)) @ q.T)
         with pytest.raises(NonPositiveEigenvalue, match="distance requires positive") as err:
-            distances_from(SpdMatrix(mats[1]), SpdStack(np.stack(mats)))
+            distances_from(symm_fn(mats[1], "inv_sqrt"), SpdStack(np.stack(mats)))
         assert isinstance(err.value, NumericalError) and err.value.eigenvalue <= 0.0
 
     @given(dim=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))
