@@ -200,6 +200,14 @@ class PipelineSpec:
         return self.kind.endswith("SVM")
 
     @property
+    def searches(self) -> bool:
+        """Whether select_params runs the inner-CV grid search: a grid of more
+        than one (order, lag) cell, or an SVM's C and kernel not fixed."""
+        grid = self.is_augmented and self.param_source == "grid"
+        return ((grid and len(self.grid_orders) * len(self.grid_lags) > 1)
+                or (self.uses_svm and self.param_source != "fixed"))
+
+    @property
     def name(self) -> str:
         if self.is_augmented:
             return f"{self.kind}({self.param_source})"
@@ -338,8 +346,8 @@ def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0,
     labels at rows, per the spec's source; returns (params, c, kernel,
     grid_result), with C and kernel None for MDM kinds and grid_result None
     when nothing was searched. The rows are indexed only when an estimator
-    or the inner-CV grid search reads them, and the search runs only when
-    the source leaves more than one candidate."""
+    or the inner-CV grid search reads them; the search, the one reader of
+    seed, runs only when spec.searches."""
     if spec.param_source in emb.METHODS:
         estimate = emb.estimate(epochs[rows], spec.param_source)
         orders, lags = (estimate.dim,), (estimate.tau,)
@@ -347,9 +355,7 @@ def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0,
         orders, lags = spec.grid_orders, spec.grid_lags
     else:  # fixed, or a plain kind, whose spec pins order = lag = 1
         orders, lags = (spec.order,), (spec.lag,)
-    # a fixed source fixes an SVM's C and kernel; any other searches the table
-    svm_search = spec.uses_svm and spec.param_source != "fixed"
-    if len(orders) * len(lags) == 1 and not svm_search:
+    if not spec.searches:
         c, kernel = (spec.svm_c, spec.svm_kernel) if spec.uses_svm else (None, None)
         return AugmentedParams(orders[0], lags[0]), c, kernel, None
     grid = grid_search(

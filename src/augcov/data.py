@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import os
+import shutil
 import stat
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -331,9 +332,10 @@ def write_epochset(epoch_set: EpochSet, path) -> None:
 
 
 def read_epochset(path) -> EpochSet:
-    """Read a container written by write_epochset; lossless inverse. The
-    payload is read straight into the stack's array, sized from the
-    manifest; its length comes from fstat, or from reading a pipe whole."""
+    """Read a container written by write_epochset; lossless inverse. A
+    file's payload is read straight into the stack's array, sized from the
+    manifest once fstat confirms its length; a pipe's is read whole into one
+    buffer, which the stack's read-only array then views."""
     with open(path, "rb") as fh:
         header = fh.readline()
         if not header.endswith(b"\n"):
@@ -374,11 +376,14 @@ def read_epochset(path) -> EpochSet:
         expected_bytes = total_epochs * d * t * 8
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
-            payload_bytes = info.st_size - len(header)
-        else:  # a pipe or FIFO has no size: read it whole, then read from that
-            fh = io.BytesIO(fh.read())
-            payload_bytes = len(fh.getbuffer())
-        if payload_bytes == expected_bytes:
+            payload, payload_bytes = None, info.st_size - len(header)
+        else:  # a pipe or FIFO has no size: read it whole into one growing buffer
+            payload = io.BytesIO()
+            shutil.copyfileobj(fh, payload, 1 << 16)
+            payload_bytes = len(payload := payload.getvalue())  # its own bytes: no copy
+        if payload_bytes == expected_bytes and payload is not None:
+            values = np.frombuffer(payload, dtype="<f8").reshape(total_epochs, d, t)
+        elif payload_bytes == expected_bytes:
             values = np.empty((total_epochs, d, t), dtype="<f8")
             payload_bytes = fh.readinto(values.reshape(-1).view(np.uint8))
     if payload_bytes != expected_bytes:

@@ -142,8 +142,8 @@ class EvalReport:
 
 
 def _ws_splits(epoch_set: EpochSet, folds: int, seed: int):
-    """One split per (session, fold), in that order. Fold assignment and the
-    inner seeds derive from (seed, session, fold) alone."""
+    """One split per (session, fold), in that order. Fold assignment and each
+    split's inner-seed key derive from (seed, session, fold) alone."""
     splits, start = [], 0
     for s_idx, session in enumerate(epoch_set.sessions):
         labels = np.asarray(session.labels)
@@ -152,7 +152,7 @@ def _ws_splits(epoch_set: EpochSet, folds: int, seed: int):
             where=f"session {session.session_id!r}",
         )):
             splits.append((session.session_id, f"fold{f_idx}", start + train_idx,
-                           start + test_idx, _derive_seed(seed, s_idx, f_idx)))
+                           start + test_idx, (seed, s_idx, f_idx)))
         start += len(labels)
     return splits
 
@@ -168,7 +168,7 @@ def _cs_splits(epoch_set: EpochSet, seed: int):
         if 0 < start and stop < n:
             train = np.r_[0:start, stop:n]
         splits.append((held_out.session_id, f"holdout:{held_out.session_id}", train,
-                       slice(start, stop), _derive_seed(seed, s_idx, 0)))
+                       slice(start, stop), (seed, s_idx, 0)))
         start = stop
     return splits
 
@@ -176,9 +176,10 @@ def _cs_splits(epoch_set: EpochSet, seed: int):
 def _score_split(epochs, labels, spec: PipelineSpec, split):
     """Select the parameters on the split's train rows, then fit on them and
     score its test rows; returns (SplitScore, timing rows, grid search result
-    or None)."""
-    session_id, split_id, train, test, seed = split
+    or None). The inner seed comes from the split's key only if spec.searches."""
+    session_id, split_id, train, test, key = split
     start = perf_counter()
+    seed = _derive_seed(*key) if spec.searches else None
     params, c, kernel, grid = select_params(spec, epochs, labels, seed, rows=train)
     selected_at = perf_counter()
     ((value, metric),) = fold_scores(

@@ -24,13 +24,13 @@ decomposed or checked until the mean is returned.
 Memory model: a stack of n matrices of size k holds n k(k+1)/2 floats,
 about half of n k^2, and no full (n, k, k) array of it is ever made. One
 walk, _blocks, reads a stack in consecutive blocks of at most
-SPD_BLOCK_BYTES of full matrices, unpacks each block by one gather and
-applies _spectral to it. Its consumers, the SPD gate, the Frechet mean
-(_mean), the distances (distances_from) and the Log coordinates
-(log_coordinates), hold the live packed stack plus one block's working set
-(the unpacked block and about four block-sized arrays) and small per-call
-matrices, whatever n is; the coordinates fill one preallocated row matrix.
-A class mean reads its rows block by block instead of copying them out.
+SPD_BLOCK_BYTES of full matrices, unpacks each block by one gather and hands
+it to _spectral, which drops each block-sized array once used. Its
+consumers, the SPD gate, the sums of the Frechet mean (_mean), the distances
+and the Log coordinates, hold the live packed stack plus at most about four
+block-sized arrays and a few k x k matrices, whatever n is; the coordinates
+fill one preallocated row matrix. With one matrix per block (k >= 91), a
+Frechet mean holds about 8 k^2 next to its stack, whose rows it reads in place.
 Neither the packing nor the walk changes a result: every stored matrix is
 exactly symmetric, so unpacking restores its bits, per-matrix steps do not
 depend on the block, and sums add one matrix at a time in stack order, as
@@ -238,10 +238,8 @@ def _spectral(stack: np.ndarray, fn: str | None, left=None, right=None):
     instead. For every fn but "exp", an eigenvalue at or below zero raises
     NonPositiveEigenvalue."""
     whitened = sym(stack if left is None else left @ stack @ right)
-    if fn is None:
-        w = np.linalg.eigvalsh(whitened)
-    else:
-        w, u = np.linalg.eigh(whitened)
+    del stack  # freed here when the caller passed its only reference, as _blocks does
+    w, u = (np.linalg.eigvalsh(whitened), None) if fn is None else np.linalg.eigh(whitened)
     del whitened  # one block fewer under the reconstruction's temporaries
     lo = w[:, 0].min(initial=np.inf)
     if fn in _NEEDS_POSITIVE and lo <= 0.0:
@@ -251,7 +249,9 @@ def _spectral(stack: np.ndarray, fn: str | None, left=None, right=None):
         )
     if fn is None:
         return w
-    return sym((u * _SCALAR_FNS[fn](w)[:, None, :]) @ np.swapaxes(u, 1, 2))
+    product = (u * _SCALAR_FNS[fn](w)[:, None, :]) @ np.swapaxes(u, 1, 2)
+    del u  # the scaled copy is already freed: sym holds two blocks, not four
+    return sym(product)
 
 
 def block_rows(dim: int) -> int:
@@ -271,22 +271,24 @@ def _blocks(stack: SpdStack, rows=None, spectral: tuple | None = None):
     count = len(stack) if rows is None else len(rows)
     for start in range(0, max(count, 1), step):
         out = slice(start, start + step)
-        block = _unpacked(stack.packed[out] if rows is None else stack.packed[rows[out]],
-                          stack.dim)
-        if spectral is not None:
-            block = _spectral(block, *spectral)
-        yield out, block
+        packed = stack.packed[out] if rows is None else stack.packed[rows[out]]
+        if spectral is None:
+            yield out, _unpacked(packed, stack.dim)
+        else:  # no name or argument tuple holds the unpacked block: _spectral drops it
+            fn, left, right = spectral
+            yield out, _spectral(_unpacked(packed, stack.dim), fn, left, right)
 
 
 def _mean(stack: SpdStack, rows=None, spectral: tuple | None = None) -> np.ndarray:
-    """Mean over the matrices of stack[rows] of what _blocks yields for
-    them. The sum adds one matrix at a time in order, as numpy's axis-0 sum
-    does, so it equals the mean of the whole stack bit for bit."""
+    """Mean over the matrices of stack[rows] of what _blocks yields. The
+    total goes into each fresh block's first matrix: one matrix at a time in
+    order, as numpy's axis-0 sum adds, so bit for bit the whole stack's mean."""
     total = None
     for _, block in _blocks(stack, rows, spectral):
         if total is not None:
-            block = np.concatenate([total[None], block])
+            block[0] += total
         total = block.sum(axis=0)
+        del block  # before the walk builds the next block
     return total / (len(stack) if rows is None else len(rows))
 
 
@@ -362,6 +364,7 @@ def frechet_mean(stack: SpdStack, rows=None) -> SpdMatrix:
     # do: lambda_min(mean) >= mean lambda_min > EPS_SPD * mean lambda_max.
     w, u = np.linalg.eigh(_mean(stack, rows))
     whiten = (u / np.sqrt(w)) @ u.T  # G
+    del w, u
     previous = None  # (theta', R') of the last step
     for iteration in range(MEAN_MAX_ITER + 1):
         grad = _mean(stack, rows, ("log", whiten, whiten.T))

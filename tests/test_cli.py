@@ -47,7 +47,7 @@ SCIPY_BLOCKED_CHAIN = """
 import json, sys
 sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 import augcov.cli
-lazy = ("statistics", "decimal", "concurrent.futures.process")
+lazy = ("statistics", "decimal", "concurrent.futures.process", "numpy.random")
 loaded = sorted(m for m in lazy if m in sys.modules)
 steps = json.loads(sys.argv[1])
 codes = [augcov.cli.main(argv) for argv in steps]
@@ -60,7 +60,8 @@ def test_the_cli_chain_runs_with_scipy_blocked(tmp_path):
     """The package needs numpy and the standard library alone: with scipy
     unimportable (also in the forked pool workers), simulate, both
     estimators, a two-worker ws grid, cs runs and stats all exit 0. Importing
-    the CLI loads neither the process pool nor the quantile's modules."""
+    the CLI loads neither the process pool, nor the quantile's modules, nor
+    numpy.random."""
     steps, reports = [], []
     for seed in range(3):
         container = str(tmp_path / f"s{seed}.acm")
@@ -93,6 +94,42 @@ def test_the_cli_chain_runs_with_scipy_blocked(tmp_path):
     assert outcome["codes"] == [0] * len(steps), proc.stderr
     manifest = json.loads((tmp_path / "meta" / "manifest.json").read_text())
     assert sorted(manifest["versions"]) == ["augcov", "numpy", "python"]
+
+
+NO_RANDOM_CHAIN = """
+import json, sys
+import augcov.cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert augcov.cli.main(argv) == 0, argv
+    loaded.append("numpy.random" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_a_cross_session_run_without_a_search_never_loads_numpy_random(tmp_path):
+    """Only a search reads a split's seed, so only a split that searches
+    derives it: a serial cs run of MDM, of ACM+MDM at a fixed (2, 1) and of
+    ACM+MDM with an MDOP estimate leaves numpy.random unloaded, in one
+    process, in that order. A grid run, last, loads it: the check can see
+    it."""
+    container = tmp_path / "s.acm"
+    spec = ar_spec_json(tmp_path, epochs_per_class=8, t=128, n_sessions=2)
+    assert main(["simulate", "--spec-json", f"@{spec}", "--out", str(container)]) == 0
+    common = ["--input", str(container), "--eval", "cs", "--seed", "3", "--workers", "1"]
+    runs = [["--pipeline", "MDM"], ["--pipeline", "ACM+MDM", "--order", "2", "--lag", "1"],
+            ["--pipeline", "ACM+MDM", "--param-source", "mdop"],
+            ["--pipeline", "ACM+MDM", "--param-source", "grid", "--grid-max-order", "2",
+             "--grid-max-lag", "1"]]
+    steps = [["evaluate", *common, *run, "--out", str(tmp_path / f"out{i}")]
+             for i, run in enumerate(runs)]
+    src = str(Path(augcov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NO_RANDOM_CHAIN, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
 
 
 def test_python_dash_m_runs_the_cli():

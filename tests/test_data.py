@@ -402,6 +402,36 @@ class TestContainer:
         assert np.array_equal(loaded.epochs.values, epochs.values)
         assert peak < 1.25 * epochs.values.nbytes, (peak, epochs.values.nbytes)
 
+    def test_a_pipe_read_holds_the_payload_once(self, tmp_path):
+        """A pipe's payload is read whole into one growing buffer, and the
+        stack's read-only array views its bytes: the traced peak stays under
+        the file read's bound of 1.25 payloads (the buffer's growth margin of
+        one eighth, a 64 KiB chunk and the finite check), where a second copy
+        of the payload would read 2."""
+        import threading
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        epochs = EpochStack(rng.standard_normal((64, 8, 256)), 250.0)
+        path = tmp_path / "big.acm"
+        write_epochset(EpochSet("subj", [Session("s0", epochs, [0, 1] * 32)], ["a", "b"]),
+                       path)
+        fifo = tmp_path / "big.fifo"
+        os.mkfifo(fifo)
+        blob = path.read_bytes()  # the writer's copy, made before tracing
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,))
+        writer.start()
+        tracemalloc.start()
+        try:
+            loaded = read_epochset(fifo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join()
+        assert np.array_equal(loaded.epochs.values, epochs.values)
+        assert not loaded.epochs.values.flags.writeable
+        assert peak < 1.25 * epochs.values.nbytes, (peak, epochs.values.nbytes)
+
     def test_dimension_mismatch_in_manifest(self, tmp_path):
         path = tmp_path / "set.acm"
         write_epochset(self.make_set(), path)

@@ -260,6 +260,39 @@ def test_a_fixed_split_copies_each_row_set_once(monkeypatch):
     assert sorted(copies) == sorted([4, 4, 4] * 3 * 2)
 
 
+def test_only_a_split_that_searches_derives_its_seed(monkeypatch):
+    """A split's inner seed is the int it has always been,
+    SeedSequence(seed, spawn_key=(session, fold)) drawn once modulo 2^31, and
+    a cs and a ws grid hand it to grid_search split by split. Fixed and
+    estimated parameters with no SVM search derive no seed at all."""
+    searched, derived = [], []
+    grid_search, derive_seed = classify.grid_search, evaluate._derive_seed
+    monkeypatch.setattr(classify, "grid_search", lambda *args, seed, **kwargs: (
+        searched.append(seed) or grid_search(*args, seed=seed, **kwargs)))
+    monkeypatch.setattr(evaluate, "_derive_seed", lambda *key: (
+        derived.append(key) or derive_seed(*key)))
+
+    def seed_of(seed, s_idx, f_idx):
+        state = np.random.SeedSequence(entropy=seed, spawn_key=(s_idx, f_idx)).generate_state(
+            1, dtype=np.uint64)
+        return int(state[0] % 2 ** 31)
+
+    epoch_set = separable_set(n_sessions=2, epochs_per_class=9)
+    grid = PipelineSpec(kind="ACM+MDM", param_source="grid", grid_orders=(1, 2),
+                        grid_lags=(1,), inner_folds=3)
+    cross_session_eval(epoch_set, grid, seed=5)
+    assert searched == [seed_of(5, s_idx, 0) for s_idx in range(2)]
+    searched.clear()
+    within_session_eval(epoch_set, grid, folds=3, seed=7)
+    assert searched == [seed_of(7, s_idx, f_idx) for s_idx in range(2) for f_idx in range(3)]
+    derived.clear()
+    for spec in (MDM, PipelineSpec(kind="ACM+MDM", order=2, lag=1),
+                 PipelineSpec(kind="ACM+MDM", param_source="mdop")):
+        cross_session_eval(epoch_set, spec, seed=5)
+        within_session_eval(epoch_set, spec, folds=3, seed=7)
+    assert derived == []
+
+
 class TestTimingProfile:
     def test_one_select_and_one_fit_score_row_per_split(self):
         report = within_session_eval(separable_set(n_sessions=2), MDM, folds=3, seed=0)
