@@ -6,9 +6,10 @@ the (order, lag, C, kernel) grid search, whose result keeps its winning cell.
 fold_scores is the one fit-and-score step of the inner CV and the outer
 splits. Fitted models are immutable; fitting never touches anything but the
 rows it is handed, so grid-search scores are functions of the training split
-alone. Memory model: an MDM fold holds one class's covariance stack at a
-time (SVM: the training stack and its features), and no fold builds a test
-stack: test rows are built and scored one SPD block at a time.
+alone. Memory model: no split or grid cell copies an epoch, as
+covariance_stack reads the rows it is given in place; an MDM fold holds one
+class's covariance stack at a time (SVM: the training stack and its
+features), and test rows are built and scored one SPD block at a time.
 """
 
 from __future__ import annotations
@@ -287,9 +288,11 @@ def grid_search(
     inner_folds: int = 5,
     seed: int = 0,
     shrink: bool | None = None,
+    rows=slice(None),
 ) -> GridSearchResult:
-    """Stratified inner-CV score over the (order, lag[, C, kernel]) grid; SVM
-    kinds search every TABLE_C_GRID x svm.KERNELS pair in each cell.
+    """Stratified inner-CV score over the (order, lag[, C, kernel]) grid on
+    the epochs and labels at rows (all of them by default), read in place;
+    SVM kinds search every TABLE_C_GRID x svm.KERNELS pair in each cell.
 
     Cells that violate (order-1)*lag < T - 1 are recorded invalid and skipped.
     The best cell is the first valid one with the top mean score in grid
@@ -298,7 +301,7 @@ def grid_search(
     """
     if kind not in PIPELINE_KINDS:
         raise InvalidSetting(f"unknown pipeline kind {kind!r}")
-    labels = svm.check_labels(len(epochs), labels)
+    labels = svm.check_labels(len(epochs), labels)[rows]
     folds = stratified_folds(labels, inner_folds, np.random.SeedSequence(seed))
     uses_svm = kind.endswith("SVM")
     param_grid = (
@@ -313,7 +316,7 @@ def grid_search(
             param_scores = order1_scores
         else:
             try:
-                covs = covariance_stack(epochs, params, shrink)
+                covs = covariance_stack(epochs, params, shrink, rows)
             except LagTooLarge:
                 for c, kernel in param_grid:
                     cells.append(GridCell(order, lag, c, kernel, None, 0))
@@ -345,9 +348,9 @@ def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0,
     """Pick (order, lag, C, kernel) on a training split, the epochs and
     labels at rows, per the spec's source; returns (params, c, kernel,
     grid_result), with C and kernel None for MDM kinds and grid_result None
-    when nothing was searched. The rows are indexed only when an estimator
-    or the inner-CV grid search reads them; the search, the one reader of
-    seed, runs only when spec.searches."""
+    when nothing was searched. Only an estimator copies the rows out; the
+    inner-CV grid search, the one reader of seed, reads them in place and
+    runs only when spec.searches."""
     if spec.param_source in emb.METHODS:
         estimate = emb.estimate(epochs[rows], spec.param_source)
         orders, lags = (estimate.dim,), (estimate.tau,)
@@ -359,7 +362,7 @@ def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0,
         c, kernel = (spec.svm_c, spec.svm_kernel) if spec.uses_svm else (None, None)
         return AugmentedParams(orders[0], lags[0]), c, kernel, None
     grid = grid_search(
-        epochs[rows], np.asarray(labels)[rows], spec.kind, orders=orders, lags=lags,
-        inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
+        epochs, labels, spec.kind, orders=orders, lags=lags,
+        inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink, rows=rows,
     )
     return AugmentedParams(grid.best.order, grid.best.lag), grid.best.c, grid.best.kernel, grid

@@ -158,26 +158,28 @@ def resolve_shrink(shrink: bool | None, params: AugmentedParams) -> bool:
 
 
 def covariance_stack(epochs: EpochStack, params: AugmentedParams,
-                     shrink: bool | None = None) -> SpdStack:
-    """The augmented covariances of an EpochStack as one SpdStack, checked
-    once; augmented_covariance is the one-epoch case. Memory: each
-    covariance is exactly symmetric and goes straight into its packed row,
-    so next to the packed stack one embedded epoch and at most three k x k
-    matrices are alive at a time, shrunk or not. shrink goes through
-    resolve_shrink. Unshrunk, it warns when the embedded epoch has no more
-    samples than rows."""
+                     shrink: bool | None = None, rows=None) -> SpdStack:
+    """The augmented covariances of an EpochStack, or of its epochs at rows
+    (a slice, index array or mask), as one SpdStack, checked once;
+    augmented_covariance is the one-epoch case. Memory: each epoch is read
+    in place, never copied out as a sub-stack, and each covariance is
+    exactly symmetric and goes straight into its packed row, so next to the
+    packed stack one embedded epoch and at most three k x k matrices are
+    alive at a time, shrunk or not. shrink goes through resolve_shrink.
+    Unshrunk, it warns when the embedded epoch has no more samples than rows."""
     shrink = resolve_shrink(shrink, params)
     values = epochs.values
+    index = np.arange(len(values))[slice(None) if rows is None else rows]
     _, d, t = values.shape
     params.check_length(t)
     k, width = d * params.order, t - (params.order - 1) * params.lag
     if not shrink and width <= k:
         warnings.warn(f"epoch has T={width} samples for d={k} channels; covariance "
                       f"may be rank-deficient, consider shrinkage", stacklevel=2)
-    out = np.empty((len(values), k * (k + 1) // 2))
-    lams, traces = np.zeros(len(values)), np.empty(len(values))
-    for i, x in enumerate(values):
-        c, lams[i] = _covariance(embed_epoch(x, params), shrink)
+    out = np.empty((len(index), k * (k + 1) // 2))
+    lams, traces = np.zeros(len(index)), np.empty(len(index))
+    for i, r in enumerate(index):
+        c, lams[i] = _covariance(embed_epoch(values[r], params), shrink)
         out[i], traces[i] = pack(c), np.trace(c)
         del c  # not alive through the next covariance's build
     # Ledoit-Wolf bounds: a shrunk matrix keeps tr C and has lambda_max <= tr C

@@ -162,8 +162,8 @@ def _cs_splits(epoch_set: EpochSet, seed: int):
     splits, start, n = [], 0, len(epoch_set.epochs)
     for s_idx, held_out in enumerate(epoch_set.sessions):
         stop = start + len(held_out.epochs)
-        # holding out the first or last session trains on a view of the set's
-        # one stack; otherwise the sessions on both sides are copied once
+        # holding out the first or last session trains on a slice of the
+        # set's one stack, otherwise on the row indices of both sides
         train = slice(stop, n) if start == 0 else slice(0, start)
         if 0 < start and stop < n:
             train = np.r_[0:start, stop:n]
@@ -183,7 +183,7 @@ def _score_split(epochs, labels, spec: PipelineSpec, split):
     params, c, kernel, grid = select_params(spec, epochs, labels, seed, rows=train)
     selected_at = perf_counter()
     ((value, metric),) = fold_scores(
-        spec.kind, lambda rows: covariance_stack(epochs[rows], params, spec.shrink),
+        spec.kind, lambda rows: covariance_stack(epochs, params, spec.shrink, rows),
         labels, train, test, [(c, kernel)])
     score = SplitScore(session=session_id, split=split_id, score=value, metric=metric,
                        order=params.order, lag=params.lag, svm_c=c, svm_kernel=kernel)

@@ -25,16 +25,18 @@ Memory model: a stack of n matrices of size k holds n k(k+1)/2 floats,
 about half of n k^2, and no full (n, k, k) array of it is ever made. One
 walk, _blocks, reads a stack in consecutive blocks of at most
 SPD_BLOCK_BYTES of full matrices, unpacks each block by one gather and hands
-it to _spectral, which drops each block-sized array once used. Its
-consumers, the SPD gate, the sums of the Frechet mean (_mean), the distances
-and the Log coordinates, hold the live packed stack plus at most about four
-block-sized arrays and a few k x k matrices, whatever n is; the coordinates
-fill one preallocated row matrix. With one matrix per block (k >= 91), a
-Frechet mean holds about 8 k^2 next to its stack, whose rows it reads in place.
+it to _spectral, which whitens it by rebinding and drops each block-sized
+array once used. Its consumers, the SPD gate, the sums of the Frechet mean
+(_mean), the distances and the Log coordinates, hold the live packed stack
+plus a few k x k matrices and about three block-sized arrays (the Log
+coordinates four and a half), whatever n is; the coordinates fill one
+preallocated row matrix. With one matrix per block (k >= 91), a Frechet
+mean holds about 6 k^2 next to its stack, whose rows it reads in place.
 Neither the packing nor the walk changes a result: every stored matrix is
 exactly symmetric, so unpacking restores its bits, per-matrix steps do not
-depend on the block, and sums add one matrix at a time in stack order, as
-numpy's axis-0 sum does.
+depend on the block, and for k >= 2 sums add one matrix at a time in stack
+order, as numpy's axis-0 sum does (it sums 1 x 1 matrices pairwise, so for
+k = 1 the two agree within one block, up to 16384 matrices).
 """
 
 from __future__ import annotations
@@ -237,10 +239,12 @@ def _spectral(stack: np.ndarray, fn: str | None, left=None, right=None):
     stacked eigh and symmetrized. fn=None returns the (n, k) eigenvalues
     instead. For every fn but "exp", an eigenvalue at or below zero raises
     NonPositiveEigenvalue."""
-    whitened = sym(stack if left is None else left @ stack @ right)
-    del stack  # freed here when the caller passed its only reference, as _blocks does
-    w, u = (np.linalg.eigvalsh(whitened), None) if fn is None else np.linalg.eigh(whitened)
-    del whitened  # one block fewer under the reconstruction's temporaries
+    if left is not None:  # each rebinding frees the array before, when the caller
+        stack = left @ stack  # passed its only reference, as _blocks does
+        stack = stack @ right
+    stack = sym(stack)
+    w, u = (np.linalg.eigvalsh(stack), None) if fn is None else np.linalg.eigh(stack)
+    del stack  # one block fewer under the reconstruction's temporaries
     lo = w[:, 0].min(initial=np.inf)
     if fn in _NEEDS_POSITIVE and lo <= 0.0:
         what = "the affine-invariant distance" if fn is None else f"matrix {fn}"
@@ -271,18 +275,19 @@ def _blocks(stack: SpdStack, rows=None, spectral: tuple | None = None):
     count = len(stack) if rows is None else len(rows)
     for start in range(0, max(count, 1), step):
         out = slice(start, start + step)
-        packed = stack.packed[out] if rows is None else stack.packed[rows[out]]
+        take = out if rows is None else rows[out]  # no name holds a copied packed block
         if spectral is None:
-            yield out, _unpacked(packed, stack.dim)
+            yield out, _unpacked(stack.packed[take], stack.dim)
         else:  # no name or argument tuple holds the unpacked block: _spectral drops it
             fn, left, right = spectral
-            yield out, _spectral(_unpacked(packed, stack.dim), fn, left, right)
+            yield out, _spectral(_unpacked(stack.packed[take], stack.dim), fn, left, right)
 
 
 def _mean(stack: SpdStack, rows=None, spectral: tuple | None = None) -> np.ndarray:
     """Mean over the matrices of stack[rows] of what _blocks yields. The
-    total goes into each fresh block's first matrix: one matrix at a time in
-    order, as numpy's axis-0 sum adds, so bit for bit the whole stack's mean."""
+    total goes into each fresh block's first matrix: for k >= 2 one matrix at
+    a time in order, as numpy's axis-0 sum adds, so bit for bit the whole
+    stack's mean (for k = 1 only within one block: numpy sums those pairwise)."""
     total = None
     for _, block in _blocks(stack, rows, spectral):
         if total is not None:
@@ -370,7 +375,9 @@ def frechet_mean(stack: SpdStack, rows=None) -> SpdMatrix:
         grad = _mean(stack, rows, ("log", whiten, whiten.T))
         residual = float(np.linalg.norm(grad))
         if residual < MEAN_TOL or iteration == MEAN_MAX_ITER:
+            del grad, previous  # the walk's state goes before the mean is built
             unwhiten = np.linalg.inv(whiten)  # F
+            del whiten
             mean = SpdMatrix(unwhiten @ unwhiten.T)
             if residual < MEAN_TOL:
                 return mean
@@ -382,5 +389,6 @@ def frechet_mean(stack: SpdStack, rows=None) -> SpdMatrix:
             if sy > 0.0:
                 theta = min(last_theta ** 2 * np.vdot(last_grad, last_grad) / sy,
                             MAX_MEAN_STEP)
+            del previous, last_grad  # R' goes before the exp step
         whiten = symm_fn(-0.5 * theta * grad, "exp") @ whiten
         previous = (theta, grad)

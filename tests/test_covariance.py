@@ -568,6 +568,21 @@ def test_covariance_stack_equals_per_epoch_reference(n, d, order, lag, extra, sh
         assert np.array_equal(stack[i].values, want.values)
 
 
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("shrink", [True, False])
+@pytest.mark.parametrize("rows", [slice(None), slice(5, 1, -2), np.array([4, 0, 4, 2]),
+                                  np.array([], dtype=int), np.arange(6) % 3 == 1],
+                         ids=["all", "slice", "indices", "none", "mask"])
+def test_covariance_stack_reads_rows_in_place(rows, shrink, order):
+    """covariance_stack(epochs, p, shrink, rows) equals covariance_stack of
+    the copied sub-stack epochs[rows], packed row for packed row, for a
+    slice, an index array (repeats and an empty one included) and a mask."""
+    epochs = EpochStack(np.random.default_rng(3).standard_normal((6, 2, 40)), 250.0)
+    params = AugmentedParams(order, 2)
+    got = covariance_stack(epochs, params, shrink, rows)
+    assert np.array_equal(got.packed, covariance_stack(epochs[rows], params, shrink).packed)
+
+
 @pytest.mark.parametrize("shrink", [True, False])
 def test_covariance_stack_memory_is_the_packed_stack(shrink):
     """covariance_stack writes each covariance into its packed row and gates
@@ -576,17 +591,20 @@ def test_covariance_stack_memory_is_the_packed_stack(shrink):
     plus one epoch's working set: the embedded epoch (about 2.3 k^2 here)
     and at most three k x k matrices, shrunk or not, 6 k^2 in all. A full
     (n, k, k) array, 16 k^2 for these 16 epochs, does not fit, nor does the
-    previous covariance next to the next one's build."""
+    previous covariance next to the next one's build. Rows given as an index
+    array are read in place: a copy of the 16 selected epochs (3.7 k^2)
+    does not fit either."""
     import tracemalloc
 
     n, k = 16, 220
-    epochs = EpochStack(np.random.default_rng(4).standard_normal((n, 22, 512)), 250.0)
+    epochs = EpochStack(np.random.default_rng(4).standard_normal((2 * n, 22, 512)), 250.0)
     pack(np.eye(k))  # the packing tables of size k, cached once per process
-    tracemalloc.start()
-    try:
-        stack = covariance_stack(epochs, AugmentedParams(10, 1), shrink)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stack.packed.nbytes == n * k * (k + 1) // 2 * 8
-    assert peak < stack.packed.nbytes + 6 * k * k * 8, (peak, stack.packed.nbytes)
+    for rows in (slice(n), np.arange(2 * n)[::-2]):
+        tracemalloc.start()
+        try:
+            stack = covariance_stack(epochs, AugmentedParams(10, 1), shrink, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.packed.nbytes == n * k * (k + 1) // 2 * 8
+        assert peak < stack.packed.nbytes + 6 * k * k * 8, (peak, stack.packed.nbytes)

@@ -240,10 +240,11 @@ class TestSplitRunner:
             within_session_eval(epoch_set, MDM, folds=3, seed=0)
 
 
-def test_a_fixed_split_copies_each_row_set_once(monkeypatch):
-    """A within-session split indexes each class's training epochs and its
-    test epochs (one block at this size) once each, to build their
-    covariances: a fixed source reads no training epochs while it selects."""
+def test_no_split_copies_an_epoch_to_build_a_covariance(monkeypatch):
+    """Splits hand row indices to covariance_stack, which reads each epoch
+    in place: a ws ACM+MDM fixed run, a ws ACM+TANG+SVM 2 x 2 grid run
+    (inner CV included) and a cs ACM+MDM fixed run on three sessions (the
+    middle one trains on an index array) index no EpochStack by an array."""
     copies = []
     getitem = covariance.EpochStack.__getitem__
 
@@ -253,11 +254,16 @@ def test_a_fixed_split_copies_each_row_set_once(monkeypatch):
         return getitem(self, index)
 
     monkeypatch.setattr(covariance.EpochStack, "__getitem__", counted)
-    spec = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=2, lag=1)
-    within_session_eval(separable_set(n_sessions=2, epochs_per_class=6), spec, folds=3,
-                        seed=0)
-    # (class 0 train, class 1 train, test) x folds x sessions
-    assert sorted(copies) == sorted([4, 4, 4] * 3 * 2)
+    fixed = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=2, lag=1)
+    grid = PipelineSpec(kind="ACM+TANG+SVM", param_source="grid", grid_orders=(1, 2),
+                        grid_lags=(1, 2), inner_folds=2)
+    two = separable_set(n_sessions=2, epochs_per_class=6)
+    within_session_eval(two, fixed, folds=3, seed=0)
+    report = within_session_eval(two, grid, folds=3, seed=0)
+    assert len(report.grid_maps) == 6
+    report = cross_session_eval(separable_set(n_sessions=3, epochs_per_class=6), fixed, seed=0)
+    assert len(report.scores) == 3
+    assert copies == []
 
 
 def test_only_a_split_that_searches_derives_its_seed(monkeypatch):

@@ -28,7 +28,7 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
 def test_ci_runs_the_roadmap_tier1_command():
     """The CI workflow parses, installs the test extras on Python 3.11 and
     runs the ROADMAP's tier-1 command as written, then each benchmark
-    workload once."""
+    workload once, and uploads every bench log even when a step failed."""
     import pytest
 
     yaml = pytest.importorskip("yaml")
@@ -43,3 +43,5 @@ def test_ci_runs_the_roadmap_tier1_command():
     bench = next(run for run in runs if "bench/run.py" in run)
     assert "for w in grid-svm eeg-mdm estimate" in bench
     assert "--seed 1 --seconds 1 --trace 0" in bench
+    upload = next(step for step in steps if "upload-artifact" in step.get("uses", ""))
+    assert upload["if"] == "always()" and upload["with"]["path"].endswith("/bench-*.log")

@@ -357,38 +357,63 @@ class TestBlockedMemory:
         assert self._peak_beyond(lambda: tangent_transform_many(tmap, stack)) < budget
 
 
-    def test_frechet_mean_working_set(self):
-        """With one matrix of size 96 per block, a Frechet mean holds about
-        8 k^2 next to its stack: the running sum adds into each block in
-        place, and each step drops its block-sized arrays once used. It reads
-        8.05 k^2; the bound of 9 k^2 fails a concatenating running sum (12.0
-        k^2 in all)."""
+    @staticmethod
+    def _one_matrix_blocks():
+        """Six matrices of size 96, one per block of the walk."""
         rng = np.random.default_rng(5)
         n, dim = 6, 96
         a = rng.standard_normal((n, dim, 3 * dim))
         stack = SpdStack(a @ np.swapaxes(a, 1, 2) / (3 * dim) + 0.1 * np.eye(dim))
         assert spd.block_rows(dim) == 1
-        frechet_mean(stack)  # once untraced, for any first-call caches
-        tracemalloc.start()
-        try:
-            frechet_mean(stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 9 * dim * dim * 8, peak / (dim * dim * 8)
+        return stack, dim * dim * 8
+
+    def test_frechet_mean_working_set(self):
+        """With one matrix of size 96 per block, a Frechet mean holds about
+        6 k^2 next to its stack: the running sum adds into each block in
+        place, the whitening rebinds its block, each step drops its
+        block-sized arrays once used, the last gradient goes before the exp
+        step and the walk's state before the mean is built. It reads
+        6.04 k^2; the bound of 7 k^2 fails a mean that keeps any of these
+        alive (8.05 k^2 with all of them). Rows given as an index array cost
+        no more: the walk holds no name on a block's gathered packed rows
+        (0.5 k^2 more if it did)."""
+        stack, k2 = self._one_matrix_blocks()
+        peaks = []
+        for rows in (None, np.arange(len(stack))):
+            frechet_mean(stack, rows)  # once untraced, for any first-call caches
+            tracemalloc.start()
+            try:
+                frechet_mean(stack, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 7 * k2, [p / k2 for p in peaks]
+        assert abs(peaks[1] - peaks[0]) < 0.25 * k2, [p / k2 for p in peaks]
+
+    def test_distances_working_set(self):
+        """distances_from at one matrix of size 96 per block holds about
+        3 k^2 beyond its distances: the whitening rebinds its block, so the
+        input never sits next to both products. It reads 2.99 k^2; the bound
+        of 3.5 k^2 fails a whitening that keeps its input (3.99 k^2)."""
+        stack, k2 = self._one_matrix_blocks()
+        isqrt = symm_fn(stack[3].values, "inv_sqrt")
+        distances_from(isqrt, stack)  # once untraced, for any first-call caches
+        peak = self._peak_beyond(lambda: distances_from(isqrt, stack))
+        assert peak < 3.5 * k2, peak / k2
 
 
-@given(n=st.integers(1, 12), dim=st.integers(2, 6), block=st.sampled_from(["one", "some", "all"]),
-       subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(1, 12), dim=st.integers(1, 6), subset=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_running_sum_is_the_axis0_sum(n, dim, block, subset, seed):
+def test_running_sum_is_the_axis0_sum(n, dim, subset, seed):
     """spd._mean adds its running total into the first matrix of each fresh
-    block, in place: with blocks of one matrix, of three and of the whole
-    stack, of all rows or of a shuffled subset, the mean equals
-    values.sum(axis=0) / n bit for bit, and so does the mean of a spectral
-    walk against the whole stack's _spectral output. The stack is left as
-    it was. (numpy sums a stack of 1 x 1 matrices, one contiguous axis,
-    pairwise, so dim starts at 2.)"""
+    block, in place, and leaves the stack as it was. Walked as one block,
+    the plain and the spectral mean of all rows or of a shuffled subset are
+    values.sum(axis=0) / n and the summed _spectral output of the whole
+    stack, bit for bit. For k >= 2 blocks of one matrix and of three give
+    that same mean, as numpy's axis-0 sum adds one matrix at a time. numpy
+    sums a stack of 1 x 1 matrices, one contiguous axis, pairwise once it
+    holds 8 or more: for k = 1 only blocks of fewer agree with each other."""
     rng = np.random.default_rng(seed)
     values = stack_of(rng, n, dim)
     stack = SpdStack(values)
@@ -396,15 +421,20 @@ def test_running_sum_is_the_axis0_sum(n, dim, block, subset, seed):
     rows = rng.permutation(n)[:rng.integers(1, n + 1)] if subset else None
     chosen = values if rows is None else values[rows]
     left = random_spd(rng, dim).values
-    per_block = {"one": 1, "some": 3, "all": n}[block]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spd, "SPD_BLOCK_BYTES", per_block * values[0].nbytes)
-        plain = spd._mean(stack, rows)
-        logs = spd._mean(stack, rows, ("log", left, left.T))
+    means = []
+    for per_block in (n, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spd, "SPD_BLOCK_BYTES", per_block * values[0].nbytes)
+            means.append((spd._mean(stack, rows), spd._mean(stack, rows, ("log", left, left.T))))
+    assert np.array_equal(stack.packed, packed)
+    plain, logs = means[0]
     assert np.array_equal(plain, chosen.sum(axis=0) / len(chosen))
     want = spd._spectral(chosen, "log", left, left.T)
     assert np.array_equal(logs, want.sum(axis=0) / len(chosen))
-    assert np.array_equal(stack.packed, packed)
+    if dim == 1:
+        plain, logs = means[1]
+    for other_plain, other_logs in means[1:]:
+        assert np.array_equal(other_plain, plain) and np.array_equal(other_logs, logs)
 
 
 class TestSymmFn:
