@@ -117,7 +117,7 @@ def _cmd_simulate(args) -> int:
     spec = ar_spec_from_dict(json.loads(raw))
     epoch_set = generate_ar_dataset(spec)
     write_epochset(epoch_set, args.out)
-    total, d, t = epoch_set.epochs.values.shape
+    total, d, t = epoch_set.epochs.shape
     print(
         f"wrote {args.out}: subject={epoch_set.subject} "
         f"sessions={len(epoch_set.sessions)} epochs={total} "

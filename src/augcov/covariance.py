@@ -42,37 +42,60 @@ class Epoch:
 @dataclass(frozen=True)
 class EpochStack:
     """n epochs of one shape and sample rate as one read-only (n, d, T)
-    float64 array, checked once; a float64 array is held without a copy.
-    An integer index gives an Epoch view, a slice, index array or mask a
-    sub-stack, without a second check; iterating yields Epoch items."""
+    float64 array, checked once (check_epochs); a float64 array is held
+    without a copy. epoch(r) gives epoch r's (d, T) values, a view, and
+    shape the stack's (n, d, T). An integer index gives an Epoch view, a
+    slice, index array or mask a sub-stack, without a second check;
+    iterating yields Epoch items.
+
+    Memory: a stack of a container file (read_epochset) holds no epoch. It
+    has the same interface, but epoch(r) reads epoch r from the file into a
+    fresh read-only array, values reads the selected epochs into a new one,
+    and a sub-stack selects epochs of the same file."""
 
     values: np.ndarray
     sample_rate: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 3:
-            raise InvalidEpoch(f"an epoch stack must be a 3-D (n, d, T) array, "
-                               f"got shape {values.shape}")
-        if values.shape[1] < 1 or values.shape[2] < 2:
-            where = "epoch 0 has" if len(values) else "the empty stack has epochs of"
-            raise InvalidEpoch(f"epochs need d >= 1 channels and T >= 2 samples: "
-                               f"{where} shape {values.shape[1:]}")
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
-        if bad.size:
-            raise InvalidEpoch(f"epoch {bad[0]} contains NaN or Inf")
+        check_epochs(values)
         check_positive("sample_rate", self.sample_rate, InvalidEpoch)
         _view(self, values, self.sample_rate)
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
+
+    @property
+    def shape(self) -> tuple:
+        return self.values.shape
+
+    def epoch(self, r) -> np.ndarray:
+        """The (d, T) values of epoch r: the one per-epoch accessor."""
+        return self.values[r]
 
     def __reduce__(self):  # unpickled values are checked again, so read-only
         return EpochStack, (self.values, self.sample_rate)
 
     def __getitem__(self, index):
-        cls = Epoch if isinstance(index, (int, np.integer)) else EpochStack
-        return _view(object.__new__(cls), self.values[index], self.sample_rate)
+        if isinstance(index, (int, np.integer)):
+            return _view(object.__new__(Epoch), self.epoch(index), self.sample_rate)
+        return _view(object.__new__(EpochStack), self.values[index], self.sample_rate)
+
+
+def check_epochs(values: np.ndarray, first: int = 0) -> None:
+    """The one check of epoch values: a 3-D (n, d, T) float array of d >= 1
+    channels and T >= 2 samples, every value finite, else InvalidEpoch,
+    which numbers the epochs from first."""
+    if values.ndim != 3:
+        raise InvalidEpoch(f"an epoch stack must be a 3-D (n, d, T) array, "
+                           f"got shape {values.shape}")
+    if values.shape[1] < 1 or values.shape[2] < 2:
+        where = f"epoch {first} has" if len(values) else "the empty stack has epochs of"
+        raise InvalidEpoch(f"epochs need d >= 1 channels and T >= 2 samples: "
+                           f"{where} shape {values.shape[1:]}")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
+    if bad.size:
+        raise InvalidEpoch(f"epoch {first + bad[0]} contains NaN or Inf")
 
 
 def _view(obj, values: np.ndarray, sample_rate):
@@ -161,16 +184,17 @@ def covariance_stack(epochs: EpochStack, params: AugmentedParams,
                      shrink: bool | None = None, rows=None) -> SpdStack:
     """The augmented covariances of an EpochStack, or of its epochs at rows
     (a slice, index array or mask), as one SpdStack, checked once;
-    augmented_covariance is the one-epoch case. Memory: each epoch is read
-    in place, never copied out as a sub-stack, and each covariance is
-    exactly symmetric and goes straight into its packed row, so next to the
-    packed stack one embedded epoch and at most three k x k matrices are
-    alive at a time, shrunk or not. shrink goes through resolve_shrink.
-    Unshrunk, it warns when the embedded epoch has no more samples than rows."""
+    augmented_covariance is the one-epoch case. Memory: each epoch comes
+    from EpochStack.epoch, never copied out as a sub-stack (a view of an
+    in-memory stack, one read of a container file's), and each covariance
+    is exactly symmetric and goes straight into its packed row, so next to
+    the packed stack one epoch, its embedding and at most three k x k
+    matrices are alive at a time, shrunk or not. shrink goes through
+    resolve_shrink. Unshrunk, it warns when the embedded epoch has no more
+    samples than rows."""
     shrink = resolve_shrink(shrink, params)
-    values = epochs.values
-    index = np.arange(len(values))[slice(None) if rows is None else rows]
-    _, d, t = values.shape
+    index = np.arange(len(epochs))[slice(None) if rows is None else rows]
+    _, d, t = epochs.shape
     params.check_length(t)
     k, width = d * params.order, t - (params.order - 1) * params.lag
     if not shrink and width <= k:
@@ -179,7 +203,7 @@ def covariance_stack(epochs: EpochStack, params: AugmentedParams,
     out = np.empty((len(index), k * (k + 1) // 2))
     lams, traces = np.zeros(len(index)), np.empty(len(index))
     for i, r in enumerate(index):
-        c, lams[i] = _covariance(embed_epoch(values[r], params), shrink)
+        c, lams[i] = _covariance(embed_epoch(epochs.epoch(r), params), shrink)
         out[i], traces[i] = pack(c), np.trace(c)
         del c  # not alive through the next covariance's build
     # Ledoit-Wolf bounds: a shrunk matrix keeps tr C and has lambda_max <= tr C

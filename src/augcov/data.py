@@ -9,6 +9,14 @@ an epoch-by-epoch loop, so the containers are byte-identical to that loop's.
 The container format is a single UTF-8 JSON manifest line followed by the
 raw little-endian float64 payload, epoch-major row-major, sessions
 concatenated in manifest order. It round-trips bit-exactly.
+
+Memory: a container read from a regular file stays on disk. read_epochset
+checks its payload a few epochs at a time and keeps the file open; the set's
+stack reads an epoch (os.pread) only when a covariance or the caller asks for
+it, and the file closes when the last stack of it is dropped. A pipe has no
+offsets, so its payload is read whole into one buffer, as it is where
+os.pread is missing. write_epochset replaces a regular file whole, so a run
+still reading the old container keeps its epochs.
 """
 
 from __future__ import annotations
@@ -19,17 +27,20 @@ import json
 import os
 import shutil
 import stat
+import threading
+import weakref
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .covariance import EpochStack, as_epochs
+from .covariance import EpochStack, as_epochs, check_epochs
 from .errors import (FormatError, InvalidEpoch, UnstableSpec, VersionUnsupported, check_integer,
                      check_positive)
 from .spd import SYM_RTOL
 
 FORMAT_NAME = "acm-epochs"
 FORMAT_VERSION = 1
+_CHECK_BYTES = 1 << 15  # read_epochset checks a file's payload this many bytes at a time
 
 
 @dataclass(frozen=True)
@@ -59,8 +70,8 @@ class EpochSet:
     """Labeled epochs for one subject, grouped by session. All epochs form
     one stack, `epochs`, in session order, and each session's stack is a
     slice of it. The given sessions are copied once into that stack;
-    read_epochset and generate_ar_dataset build the stack first and make
-    no copy."""
+    generate_ar_dataset builds the stack first and makes no copy, and
+    read_epochset's stack reads its file on demand."""
 
     subject: str
     sessions: list
@@ -307,9 +318,64 @@ def ar_spec_from_dict(raw: dict) -> ArSpec:
 
 # -- container format --------------------------------------------------
 
+class _Payload:
+    """The epochs of an open container file: (d, T) float64 each, from byte
+    start on. The descriptor closes when the last holder is dropped."""
+
+    def __init__(self, fd: int, start: int, d: int, t: int):
+        self.fd, self.start, self.shape, self.nbytes = fd, start, (d, t), d * t * 8
+        weakref.finalize(self, os.close, fd)
+
+    def read(self, r: int) -> np.ndarray:
+        """Epoch r in a fresh read-only array, from one os.pread; a short read
+        (the file was truncated after it was opened) raises FormatError."""
+        offset = self.start + int(r) * self.nbytes
+        raw = os.pread(self.fd, self.nbytes, offset)
+        if len(raw) != self.nbytes:
+            raise FormatError(f"epoch {r} reads {len(raw)} of its {self.nbytes} bytes: the "
+                              f"container was truncated after it was opened",
+                              offset=offset + len(raw))
+        return np.frombuffer(raw, dtype="<f8").reshape(self.shape)
+
+
+class _FileStack(EpochStack):
+    """An EpochStack of a container file's epochs at rows, read when asked
+    for: epoch(r) makes one os.pread, values one per selected epoch, and a
+    sub-stack selects rows of the same file."""
+
+    def __init__(self, payload: _Payload, rows: np.ndarray, sample_rate: float):
+        object.__setattr__(self, "_payload", payload)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "sample_rate", sample_rate)
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self._rows), *self._payload.shape)
+
+    @property
+    def values(self) -> np.ndarray:
+        out = np.empty(self.shape)
+        for i, r in enumerate(self._rows):
+            out[i] = self._payload.read(r)
+        out.setflags(write=False)
+        return out
+
+    def epoch(self, r) -> np.ndarray:
+        return self._payload.read(self._rows[r])
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return super().__getitem__(index)
+        return _FileStack(self._payload, self._rows[index], self.sample_rate)
+
+
 def write_epochset(epoch_set: EpochSet, path) -> None:
-    """Write the single-line JSON manifest plus raw float64 payload."""
-    _, d, t = epoch_set.epochs.values.shape
+    """Write the single-line JSON manifest plus raw float64 payload. A new
+    path or a regular file is written to a temporary sibling that then
+    replaces it, so a run still reading the old container keeps its epochs
+    and a failed write leaves no half-written container; any other existing
+    target (a FIFO, /dev/stdout) is written in place."""
+    _, d, t = epoch_set.epochs.shape
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -325,17 +391,34 @@ def write_epochset(epoch_set: EpochSet, path) -> None:
         "dtype": "f64le",
         "order": "epoch-major row-major",
     }
-    header = json.dumps(manifest, separators=(",", ":")) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(np.ascontiguousarray(epoch_set.epochs.values, dtype="<f8").data)
+    header = json.dumps(manifest, separators=(",", ":")).encode("utf-8") + b"\n"
+    payload = np.ascontiguousarray(epoch_set.epochs.values, dtype="<f8").data
+    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or device: in place
+        part = target = path
+    else:
+        target = os.path.realpath(path)
+        part = f"{target}.{os.getpid()}-{threading.get_ident()}.part"
+    try:
+        with open(part, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+        if part != target:
+            if os.path.exists(target):
+                shutil.copymode(target, part)
+            os.replace(part, target)
+    except BaseException:
+        if part != target and os.path.exists(part):
+            os.unlink(part)
+        raise
 
 
 def read_epochset(path) -> EpochSet:
     """Read a container written by write_epochset; lossless inverse. A
-    file's payload is read straight into the stack's array, sized from the
-    manifest once fstat confirms its length; a pipe's is read whole into one
-    buffer, which the stack's read-only array then views."""
+    regular file stays open and on disk: its length comes from fstat, its
+    payload is checked a few epochs (32 KiB) at a time, and the set's
+    stack reads each epoch when asked for. A pipe's payload, which has no
+    offsets, is read whole into one buffer, which the stack's read-only
+    array then views; so is a file's where os.pread is missing."""
     with open(path, "rb") as fh:
         header = fh.readline()
         if not header.endswith(b"\n"):
@@ -375,30 +458,34 @@ def read_epochset(path) -> EpochSet:
         total_epochs = sum(n for _, n, _ in sessions)
         expected_bytes = total_epochs * d * t * 8
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            payload, payload_bytes = None, info.st_size - len(header)
-        else:  # a pipe or FIFO has no size: read it whole into one growing buffer
+        on_disk = stat.S_ISREG(info.st_mode) and hasattr(os, "pread")
+        if on_disk:
+            payload_bytes = info.st_size - len(header)
+        else:  # a pipe has no size or offsets: read it whole into one growing buffer
             payload = io.BytesIO()
             shutil.copyfileobj(fh, payload, 1 << 16)
             payload_bytes = len(payload := payload.getvalue())  # its own bytes: no copy
-        if payload_bytes == expected_bytes and payload is not None:
-            values = np.frombuffer(payload, dtype="<f8").reshape(total_epochs, d, t)
-        elif payload_bytes == expected_bytes:
-            values = np.empty((total_epochs, d, t), dtype="<f8")
-            payload_bytes = fh.readinto(values.reshape(-1).view(np.uint8))
-    if payload_bytes != expected_bytes:
-        raise FormatError(
-            f"payload holds {payload_bytes} bytes but the manifest declares "
-            f"{total_epochs} epochs of {d}x{t} float64 ({expected_bytes} bytes); "
-            f"payload section truncated or inconsistent",
-            offset=len(header) + min(payload_bytes, expected_bytes),
-        )
-    for session_id, n, labels in sessions:
-        if len(labels) != n:
+        if payload_bytes != expected_bytes:
             raise FormatError(
-                f"session {session_id!r} declares {n} epochs but {len(labels)} labels",
-                offset=0,
+                f"payload holds {payload_bytes} bytes but the manifest declares "
+                f"{total_epochs} epochs of {d}x{t} float64 ({expected_bytes} bytes); "
+                f"payload section truncated or inconsistent",
+                offset=len(header) + min(payload_bytes, expected_bytes),
             )
-    stack = EpochStack(values, float(rate))
+        for session_id, n, labels in sessions:
+            if len(labels) != n:
+                raise FormatError(
+                    f"session {session_id!r} declares {n} epochs but {len(labels)} labels",
+                    offset=0,
+                )
+        if on_disk:
+            stack = _FileStack(_Payload(os.dup(fh.fileno()), len(header), d, t),
+                               np.arange(total_epochs), float(rate))
+            step = max(1, _CHECK_BYTES // (d * t * 8))
+            for first in range(0, max(total_epochs, 1), step):  # the empty stack too
+                check_epochs(stack[first:first + step].values, first)
+        else:
+            values = np.frombuffer(payload, dtype="<f8").reshape(total_epochs, d, t)
+            stack = EpochStack(values, float(rate))
     return _split(manifest["subject"], stack,
                   [(session_id, labels) for session_id, _, labels in sessions], classes)

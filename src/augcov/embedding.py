@@ -106,8 +106,10 @@ def average_mutual_information(
 
 def _series(epochs) -> np.ndarray:
     """Every channel of every epoch of an EpochStack as the rows of one
-    (n * d, T) array, epoch by epoch."""
-    return epochs.values.reshape(-1, epochs.values.shape[2])
+    (n * d, T) array, epoch by epoch: the stack's values, read once (a
+    container file's stack reads them anew on each call)."""
+    values = epochs.values
+    return values.reshape(-1, values.shape[2])
 
 
 def select_tau_ami(
@@ -397,5 +399,5 @@ def estimate(epochs, method: str, *, max_lag: int = MDOP_DEFAULT_MAX_LAG,
     else:
         raise InvalidSetting(f"unknown estimator {method!r}, expected one of {METHODS}")
     # the length rule: LagTooLarge unless (dim-1)*tau < T - 1
-    AugmentedParams(est.dim, est.tau).check_length(epochs.values.shape[2])
+    AugmentedParams(est.dim, est.tau).check_length(epochs.shape[2])
     return est

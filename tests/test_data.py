@@ -1,6 +1,8 @@
 import json
 import os
 import pickle
+import stat
+import warnings
 from dataclasses import replace
 
 import itertools
@@ -28,8 +30,10 @@ from augcov.data import (
     write_epochset,
 )
 from augcov.errors import (
+    ConfigError,
     FormatError,
     InvalidEpoch,
+    NotSPD,
     UnstableSpec,
     VersionUnsupported,
 )
@@ -383,9 +387,10 @@ class TestContainer:
         assert from_pipe.value.offset == from_file.value.offset
 
     def test_read_holds_the_payload_once(self, tmp_path):
-        """The payload is read into the stack's array, not into a bytes copy
-        first: the traced peak of a read is the payload plus the finite
-        check's byte per sample (one eighth of it) and small change."""
+        """A regular file's payload stays on disk: the read checks it a few
+        epochs (32 KiB) at a time and holds none of it, so its traced peak
+        is under a tenth of the payload (it reads about 0.06), where reading
+        the payload into the stack would trace more than one."""
         import tracemalloc
 
         rng = np.random.default_rng(3)
@@ -400,14 +405,14 @@ class TestContainer:
         finally:
             tracemalloc.stop()
         assert np.array_equal(loaded.epochs.values, epochs.values)
-        assert peak < 1.25 * epochs.values.nbytes, (peak, epochs.values.nbytes)
+        assert peak < 0.1 * epochs.values.nbytes, (peak, epochs.values.nbytes)
 
     def test_a_pipe_read_holds_the_payload_once(self, tmp_path):
         """A pipe's payload is read whole into one growing buffer, and the
         stack's read-only array views its bytes: the traced peak stays under
-        the file read's bound of 1.25 payloads (the buffer's growth margin of
-        one eighth, a 64 KiB chunk and the finite check), where a second copy
-        of the payload would read 2."""
+        1.25 payloads (the buffer's growth margin of one eighth, a 64 KiB
+        chunk and the finite check), where a second copy of the payload
+        would read 2."""
         import threading
         import tracemalloc
 
@@ -431,6 +436,90 @@ class TestContainer:
         assert np.array_equal(loaded.epochs.values, epochs.values)
         assert not loaded.epochs.values.flags.writeable
         assert peak < 1.25 * epochs.values.nbytes, (peak, epochs.values.nbytes)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_dropped_set_closes_its_file(self, tmp_path):
+        """Reading a container, reading its epochs and dropping the set 50
+        times leaves the process's descriptors as they were."""
+        path = tmp_path / "set.acm"
+        write_epochset(self.make_set(), path)
+        before = sorted(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            loaded = read_epochset(path)
+            covariance_stack(loaded.sessions[1].epochs, AugmentedParams(2, 1))
+            del loaded
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_a_file_truncated_after_the_read_raises(self, tmp_path):
+        """An epoch read that comes up short raises FormatError (exit 2),
+        naming the epoch and the byte offset where the file ends; no partial
+        epoch is returned."""
+        path = tmp_path / "set.acm"
+        write_epochset(self.make_set(), path)
+        header_len = path.read_bytes().index(b"\n") + 1
+        epoch_bytes = 3 * 40 * 8
+        loaded = read_epochset(path)
+        os.truncate(path, header_len + 5 * epoch_bytes + 100)  # epoch 5 keeps 100 bytes
+        rows = covariance_stack(loaded.epochs, AugmentedParams(1, 1), rows=slice(5))
+        assert len(rows) == 5
+        with pytest.raises(FormatError, match=f"^epoch 5 reads 100 of its {epoch_bytes} bytes"
+                                              f": the container was truncated") as err:
+            covariance_stack(loaded.sessions[1].epochs, AugmentedParams(1, 1))
+        assert err.value.offset == header_len + 5 * epoch_bytes + 100
+        assert isinstance(err.value, ConfigError)
+        with pytest.raises(FormatError, match="^epoch 6 reads 0 of"):
+            loaded.epochs[6]
+
+    def test_a_rewrite_leaves_a_read_set_its_epochs(self, tmp_path):
+        """write_epochset replaces a regular file whole: a set read before
+        the path is overwritten with other epochs still reads its own epochs
+        bit for bit, and a new read gets the new ones."""
+        path = tmp_path / "set.acm"
+        first, second = self.make_set(seed=0), self.make_set(seed=1)
+        write_epochset(first, path)
+        loaded = read_epochset(path)
+        write_epochset(second, path)
+        assert loaded.epochs.values.tobytes() == first.epochs.values.tobytes()
+        assert read_epochset(path).epochs.values.tobytes() == second.epochs.values.tobytes()
+        assert sorted(os.listdir(tmp_path)) == ["set.acm"]
+
+    def test_a_failed_write_leaves_the_old_container(self, tmp_path, monkeypatch):
+        """A write that fails leaves the target as it was and no temporary
+        file behind."""
+        path = tmp_path / "set.acm"
+        write_epochset(self.make_set(seed=0), path)
+        blob = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="no space left"):
+            write_epochset(self.make_set(seed=1), path)
+        with pytest.raises(OSError, match="no space left"):
+            write_epochset(self.make_set(seed=1), tmp_path / "new.acm")
+        assert sorted(os.listdir(tmp_path)) == ["set.acm"]
+        assert path.read_bytes() == blob
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_a_fifo_target_is_written_in_place(self, tmp_path):
+        """An existing target that is not a regular file is written in place:
+        a FIFO's reader gets the file's bytes, and the FIFO stays."""
+        import threading
+
+        write_epochset(self.make_set(), tmp_path / "set.acm")
+        fifo = tmp_path / "set.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            write_epochset(self.make_set(), fifo)
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "set.acm").read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_dimension_mismatch_in_manifest(self, tmp_path):
         path = tmp_path / "set.acm"
@@ -547,6 +636,79 @@ class TestContainer:
             read_epochset(path)
 
 
+@st.composite
+def small_containers(draw):
+    """(values, session sizes, labels) of a random small container: 1-8
+    epochs in 1-2 sessions, d 1-3, T 4-24, values at mixed scales."""
+    n, d, t = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(4, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((n, d, t)) * 10.0 ** rng.integers(-6, 4, size=(n, 1, 1))
+    cut = draw(st.integers(0, n))
+    sizes = [size for size in (cut, n - cut) if size] or [n]
+    return values, sizes, [int(v) for v in rng.integers(0, 2, size=n)]
+
+
+@st.composite
+def selections(draw, n):
+    """An int, slice, index array (repeats and the empty one included) or
+    mask selection of n epochs."""
+    kind = draw(st.sampled_from(["int", "slice", "indices", "mask"]))
+    if kind == "int":
+        return draw(st.integers(-n, n - 1))
+    if kind == "slice":
+        bound = st.none() | st.integers(-n - 1, n + 1)
+        return slice(draw(bound), draw(bound), draw(st.none() | st.sampled_from([1, 2, -1, -3])))
+    if kind == "indices":
+        return np.array(draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)), dtype=int)
+    return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+def covariances(epochs, order, shrink, rows):
+    """covariance_stack's packed bytes at order and lag 1, or the message of
+    the NotSPD it raises for an unshrunk rank-deficient epoch."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # unshrunk epochs shorter than their rows
+            stack = covariance_stack(epochs, AugmentedParams(order, 1), shrink, rows)
+        return stack.packed.tobytes()
+    except NotSPD as exc:
+        return str(exc)
+
+
+@given(container=small_containers(), data=st.data(), order=st.integers(1, 3),
+       shrink=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_file_read_equals_the_set_in_memory(tmp_path_factory, container, data, order, shrink):
+    """A container read from its file reads, bit for bit, as the same set
+    held in memory: for int, slice, index-array and mask selections, their
+    values, and covariance_stack at rows, shrunk or not. Pickled, it
+    carries its epochs."""
+    values, sizes, labels = container
+    starts = np.cumsum([0, *sizes])
+    in_memory = EpochSet("s", [
+        Session(f"s{k}", EpochStack(values[a:b].copy(), 250.0), labels[a:b])
+        for k, (a, b) in enumerate(zip(starts, starts[1:]))], ["a", "b"])
+    path = tmp_path_factory.mktemp("container") / "set.acm"
+    write_epochset(in_memory, path)
+    on_disk = read_epochset(path)
+    assert type(on_disk.epochs) is not EpochStack  # the file-backed stack
+    unpickled = pickle.loads(pickle.dumps(on_disk))  # what a spawned pool worker gets
+    assert unpickled.epochs.values.tobytes() == values.tobytes()
+    sessions = zip(in_memory.sessions, on_disk.sessions)
+    for mem, disk in [(in_memory.epochs, on_disk.epochs),
+                      *((a.epochs, b.epochs) for a, b in sessions)]:
+        assert disk.shape == mem.shape and len(disk) == len(mem)
+        assert disk.values.tobytes() == mem.values.tobytes()
+        assert not disk.values.flags.writeable
+        rows = data.draw(selections(len(mem)), label="rows")
+        got, want = disk[rows], mem[rows]
+        if isinstance(rows, int):
+            assert got.data.tobytes() == want.data.tobytes() and not got.data.flags.writeable
+            continue
+        assert got.shape == want.shape and got.values.tobytes() == want.values.tobytes()
+        assert covariances(disk, order, shrink, rows) == covariances(mem, order, shrink, rows)
+
+
 class TestSessionStacks:
     def values(self, seed=0, n=6, d=3, t=40):
         return np.random.default_rng(seed).standard_normal((n, d, t))
@@ -600,8 +762,12 @@ class TestSessionStacks:
         whole = loaded.epochs.values
         assert np.array_equal(whole, epoch_set.epochs.values)
         assert not whole.flags.writeable
-        for session in loaded.sessions:
-            assert np.shares_memory(session.epochs.values, whole)
+        for k, session in enumerate(loaded.sessions):
+            if source == "read":  # one open file, each session reads its rows of it
+                assert session.epochs._payload is loaded.epochs._payload
+                assert np.array_equal(session.epochs.values, whole[6 * k:6 * k + 6])
+            else:
+                assert np.shares_memory(session.epochs.values, whole)
             assert session.labels == [0, 0, 0, 1, 1, 1]
         # sessions handed to the constructor are copied once, in order
         rebuilt = EpochSet("s", loaded.sessions, ["a", "b"]).epochs.values

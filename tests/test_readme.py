@@ -27,8 +27,9 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
 
 def test_ci_runs_the_roadmap_tier1_command():
     """The CI workflow parses, installs the test extras on Python 3.11 and
-    runs the ROADMAP's tier-1 command as written, then each benchmark
-    workload once, and uploads every bench log even when a step failed."""
+    runs the ROADMAP's tier-1 command as written, the container and CLI
+    tests with an unclosed file as an error, then each benchmark workload
+    once, and uploads every bench log even when a step failed."""
     import pytest
 
     yaml = pytest.importorskip("yaml")
@@ -40,6 +41,9 @@ def test_ci_runs_the_roadmap_tier1_command():
     assert {"python-version": "3.11"} in [step.get("with") for step in steps]
     assert 'python -m pip install -e ".[test]"' in runs
     assert command in runs
+    strict = next(run for run in runs if "error::ResourceWarning" in run)
+    assert "-W error::pytest.PytestUnraisableExceptionWarning" in strict
+    assert strict.endswith("tests/test_data.py tests/test_cli.py")
     bench = next(run for run in runs if "bench/run.py" in run)
     assert "for w in grid-svm eeg-mdm estimate" in bench
     assert "--seed 1 --seconds 1 --trace 0" in bench
