@@ -6,10 +6,12 @@ the (order, lag, C, kernel) grid search, whose result keeps its winning cell.
 fold_scores is the one fit-and-score step of the inner CV and the outer
 splits. Fitted models are immutable; fitting never touches anything but the
 rows it is handed, so grid-search scores are functions of the training split
-alone. Memory model: no split or grid cell copies an epoch, as
-covariance_stack reads the rows it is given in place; an MDM fold holds one
-class's covariance stack at a time (SVM: the training stack and its
-features), and test rows are built and scored one SPD block at a time.
+alone. stratified_folds draws its shuffles from numpy's PCG64 streams
+through augcov.seeds, without numpy.random. Memory model: no split or grid
+cell copies an epoch, as covariance_stack reads the rows it is given in
+place; an MDM fold holds one class's covariance stack at a time (SVM: the
+training stack and its features), and test rows are built and scored one
+SPD block at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     TooFewSamples,
     check_integer,
 )
+from .seeds import Pcg64, SeedSequence
 from .spd import SpdStack, block_rows, distances_from, frechet_mean, log_coordinates, symm_fn
 from .stats import accuracy, auc_roc
 from .svm import KERNELS, SvmModel, svm_decision, svm_fit, svm_predict
@@ -259,7 +262,9 @@ def stratified_folds(labels: np.ndarray, n_folds: int, seed, where: str = "the i
     """Seeded stratified K-fold: per-class shuffle, round-robin assignment.
 
     Returns a list of (train_idx, test_idx) arrays with every class in every
-    fold. seed (a SeedSequence, or an int) seeds the PCG64 shuffles; a fold
+    fold. seed, an int or a SeedSequence (seeds' or numpy's: its entropy and
+    spawn_key are read), seeds the shuffles, which are numpy's
+    Generator(PCG64(SeedSequence)) permutations drawn by seeds.Pcg64; a fold
     count that fails check_folds raises InvalidSetting, and a class with
     fewer than n_folds members raises TooFewSamples naming `where`.
     """
@@ -269,7 +274,7 @@ def stratified_folds(labels: np.ndarray, n_folds: int, seed, where: str = "the i
     if min(counts.values(), default=0) < n_folds:
         raise TooFewSamples(f"{where} needs >= {n_folds} samples per class for "
                             f"{n_folds}-fold CV, got {counts}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Pcg64(SeedSequence(getattr(seed, "entropy", seed), getattr(seed, "spawn_key", ())))
     fold_of = np.empty(labels.size, dtype=int)
     for cls in counts:
         idx = np.nonzero(labels == cls)[0]
@@ -302,7 +307,7 @@ def grid_search(
     if kind not in PIPELINE_KINDS:
         raise InvalidSetting(f"unknown pipeline kind {kind!r}")
     labels = svm.check_labels(len(epochs), labels)[rows]
-    folds = stratified_folds(labels, inner_folds, np.random.SeedSequence(seed))
+    folds = stratified_folds(labels, inner_folds, seed)
     uses_svm = kind.endswith("SVM")
     param_grid = (
         list(itertools.product(TABLE_C_GRID, KERNELS)) if uses_svm else [(None, None)]

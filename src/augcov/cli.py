@@ -122,7 +122,8 @@ def _cmd_simulate(args) -> int:
         f"wrote {args.out}: subject={epoch_set.subject} "
         f"sessions={len(epoch_set.sessions)} epochs={total} "
         f"d={d} T={t} "
-        f"classes={epoch_set.class_names}"
+        f"classes={epoch_set.class_names}",
+        file=sys.stderr,
     )
     return 0
 

@@ -232,9 +232,9 @@ def _covariance(y: np.ndarray, shrink: bool):
     if not shrink:
         return c, 0.0
     s = np.divide(gram, m, out=gram)
-    work = np.eye(n)
-    work *= np.trace(s) / n
-    d2 = np.sum(np.square(np.subtract(s, work, out=work), out=work)) / n
+    work = s.copy()
+    work.flat[::n + 1] -= np.trace(s) / n  # S - mu I
+    d2 = np.sum(np.square(work, out=work)) / n
     lam = 0.0
     if d2 > 0.0:
         norms2 = np.einsum("ij,ij->j", y, y)  # |y_t|^2 for each t, no y * y temporary
@@ -243,5 +243,5 @@ def _covariance(y: np.ndarray, shrink: bool):
     del gram, s, work
     mu = np.trace(c) / n
     c *= 1.0 - lam
-    c += lam * mu * np.eye(n)
+    c.flat[::n + 1] += lam * mu
     return c, lam

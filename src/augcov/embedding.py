@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import AugmentedParams
+from .covariance import AugmentedParams, EpochStack
 from .errors import ConstantSeries, InvalidSetting, TooShort, check_integer
 
 METHODS = ("ami_cao", "mdop")  # the estimators behind estimate()
@@ -379,6 +379,8 @@ def estimate(epochs, method: str, *, max_lag: int = MDOP_DEFAULT_MAX_LAG,
     unused ones too, and the estimate must pass evaluate's length rule."""
     check_settings(max_lag=max_lag, bins=bins, max_dim=max_dim, max_cycles=max_cycles)
     if method == "ami_cao":
+        # both steps read every series: read a container's epochs once
+        epochs = EpochStack(epochs.values, epochs.sample_rate)
         tau_sel = select_tau_ami(epochs, max_lag, bins)
         cao = cao_embedding_dimension(epochs, tau_sel.tau, max_dim)
         flags = []

@@ -5,6 +5,8 @@ cross-session evaluation rotates a held-out session. Both cut a subject's
 stack into splits of (train rows, test rows), and one runner scores every
 split, in a process pool when asked. Any grid search or parameter
 estimation a pipeline performs is confined to the training split at hand.
+The folds and each split's inner seed are numpy's SeedSequence/PCG64
+streams, drawn by augcov.seeds, so no evaluation loads numpy.random.
 
 Report JSON is canonical and free of wall-times so reruns are byte
 identical; timings travel separately and serialize to their own CSV.
@@ -33,6 +35,7 @@ from .errors import (
     VersionUnsupported,
     check_integer,
 )
+from .seeds import SeedSequence
 from .stats import (
     bonferroni,
     cohens_d,
@@ -148,7 +151,7 @@ def _ws_splits(epoch_set: EpochSet, folds: int, seed: int):
     for s_idx, session in enumerate(epoch_set.sessions):
         labels = np.asarray(session.labels)
         for f_idx, (train_idx, test_idx) in enumerate(stratified_folds(
-            labels, folds, np.random.SeedSequence(entropy=seed, spawn_key=(s_idx,)),
+            labels, folds, SeedSequence(seed, (s_idx,)),
             where=f"session {session.session_id!r}",
         )):
             splits.append((session.session_id, f"fold{f_idx}", start + train_idx,
@@ -268,8 +271,10 @@ def cross_session_eval(
 
 
 def _derive_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] % (2 ** 31))
+    """numpy's SeedSequence(seed, spawn_key=key).generate_state(1, uint64)[0]
+    modulo 2^31: the inner seed of the split with that key."""
+    low, high = SeedSequence(seed, key).generate_state(2)
+    return (high << 32 | low) % 2 ** 31
 
 
 # -- meta-analysis ---------------------------------------------------------

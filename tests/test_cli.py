@@ -97,39 +97,58 @@ def test_the_cli_chain_runs_with_scipy_blocked(tmp_path):
 
 
 NO_RANDOM_CHAIN = """
-import json, sys
+import json, os, sys
 import augcov.cli
+from augcov import evaluate
+log, steps = sys.argv[1], json.loads(sys.argv[2])
+score_split = evaluate._score_split
+def recorded(*args):  # forked pool workers run it too
+    with open(log, "a") as fh:
+        fh.write(json.dumps([os.getpid(), "numpy.random" in sys.modules]) + "\\n")
+    return score_split(*args)
+evaluate._score_split = recorded
 loaded = []
-for argv in json.loads(sys.argv[1]):
+for argv in steps:
     assert augcov.cli.main(argv) == 0, argv
     loaded.append("numpy.random" in sys.modules)
-print(json.dumps(loaded))
+print(json.dumps({"pid": os.getpid(), "loaded": loaded}))
 """
 
 
-def test_a_cross_session_run_without_a_search_never_loads_numpy_random(tmp_path):
-    """Only a search reads a split's seed, so only a split that searches
-    derives it: a serial cs run of MDM, of ACM+MDM at a fixed (2, 1) and of
-    ACM+MDM with an MDOP estimate leaves numpy.random unloaded, in one
-    process, in that order. A grid run, last, loads it: the check can see
-    it."""
+def test_no_evaluate_route_loads_numpy_random(tmp_path):
+    """The folds and the inner seeds come from augcov.seeds, so in one
+    process a ws MDM run, a ws ACM+TANG+SVM grid in a two-worker pool, a cs
+    ACM+MDM grid, a cs ACM+TANG+SVM run with an AMI/Cao estimate and a cs
+    fixed run each leave numpy.random unloaded, in the pool workers as well
+    as in the process. simulate, last, loads it: the check can see it."""
     container = tmp_path / "s.acm"
     spec = ar_spec_json(tmp_path, epochs_per_class=8, t=128, n_sessions=2)
     assert main(["simulate", "--spec-json", f"@{spec}", "--out", str(container)]) == 0
-    common = ["--input", str(container), "--eval", "cs", "--seed", "3", "--workers", "1"]
-    runs = [["--pipeline", "MDM"], ["--pipeline", "ACM+MDM", "--order", "2", "--lag", "1"],
-            ["--pipeline", "ACM+MDM", "--param-source", "mdop"],
-            ["--pipeline", "ACM+MDM", "--param-source", "grid", "--grid-max-order", "2",
-             "--grid-max-lag", "1"]]
+    common = ["--input", str(container), "--seed", "3", "--folds", "3"]
+    grid = ["--param-source", "grid", "--grid-max-order", "2", "--grid-max-lag", "1"]
+    runs = [["--pipeline", "MDM", "--eval", "ws", "--workers", "1"],
+            ["--pipeline", "ACM+TANG+SVM", *grid, "--eval", "ws", "--workers", "2"],
+            ["--pipeline", "ACM+MDM", *grid, "--eval", "cs", "--workers", "1"],
+            ["--pipeline", "ACM+TANG+SVM", "--param-source", "ami_cao", "--eval", "cs",
+             "--workers", "1"],
+            ["--pipeline", "ACM+MDM", "--order", "2", "--lag", "1", "--eval", "cs",
+             "--workers", "1"]]
     steps = [["evaluate", *common, *run, "--out", str(tmp_path / f"out{i}")]
              for i, run in enumerate(runs)]
+    steps.append(["simulate", "--spec-json", f"@{spec}", "--out", str(tmp_path / "t.acm")])
     src = str(Path(augcov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", NO_RANDOM_CHAIN, json.dumps(steps)],
+    log = tmp_path / "splits.jsonl"
+    proc = subprocess.run([sys.executable, "-c", NO_RANDOM_CHAIN, str(log), json.dumps(steps)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+    outcome = json.loads(proc.stdout.splitlines()[-1])
+    assert outcome["loaded"] == [False] * len(runs) + [True]
+    splits = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(splits) == 6 + 6 + 2 + 2 + 2
+    assert not any(loaded for _, loaded in splits)
+    assert {pid for pid, _ in splits[6:12]} - {outcome["pid"]}  # the pool's workers
 
 
 def test_python_dash_m_runs_the_cli():
@@ -148,11 +167,11 @@ class TestSimulate:
     def test_writes_readable_container(self, tmp_path, capsys):
         spec = ar_spec_json(tmp_path)
         out = tmp_path / "data.acm"
-        code, stdout, _ = run_cli(capsys, "simulate", "--spec-json", f"@{spec}",
-                                  "--out", str(out))
+        code, stdout, stderr = run_cli(capsys, "simulate", "--spec-json", f"@{spec}",
+                                       "--out", str(out))
         assert code == 0
         assert out.exists()
-        assert "epochs=24" in stdout
+        assert stdout == "" and "epochs=24" in stderr
 
     def test_same_seed_identical_bytes(self, tmp_path, capsys):
         spec = ar_spec_json(tmp_path)
@@ -321,6 +340,40 @@ def test_estimate_params_reads_a_piped_container(tmp_path, capsys):
     assert code == 0
     piped, from_file = json.loads(proc.stdout), json.loads(stdout)
     assert (piped["tau"], piped["D"]) == (from_file["tau"], from_file["D"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_simulate_pipes_into_evaluate(tmp_path, capsys):
+    """`augcov simulate --out /dev/stdout | augcov evaluate --input
+    /dev/stdin`, two processes joined by a pipe, exits 0 and writes the
+    report.json of the file route: simulate's summary goes to stderr, so
+    stdout carries the container alone."""
+    spec = ar_spec_json(tmp_path, epochs_per_class=8, t=128, n_sessions=2)
+    src = str(Path(augcov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    evaluate = ["evaluate", "--pipeline", "ACM+MDM", "--order", "2", "--lag", "1",
+                "--eval", "cs", "--seed", "3", "--workers", "1"]
+    simulate = subprocess.Popen(
+        [sys.executable, "-m", "augcov", "simulate", "--spec-json", f"@{spec}",
+         "--out", "/dev/stdout"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        consumer = subprocess.run(
+            [sys.executable, "-m", "augcov", *evaluate, "--input", "/dev/stdin",
+             "--out", str(tmp_path / "piped")],
+            stdin=simulate.stdout, capture_output=True, env=env, timeout=120)
+    finally:
+        simulate.stdout.close()
+        _, simulate_err = simulate.communicate(timeout=120)
+    assert simulate.returncode == 0, simulate_err
+    assert b"wrote /dev/stdout" in simulate_err
+    assert consumer.returncode == 0, consumer.stderr
+    container = tmp_path / "s.acm"
+    assert main(["simulate", "--spec-json", f"@{spec}", "--out", str(container)]) == 0
+    assert main([*evaluate, "--input", str(container), "--out", str(tmp_path / "file")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "piped" / "report.json").read_bytes()
+            == (tmp_path / "file" / "report.json").read_bytes())
 
 
 class TestEvaluate:

@@ -1,11 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from augcov.covariance import EpochStack
-from augcov.data import ArSpec, generate_ar_dataset
+from augcov.data import ArSpec, generate_ar_dataset, read_epochset, write_epochset
 from augcov.embedding import (
+    METHODS,
     NN_BLOCK,
     EmbeddingEstimate,
     _cao_e_curve,
@@ -416,6 +419,26 @@ class TestEstimate:
         assert np.array_equal(got.ami_curve, tau_sel.curve)
         assert np.array_equal(got.e1_curve, cao.e1_curve)
 
+    @pytest.mark.skipif(not hasattr(os, "pread"), reason="needs os.pread")
+    def test_a_container_epoch_is_read_once(self, tmp_path, monkeypatch):
+        """On a file-read stack, ami_cao reads each epoch once (one os.pread)
+        and hands the same values to AMI and to Cao, as mdop does, and both
+        estimate what the in-memory stack gives."""
+        epoch_set = generate_ar_dataset(ArSpec(
+            coefficients=[[], []], innovations=[np.eye(2), 2.0 * np.eye(2)], lag=1,
+            n_samples=160, epochs_per_class=3, seed=5))
+        write_epochset(epoch_set, tmp_path / "x.acm")
+        on_disk = read_epochset(tmp_path / "x.acm").all_epochs()[0]
+        reads = []
+        pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda *args: reads.append(args) or pread(*args))
+        for method in METHODS:
+            reads.clear()
+            got = estimate(on_disk, method, max_lag=6, max_dim=3, max_cycles=2)
+            assert len(reads) == len(on_disk) == 6, method
+            want = estimate(epoch_set.epochs, method, max_lag=6, max_dim=3, max_cycles=2)
+            for name in ("tau", "dim", "flags", "cycle_lags", "ami_curve", "e1_curve"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_unknown_method(self):
         with pytest.raises(InvalidSetting, match="unknown estimator 'nolds'"):

@@ -28,8 +28,10 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
 def test_ci_runs_the_roadmap_tier1_command():
     """The CI workflow parses, installs the test extras on Python 3.11 and
     runs the ROADMAP's tier-1 command as written, the container and CLI
-    tests with an unclosed file as an error, then each benchmark workload
-    once, and uploads every bench log even when a step failed."""
+    tests with an unclosed file as an error, the README's pipe from simulate
+    into a cs evaluate (failing on a non-zero exit anywhere in the pipe or
+    a report that is not strict JSON), then each benchmark workload once,
+    and uploads every bench log even when a step failed."""
     import pytest
 
     yaml = pytest.importorskip("yaml")
@@ -44,6 +46,9 @@ def test_ci_runs_the_roadmap_tier1_command():
     strict = next(run for run in runs if "error::ResourceWarning" in run)
     assert "-W error::pytest.PytestUnraisableExceptionWarning" in strict
     assert strict.endswith("tests/test_data.py tests/test_cli.py")
+    pipe = next(run for run in runs if "--out /dev/stdout" in run)
+    assert "set -o pipefail" in pipe and "| augcov evaluate --input /dev/stdin" in pipe
+    assert "--eval cs" in pipe and "parse_constant" in pipe
     bench = next(run for run in runs if "bench/run.py" in run)
     assert "for w in grid-svm eeg-mdm estimate" in bench
     assert "--seed 1 --seconds 1 --trace 0" in bench
