@@ -7,11 +7,11 @@ fold_scores is the one fit-and-score step of the inner CV and the outer
 splits. Fitted models are immutable; fitting never touches anything but the
 rows it is handed, so grid-search scores are functions of the training split
 alone. stratified_folds draws its shuffles from numpy's PCG64 streams
-through augcov.seeds, without numpy.random. Memory model: no split or grid
-cell copies an epoch, as covariance_stack reads the rows it is given in
-place; an MDM fold holds one class's covariance stack at a time (SVM: the
-training stack and its features), and test rows are built and scored one
-SPD block at a time.
+through augcov.seeds, without numpy.random. Memory model: splits, folds
+and classes are sub-stacks, views of their rows, so no split or grid cell
+copies an epoch or a packed covariance; an MDM fold holds one class's
+covariance stack at a time (SVM: the training stack and its features), and
+test rows are built and scored one SPD block at a time.
 """
 
 from __future__ import annotations
@@ -67,11 +67,10 @@ class MdmModel:
 
 def mdm_fit(covs: SpdStack, labels) -> MdmModel:
     """Per-class Frechet means of the training covariances, each over its
-    class's rows of the stack."""
+    class's sub-stack."""
     labels = svm.check_labels(len(covs), labels)
     classes = tuple(sorted(set(labels.tolist())))
-    return MdmModel(classes, tuple(frechet_mean(covs, rows=np.flatnonzero(labels == cls))
-                                   for cls in classes))
+    return MdmModel(classes, tuple(frechet_mean(covs[labels == cls]) for cls in classes))
 
 
 def mdm_predict(model: MdmModel, covs: SpdStack):
@@ -293,11 +292,10 @@ def grid_search(
     inner_folds: int = 5,
     seed: int = 0,
     shrink: bool | None = None,
-    rows=slice(None),
 ) -> GridSearchResult:
     """Stratified inner-CV score over the (order, lag[, C, kernel]) grid on
-    the epochs and labels at rows (all of them by default), read in place;
-    SVM kinds search every TABLE_C_GRID x svm.KERNELS pair in each cell.
+    the epochs and labels; SVM kinds search every TABLE_C_GRID x svm.KERNELS
+    pair in each cell. Each fold scores sub-stacks of the cell's covariances.
 
     Cells that violate (order-1)*lag < T - 1 are recorded invalid and skipped.
     The best cell is the first valid one with the top mean score in grid
@@ -306,7 +304,7 @@ def grid_search(
     """
     if kind not in PIPELINE_KINDS:
         raise InvalidSetting(f"unknown pipeline kind {kind!r}")
-    labels = svm.check_labels(len(epochs), labels)[rows]
+    labels = svm.check_labels(len(epochs), labels)
     folds = stratified_folds(labels, inner_folds, seed)
     uses_svm = kind.endswith("SVM")
     param_grid = (
@@ -321,7 +319,7 @@ def grid_search(
             param_scores = order1_scores
         else:
             try:
-                covs = covariance_stack(epochs, params, shrink, rows)
+                covs = covariance_stack(epochs, params, shrink)
             except LagTooLarge:
                 for c, kernel in param_grid:
                     cells.append(GridCell(order, lag, c, kernel, None, 0))
@@ -348,16 +346,14 @@ def grid_search(
 
 # -- parameter selection --------------------------------------------------
 
-def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0,
-                  rows=slice(None)):
-    """Pick (order, lag, C, kernel) on a training split, the epochs and
-    labels at rows, per the spec's source; returns (params, c, kernel,
-    grid_result), with C and kernel None for MDM kinds and grid_result None
-    when nothing was searched. Only an estimator copies the rows out; the
-    inner-CV grid search, the one reader of seed, reads them in place and
-    runs only when spec.searches."""
+def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0):
+    """Pick (order, lag, C, kernel) on a training split's epochs and labels
+    per the spec's source; returns (params, c, kernel, grid_result), with C
+    and kernel None for MDM kinds and grid_result None when nothing was
+    searched. The inner-CV grid search, the one reader of seed, runs only
+    when spec.searches."""
     if spec.param_source in emb.METHODS:
-        estimate = emb.estimate(epochs[rows], spec.param_source)
+        estimate = emb.estimate(epochs, spec.param_source)
         orders, lags = (estimate.dim,), (estimate.tau,)
     elif spec.is_augmented and spec.param_source == "grid":
         orders, lags = spec.grid_orders, spec.grid_lags
@@ -368,6 +364,6 @@ def select_params(spec: PipelineSpec, epochs: EpochStack, labels, seed: int = 0,
         return AugmentedParams(orders[0], lags[0]), c, kernel, None
     grid = grid_search(
         epochs, labels, spec.kind, orders=orders, lags=lags,
-        inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink, rows=rows,
+        inner_folds=spec.inner_folds, seed=seed, shrink=spec.shrink,
     )
     return AugmentedParams(grid.best.order, grid.best.lag), grid.best.c, grid.best.kernel, grid

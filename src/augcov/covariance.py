@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEpoch, LagTooLarge, check_integer, check_positive
-from .spd import SpdMatrix, SpdStack, pack, sym
+from .spd import RowView, SpdMatrix, SpdStack, pack, sym
 
 
 @dataclass(frozen=True)
@@ -36,50 +36,50 @@ class Epoch:
         data = np.array(self.data, dtype=float)
         if data.ndim != 2:
             raise InvalidEpoch(f"epoch data must be 2-D, got shape {data.shape}")
-        object.__setattr__(self, "data", EpochStack(data[None], self.sample_rate).values[0])
+        object.__setattr__(self, "data", EpochStack(data[None], self.sample_rate).epoch(0))
 
 
-@dataclass(frozen=True)
-class EpochStack:
+@dataclass(frozen=True, init=False, eq=False)
+class EpochStack(RowView):
     """n epochs of one shape and sample rate as one read-only (n, d, T)
     float64 array, checked once (check_epochs); a float64 array is held
     without a copy. epoch(r) gives epoch r's (d, T) values, a view, and
     shape the stack's (n, d, T). An integer index gives an Epoch view, a
-    slice, index array or mask a sub-stack, without a second check;
-    iterating yields Epoch items.
+    slice, index array or mask a sub-stack, a view (RowView) whose values
+    are a copy unless it is a slice; iterating yields Epoch items.
 
     Memory: a stack of a container file (read_epochset) holds no epoch. It
     has the same interface, but epoch(r) reads epoch r from the file into a
-    fresh read-only array, values reads the selected epochs into a new one,
-    and a sub-stack selects epochs of the same file."""
+    fresh read-only array and values reads the selected epochs into a new
+    one."""
 
-    values: np.ndarray
     sample_rate: float
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, values, sample_rate):
+        values = np.asarray(values, dtype=float)
         check_epochs(values)
-        check_positive("sample_rate", self.sample_rate, InvalidEpoch)
-        _view(self, values, self.sample_rate)
-
-    def __len__(self) -> int:
-        return self.shape[0]
+        check_positive("sample_rate", sample_rate, InvalidEpoch)
+        self._hold(values, sample_rate=sample_rate)
 
     @property
     def shape(self) -> tuple:
-        return self.values.shape
+        return (len(self), *self._base.shape[1:])
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._read()
 
     def epoch(self, r) -> np.ndarray:
         """The (d, T) values of epoch r: the one per-epoch accessor."""
-        return self.values[r]
+        return self._base[self._rows[r]]
 
     def __reduce__(self):  # unpickled values are checked again, so read-only
         return EpochStack, (self.values, self.sample_rate)
 
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return _view(object.__new__(Epoch), self.epoch(index), self.sample_rate)
-        return _view(object.__new__(EpochStack), self.values[index], self.sample_rate)
+    def _item(self, r) -> Epoch:
+        epoch = object.__new__(Epoch)
+        epoch.__dict__.update(data=self.epoch(r), sample_rate=self.sample_rate)
+        return epoch
 
 
 def check_epochs(values: np.ndarray, first: int = 0) -> None:
@@ -98,14 +98,6 @@ def check_epochs(values: np.ndarray, first: int = 0) -> None:
         raise InvalidEpoch(f"epoch {first + bad[0]} contains NaN or Inf")
 
 
-def _view(obj, values: np.ndarray, sample_rate):
-    """obj, an Epoch or EpochStack, around checked values made read-only."""
-    values.setflags(write=False)
-    object.__setattr__(obj, "data" if isinstance(obj, Epoch) else "values", values)
-    object.__setattr__(obj, "sample_rate", sample_rate)
-    return obj
-
-
 def as_epochs(epochs) -> EpochStack:
     """An EpochStack as is, or a non-empty sequence of Epoch and EpochStack
     items of one shape and rate copied once into one stack, without a
@@ -118,7 +110,7 @@ def as_epochs(epochs) -> EpochStack:
     if len(shapes) != 1 or len(rates) != 1:
         raise InvalidEpoch(f"all epochs must share shape and sample rate, got shapes "
                            f"{sorted(shapes)} and rates {sorted(rates)}")
-    return _view(object.__new__(EpochStack), np.concatenate(parts), rates.pop())
+    return object.__new__(EpochStack)._hold(np.concatenate(parts), sample_rate=rates.pop())
 
 
 @dataclass(frozen=True)
@@ -181,29 +173,27 @@ def resolve_shrink(shrink: bool | None, params: AugmentedParams) -> bool:
 
 
 def covariance_stack(epochs: EpochStack, params: AugmentedParams,
-                     shrink: bool | None = None, rows=None) -> SpdStack:
-    """The augmented covariances of an EpochStack, or of its epochs at rows
-    (a slice, index array or mask), as one SpdStack, checked once;
-    augmented_covariance is the one-epoch case. Memory: each epoch comes
-    from EpochStack.epoch, never copied out as a sub-stack (a view of an
-    in-memory stack, one read of a container file's), and each covariance
-    is exactly symmetric and goes straight into its packed row, so next to
-    the packed stack one epoch, its embedding and at most three k x k
-    matrices are alive at a time, shrunk or not. shrink goes through
+                     shrink: bool | None = None) -> SpdStack:
+    """The augmented covariances of an EpochStack as one SpdStack, checked
+    once; augmented_covariance is the one-epoch case. Memory: each epoch
+    comes from EpochStack.epoch (a view of an in-memory stack, one read of a
+    container file's), so a sub-stack's epochs are read in place, and each
+    covariance is exactly symmetric and goes straight into its packed row,
+    so next to the packed stack one epoch, its embedding and at most three
+    k x k matrices are alive at a time, shrunk or not. shrink goes through
     resolve_shrink. Unshrunk, it warns when the embedded epoch has no more
     samples than rows."""
     shrink = resolve_shrink(shrink, params)
-    index = np.arange(len(epochs))[slice(None) if rows is None else rows]
     _, d, t = epochs.shape
     params.check_length(t)
     k, width = d * params.order, t - (params.order - 1) * params.lag
     if not shrink and width <= k:
         warnings.warn(f"epoch has T={width} samples for d={k} channels; covariance "
                       f"may be rank-deficient, consider shrinkage", stacklevel=2)
-    out = np.empty((len(index), k * (k + 1) // 2))
-    lams, traces = np.zeros(len(index)), np.empty(len(index))
-    for i, r in enumerate(index):
-        c, lams[i] = _covariance(embed_epoch(epochs.epoch(r), params), shrink)
+    out = np.empty((len(epochs), k * (k + 1) // 2))
+    lams, traces = np.zeros(len(epochs)), np.empty(len(epochs))
+    for i in range(len(epochs)):
+        c, lams[i] = _covariance(embed_epoch(epochs.epoch(i), params), shrink)
         out[i], traces[i] = pack(c), np.trace(c)
         del c  # not alive through the next covariance's build
     # Ledoit-Wolf bounds: a shrunk matrix keeps tr C and has lambda_max <= tr C

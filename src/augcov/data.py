@@ -13,10 +13,11 @@ concatenated in manifest order. It round-trips bit-exactly.
 Memory: a container read from a regular file stays on disk. read_epochset
 checks its payload a few epochs at a time and keeps the file open; the set's
 stack reads an epoch (os.pread) only when a covariance or the caller asks for
-it, and the file closes when the last stack of it is dropped. A pipe has no
-offsets, so its payload is read whole into one buffer, as it is where
-os.pread is missing. write_epochset replaces a regular file whole, so a run
-still reading the old container keeps its epochs.
+it. Its sub-stacks (sessions, splits, folds) are views of the same file, and
+it closes when the last of them is dropped. A pipe has no offsets, so its
+payload is read whole into one buffer, as it is where os.pread is missing.
+write_epochset replaces a regular file whole, so a run still reading the old
+container keeps its epochs.
 """
 
 from __future__ import annotations
@@ -319,14 +320,14 @@ def ar_spec_from_dict(raw: dict) -> ArSpec:
 # -- container format --------------------------------------------------
 
 class _Payload:
-    """The epochs of an open container file: (d, T) float64 each, from byte
+    """The n epochs of an open container file, (d, T) float64 each, from byte
     start on. The descriptor closes when the last holder is dropped."""
 
-    def __init__(self, fd: int, start: int, d: int, t: int):
-        self.fd, self.start, self.shape, self.nbytes = fd, start, (d, t), d * t * 8
+    def __init__(self, fd: int, start: int, n: int, d: int, t: int):
+        self.fd, self.start, self.shape, self.nbytes = fd, start, (n, d, t), d * t * 8
         weakref.finalize(self, os.close, fd)
 
-    def read(self, r: int) -> np.ndarray:
+    def __getitem__(self, r) -> np.ndarray:
         """Epoch r in a fresh read-only array, from one os.pread; a short read
         (the file was truncated after it was opened) raises FormatError."""
         offset = self.start + int(r) * self.nbytes
@@ -335,38 +336,20 @@ class _Payload:
             raise FormatError(f"epoch {r} reads {len(raw)} of its {self.nbytes} bytes: the "
                               f"container was truncated after it was opened",
                               offset=offset + len(raw))
-        return np.frombuffer(raw, dtype="<f8").reshape(self.shape)
+        return np.frombuffer(raw, dtype="<f8").reshape(self.shape[1:])
 
 
 class _FileStack(EpochStack):
-    """An EpochStack of a container file's epochs at rows, read when asked
-    for: epoch(r) makes one os.pread, values one per selected epoch, and a
-    sub-stack selects rows of the same file."""
-
-    def __init__(self, payload: _Payload, rows: np.ndarray, sample_rate: float):
-        object.__setattr__(self, "_payload", payload)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "sample_rate", sample_rate)
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self._rows), *self._payload.shape)
+    """An EpochStack of a container file's epochs, read when asked for:
+    epoch(r) makes one os.pread, values one per epoch."""
 
     @property
     def values(self) -> np.ndarray:
         out = np.empty(self.shape)
-        for i, r in enumerate(self._rows):
-            out[i] = self._payload.read(r)
+        for i in range(len(self)):
+            out[i] = self.epoch(i)
         out.setflags(write=False)
         return out
-
-    def epoch(self, r) -> np.ndarray:
-        return self._payload.read(self._rows[r])
-
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return super().__getitem__(index)
-        return _FileStack(self._payload, self._rows[index], self.sample_rate)
 
 
 def write_epochset(epoch_set: EpochSet, path) -> None:
@@ -479,8 +462,9 @@ def read_epochset(path) -> EpochSet:
                     offset=0,
                 )
         if on_disk:
-            stack = _FileStack(_Payload(os.dup(fh.fileno()), len(header), d, t),
-                               np.arange(total_epochs), float(rate))
+            stack = object.__new__(_FileStack)._hold(
+                _Payload(os.dup(fh.fileno()), len(header), total_epochs, d, t),
+                sample_rate=float(rate))
             step = max(1, _CHECK_BYTES // (d * t * 8))
             for first in range(0, max(total_epochs, 1), step):  # the empty stack too
                 check_epochs(stack[first:first + step].values, first)

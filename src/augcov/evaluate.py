@@ -165,13 +165,8 @@ def _cs_splits(epoch_set: EpochSet, seed: int):
     splits, start, n = [], 0, len(epoch_set.epochs)
     for s_idx, held_out in enumerate(epoch_set.sessions):
         stop = start + len(held_out.epochs)
-        # holding out the first or last session trains on a slice of the
-        # set's one stack, otherwise on the row indices of both sides
-        train = slice(stop, n) if start == 0 else slice(0, start)
-        if 0 < start and stop < n:
-            train = np.r_[0:start, stop:n]
-        splits.append((held_out.session_id, f"holdout:{held_out.session_id}", train,
-                       slice(start, stop), (seed, s_idx, 0)))
+        splits.append((held_out.session_id, f"holdout:{held_out.session_id}",
+                       np.r_[0:start, stop:n], slice(start, stop), (seed, s_idx, 0)))
         start = stop
     return splits
 
@@ -183,10 +178,10 @@ def _score_split(epochs, labels, spec: PipelineSpec, split):
     session_id, split_id, train, test, key = split
     start = perf_counter()
     seed = _derive_seed(*key) if spec.searches else None
-    params, c, kernel, grid = select_params(spec, epochs, labels, seed, rows=train)
+    params, c, kernel, grid = select_params(spec, epochs[train], labels[train], seed)
     selected_at = perf_counter()
     ((value, metric),) = fold_scores(
-        spec.kind, lambda rows: covariance_stack(epochs, params, spec.shrink, rows),
+        spec.kind, lambda rows: covariance_stack(epochs[rows], params, spec.shrink),
         labels, train, test, [(c, kernel)])
     score = SplitScore(session=session_id, split=split_id, score=value, metric=metric,
                        order=params.order, lag=params.lag, svm_c=c, svm_kernel=kernel)

@@ -22,16 +22,17 @@ eigendecomposition per matrix plus one exp for the step, and no iterate is
 decomposed or checked until the mean is returned.
 
 Memory model: a stack of n matrices of size k holds n k(k+1)/2 floats,
-about half of n k^2, and no full (n, k, k) array of it is ever made. One
-walk, _blocks, reads a stack in consecutive blocks of at most
-SPD_BLOCK_BYTES of full matrices, unpacks each block by one gather and hands
-it to _spectral, which whitens it by rebinding and drops each block-sized
-array once used. Its consumers, the SPD gate, the sums of the Frechet mean
+about half of n k^2, and no full (n, k, k) array of it is ever made; a
+sub-stack views its rows (RowView). One walk, _blocks, reads a stack in
+consecutive blocks of at most SPD_BLOCK_BYTES of full matrices, reads each
+block's rows of the base, unpacks them by one gather and hands it to
+_spectral, which whitens it by rebinding and drops each block-sized array
+once used. Its consumers, the SPD gate, the sums of the Frechet mean
 (_mean), the distances and the Log coordinates, hold the live packed stack
 plus a few k x k matrices and about three block-sized arrays (the Log
 coordinates four and a half), whatever n is; the coordinates fill one
 preallocated row matrix. With one matrix per block (k >= 91), a Frechet
-mean holds about 6 k^2 next to its stack, whose rows it reads in place.
+mean holds about 6 k^2 next to the stack it averages.
 Neither the packing nor the walk changes a result: every stored matrix is
 exactly symmetric, so unpacking restores its bits, per-matrix steps do not
 depend on the block, and for k >= 2 sums add one matrix at a time in stack
@@ -117,13 +118,12 @@ def _gate(w: np.ndarray, index, what: str) -> None:
         )
 
 
-def _gated(stack: SpdStack, rows=None) -> SpdStack:
-    """stack, after the SPD gate on the matrices stack[rows] (all of them
-    when rows is None): one eigvalsh per block of the stack walk."""
-    index = np.arange(len(stack)) if rows is None else rows
-    if index.size:
-        for out, block in _blocks(stack, rows):
-            _gate(np.linalg.eigvalsh(block), index[out], "matrix {i} of the stack")
+def _gated(stack: SpdStack) -> SpdStack:
+    """stack, after the SPD gate on its matrices, one eigvalsh per block of
+    the stack walk; a failing matrix is named by its row of the base."""
+    if len(stack):  # an empty stack's walk is one empty block: no eigvalsh for it
+        for out, block in _blocks(stack):
+            _gate(np.linalg.eigvalsh(block), stack._rows[out], "matrix {i} of the stack")
     return stack
 
 
@@ -157,13 +157,43 @@ def _unpacked(packed: np.ndarray, dim: int) -> np.ndarray:
     return np.take(packed, _triangle(dim)[1], axis=1)
 
 
-def _filled(obj, values, dim=None):
-    """obj of a frozen matrix type around checked values, made read-only:
-    an SpdMatrix's (k, k) matrix, or an SpdStack's packed rows of size dim."""
-    values.setflags(write=False)
-    object.__setattr__(obj, "values" if isinstance(obj, SpdMatrix) else "packed", values)
-    object.__setattr__(obj, "dim", values.shape[-1] if dim is None else dim)
-    return obj
+class RowView:
+    """The one view rule of SpdStack and covariance.EpochStack: a stack is
+    the rows _rows of a base _base, shared by every stack cut from it. _rows
+    is a range (a slice of a range stays one) or else an index array, so
+    stack[index] copies no data and views of views compose; an integer index
+    gives _item of that row. Rows are read only when a caller asks."""
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self._item(index)
+        rows = self._rows
+        if not (isinstance(rows, range) and isinstance(index, slice)):
+            rows = np.asarray(rows, dtype=np.intp)
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__, _rows=rows[index])
+        return view
+
+    def _hold(self, base, **fields):
+        """self as the stack of every row of base, an array made read-only,
+        with fields set."""
+        if isinstance(base, np.ndarray):
+            base.setflags(write=False)
+        self.__dict__.update(_base=base, _rows=range(base.shape[0]), **fields)
+        return self
+
+    def _read(self) -> np.ndarray:
+        """The stack's rows of its base: the base itself for all of them in
+        order, a view for another range, else a read-only copy."""
+        base, rows = self._base, self._rows
+        if isinstance(rows, range):
+            return base if rows == range(len(base)) else base[rows.start::rows.step][:len(rows)]
+        out = base[rows]
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -178,26 +208,33 @@ class SpdMatrix:
     def __post_init__(self):
         values = _symmetric(np.array(self.values, dtype=float)[None], "SpdMatrix input")
         _gate(np.linalg.eigvalsh(values), [0], "SpdMatrix input")
-        _filled(self, values[0])
+        _matrix(self, values[0])
 
 
-@dataclass(frozen=True, init=False)
-class SpdStack:
+def _matrix(obj: SpdMatrix, values: np.ndarray) -> SpdMatrix:
+    """obj around a checked (k, k) matrix, made read-only."""
+    values.setflags(write=False)
+    obj.__dict__.update(values=values, dim=values.shape[-1])
+    return obj
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class SpdStack(RowView):
     """n SPD matrices of one size k, checked once and stored once: packed is
     one read-only (n, k(k+1)/2) array whose row i holds the upper triangle
     of matrix i in np.triu_indices order, so a stack costs half its full
     size. SpdStack(values) checks an (n, k, k) array, symmetrizes it and
     copies its upper triangles. An integer index gives an SpdMatrix, an
-    index array, slice or mask a packed sub-stack; iterating yields
-    SpdMatrix items. No full (n, k, k) copy of a stack is ever made: the
-    stack walk unpacks one block at a time."""
+    index array, slice or mask a sub-stack, a view (RowView) whose packed
+    is a copy unless it is a slice; iterating yields SpdMatrix items. No
+    full (n, k, k) copy of a stack is ever made: the stack walk unpacks one
+    block at a time."""
 
-    packed: np.ndarray
     dim: int
 
     def __init__(self, values):
         values = _symmetric(values, "matrix {i} of the stack")
-        _gated(_filled(self, pack(values), values.shape[-1]))
+        _gated(self._hold(pack(values), dim=values.shape[-1]))
 
     @classmethod
     def bounded(cls, packed, lower, upper) -> SpdStack:
@@ -209,17 +246,18 @@ class SpdStack:
         rest take it."""
         packed = np.asarray(packed, dtype=float)
         dim = (math.isqrt(8 * packed.shape[-1] + 1) - 1) // 2  # k(k+1)/2 = width
+        stack = object.__new__(cls)._hold(packed, dim=dim)
         certified = np.asarray(lower) > CERTIFICATE_MARGIN * EPS_SPD * np.asarray(upper)
-        return _gated(_filled(object.__new__(cls), packed, dim), np.flatnonzero(~certified))
+        _gated(stack[np.flatnonzero(~certified)])
+        return stack
 
-    def __len__(self) -> int:
-        return self.packed.shape[0]
+    @property
+    def packed(self) -> np.ndarray:
+        return self._read()
 
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return _filled(object.__new__(SpdMatrix),
-                           _unpacked(self.packed[index][None], self.dim)[0])
-        return _filled(object.__new__(SpdStack), self.packed[index], self.dim)
+    def _item(self, i) -> SpdMatrix:
+        row = self._base[self._rows[i]]
+        return _matrix(object.__new__(SpdMatrix), _unpacked(row[None], self.dim)[0])
 
 
 _SCALAR_FNS = {
@@ -263,38 +301,36 @@ def block_rows(dim: int) -> int:
     return max(1, SPD_BLOCK_BYTES // (8 * dim * dim))
 
 
-def _blocks(stack: SpdStack, rows=None, spectral: tuple | None = None):
-    """The one stack walk: the matrices stack[rows] (all of them when rows
-    is None), in order, in consecutive blocks of at most SPD_BLOCK_BYTES of
-    full matrices and at least one matrix; an empty selection is one empty
-    block. Each block is unpacked from the stored triangles just before it
-    is used. Yields (out, block) per block, out being the slice of the
-    block's matrices in the walk's output. With spectral = (fn, left, right),
-    block is _spectral(block, fn, left, right), else the full matrices."""
+def _blocks(stack: SpdStack, spectral: tuple | None = None):
+    """The one stack walk: the stack's matrices, in order, in consecutive
+    blocks of at most SPD_BLOCK_BYTES of full matrices and at least one
+    matrix; an empty stack is one empty block. Each block is unpacked from
+    the rows of the stack's base just before it is used. Yields (out, block)
+    per block, out being the slice of the block's matrices in the walk's
+    output. With spectral = (fn, left, right), block is _spectral(block, fn,
+    left, right), else the full matrices."""
     step = block_rows(stack.dim)
-    count = len(stack) if rows is None else len(rows)
-    for start in range(0, max(count, 1), step):
-        out = slice(start, start + step)
-        take = out if rows is None else rows[out]  # no name holds a copied packed block
+    for start in range(0, max(len(stack), 1), step):
+        out = slice(start, start + step)  # no name holds a copied packed block
         if spectral is None:
-            yield out, _unpacked(stack.packed[take], stack.dim)
+            yield out, _unpacked(stack[out].packed, stack.dim)
         else:  # no name or argument tuple holds the unpacked block: _spectral drops it
             fn, left, right = spectral
-            yield out, _spectral(_unpacked(stack.packed[take], stack.dim), fn, left, right)
+            yield out, _spectral(_unpacked(stack[out].packed, stack.dim), fn, left, right)
 
 
-def _mean(stack: SpdStack, rows=None, spectral: tuple | None = None) -> np.ndarray:
-    """Mean over the matrices of stack[rows] of what _blocks yields. The
-    total goes into each fresh block's first matrix: for k >= 2 one matrix at
-    a time in order, as numpy's axis-0 sum adds, so bit for bit the whole
-    stack's mean (for k = 1 only within one block: numpy sums those pairwise)."""
+def _mean(stack: SpdStack, spectral: tuple | None = None) -> np.ndarray:
+    """Mean over the stack's matrices of what _blocks yields. The total goes
+    into each fresh block's first matrix: for k >= 2 one matrix at a time in
+    order, as numpy's axis-0 sum adds, so bit for bit the whole stack's mean
+    (for k = 1 only within one block: numpy sums those pairwise)."""
     total = None
-    for _, block in _blocks(stack, rows, spectral):
+    for _, block in _blocks(stack, spectral):
         if total is not None:
             block[0] += total
         total = block.sum(axis=0)
         del block  # before the walk builds the next block
-    return total / (len(stack) if rows is None else len(rows))
+    return total / len(stack)
 
 
 def symm_fn(m: np.ndarray, fn: str) -> np.ndarray:
@@ -335,15 +371,14 @@ def log_coordinates(ref_inv_sqrt: np.ndarray, stack: SpdStack) -> np.ndarray:
     return coords
 
 
-def frechet_mean(stack: SpdStack, rows=None) -> SpdMatrix:
-    """Geometric mean of an SpdStack, or of its matrices at the indices
-    rows, by Riemannian gradient descent with Barzilai-Borwein steps
-    (Iannazzo & Porcelli 2018). Rows are read in place, never copied out as
-    a sub-stack.
+def frechet_mean(stack: SpdStack) -> SpdMatrix:
+    """Geometric mean of an SpdStack (a sub-stack's rows are read in place)
+    by Riemannian gradient descent with Barzilai-Borwein steps (Iannazzo &
+    Porcelli 2018).
 
     The iterate M is carried as its whitening factor G, G M G^T = I, so
     M = F F^T with F = G^-1. A pass takes the whitened gradient
-    R = mean_i log(G P_i G^T), one stacked log over the rows, and stops when
+    R = mean_i log(G P_i G^T), one stacked log over the stack, and stops when
     |R|_F < MEAN_TOL: an affine-invariant rule, so rescaling or mixing the
     inputs changes no step. Otherwise it steps to F exp(theta R) F^T, which is
     G <- exp(-theta R / 2) G, one symm_fn exp: the new iterate needs no
@@ -357,22 +392,21 @@ def frechet_mean(stack: SpdStack, rows=None) -> SpdMatrix:
     log eigh per row plus one exp eigh per step taken; the returned mean is
     F F^T, from one inverse of G and one SPD check. Taking MEAN_MAX_ITER
     steps without meeting the rule raises NoConvergence rather than
-    silently returning a bad mean; no rows at all raise EmptyInput.
+    silently returning a bad mean; an empty stack raises EmptyInput.
     """
-    count = len(stack) if rows is None else len(rows)
-    if count == 0:
+    if len(stack) == 0:
         raise EmptyInput("need at least one matrix")
-    if count == 1:
-        return stack[0 if rows is None else rows[0]]
+    if len(stack) == 1:
+        return stack[0]
 
     # The start, the arithmetic mean, meets the SPD gate whenever its terms
     # do: lambda_min(mean) >= mean lambda_min > EPS_SPD * mean lambda_max.
-    w, u = np.linalg.eigh(_mean(stack, rows))
+    w, u = np.linalg.eigh(_mean(stack))
     whiten = (u / np.sqrt(w)) @ u.T  # G
     del w, u
     previous = None  # (theta', R') of the last step
     for iteration in range(MEAN_MAX_ITER + 1):
-        grad = _mean(stack, rows, ("log", whiten, whiten.T))
+        grad = _mean(stack, ("log", whiten, whiten.T))
         residual = float(np.linalg.norm(grad))
         if residual < MEAN_TOL or iteration == MEAN_MAX_ITER:
             del grad, previous  # the walk's state goes before the mean is built

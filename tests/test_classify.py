@@ -468,10 +468,11 @@ def test_inner_cv_cell_is_the_fitted_pipeline_score(kind, grid):
 
 
 def test_inner_cv_memory_stays_near_one_cell_stack():
-    """The ACM+MDM inner CV holds one fold's sub-stacks at a time, next to
-    the cell stack, not a copy of the cell stack per fold: its tracemalloc
-    peak stays under 2 full cell stacks of n k^2 float64 (the stacks are
-    stored packed, at about half that)."""
+    """The ACM+MDM inner CV scores each fold through views of the cell
+    stack, never a copy of its rows: its tracemalloc peak stays under 1.1
+    full cell stacks of n k^2 float64 (the cell stack is stored packed, at
+    about half that). It reads 0.97; folds that copy their class and test
+    rows out of the cell stack read 1.17."""
     import tracemalloc
 
     rng = np.random.default_rng(9)
@@ -484,7 +485,7 @@ def test_inner_cv_memory_stays_near_one_cell_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * cell_bytes, (peak, cell_bytes)
+    assert peak < 1.1 * cell_bytes, (peak, cell_bytes)
 
 
 def test_mdm_fold_memory_is_one_class_stack_and_one_block():

@@ -574,13 +574,15 @@ def test_covariance_stack_equals_per_epoch_reference(n, d, order, lag, extra, sh
                                   np.array([], dtype=int), np.arange(6) % 3 == 1],
                          ids=["all", "slice", "indices", "none", "mask"])
 def test_covariance_stack_reads_rows_in_place(rows, shrink, order):
-    """covariance_stack(epochs, p, shrink, rows) equals covariance_stack of
-    the copied sub-stack epochs[rows], packed row for packed row, for a
-    slice, an index array (repeats and an empty one included) and a mask."""
-    epochs = EpochStack(np.random.default_rng(3).standard_normal((6, 2, 40)), 250.0)
+    """covariance_stack of the sub-stack epochs[rows], a view, equals
+    covariance_stack of a stack of the copied epochs, packed row for packed
+    row, for a slice, an index array (repeats and an empty one included) and
+    a mask."""
+    values = np.random.default_rng(3).standard_normal((6, 2, 40))
     params = AugmentedParams(order, 2)
-    got = covariance_stack(epochs, params, shrink, rows)
-    assert np.array_equal(got.packed, covariance_stack(epochs[rows], params, shrink).packed)
+    got = covariance_stack(EpochStack(values, 250.0)[rows], params, shrink)
+    want = covariance_stack(EpochStack(values[rows].copy(), 250.0), params, shrink)
+    assert np.array_equal(got.packed, want.packed)
 
 
 @pytest.mark.parametrize("shrink", [True, False])
@@ -591,8 +593,8 @@ def test_covariance_stack_memory_is_the_packed_stack(shrink):
     plus one epoch's working set: the embedded epoch (about 2.3 k^2 here)
     and at most three k x k matrices, shrunk or not, 6 k^2 in all. A full
     (n, k, k) array, 16 k^2 for these 16 epochs, does not fit, nor does the
-    previous covariance next to the next one's build. Rows given as an index
-    array are read in place: a copy of the 16 selected epochs (3.7 k^2)
+    previous covariance next to the next one's build. A sub-stack of an
+    index array is read in place: a copy of the 16 selected epochs (3.7 k^2)
     does not fit either."""
     import tracemalloc
 
@@ -602,7 +604,7 @@ def test_covariance_stack_memory_is_the_packed_stack(shrink):
     for rows in (slice(n), np.arange(2 * n)[::-2]):
         tracemalloc.start()
         try:
-            stack = covariance_stack(epochs, AugmentedParams(10, 1), shrink, rows)
+            stack = covariance_stack(epochs[rows], AugmentedParams(10, 1), shrink)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

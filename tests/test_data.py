@@ -31,12 +31,15 @@ from augcov.data import (
 )
 from augcov.errors import (
     ConfigError,
+    EmptyInput,
     FormatError,
     InvalidEpoch,
+    NoConvergence,
     NotSPD,
     UnstableSpec,
     VersionUnsupported,
 )
+from augcov import spd
 from augcov.spd import frechet_mean
 
 from conftest import pair_distance
@@ -292,12 +295,11 @@ class TestGenerator:
         epochs, labels = epoch_set.all_epochs()
 
         plain = covariance_stack(epochs, AugmentedParams(1, 1))
-        centroid0, centroid1 = (frechet_mean(plain, rows=np.flatnonzero(labels == y))
-                                for y in (0, 1))
+        centroid0, centroid1 = (frechet_mean(plain[labels == y]) for y in (0, 1))
         assert pair_distance(centroid0, centroid1) < 0.1
 
         aug = covariance_stack(epochs, AugmentedParams(2, 1))
-        aug0, aug1 = (frechet_mean(aug, rows=np.flatnonzero(labels == y)) for y in (0, 1))
+        aug0, aug1 = (frechet_mean(aug[labels == y]) for y in (0, 1))
         assert pair_distance(aug0, aug1) > 0.5
 
 
@@ -460,7 +462,7 @@ class TestContainer:
         epoch_bytes = 3 * 40 * 8
         loaded = read_epochset(path)
         os.truncate(path, header_len + 5 * epoch_bytes + 100)  # epoch 5 keeps 100 bytes
-        rows = covariance_stack(loaded.epochs, AugmentedParams(1, 1), rows=slice(5))
+        rows = covariance_stack(loaded.epochs[:5], AugmentedParams(1, 1))
         assert len(rows) == 5
         with pytest.raises(FormatError, match=f"^epoch 5 reads 100 of its {epoch_bytes} bytes"
                                               f": the container was truncated") as err:
@@ -649,30 +651,58 @@ def small_containers(draw):
 
 
 @st.composite
-def selections(draw, n):
-    """An int, slice, index array (repeats and the empty one included) or
-    mask selection of n epochs."""
-    kind = draw(st.sampled_from(["int", "slice", "indices", "mask"]))
-    if kind == "int":
-        return draw(st.integers(-n, n - 1))
-    if kind == "slice":
-        bound = st.none() | st.integers(-n - 1, n + 1)
-        return slice(draw(bound), draw(bound), draw(st.none() | st.sampled_from([1, 2, -1, -3])))
-    if kind == "indices":
-        return np.array(draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)), dtype=int)
-    return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+def selections(draw, n, depth=2):
+    """A chain of 1 to depth selections, each of the rows the one before
+    leaves of n epochs, applied in turn by select: a slice (negative steps
+    included), an index array (repeats and the empty one included) or a
+    mask, and last maybe an int. A chain of two is a view of a view."""
+    chain = []
+    for _ in range(draw(st.integers(1, depth))):
+        kind = draw(st.sampled_from(["int", "slice", "indices", "mask"] if n else ["slice"]))
+        if kind == "int":
+            return chain + [draw(st.integers(-n, n - 1))]
+        if kind == "slice":
+            bound = st.none() | st.integers(-n - 1, n + 1)
+            index = slice(draw(bound), draw(bound),
+                          draw(st.none() | st.sampled_from([1, 2, -1, -3])))
+        elif kind == "indices":
+            index = np.array(draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)), dtype=int)
+        else:
+            index = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        chain.append(index)
+        n = len(np.arange(n)[index])
+    return chain
 
 
-def covariances(epochs, order, shrink, rows):
+def select(stack, chain):
+    """stack (a stack or an array) indexed by each selection of chain in turn."""
+    for index in chain:
+        stack = stack[index]
+    return stack
+
+
+def covariances(epochs, order, shrink):
     """covariance_stack's packed bytes at order and lag 1, or the message of
     the NotSPD it raises for an unshrunk rank-deficient epoch."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # unshrunk epochs shorter than their rows
-            stack = covariance_stack(epochs, AugmentedParams(order, 1), shrink, rows)
+            stack = covariance_stack(epochs, AugmentedParams(order, 1), shrink)
         return stack.packed.tobytes()
     except NotSPD as exc:
         return str(exc)
+
+
+def read_back(tmp_path_factory, values, sizes, labels):
+    """The container of values, its sessions of the given sizes, as an
+    EpochSet in memory and as read back from its file."""
+    starts = np.cumsum([0, *sizes])
+    in_memory = EpochSet("s", [
+        Session(f"s{k}", EpochStack(values[a:b].copy(), 250.0), labels[a:b])
+        for k, (a, b) in enumerate(zip(starts, starts[1:]))], ["a", "b"])
+    path = tmp_path_factory.mktemp("container") / "set.acm"
+    write_epochset(in_memory, path)
+    return in_memory, read_epochset(path)
 
 
 @given(container=small_containers(), data=st.data(), order=st.integers(1, 3),
@@ -680,17 +710,11 @@ def covariances(epochs, order, shrink, rows):
 @settings(max_examples=60, deadline=None)
 def test_a_file_read_equals_the_set_in_memory(tmp_path_factory, container, data, order, shrink):
     """A container read from its file reads, bit for bit, as the same set
-    held in memory: for int, slice, index-array and mask selections, their
-    values, and covariance_stack at rows, shrunk or not. Pickled, it
-    carries its epochs."""
+    held in memory: for int, slice, index-array and mask selections and
+    views of views, their values, and covariance_stack of them, shrunk or
+    not. Pickled, it carries its epochs."""
     values, sizes, labels = container
-    starts = np.cumsum([0, *sizes])
-    in_memory = EpochSet("s", [
-        Session(f"s{k}", EpochStack(values[a:b].copy(), 250.0), labels[a:b])
-        for k, (a, b) in enumerate(zip(starts, starts[1:]))], ["a", "b"])
-    path = tmp_path_factory.mktemp("container") / "set.acm"
-    write_epochset(in_memory, path)
-    on_disk = read_epochset(path)
+    in_memory, on_disk = read_back(tmp_path_factory, values, sizes, labels)
     assert type(on_disk.epochs) is not EpochStack  # the file-backed stack
     unpickled = pickle.loads(pickle.dumps(on_disk))  # what a spawned pool worker gets
     assert unpickled.epochs.values.tobytes() == values.tobytes()
@@ -700,13 +724,60 @@ def test_a_file_read_equals_the_set_in_memory(tmp_path_factory, container, data,
         assert disk.shape == mem.shape and len(disk) == len(mem)
         assert disk.values.tobytes() == mem.values.tobytes()
         assert not disk.values.flags.writeable
-        rows = data.draw(selections(len(mem)), label="rows")
-        got, want = disk[rows], mem[rows]
-        if isinstance(rows, int):
+        chain = data.draw(selections(len(mem)), label="chain")
+        got, want = select(disk, chain), select(mem, chain)
+        if isinstance(chain[-1], int):
             assert got.data.tobytes() == want.data.tobytes() and not got.data.flags.writeable
             continue
         assert got.shape == want.shape and got.values.tobytes() == want.values.tobytes()
-        assert covariances(disk, order, shrink, rows) == covariances(mem, order, shrink, rows)
+        assert covariances(got, order, shrink) == covariances(want, order, shrink)
+
+
+def mean_of(stack):
+    """frechet_mean's bytes, or the message of the EmptyInput or
+    NoConvergence it raises."""
+    try:
+        return frechet_mean(stack).values.tobytes()
+    except (EmptyInput, NoConvergence) as exc:
+        return str(exc)
+
+
+@given(container=small_containers(), data=st.data(), order=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_a_sub_stack_is_a_view_of_its_rows(tmp_path_factory, container, data, order):
+    """stack[index] of an in-memory stack, a file-backed stack and an
+    SpdStack, and a view of such a view, shares its parent's rows and reads,
+    bit for bit, as the same selection of the copied array: values and
+    packed, and covariance_stack and frechet_mean of the view equal those of
+    a stack of the copied rows."""
+    values, sizes, labels = container
+    in_memory, on_disk = read_back(tmp_path_factory, values, sizes, labels)
+    params = AugmentedParams(order, 1)
+    covs = covariance_stack(in_memory.epochs, params, shrink=True)
+    chain = data.draw(selections(len(values)), label="chain")
+    copied = select(values, chain)
+    if isinstance(chain[-1], int):
+        for epochs in (in_memory.epochs, on_disk.epochs):
+            assert select(epochs, chain).data.tobytes() == copied.tobytes()
+        assert np.array_equal(spd.pack(select(covs, chain).values), select(covs.packed, chain))
+        return
+    for epochs in (in_memory.epochs, on_disk.epochs):
+        view = select(epochs, chain)
+        assert view._base is epochs._base and type(view) is type(epochs)
+        assert view.shape == copied.shape and view.values.tobytes() == copied.tobytes()
+        assert not view.values.flags.writeable
+    view, whole = select(in_memory.epochs, chain), in_memory.epochs.values
+    assert all(np.shares_memory(view.epoch(i), whole) for i in range(len(view)))
+    copied_covs = covariance_stack(EpochStack(copied.copy(), 250.0), params, shrink=True)
+    assert covariance_stack(view, params, shrink=True).packed.tobytes() \
+        == copied_covs.packed.tobytes()
+
+    view = select(covs, chain)
+    assert view._base is covs._base and view.dim == covs.dim
+    assert view.packed.tobytes() == select(covs.packed, chain).tobytes()
+    assert view.packed.tobytes() == copied_covs.packed.tobytes()
+    assert not view.packed.flags.writeable
+    assert mean_of(view) == mean_of(copied_covs)
 
 
 class TestSessionStacks:
@@ -764,7 +835,7 @@ class TestSessionStacks:
         assert not whole.flags.writeable
         for k, session in enumerate(loaded.sessions):
             if source == "read":  # one open file, each session reads its rows of it
-                assert session.epochs._payload is loaded.epochs._payload
+                assert session.epochs._base is loaded.epochs._base
                 assert np.array_equal(session.epochs.values, whole[6 * k:6 * k + 6])
             else:
                 assert np.shares_memory(session.epochs.values, whole)

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -184,7 +185,9 @@ class TestCrossSession:
 
 
 class TestCrossSessionTraining:
-    def test_training_rows_are_a_view_unless_the_middle_is_held_out(self):
+    def test_training_rows_are_every_other_session(self):
+        """Every split trains on the row indices of the other sessions, in
+        set order, and tests on its held-out session's slice."""
         epoch_set = separable_set(n_sessions=3, epochs_per_class=4)
         whole, labels = epoch_set.all_epochs()
         splits = evaluate._cs_splits(epoch_set, seed=0)
@@ -192,15 +195,12 @@ class TestCrossSessionTraining:
                                            for i in range(3)]
         for s_idx, (_, _, train, test, _) in enumerate(splits):
             keep = [i for i in range(24) if not 8 * s_idx <= i < 8 * (s_idx + 1)]
+            assert train.tolist() == keep
             assert np.array_equal(whole[train].values, whole.values[keep])
             assert labels[train].tolist() == labels[keep].tolist()
             held_out = epoch_set.sessions[s_idx]
             assert np.array_equal(whole[test].values, held_out.epochs.values)
             assert labels[test].tolist() == held_out.labels
-        assert [type(s[2]) for s in splits] == [slice, np.ndarray, slice]
-        shared = [np.shares_memory(whole[train].values, whole.values)
-                  for _, _, train, _, _ in splits]
-        assert shared == [True, False, True]
 
 
 class TestSplitRunner:
@@ -240,30 +240,59 @@ class TestSplitRunner:
             within_session_eval(epoch_set, MDM, folds=3, seed=0)
 
 
-def test_no_split_copies_an_epoch_to_build_a_covariance(monkeypatch):
-    """Splits hand row indices to covariance_stack, which reads each epoch
-    in place: a ws ACM+MDM fixed run, a ws ACM+TANG+SVM 2 x 2 grid run
-    (inner CV included) and a cs ACM+MDM fixed run on three sessions (the
-    middle one trains on an index array) index no EpochStack by an array."""
-    copies = []
-    getitem = covariance.EpochStack.__getitem__
+def test_no_split_copies_an_epoch_to_build_a_covariance(monkeypatch, tmp_path):
+    """Splits, outer folds and inner folds are views. In a ws ACM+MDM fixed
+    run, a ws ACM+TANG+SVM 2 x 2 grid run (inner CV included) and a cs
+    ACM+MDM fixed run on three sessions (each trains on an index array),
+    every epoch a covariance reads shares memory with the set's one array,
+    no stack's epoch values are copied out, and packed rows are copied only
+    one walk block at a time: covariance_stack builds the only new rows. A
+    view of a container file reads nothing before epoch(r) is asked for,
+    and a cs run from the file reads each epoch once per split."""
+    copies, epochs_read = [], []
+    read, epoch = spd.RowView._read, covariance.EpochStack.epoch
 
-    def counted(self, index):
-        if isinstance(index, np.ndarray):
-            copies.append(len(index))
-        return getitem(self, index)
+    def counted_read(self):
+        out = read(self)
+        walk_block = isinstance(self, spd.SpdStack) and len(self) <= spd.block_rows(self.dim)
+        if len(out) and not np.shares_memory(out, self._base) and not walk_block:
+            copies.append((type(self).__name__, len(self)))
+        return out
 
-    monkeypatch.setattr(covariance.EpochStack, "__getitem__", counted)
+    def counted_epoch(self, r):
+        out = epoch(self, r)
+        epochs_read.append((self._base, out))
+        return out
+
+    monkeypatch.setattr(spd.RowView, "_read", counted_read)
+    monkeypatch.setattr(covariance.EpochStack, "epoch", counted_epoch)
     fixed = PipelineSpec(kind="ACM+MDM", param_source="fixed", order=2, lag=1)
     grid = PipelineSpec(kind="ACM+TANG+SVM", param_source="grid", grid_orders=(1, 2),
                         grid_lags=(1, 2), inner_folds=2)
     two = separable_set(n_sessions=2, epochs_per_class=6)
+    three = separable_set(n_sessions=3, epochs_per_class=6)
     within_session_eval(two, fixed, folds=3, seed=0)
     report = within_session_eval(two, grid, folds=3, seed=0)
     assert len(report.grid_maps) == 6
-    report = cross_session_eval(separable_set(n_sessions=3, epochs_per_class=6), fixed, seed=0)
+    report = cross_session_eval(three, fixed, seed=0)
     assert len(report.scores) == 3
     assert copies == []
+    wholes = [two.epochs.values, three.epochs.values]
+    assert epochs_read and all(any(base is whole for whole in wholes)
+                               and np.shares_memory(out, base) for base, out in epochs_read)
+
+    preads, pread = [], os.pread
+    monkeypatch.setattr(os, "pread", lambda *args: preads.append(args[2]) or pread(*args))
+    data.write_epochset(three, tmp_path / "set.acm")
+    loaded = data.read_epochset(tmp_path / "set.acm")
+    preads.clear()
+    view = loaded.sessions[1].epochs[np.array([5, 0, 5])][1:]
+    assert preads == [] and len(view) == 2
+    assert np.array_equal(view.epoch(1), three.epochs.values[17])
+    assert len(preads) == 1
+    preads.clear()
+    assert cross_session_eval(loaded, fixed, seed=0).to_json() == report.to_json()
+    assert len(preads) == 3 * len(loaded.epochs) and copies == []
 
 
 def test_only_a_split_that_searches_derives_its_seed(monkeypatch):

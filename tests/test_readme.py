@@ -27,8 +27,8 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
 
 def test_ci_runs_the_roadmap_tier1_command():
     """The CI workflow parses, installs the test extras on Python 3.11 and
-    runs the ROADMAP's tier-1 command as written, the container and CLI
-    tests with an unclosed file as an error, the README's pipe from simulate
+    runs the ROADMAP's tier-1 command as written, over every test, with an
+    unclosed file as an error, then the README's pipe from simulate
     into a cs evaluate (failing on a non-zero exit anywhere in the pipe or
     a report that is not strict JSON), then each benchmark workload once,
     and uploads every bench log even when a step failed."""
@@ -42,10 +42,9 @@ def test_ci_runs_the_roadmap_tier1_command():
     runs = [step.get("run", "") for step in steps]
     assert {"python-version": "3.11"} in [step.get("with") for step in steps]
     assert 'python -m pip install -e ".[test]"' in runs
-    assert command in runs
-    strict = next(run for run in runs if "error::ResourceWarning" in run)
-    assert "-W error::pytest.PytestUnraisableExceptionWarning" in strict
-    assert strict.endswith("tests/test_data.py tests/test_cli.py")
+    strict = "-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning"
+    assert f"{command} {strict}" in runs
+    assert [run for run in runs if "python -m pytest" in run] == [f"{command} {strict}"]
     pipe = next(run for run in runs if "--out /dev/stdout" in run)
     assert "set -o pipefail" in pipe and "| augcov evaluate --input /dev/stdin" in pipe
     assert "--eval cs" in pipe and "parse_constant" in pipe

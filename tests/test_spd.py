@@ -274,7 +274,7 @@ class TestPackedStorage:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spd, "SPD_BLOCK_BYTES", per_block * values[0].nbytes)
             walked = [block for _, block in spd._blocks(stack)]
-            walked_rows = [block for _, block in spd._blocks(stack, order)]
+            walked_rows = [block for _, block in spd._blocks(stack[order])]
             mean = frechet_mean(stack)
             isqrt = tangent_fit(stack)
             coords = tangent_transform_many(isqrt, stack)
@@ -374,16 +374,16 @@ class TestBlockedMemory:
         block-sized arrays once used, the last gradient goes before the exp
         step and the walk's state before the mean is built. It reads
         6.04 k^2; the bound of 7 k^2 fails a mean that keeps any of these
-        alive (8.05 k^2 with all of them). Rows given as an index array cost
-        no more: the walk holds no name on a block's gathered packed rows
-        (0.5 k^2 more if it did)."""
-        stack, k2 = self._one_matrix_blocks()
+        alive (8.05 k^2 with all of them). A sub-stack of an index array
+        costs no more: the walk holds no name on a block's gathered packed
+        rows (0.5 k^2 more if it did)."""
+        whole, k2 = self._one_matrix_blocks()
         peaks = []
-        for rows in (None, np.arange(len(stack))):
-            frechet_mean(stack, rows)  # once untraced, for any first-call caches
+        for stack in (whole, whole[np.arange(len(whole))]):
+            frechet_mean(stack)  # once untraced, for any first-call caches
             tracemalloc.start()
             try:
-                frechet_mean(stack, rows)
+                frechet_mean(stack)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -416,17 +416,17 @@ def test_running_sum_is_the_axis0_sum(n, dim, subset, seed):
     holds 8 or more: for k = 1 only blocks of fewer agree with each other."""
     rng = np.random.default_rng(seed)
     values = stack_of(rng, n, dim)
-    stack = SpdStack(values)
-    packed = stack.packed.copy()
+    whole = SpdStack(values)
+    packed = whole.packed.copy()
     rows = rng.permutation(n)[:rng.integers(1, n + 1)] if subset else None
-    chosen = values if rows is None else values[rows]
+    stack, chosen = (whole, values) if rows is None else (whole[rows], values[rows])
     left = random_spd(rng, dim).values
     means = []
     for per_block in (n, 1, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spd, "SPD_BLOCK_BYTES", per_block * values[0].nbytes)
-            means.append((spd._mean(stack, rows), spd._mean(stack, rows, ("log", left, left.T))))
-    assert np.array_equal(stack.packed, packed)
+            means.append((spd._mean(stack), spd._mean(stack, ("log", left, left.T))))
+    assert np.array_equal(whole.packed, packed)
     plain, logs = means[0]
     assert np.array_equal(plain, chosen.sum(axis=0) / len(chosen))
     want = spd._spectral(chosen, "log", left, left.T)
@@ -594,7 +594,7 @@ class TestFrechetMean:
         with pytest.raises(EmptyInput):
             frechet_mean(SpdStack(np.empty((0, 3, 3))))
         with pytest.raises(EmptyInput):
-            frechet_mean(spd_stack([np.eye(3)]), rows=np.array([], dtype=int))
+            frechet_mean(spd_stack([np.eye(3)])[np.array([], dtype=int)])
 
     def test_no_convergence_carries_state(self, rng, monkeypatch):
         monkeypatch.setattr(spd, "MEAN_TOL", 1e-16)
